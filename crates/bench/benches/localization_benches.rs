@@ -1,7 +1,7 @@
 //! Benchmarks for the end-to-end localization pipeline: the motivating
 //! example (Table 1's unit of work), the clause-grouping ablation (line-level
 //! vs instance-level selectors, E10 in DESIGN.md), TCAS trace-formula
-//! construction, and the portfolio/batched solver configurations. Run with
+//! construction, and one TCAS localization. Run with
 //! `cargo bench -p bench --bench localization_benches`.
 
 use bench::micro::BenchGroup;
@@ -66,26 +66,18 @@ fn bench_tcas_pipeline() {
         .cloned()
         .expect("v1 has failing vectors in the pool");
     let golden = siemens::tcas_golden_output(&failing);
-    for portfolio in [false, true] {
-        let config = LocalizerConfig {
-            encode: encode.clone(),
-            max_suspect_sets: 4,
-            trusted_lines: tcas_trusted_lines(),
-            portfolio,
-            ..LocalizerConfig::default()
-        };
-        let localizer =
-            Localizer::new(&faulty, TCAS_ENTRY, &Spec::ReturnEquals(golden), &config).unwrap();
-        let label = if portfolio {
-            "localize_tcas_v1_one_failing_test_portfolio"
-        } else {
-            "localize_tcas_v1_one_failing_test"
-        };
-        group.bench(label, || {
-            let report = localizer.localize(&failing).unwrap();
-            assert!(!report.suspect_lines.is_empty());
-        });
-    }
+    let config = LocalizerConfig {
+        encode,
+        max_suspect_sets: 4,
+        trusted_lines: tcas_trusted_lines(),
+        ..LocalizerConfig::default()
+    };
+    let localizer =
+        Localizer::new(&faulty, TCAS_ENTRY, &Spec::ReturnEquals(golden), &config).unwrap();
+    group.bench("localize_tcas_v1_one_failing_test", || {
+        let report = localizer.localize(&failing).unwrap();
+        assert!(!report.suspect_lines.is_empty());
+    });
 }
 
 fn main() {

@@ -35,11 +35,7 @@ fn bench_sat() {
 
 fn bench_maxsat() {
     let mut group = BenchGroup::new("maxsat_strategies", 20);
-    for strategy in [
-        Strategy::FuMalik,
-        Strategy::LinearSatUnsat,
-        Strategy::Portfolio,
-    ] {
+    for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
         let inst = selector_chain(60);
         group.bench(&format!("{strategy:?}_chain_60"), || {
             let solution = solve(&inst, strategy).into_optimum().expect("satisfiable");

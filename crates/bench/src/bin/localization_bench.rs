@@ -1,9 +1,9 @@
 //! Records baseline wall-clock numbers for `Localizer::localize` on the TCAS
-//! suite — single-strategy vs. racing portfolio vs. batched localization —
-//! and writes them to `BENCH_localization.json` so future PRs have a
+//! suite — each MAX-SAT strategy alone vs. batched localization — and
+//! writes them to `BENCH_localization.json` so future PRs have a
 //! performance trajectory to compare against.
 //!
-//! Usage: `cargo run -p bench --bin portfolio_bench --release [output.json] [--samples N]`
+//! Usage: `cargo run -p bench --bin localization_bench --release [output.json] [--samples N]`
 //!
 //! `--samples 1` is the CI quick mode: one timed run per benchmark, enough
 //! to exercise the whole pipeline without dominating the workflow.
@@ -27,11 +27,10 @@ fn encode_config() -> EncodeConfig {
     }
 }
 
-fn localizer_config(strategy: Strategy, portfolio: bool) -> LocalizerConfig {
+fn localizer_config(strategy: Strategy) -> LocalizerConfig {
     LocalizerConfig {
         encode: encode_config(),
         strategy,
-        portfolio,
         max_suspect_sets: 4,
         trusted_lines: tcas_trusted_lines(),
         ..LocalizerConfig::default()
@@ -74,7 +73,7 @@ fn main() {
     );
     let batch: Vec<Vec<i64>> = failing.iter().take(6).cloned().collect();
     let probe = &batch[0];
-    let mut group = BenchGroup::new("portfolio_bench", samples);
+    let mut group = BenchGroup::new("localization_bench", samples);
     eprintln!(
         "TCAS v1: {} failing vectors with golden output {golden}; probing with {probe:?}",
         failing.len()
@@ -86,7 +85,7 @@ fn main() {
     // build instead of quietly regressing the formula size.
     let spec = Spec::ReturnEquals(golden);
     let diet = {
-        let config = localizer_config(Strategy::FuMalik, false);
+        let config = localizer_config(Strategy::FuMalik);
         let localizer = Localizer::new(&faulty, TCAS_ENTRY, &spec, &config).expect("TCAS encodes");
         localizer.warm();
         let report = localizer.localize(probe).expect("localization succeeds");
@@ -100,7 +99,7 @@ fn main() {
             stats.vars_eliminated > 0 && stats.hard_clauses < stats.hard_clauses_pre_simplify,
             "CNF simplifier reported no reduction on TCAS: {stats:?}"
         );
-        let mut raw_config = localizer_config(Strategy::FuMalik, false);
+        let mut raw_config = localizer_config(Strategy::FuMalik);
         raw_config.encode.gate_cache = false;
         raw_config.simplify = false;
         let raw = Localizer::new(&faulty, TCAS_ENTRY, &spec, &raw_config).expect("TCAS encodes");
@@ -194,8 +193,8 @@ fn main() {
     // instance-size arithmetic must balance exactly — a silently disabled
     // (or unsound) prune fails the build.
     let prune = {
-        let on_config = localizer_config(Strategy::FuMalik, false);
-        let mut off_config = localizer_config(Strategy::FuMalik, false);
+        let on_config = localizer_config(Strategy::FuMalik);
+        let mut off_config = localizer_config(Strategy::FuMalik);
         off_config.static_prune = false;
         let on = Localizer::new(&faulty, TCAS_ENTRY, &spec, &on_config).expect("TCAS encodes");
         let off = Localizer::new(&faulty, TCAS_ENTRY, &spec, &off_config).expect("TCAS encodes");
@@ -238,14 +237,13 @@ fn main() {
         )
     };
 
-    // --- single-extraction comparison: each strategy and the portfolio -----
+    // --- single-extraction comparison: each strategy alone -----------------
     let mut strategy_ms: Vec<(String, f64)> = Vec::new();
-    for (label, strategy, portfolio) in [
-        ("fu_malik", Strategy::FuMalik, false),
-        ("linear_sat_unsat", Strategy::LinearSatUnsat, false),
-        ("portfolio", Strategy::FuMalik, true),
+    for (label, strategy) in [
+        ("fu_malik", Strategy::FuMalik),
+        ("linear_sat_unsat", Strategy::LinearSatUnsat),
     ] {
-        let config = localizer_config(strategy, portfolio);
+        let config = localizer_config(strategy);
         let localizer = Localizer::new(&faulty, TCAS_ENTRY, &spec, &config).expect("TCAS encodes");
         let ms = time_ms(&mut group, &format!("localize_{label}"), || {
             let report = localizer.localize(probe).expect("localization succeeds");
@@ -254,20 +252,11 @@ fn main() {
         strategy_ms.push((label.to_string(), ms));
     }
 
-    // The raw racing layer, measured directly on one extracted MAX-SAT
-    // instance equivalent (chain instance shaped like a BugAssist encoding):
-    // forced threaded race vs. each single strategy, so the race overhead is
-    // visible even where `portfolio` adaptively degrades to a single
-    // strategy (single-core machines).
+    // Underlying SAT-solver work counters for one FuMalik run on a chain
+    // instance shaped like a BugAssist encoding: how many incremental calls,
+    // conflicts, learnt-database reductions and arena bytes the MAX-SAT loop
+    // costs.
     let chain = selector_chain(120);
-    let forced_race_ms = time_ms(&mut group, "forced_race_chain120", || {
-        let outcome = maxsat::PortfolioSolver::default().race(&chain);
-        assert_eq!(outcome.result.into_optimum().expect("satisfiable").cost, 1);
-    });
-
-    // Underlying SAT-solver work counters for one FuMalik run on the chain
-    // instance: how many incremental calls, conflicts, learnt-database
-    // reductions and arena bytes the MAX-SAT loop costs.
     let mut fm = maxsat::MaxSatSolver::new(Strategy::FuMalik);
     let _ = fm.solve(&chain);
     let fm_stats = fm.stats();
@@ -281,7 +270,7 @@ fn main() {
     group.counter("fu_malik_chain120_arena_bytes", fm_stats.arena_bytes);
 
     // --- batched vs sequential over the shared-spec failing tests ----------
-    let config = localizer_config(Strategy::FuMalik, false);
+    let config = localizer_config(Strategy::FuMalik);
     let localizer = Localizer::new(&faulty, TCAS_ENTRY, &spec, &config).expect("TCAS encodes");
     let sequential_ms = time_ms(&mut group, "sequential_loop_of_6", || {
         for input in &batch {
@@ -302,12 +291,7 @@ fn main() {
         .map(|(label, ms)| format!("    \"{label}_ms\": {ms:.3}"))
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"tcas_v1_localization\",\n  \"pool\": {{\"size\": 300, \"seed\": 2011}},\n  \"encode\": {{\"width\": 16, \"unwind\": 6}},\n  \"max_suspect_sets\": 4,\n  \"samples_per_measurement\": {samples},\n  \"hardware_threads\": {hardware_threads},\n  \"portfolio_mode\": \"{}\",\n{diet}\n{word}\n{prune}\n  \"single_extraction\": {{\n{}\n  }},\n  \"forced_race_chain120_ms\": {forced_race_ms:.3},\n  \"fu_malik_chain120_solver\": {{\n    \"sat_calls\": {},\n    \"conflicts\": {},\n    \"reduce_dbs\": {},\n    \"removed_learnts\": {},\n    \"arena_bytes\": {}\n  }},\n  \"batch\": {{\n    \"failing_tests\": {},\n    \"sequential_loop_ms\": {sequential_ms:.3},\n    \"localize_batch_ms\": {batched_ms:.3},\n    \"speedup\": {:.3}\n  }}\n}}\n",
-        if hardware_threads >= 2 {
-            "threaded_race"
-        } else {
-            "single_core_lead_strategy"
-        },
+        "{{\n  \"benchmark\": \"tcas_v1_localization\",\n  \"pool\": {{\"size\": 300, \"seed\": 2011}},\n  \"encode\": {{\"width\": 16, \"unwind\": 6}},\n  \"max_suspect_sets\": 4,\n  \"samples_per_measurement\": {samples},\n  \"hardware_threads\": {hardware_threads},\n{diet}\n{word}\n{prune}\n  \"single_extraction\": {{\n{}\n  }},\n  \"fu_malik_chain120_solver\": {{\n    \"sat_calls\": {},\n    \"conflicts\": {},\n    \"reduce_dbs\": {},\n    \"removed_learnts\": {},\n    \"arena_bytes\": {}\n  }},\n  \"batch\": {{\n    \"failing_tests\": {},\n    \"sequential_loop_ms\": {sequential_ms:.3},\n    \"localize_batch_ms\": {batched_ms:.3},\n    \"speedup\": {:.3}\n  }}\n}}\n",
         strategy_json.join(",\n"),
         fm_stats.sat_calls,
         fm_stats.conflicts,

@@ -51,25 +51,15 @@
 //! assert!(report.blames_line(Line(3)));
 //! ```
 //!
-//! # Portfolio & batching
+//! # Batching
 //!
-//! MAX-SAT solving dominates localization runtime (Sec. 6 of the paper), and
-//! the two complete strategies in [`maxsat`] win on different instances:
-//! core-guided Fu–Malik when the CoMSS is small, linear search when the first
-//! model is nearly optimal. Two orthogonal parallelism knobs exploit this:
-//!
-//! * **[`LocalizerConfig::portfolio`]** races both strategies on `std::thread`
-//!   workers for every CoMSS extraction. The workers share an incumbent
-//!   solution and a best-cost bound (`AtomicU64`); the first definitive answer
-//!   cancels the loser (`AtomicBool`, polled at SAT restart boundaries), and
-//!   Fu–Malik's lower bound can certify a rival's incumbent optimal the moment
-//!   the two meet. See [`maxsat::portfolio`] for the mechanics.
-//! * **[`Localizer::localize_batch`]** fans a batch of failing tests out
-//!   across worker threads — each test is an independent MAX-SAT enumeration
-//!   over the same symbolic trace — and merges the per-test CoMSS sets into
-//!   one frequency-ranked [`RankedReport`] (the Sec. 4.3 ranking). The
-//!   input-independent part of the extended trace formula is built once and
-//!   shared by the whole batch.
+//! MAX-SAT solving dominates localization runtime (Sec. 6 of the paper).
+//! **[`Localizer::localize_batch`]** fans a batch of failing tests out across
+//! worker threads — each test is an independent MAX-SAT enumeration over the
+//! same symbolic trace — and merges the per-test CoMSS sets into one
+//! frequency-ranked [`RankedReport`] (the Sec. 4.3 ranking). The
+//! input-independent part of the extended trace formula is built once and
+//! shared by the whole batch.
 //!
 //! ```
 //! use bugassist::{Localizer, LocalizerConfig};
@@ -79,7 +69,6 @@
 //! let program = parse_program("int main(int x) {\nint y = x + 2;\nreturn y;\n}").unwrap();
 //! let config = LocalizerConfig {
 //!     encode: EncodeConfig { width: 8, ..EncodeConfig::default() },
-//!     portfolio: true, // race FuMalik vs LinearSatUnsat per extraction
 //!     ..LocalizerConfig::default()
 //! };
 //! let localizer = Localizer::new(&program, "main", &Spec::ReturnEquals(4), &config).unwrap();

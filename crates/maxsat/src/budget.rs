@@ -3,10 +3,8 @@
 //! BugAssist-style whole-program MAX-SAT has unbounded worst-case solve
 //! time, so every solve in this crate can be bounded by a [`Budget`]: an
 //! absolute wall-clock deadline and/or a cap on the number of SAT-solver
-//! conflicts each strategy worker may spend. The budget travels inside the
-//! shared [`crate::RaceContext`] — which doubles as the *cancel token* of a
-//! solve: workers stop at the union of "budget exhausted" and "externally
-//! cancelled" ([`crate::RaceContext::cancel`]), polled at the SAT solver's
+//! conflicts one MAX-SAT solve may spend. [`crate::MaxSatSolver::set_budget`]
+//! installs it, and every SAT call of the solve polls it at the SAT solver's
 //! restart boundaries via [`sat::Solver::solve_assuming_budgeted`].
 //!
 //! A budgeted solve never turns expiry into an error: if an incumbent model
@@ -25,9 +23,9 @@ pub struct Budget {
     /// Absolute wall-clock deadline; the solve gives up at the next restart
     /// boundary once it has passed.
     pub deadline: Option<Instant>,
-    /// Maximum number of SAT conflicts each strategy worker may accumulate
-    /// over its run (each worker owns one incremental SAT solver, so the cap
-    /// is per worker, not global across a portfolio race).
+    /// Maximum number of SAT conflicts one MAX-SAT solve may accumulate
+    /// over its run (each solve owns one incremental SAT solver, so the cap
+    /// is per solve — one rank of a localization — not per localization).
     pub conflict_cap: Option<u64>,
 }
 

@@ -38,10 +38,8 @@
 mod budget;
 pub mod encodings;
 mod instance;
-pub mod portfolio;
 mod solve;
 
 pub use budget::Budget;
 pub use instance::{MaxSatInstance, SoftClause, SoftId};
-pub use portfolio::{PortfolioOutcome, PortfolioSolver, RaceContext, WorkerReport};
 pub use solve::{solve, MaxSatResult, MaxSatSolution, MaxSatSolver, MaxSatStats, Strategy};

@@ -25,7 +25,6 @@
 use crate::budget::Budget;
 use crate::encodings::{encode_exactly_one, GeneralizedTotalizer, PAIRWISE_AT_MOST_ONE_MAX};
 use crate::instance::{MaxSatInstance, SoftId};
-use crate::portfolio::{PortfolioSolver, RaceContext};
 use sat::{Lit, SatResult, Solver};
 
 /// Which algorithm to use for a [`solve`] call.
@@ -36,10 +35,6 @@ pub enum Strategy {
     FuMalik,
     /// Model-improving linear SAT–UNSAT search with a generalized totalizer.
     LinearSatUnsat,
-    /// Race [`Strategy::FuMalik`] against [`Strategy::LinearSatUnsat`] on
-    /// parallel threads with a shared best-cost bound; the first definitive
-    /// answer wins and the loser is cancelled (see [`crate::portfolio`]).
-    Portfolio,
 }
 
 /// An optimal solution to a weighted partial MAX-SAT instance.
@@ -69,15 +64,14 @@ impl MaxSatSolution {
 pub enum MaxSatResult {
     /// The hard clauses are satisfiable; an optimal solution is attached.
     Optimum(MaxSatSolution),
-    /// The solve's [`Budget`] expired (or it was cancelled) before
-    /// optimality was proven, but an incumbent model was found: an
-    /// **anytime result**. The attached solution is a genuine model of the
-    /// hard clauses and its `cost` is a valid *upper bound* on the optimum —
-    /// refined to the canonical representative at that cost, exactly like a
-    /// proven optimum would be.
+    /// The solve's [`Budget`] expired before optimality was proven, but an
+    /// incumbent model was found: an **anytime result**. The attached
+    /// solution is a genuine model of the hard clauses and its `cost` is a
+    /// valid *upper bound* on the optimum — refined to the canonical
+    /// representative at that cost, exactly like a proven optimum would be.
     Anytime(MaxSatSolution),
-    /// The solve's [`Budget`] expired (or it was cancelled) before any model
-    /// of the hard clauses was found; nothing can be reported.
+    /// The solve's [`Budget`] expired before any model of the hard clauses
+    /// was found; nothing can be reported.
     Expired,
     /// The hard clauses alone are unsatisfiable; no assignment exists.
     HardUnsat,
@@ -198,18 +192,6 @@ impl MaxSatStats {
 pub struct MaxSatSolver {
     strategy: Strategy,
     stats: MaxSatStats,
-    /// For [`Strategy::Portfolio`]: the racing solver, created on first use
-    /// and reused across sequential [`MaxSatSolver::solve`] calls. Its race
-    /// context (cancellation flag, incumbent, best-cost bound) is reset
-    /// between jobs, so a localization enumeration — or a server worker —
-    /// can drive many extractions through one solver without a stale cancel
-    /// flag from job *n* aborting job *n + 1*.
-    portfolio: Option<PortfolioSolver>,
-    /// Warm-start upper-bound guess for the *next* solve, consumed by it.
-    /// Only [`Strategy::Portfolio`] uses it (seeded into the race); the
-    /// deterministic single strategies ignore it so their answers never
-    /// depend on what a previous run cost.
-    bound_hint: Option<u64>,
     /// Refine every optimum into the canonical one (see
     /// [`MaxSatSolver::set_canonical`]).
     canonical: bool,
@@ -233,8 +215,6 @@ impl MaxSatSolver {
         MaxSatSolver {
             strategy,
             stats: MaxSatStats::default(),
-            portfolio: None,
-            bound_hint: None,
             canonical: true,
             core_trimming: true,
             budget: Budget::UNLIMITED,
@@ -269,16 +249,6 @@ impl MaxSatSolver {
         self.core_trimming = enabled;
     }
 
-    /// Installs (or clears) a warm-start cost guess for the next
-    /// [`MaxSatSolver::solve`] call, which consumes it. The hint is an
-    /// upper-bound *guess* — typically the optimum of a closely related
-    /// instance solved earlier. Only [`Strategy::Portfolio`] exploits it
-    /// (via [`crate::RaceContext::seed_bound`]); a wrong guess can cost one
-    /// extra SAT call but never changes the reported optimum.
-    pub fn set_bound_hint(&mut self, hint: Option<u64>) {
-        self.bound_hint = hint;
-    }
-
     /// The strategy this solver uses.
     pub fn strategy(&self) -> Strategy {
         self.strategy
@@ -293,105 +263,35 @@ impl MaxSatSolver {
     /// best answer the budget allows (see [`MaxSatSolver::set_budget`]).
     pub fn solve(&mut self, instance: &MaxSatInstance) -> MaxSatResult {
         self.stats = MaxSatStats::default();
-        let hint = self.bound_hint.take();
+        let budget = self.budget;
         let result = match self.strategy {
-            Strategy::FuMalik | Strategy::LinearSatUnsat if self.budget.is_unlimited() => self
-                .run_single(instance, None)
-                .expect("unraced solve always completes"),
-            Strategy::FuMalik | Strategy::LinearSatUnsat => {
-                // A budgeted single-strategy solve runs against a private
-                // race context: it is the cancel token the SAT calls poll,
-                // and (for LinearSatUnsat) the incumbent store the anytime
-                // fallback reads on expiry.
-                let race = RaceContext::new();
-                race.set_budget(self.budget);
-                match self.run_single(instance, Some(&race)) {
-                    Some(result) => result,
-                    // `None` means a sat call was cut short; nobody can
-                    // cancel a private race, so the cause is the budget.
-                    None => anytime_result(instance, &race),
-                }
-            }
-            Strategy::Portfolio => {
-                let portfolio = self.portfolio.get_or_insert_with(PortfolioSolver::default);
-                portfolio.set_budget(self.budget);
-                let outcome = portfolio.solve_seeded(instance, hint);
-                self.stats = outcome.winner_stats;
-                outcome.result
-            }
+            // Fu–Malik holds no model of the hard clauses until its optimum,
+            // so a budget that runs out first leaves nothing to report.
+            Strategy::FuMalik => self
+                .solve_fu_malik(instance, budget)
+                .unwrap_or(MaxSatResult::Expired),
+            Strategy::LinearSatUnsat => self.solve_linear(instance, budget),
         };
         debug_assert!(check_solution(instance, &result));
         result
     }
 
-    /// Runs a non-portfolio strategy, optionally against a race context.
-    fn run_single(
-        &mut self,
-        instance: &MaxSatInstance,
-        race: Option<&RaceContext>,
-    ) -> Option<MaxSatResult> {
-        match self.strategy {
-            Strategy::FuMalik => self.solve_fu_malik(instance, race),
-            Strategy::LinearSatUnsat => self.solve_linear(instance, race),
-            Strategy::Portfolio => unreachable!("a portfolio cannot race itself"),
+    /// Dispatches one SAT call under `budget`, polling its deadline and
+    /// conflict cap at restart boundaries. `None` means the budget ran out.
+    fn sat_call(solver: &mut Solver, assumptions: &[Lit], budget: Budget) -> Option<SatResult> {
+        if budget.is_unlimited() {
+            return Some(solver.solve_assuming(assumptions));
         }
-    }
-
-    /// Runs this solver's strategy as one worker of a portfolio race.
-    /// Returns `None` if the worker was cancelled before reaching a
-    /// definitive answer; when the race's *budget* (rather than a rival's
-    /// victory) cut the worker short, it instead converts the shared
-    /// incumbent into an anytime result and competes with that.
-    pub(crate) fn solve_racing(
-        &mut self,
-        instance: &MaxSatInstance,
-        race: &RaceContext,
-    ) -> Option<MaxSatResult> {
-        self.stats = MaxSatStats::default();
-        let result = match self.run_single(instance, Some(race)) {
-            Some(result) => Some(result),
-            // Cancelled by a rival's victory (or an external cancel): this
-            // worker has nothing to add. The winner — or, for an external
-            // cancel, the portfolio's no-winner fallback — reports.
-            None if race.is_cancelled() => None,
-            // Not cancelled, yet a SAT call gave up: the budget expired.
-            // Turn the shared incumbent into the anytime answer.
-            None => Some(anytime_result(instance, race)),
-        };
-        if let Some(result) = &result {
-            debug_assert!(check_solution(instance, result));
+        // The conflict cap bounds the whole solve; the SAT solver's conflict
+        // counter is cumulative across its calls, so the remaining allowance
+        // is cap − spent-so-far.
+        let remaining = budget
+            .conflict_cap
+            .map(|cap| cap.saturating_sub(solver.stats().conflicts));
+        if remaining == Some(0) || budget.deadline_expired() {
+            return None;
         }
-        result
-    }
-
-    /// Dispatches one SAT call, polling the race's cancellation flag and
-    /// budget (deadline + conflict cap) at restart boundaries when racing.
-    fn sat_call(
-        solver: &mut Solver,
-        assumptions: &[Lit],
-        race: Option<&RaceContext>,
-    ) -> Option<SatResult> {
-        match race {
-            None => Some(solver.solve_assuming(assumptions)),
-            Some(race) => {
-                let budget = race.budget();
-                // The conflict cap bounds this worker's whole run; the SAT
-                // solver's conflict counter is cumulative across its calls,
-                // so the remaining allowance is cap − spent-so-far.
-                let remaining = budget
-                    .conflict_cap
-                    .map(|cap| cap.saturating_sub(solver.stats().conflicts));
-                if remaining == Some(0) || budget.deadline_expired() {
-                    return None;
-                }
-                solver.solve_assuming_budgeted(
-                    assumptions,
-                    Some(race.cancel_flag()),
-                    budget.deadline,
-                    remaining,
-                )
-            }
-        }
+        solver.solve_assuming_budgeted(assumptions, budget.deadline, remaining)
     }
 
     /// Refines an optimal model into the **canonical** optimum: among all
@@ -408,17 +308,17 @@ impl MaxSatSolver {
     /// consistent with the pinned prefix.
     ///
     /// The canonical optimum is a semantic object — a function of the
-    /// instance, not of the search path — so racing strategies, different
+    /// instance, not of the search path — so both strategies, different
     /// clause layouts and preprocessed/unpreprocessed encodings of the same
     /// instance all converge to the same `falsified` set. Returns `None`
-    /// only when cancelled by the race.
+    /// only when the budget runs out.
     fn canonicalize(
         &mut self,
         solver: &mut Solver,
         instance: &MaxSatInstance,
         base_assumptions: &[Lit],
         witness: Vec<bool>,
-        race: Option<&RaceContext>,
+        budget: Budget,
     ) -> Option<Vec<bool>> {
         if !self.canonical {
             return Some(witness);
@@ -447,7 +347,7 @@ impl MaxSatSolver {
             }
             assumptions.push(pin);
             self.stats.sat_calls += 1;
-            match Self::sat_call(solver, &assumptions, race)? {
+            match Self::sat_call(solver, &assumptions, budget)? {
                 SatResult::Sat => witness = truncate_model(solver, instance.num_vars()),
                 SatResult::Unsat => {
                     // Falsified in every optimum consistent with the prefix:
@@ -460,10 +360,11 @@ impl MaxSatSolver {
         Some(witness)
     }
 
+    /// Runs Fu–Malik / WPM1. Returns `None` when the budget runs out.
     fn solve_fu_malik(
         &mut self,
         instance: &MaxSatInstance,
-        race: Option<&RaceContext>,
+        budget: Budget,
     ) -> Option<MaxSatResult> {
         let mut solver = Solver::new();
         solver.ensure_vars(instance.num_vars());
@@ -507,45 +408,22 @@ impl MaxSatSolver {
         let mut cost = base_cost;
         loop {
             debug_assert_eq!(assumptions.len(), work.len());
-            // `cost` is a valid lower bound on the optimum (the WPM1
-            // invariant). If a rival already published a model of that cost,
-            // the incumbent is a proven optimum — finish with it. Rivals
-            // publish raw intermediate incumbents (only their *final*
-            // answers are canonical), and this solver's mid-iteration state
-            // cannot host the canonical walk, so the adopted optimum goes
-            // through a fresh-solver refinement — the adoption shortcut is
-            // rare, the certainty is not.
-            if let Some(race) = race {
-                if let Some(incumbent) = race.incumbent_at_most(cost) {
-                    self.stats.capture_solver(&solver);
-                    let refined = if self.canonical {
-                        canonical_refine_fresh(instance, incumbent, Some(race))?
-                    } else {
-                        incumbent
-                    };
-                    return Some(MaxSatResult::Optimum(refined));
-                }
-            }
             self.stats.sat_calls += 1;
-            match Self::sat_call(&mut solver, &assumptions, race)? {
+            match Self::sat_call(&mut solver, &assumptions, budget)? {
                 SatResult::Sat => {
                     let model = truncate_model(&solver, instance.num_vars());
                     // The WPM1 invariant makes every model under the final
                     // assumptions exactly optimal, so the canonical greedy
                     // can run directly on the warm solver.
                     let model =
-                        self.canonicalize(&mut solver, instance, &assumptions, model, race)?;
+                        self.canonicalize(&mut solver, instance, &assumptions, model, budget)?;
                     let falsified = falsified_soft(instance, &model);
                     self.stats.capture_solver(&solver);
-                    let solution = MaxSatSolution {
+                    return Some(MaxSatResult::Optimum(MaxSatSolution {
                         cost,
                         model,
                         falsified,
-                    };
-                    if let Some(race) = race {
-                        race.publish(&solution);
-                    }
-                    return Some(MaxSatResult::Optimum(solution));
+                    }));
                 }
                 SatResult::Unsat => {
                     let mut core: Vec<Lit> = solver.unsat_core().to_vec();
@@ -564,7 +442,7 @@ impl MaxSatSolver {
                     // re-solve could only recoup a few binary clauses.
                     if self.core_trimming && core.len() > PAIRWISE_AT_MOST_ONE_MAX {
                         self.stats.sat_calls += 1;
-                        match Self::sat_call(&mut solver, &core, race)? {
+                        match Self::sat_call(&mut solver, &core, budget)? {
                             SatResult::Unsat => {
                                 let trimmed = solver.unsat_core();
                                 if trimmed.len() < core.len() {
@@ -633,16 +511,14 @@ impl MaxSatSolver {
         }
     }
 
-    fn solve_linear(
-        &mut self,
-        instance: &MaxSatInstance,
-        race: Option<&RaceContext>,
-    ) -> Option<MaxSatResult> {
+    /// Runs linear SAT–UNSAT search. When the budget runs out after the
+    /// first model, the best model so far becomes the anytime answer.
+    fn solve_linear(&mut self, instance: &MaxSatInstance, budget: Budget) -> MaxSatResult {
         let mut solver = Solver::new();
         solver.ensure_vars(instance.num_vars());
         for clause in instance.hard().iter() {
             if !solver.add_clause(clause.lits().iter().copied()) {
-                return Some(MaxSatResult::HardUnsat);
+                return MaxSatResult::HardUnsat;
             }
         }
         // Relax every soft clause up front.
@@ -660,39 +536,11 @@ impl MaxSatSolver {
             weighted_relax.push((relax, soft.weight));
         }
 
-        // Warm start: when the race already carries a finite upper bound —
-        // a seeded guess from a previous solve over a related instance, or
-        // a rival's published model — aim the *first* SAT call directly at
-        // that cost instead of taking an arbitrary model and climbing down.
-        // A guess below the true optimum makes the bounded call UNSAT; the
-        // unbounded retry restores the unseeded behaviour, so the guess can
-        // cost one SAT call but never correctness.
-        let mut gte: Option<GeneralizedTotalizer> = None;
-        let warm_bound = race
-            .map(RaceContext::best_cost)
-            .filter(|&bound| bound != u64::MAX);
-        let first = match warm_bound {
-            None => {
-                self.stats.sat_calls += 1;
-                Self::sat_call(&mut solver, &[], race)?
-            }
-            Some(bound) => {
-                let g = gte.insert(GeneralizedTotalizer::new(&mut solver, &weighted_relax));
-                let assumptions = g.at_most(bound.saturating_sub(base_cost));
-                self.stats.sat_calls += 1;
-                match Self::sat_call(&mut solver, &assumptions, race)? {
-                    SatResult::Sat => SatResult::Sat,
-                    SatResult::Unsat => {
-                        // Guess too low, or the hard part is unsatisfiable:
-                        // only the unbounded call can tell them apart.
-                        self.stats.sat_calls += 1;
-                        Self::sat_call(&mut solver, &[], race)?
-                    }
-                }
-            }
-        };
-        if first == SatResult::Unsat {
-            return Some(MaxSatResult::HardUnsat);
+        self.stats.sat_calls += 1;
+        match Self::sat_call(&mut solver, &[], budget) {
+            None => return MaxSatResult::Expired,
+            Some(SatResult::Unsat) => return MaxSatResult::HardUnsat,
+            Some(SatResult::Sat) => {}
         }
         // `cost_of` already counts empty soft clauses (they evaluate to
         // false), so `base_cost` is only used to shift the totalizer bound.
@@ -700,39 +548,14 @@ impl MaxSatSolver {
         let mut best_cost = instance
             .cost_of(&best_model)
             .expect("SAT model satisfies hard clauses");
-        let publish = |cost: u64, model: &[bool]| {
-            if let Some(race) = race {
-                race.publish(&MaxSatSolution {
-                    cost,
-                    model: model.to_vec(),
-                    falsified: falsified_soft(instance, model),
-                });
-            }
-        };
-        publish(best_cost, &best_model);
 
         if best_cost > base_cost {
-            let gte =
-                gte.get_or_insert_with(|| GeneralizedTotalizer::new(&mut solver, &weighted_relax));
-            loop {
-                if best_cost == base_cost {
-                    break;
-                }
-                // Adopt a better incumbent published by a rival worker: its
-                // model is a model of the same hard clauses, so the search
-                // can continue bounding strictly below it.
-                if let Some(race) = race {
-                    if let Some(incumbent) = race.incumbent_at_most(best_cost.saturating_sub(1)) {
-                        best_cost = incumbent.cost;
-                        best_model = incumbent.model;
-                        continue;
-                    }
-                }
-                let bound = best_cost - base_cost - 1;
-                let assumptions = gte.at_most(bound);
+            let gte = GeneralizedTotalizer::new(&mut solver, &weighted_relax);
+            while best_cost > base_cost {
+                let assumptions = gte.at_most(best_cost - base_cost - 1);
                 self.stats.sat_calls += 1;
-                match Self::sat_call(&mut solver, &assumptions, race)? {
-                    SatResult::Sat => {
+                match Self::sat_call(&mut solver, &assumptions, budget) {
+                    Some(SatResult::Sat) => {
                         let model = truncate_model(&solver, instance.num_vars());
                         let cost = instance
                             .cost_of(&model)
@@ -740,36 +563,32 @@ impl MaxSatSolver {
                         debug_assert!(cost < best_cost);
                         best_cost = cost;
                         best_model = model;
-                        publish(best_cost, &best_model);
                     }
-                    SatResult::Unsat => break,
+                    Some(SatResult::Unsat) => break,
+                    None => return anytime_result(instance, best_cost, best_model),
+                }
+            }
+            // Canonical refinement: under `at_most(best_cost - base_cost)`
+            // every model of the relaxed formula costs exactly the (now
+            // proven) optimum, so the greedy walks the warm solver. At the
+            // base cost the falsified set is the empty softs alone — already
+            // unique.
+            if best_cost > base_cost {
+                let bound = gte.at_most(best_cost - base_cost);
+                match self.canonicalize(&mut solver, instance, &bound, best_model.clone(), budget) {
+                    Some(model) => best_model = model,
+                    None => return anytime_result(instance, best_cost, best_model),
                 }
             }
         }
 
-        // Canonical refinement: under `at_most(best_cost - base_cost)` every
-        // model of the relaxed formula costs exactly the (now proven)
-        // optimum, so the greedy walks the warm solver. At the base cost the
-        // falsified set is the empty softs alone — already unique.
-        if best_cost > base_cost {
-            let bound = gte
-                .as_ref()
-                .expect("totalizer exists whenever the optimum exceeds the base cost")
-                .at_most(best_cost - base_cost);
-            best_model = self.canonicalize(&mut solver, instance, &bound, best_model, race)?;
-        }
-
         self.stats.capture_solver(&solver);
         let falsified = falsified_soft(instance, &best_model);
-        let solution = MaxSatSolution {
+        MaxSatResult::Optimum(MaxSatSolution {
             cost: best_cost,
             model: best_model,
             falsified,
-        };
-        if let Some(race) = race {
-            race.publish(&solution);
-        }
-        Some(MaxSatResult::Optimum(solution))
+        })
     }
 }
 
@@ -778,41 +597,35 @@ pub fn solve(instance: &MaxSatInstance, strategy: Strategy) -> MaxSatResult {
     MaxSatSolver::new(strategy).solve(instance)
 }
 
-/// Builds the answer of a solve whose budget ran out (or that was cancelled
-/// externally with no winner): the race's incumbent model — canonically
-/// refined at its own cost, so the reported CoMSS is the unique
-/// representative of that *upper bound* — or [`MaxSatResult::Expired`] when
-/// no model was ever published. The refinement runs unbudgeted on a fresh
-/// solver: it is a bounded greedy walk (one cheap SAT call per soft clause
-/// the witness falsifies, under a totalizer pinning the cost), so honouring
-/// the already-spent deadline would only replace a useful answer with none.
-pub(crate) fn anytime_result(instance: &MaxSatInstance, race: &RaceContext) -> MaxSatResult {
-    match race.incumbent_at_most(u64::MAX) {
-        Some(incumbent) => {
-            let refined = canonical_refine_fresh(instance, incumbent, None)
-                .expect("unraced refinement always completes");
-            MaxSatResult::Anytime(refined)
-        }
-        None => MaxSatResult::Expired,
-    }
+/// Builds the answer of a solve whose budget ran out after it found a model
+/// of cost `cost`: that model, canonically refined at its own cost, so the
+/// reported CoMSS is the unique representative of that *upper bound*. The
+/// refinement runs unbudgeted on a fresh solver: it is a bounded greedy walk
+/// (one cheap SAT call per soft clause the witness falsifies, under a
+/// totalizer pinning the cost), so honouring the already-spent deadline would
+/// only replace a useful answer with none.
+fn anytime_result(instance: &MaxSatInstance, cost: u64, model: Vec<bool>) -> MaxSatResult {
+    let falsified = falsified_soft(instance, &model);
+    MaxSatResult::Anytime(canonical_refine_fresh(
+        instance,
+        MaxSatSolution {
+            cost,
+            model,
+            falsified,
+        },
+    ))
 }
 
-/// Canonicalizes a *known-optimal* solution against a fresh solver: hard
+/// Canonicalizes a solution of known cost against a fresh solver: hard
 /// clauses plus one assumable satisfaction indicator per soft clause, with a
-/// generalized-totalizer bound pinning the falsified weight at the optimum.
-/// Used where no warm all-models-optimal solver state is available (Fu–Malik
-/// adopting a rival's raw incumbent mid-race). Returns `None` only when
-/// cancelled by the race.
-fn canonical_refine_fresh(
-    instance: &MaxSatInstance,
-    solution: MaxSatSolution,
-    race: Option<&RaceContext>,
-) -> Option<MaxSatSolution> {
+/// generalized-totalizer bound pinning the falsified weight at that cost.
+/// Used where no warm all-models-at-this-cost solver state is available.
+fn canonical_refine_fresh(instance: &MaxSatInstance, solution: MaxSatSolution) -> MaxSatSolution {
     let mut solver = Solver::new();
     solver.ensure_vars(instance.num_vars());
     for clause in instance.hard().iter() {
         if !solver.add_clause(clause.lits().iter().copied()) {
-            return Some(solution); // Unreachable: the instance has a model.
+            return solution; // Unreachable: the instance has a model.
         }
     }
     let mut base_cost = 0u64;
@@ -840,7 +653,7 @@ fn canonical_refine_fresh(
         pins.push(Some(pin));
     }
     if solution.cost <= base_cost {
-        return Some(solution); // Every non-empty soft is satisfied: unique.
+        return solution; // Every non-empty soft is satisfied: unique.
     }
     let gte = GeneralizedTotalizer::new(&mut solver, &weighted);
     let mut assumptions = gte.at_most(solution.cost - base_cost);
@@ -852,7 +665,7 @@ fn canonical_refine_fresh(
         if soft.clause.eval(&witness) {
             continue;
         }
-        match MaxSatSolver::sat_call(&mut solver, &assumptions, race)? {
+        match solver.solve_assuming(&assumptions) {
             SatResult::Sat => witness = truncate_model(&solver, instance.num_vars()),
             SatResult::Unsat => {
                 assumptions.pop();
@@ -860,11 +673,11 @@ fn canonical_refine_fresh(
         }
     }
     let falsified = falsified_soft(instance, &witness);
-    Some(MaxSatSolution {
+    MaxSatSolution {
         cost: solution.cost,
         model: witness,
         falsified,
-    })
+    }
 }
 
 fn truncate_model(solver: &Solver, num_vars: usize) -> Vec<bool> {
@@ -1042,61 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_warm_start_respects_wrong_and_exact_guesses() {
-        use crate::portfolio::RaceContext;
-        // Three soft units, two in conflict: optimum cost 1.
-        let mut inst = MaxSatInstance::new();
-        inst.ensure_vars(2);
-        inst.add_soft(vec![lit(1)], 1);
-        inst.add_soft(vec![lit(-1)], 1);
-        inst.add_soft(vec![lit(2)], 1);
-        for seed in [0u64, 1, 3, 100] {
-            let race = RaceContext::new();
-            race.seed_bound(seed);
-            let result = MaxSatSolver::new(Strategy::LinearSatUnsat)
-                .solve_racing(&inst, &race)
-                .expect("not cancelled");
-            assert_eq!(
-                result.into_optimum().expect("satisfiable").cost,
-                1,
-                "seed {seed}"
-            );
-        }
-        // Hard-UNSAT under a seeded bound is still reported as such.
-        let mut unsat = MaxSatInstance::new();
-        unsat.add_hard(vec![lit(1)]);
-        unsat.add_hard(vec![lit(-1)]);
-        unsat.add_soft(vec![lit(2)], 1);
-        let race = RaceContext::new();
-        race.seed_bound(0);
-        let result = MaxSatSolver::new(Strategy::LinearSatUnsat)
-            .solve_racing(&unsat, &race)
-            .expect("not cancelled");
-        assert!(result.is_hard_unsat());
-    }
-
-    #[test]
-    fn bound_hint_is_consumed_and_harmless_for_single_strategies() {
-        let mut inst = MaxSatInstance::new();
-        inst.ensure_vars(1);
-        inst.add_soft(vec![lit(1)], 1);
-        inst.add_soft(vec![lit(-1)], 1);
-        for strategy in [
-            Strategy::FuMalik,
-            Strategy::LinearSatUnsat,
-            Strategy::Portfolio,
-        ] {
-            let mut solver = MaxSatSolver::new(strategy);
-            solver.set_bound_hint(Some(1));
-            let sol = solver.solve(&inst).into_optimum().expect("satisfiable");
-            assert_eq!(sol.cost, 1, "strategy {strategy:?}");
-            // The hint is one-shot: the next solve runs unseeded.
-            let again = solver.solve(&inst).into_optimum().expect("satisfiable");
-            assert_eq!(again.cost, 1);
-        }
-    }
-
-    #[test]
     fn core_trimming_runs_on_wide_cores_and_answers_are_canonical() {
         // Eight soft units x1..x8 against one hard clause forbidding them
         // all: the (unique, minimal) core is all eight selectors — above the
@@ -1215,40 +973,48 @@ mod tests {
 
     #[test]
     fn expiry_with_an_incumbent_returns_a_refined_anytime_upper_bound() {
-        // Softs: x1 (w1), x2 (w1), (!x1 | !x2) (w5). True optimum: cost 1.
-        // A genuine but suboptimal model (x1 = x2 = true, cost 5) is
-        // published as the race incumbent; when the budget then expires
-        // before the first SAT call, the worker must hand back exactly that
-        // incumbent as an Anytime result, canonically refined at its own
-        // cost — a valid upper bound on the optimum.
+        // Pigeonhole: one soft clause per pigeon (weight 1) puts it in some
+        // of the holes, and hard clauses keep every hole to one pigeon. With
+        // one pigeon too many the optimum costs 1. Its first models fit in
+        // the cap, but proving it optimal takes the pigeonhole refutation
+        // (about ten thousand conflicts), far more than the cap allows. So
+        // linear search runs out holding a model of its own, and must hand
+        // it back as an Anytime result, canonically refined at its own cost:
+        // a valid upper bound that blames the highest soft ids.
+        const PIGEONS: usize = 8;
+        const HOLES: usize = PIGEONS - 1;
         let mut inst = MaxSatInstance::new();
-        inst.ensure_vars(2);
-        inst.add_soft(vec![lit(1)], 1);
-        inst.add_soft(vec![lit(2)], 1);
-        inst.add_soft(vec![lit(-1), lit(-2)], 5);
-        let race = RaceContext::new();
-        race.publish(&MaxSatSolution {
-            cost: 5,
-            model: vec![true, true],
-            falsified: vec![SoftId(2)],
+        let at = |p: usize, h: usize| sat::Var::from_index(p * HOLES + h).positive();
+        inst.ensure_vars(PIGEONS * HOLES);
+        for h in 0..HOLES {
+            for p in 0..PIGEONS {
+                for q in p + 1..PIGEONS {
+                    inst.add_hard(vec![!at(p, h), !at(q, h)]);
+                }
+            }
+        }
+        for p in 0..PIGEONS {
+            inst.add_soft((0..HOLES).map(|h| at(p, h)).collect::<Vec<_>>(), 1);
+        }
+        let mut solver = MaxSatSolver::new(Strategy::LinearSatUnsat);
+        solver.set_budget(Budget {
+            deadline: None,
+            conflict_cap: Some(1000),
         });
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        race.set_budget(Budget::with_deadline(past));
-        let result = MaxSatSolver::new(Strategy::FuMalik)
-            .solve_racing(&inst, &race)
-            .expect("budget expiry yields an answer, not a race loss");
+        let result = solver.solve(&inst);
         let (solution, complete) = result.into_solution().expect("anytime incumbent");
         assert!(!complete);
-        assert_eq!(solution.cost, 5);
-        let true_optimum = solve(&inst, Strategy::FuMalik)
+        let true_optimum = solve(&inst, Strategy::LinearSatUnsat)
             .into_optimum()
             .expect("satisfiable")
             .cost;
+        assert_eq!(true_optimum, 1);
         assert!(
             solution.cost >= true_optimum,
             "anytime cost is an upper bound"
         );
-        assert_eq!(solution.falsified, vec![SoftId(2)]);
+        let blamed = (PIGEONS - solution.cost as usize..PIGEONS).map(SoftId);
+        assert_eq!(solution.falsified, blamed.collect::<Vec<_>>());
     }
 
     #[test]

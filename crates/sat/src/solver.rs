@@ -878,43 +878,19 @@ impl Solver {
     /// returns a subset of `assumptions` that is inconsistent with the clause
     /// database (empty if the database is unsatisfiable on its own).
     pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_bounded(assumptions, None, None, None)
-            .expect("uninterruptible solve always completes")
+        self.solve_assuming_budgeted(assumptions, None, None)
+            .expect("an unbudgeted solve always completes")
     }
 
-    /// Like [`Solver::solve_assuming`], but polls `interrupt` at every restart
-    /// boundary (every few hundred conflicts) and gives up with `None` once it
-    /// is set. Learnt clauses are kept, so an interrupted solver can resume
-    /// later. This is the cooperative-cancellation primitive the `maxsat`
-    /// portfolio racer uses to abort the losing strategy early.
-    pub fn solve_assuming_interruptible(
-        &mut self,
-        assumptions: &[Lit],
-        interrupt: &std::sync::atomic::AtomicBool,
-    ) -> Option<SatResult> {
-        self.solve_bounded(assumptions, Some(interrupt), None, None)
-    }
-
-    /// Like [`Solver::solve_assuming_interruptible`], but additionally gives
-    /// up once `deadline` has passed or more than `max_conflicts` conflicts
-    /// have been spent *in this call*. All three limits are polled at restart
-    /// boundaries (every few hundred conflicts), so overshoot is bounded by
-    /// one restart interval. `None` means the call was cut short; the solver
-    /// keeps its learnt clauses and can resume later.
+    /// Like [`Solver::solve_assuming`], but gives up once `deadline` has
+    /// passed or more than `max_conflicts` conflicts have been spent *in this
+    /// call*. Both limits are polled at restart boundaries (every few hundred
+    /// conflicts), so overshoot is bounded by one restart interval. `None`
+    /// means the call was cut short; the solver keeps its learnt clauses and
+    /// can resume later.
     pub fn solve_assuming_budgeted(
         &mut self,
         assumptions: &[Lit],
-        interrupt: Option<&std::sync::atomic::AtomicBool>,
-        deadline: Option<std::time::Instant>,
-        max_conflicts: Option<u64>,
-    ) -> Option<SatResult> {
-        self.solve_bounded(assumptions, interrupt, deadline, max_conflicts)
-    }
-
-    fn solve_bounded(
-        &mut self,
-        assumptions: &[Lit],
-        interrupt: Option<&std::sync::atomic::AtomicBool>,
         deadline: Option<std::time::Instant>,
         max_conflicts: Option<u64>,
     ) -> Option<SatResult> {
@@ -934,12 +910,6 @@ impl Solver {
         let conflicts_at_entry = self.stats.conflicts;
         let mut restarts = 0u64;
         let status = loop {
-            if let Some(flag) = interrupt {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    self.cancel_until(0);
-                    return None;
-                }
-            }
             if let Some(deadline) = deadline {
                 if std::time::Instant::now() >= deadline {
                     self.cancel_until(0);
@@ -1366,19 +1336,13 @@ mod tests {
         // A conflict cap of zero trips at the very first restart boundary.
         let mut solver = Solver::new();
         pigeonhole(&mut solver, 7, 6);
-        assert_eq!(
-            solver.solve_assuming_budgeted(&[], None, None, Some(0)),
-            None
-        );
+        assert_eq!(solver.solve_assuming_budgeted(&[], None, Some(0)), None);
         // An already-expired deadline does the same.
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        assert_eq!(
-            solver.solve_assuming_budgeted(&[], None, Some(past), None),
-            None
-        );
+        assert_eq!(solver.solve_assuming_budgeted(&[], Some(past), None), None);
         // With the budget lifted the same solver finishes the proof.
         assert_eq!(
-            solver.solve_assuming_budgeted(&[], None, None, None),
+            solver.solve_assuming_budgeted(&[], None, None),
             Some(SatResult::Unsat)
         );
     }

@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// One cached preparation: the program's AST and diffable segments, the
 /// job parameters it was prepared under, the warmed localizer, and the
-/// most recent report's costs (warm-start seeds for a future revision).
+/// reports served from it.
 #[derive(Debug)]
 pub struct PreparedEntry {
     /// The MinC source text the entry's job carried — kept verbatim so the
@@ -70,10 +70,6 @@ pub struct PreparedEntry {
     pub options: JobOptions,
     /// The warmed localizer itself.
     pub localizer: Arc<Localizer>,
-    /// Per-rank CoMSS costs of the most recent single-input report served
-    /// from this entry; seeds the portfolio's bound when the program is
-    /// revised.
-    last_costs: Mutex<Option<Vec<u64>>>,
     /// Reports served from this entry, keyed by failing input. The solver
     /// is deterministic, so a repeat of (entry, input) reproduces the same
     /// report — which lets the `revise` op serve relabel-class edits (and
@@ -111,16 +107,13 @@ impl PreparedEntry {
             spec: job.spec,
             options: job.options.clone(),
             localizer,
-            last_costs: Mutex::new(None),
             reports: Mutex::new(Vec::new()),
         }
     }
 
-    /// Records a single-input report served from this entry: remembers it
-    /// for solve-skipping reuse and refreshes the warm-start cost seeds.
+    /// Records a single-input report served from this entry, remembering it
+    /// for solve-skipping reuse.
     pub fn record_report(&self, input: &[i64], report: &LocalizationReport) {
-        let costs: Vec<u64> = report.suspects.iter().map(|s| s.cost).collect();
-        *self.last_costs.lock().expect("last_costs poisoned") = Some(costs);
         let mut reports = self.reports.lock().expect("reports poisoned");
         if let Some(slot) = reports.iter_mut().find(|(i, _)| i == input) {
             slot.1 = report.clone();
@@ -141,12 +134,6 @@ impl PreparedEntry {
             .iter()
             .find(|(i, _)| i == input)
             .map(|(_, report)| report.clone())
-    }
-
-    /// The warm-start seeds for a revision of this entry's program, if a
-    /// report has been served from it.
-    pub fn seed_costs(&self) -> Option<Vec<u64>> {
-        self.last_costs.lock().expect("last_costs poisoned").clone()
     }
 }
 

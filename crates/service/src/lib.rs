@@ -45,9 +45,8 @@
 //! the trace formula (blank lines, comments, dead-code tweaks) — reuses the
 //! bit-blasted preparation *and* serves the pre-edit report with its blame
 //! lines remapped, skipping the MAX-SAT solve entirely. Semantic edits fall
-//! back to a full rebuild (warm-started in portfolio mode), so every
-//! `revise` answer is byte-identical to what a cold `localize` of the same
-//! source would return.
+//! back to a full rebuild, so every `revise` answer is byte-identical to
+//! what a cold `localize` of the same source would return.
 //!
 //! # Example
 //!

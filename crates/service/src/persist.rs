@@ -32,8 +32,8 @@ use std::sync::Arc;
 /// [`store::FORMAT_VERSION`] invalidates records wholesale at the framing
 /// layer; this byte exists so a payload-only layout change can do the same
 /// without a store format bump. Version 2 added the `static_prune` /
-/// `static_priors` option bytes.
-pub const PAYLOAD_VERSION: u8 = 2;
+/// `static_priors` option bytes; version 3 dropped the racing-strategy flag byte.
+pub const PAYLOAD_VERSION: u8 = 3;
 
 /// Serializes a warm prepared entry into a store payload, or `None` when
 /// the entry's localizer was never warmed (nothing worth persisting).
@@ -64,9 +64,7 @@ pub fn encode_entry(entry: &PreparedEntry) -> Option<Vec<u8>> {
     w.write_u8(match o.strategy {
         Strategy::FuMalik => 1,
         Strategy::LinearSatUnsat => 2,
-        Strategy::Portfolio => 3,
     });
-    w.write_u8(u8::from(o.portfolio));
     w.write_u8(u8::from(o.gate_cache));
     w.write_u8(u8::from(o.word_passes));
     w.write_u8(u8::from(o.simplify));
@@ -140,10 +138,8 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
     let strategy = match r.read_u8()? {
         1 => Strategy::FuMalik,
         2 => Strategy::LinearSatUnsat,
-        3 => Strategy::Portfolio,
         t => return Err(DecodeError::new(format!("bad strategy tag {t}"))),
     };
-    let portfolio = decode_bool(&mut r, "portfolio")?;
     let gate_cache = decode_bool(&mut r, "gate_cache")?;
     let word_passes = decode_bool(&mut r, "word_passes")?;
     let simplify = decode_bool(&mut r, "simplify")?;
@@ -163,7 +159,6 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
         base_weight,
         max_suspect_sets,
         strategy,
-        portfolio,
         gate_cache,
         word_passes,
         simplify,

@@ -27,7 +27,7 @@
 //! {"id":1,"op":"localize","program":"int main(int x) {\nint y = x + 2;\nreturn y;\n}",
 //!  "entry":"main","spec":{"return_equals":4},"inputs":[[5]],
 //!  "width":8,"unwind":8,"max_suspect_sets":16,"granularity":"line",
-//!  "strategy":"fu_malik","portfolio":false}
+//!  "strategy":"fu_malik"}
 //! ```
 //!
 //! and a successful response like
@@ -135,40 +135,7 @@ impl Job {
     pub fn cache_key(&self, program: &minic::Program) -> u64 {
         let mut h = StableHasher::new();
         minic::hash_program(&mut h, program);
-        h.write_str(&self.entry);
-        match self.spec {
-            JobSpec::Assertions => h.write_u8(1),
-            JobSpec::ReturnEquals(v) => {
-                h.write_u8(2);
-                h.write_i64(v);
-            }
-        }
-        let o = &self.options;
-        h.write_usize(o.width);
-        h.write_usize(o.unwind);
-        h.write_usize(o.max_inline_depth);
-        h.write_u8(match o.granularity {
-            Granularity::Line => 1,
-            Granularity::StatementInstance => 2,
-        });
-        h.write_u8(u8::from(o.loop_weighting));
-        h.write_u64(o.base_weight);
-        h.write_usize(o.max_suspect_sets);
-        h.write_u8(match o.strategy {
-            Strategy::FuMalik => 1,
-            Strategy::LinearSatUnsat => 2,
-            Strategy::Portfolio => 3,
-        });
-        h.write_u8(u8::from(o.portfolio));
-        h.write_u8(u8::from(o.gate_cache));
-        h.write_u8(u8::from(o.word_passes));
-        h.write_u8(u8::from(o.simplify));
-        h.write_u8(u8::from(o.static_prune));
-        h.write_u8(u8::from(o.static_priors));
-        h.write_usize(o.trusted_lines.len());
-        for line in &o.trusted_lines {
-            h.write_u64(u64::from(*line));
-        }
+        self.hash_params(&mut h);
         h.finish()
     }
 
@@ -180,6 +147,12 @@ impl Job {
     /// degrades to a corrupt-record miss instead.
     pub fn options_fingerprint(&self) -> u64 {
         let mut h = StableHasher::new();
+        self.hash_params(&mut h);
+        h.finish()
+    }
+
+    /// Mixes the entry, the spec and every option into `h`.
+    fn hash_params(&self, h: &mut StableHasher) {
         h.write_str(&self.entry);
         match self.spec {
             JobSpec::Assertions => h.write_u8(1),
@@ -202,9 +175,7 @@ impl Job {
         h.write_u8(match o.strategy {
             Strategy::FuMalik => 1,
             Strategy::LinearSatUnsat => 2,
-            Strategy::Portfolio => 3,
         });
-        h.write_u8(u8::from(o.portfolio));
         h.write_u8(u8::from(o.gate_cache));
         h.write_u8(u8::from(o.word_passes));
         h.write_u8(u8::from(o.simplify));
@@ -214,7 +185,6 @@ impl Job {
         for line in &o.trusted_lines {
             h.write_u64(u64::from(*line));
         }
-        h.finish()
     }
 
     /// The [`LocalizerConfig`] these options describe.
@@ -235,7 +205,6 @@ impl Job {
             loop_weighting: o.loop_weighting,
             base_weight: o.base_weight,
             trusted_lines: o.trusted_lines.iter().map(|&l| Line(l)).collect(),
-            portfolio: o.portfolio,
             simplify: o.simplify,
             static_prune: o.static_prune,
             static_priors: o.static_priors,
@@ -279,8 +248,6 @@ pub struct JobOptions {
     pub max_suspect_sets: usize,
     /// MAX-SAT strategy.
     pub strategy: Strategy,
-    /// Race both strategies per extraction.
-    pub portfolio: bool,
     /// Hash-cons structurally identical gates while bit-blasting.
     pub gate_cache: bool,
     /// Run the word-level simplification passes before bit-blasting.
@@ -307,7 +274,6 @@ impl Default for JobOptions {
             base_weight: base.base_weight,
             max_suspect_sets: DEFAULT_MAX_SUSPECT_SETS,
             strategy: base.strategy,
-            portfolio: base.portfolio,
             gate_cache: base.encode.gate_cache,
             word_passes: base.encode.word_passes,
             simplify: base.simplify,
@@ -440,10 +406,8 @@ fn job_fields(job: &Job, pairs: &mut Vec<(String, Json)>) {
         Json::str(match o.strategy {
             Strategy::FuMalik => "fu_malik",
             Strategy::LinearSatUnsat => "linear_sat_unsat",
-            Strategy::Portfolio => "portfolio",
         }),
     );
-    push(pairs, "portfolio", Json::Bool(o.portfolio));
     push(pairs, "gate_cache", Json::Bool(o.gate_cache));
     push(pairs, "word_passes", Json::Bool(o.word_passes));
     push(pairs, "simplify", Json::Bool(o.simplify));
@@ -572,18 +536,8 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
         options.strategy = match v.as_str() {
             Some("fu_malik") => Strategy::FuMalik,
             Some("linear_sat_unsat") => Strategy::LinearSatUnsat,
-            Some("portfolio") => Strategy::Portfolio,
-            _ => {
-                return Err(bad(
-                    "strategy must be fu_malik, linear_sat_unsat or portfolio",
-                ))
-            }
+            _ => return Err(bad("strategy must be fu_malik or linear_sat_unsat")),
         };
-    }
-    if let Some(v) = value.get("portfolio") {
-        options.portfolio = v
-            .as_bool()
-            .ok_or_else(|| bad("portfolio must be a boolean"))?;
     }
     if let Some(v) = value.get("gate_cache") {
         options.gate_cache = v
@@ -870,7 +824,7 @@ mod tests {
             vec![vec![5], vec![7]],
         );
         job.options.trusted_lines = vec![3];
-        job.options.portfolio = true;
+        job.options.strategy = Strategy::LinearSatUnsat;
         job
     }
 
@@ -916,14 +870,19 @@ mod tests {
 
     #[test]
     fn omitted_options_take_defaults() {
-        let line = r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]]}"#;
-        let envelope = parse_request(line).expect("parses");
-        assert_eq!(envelope.id, 0);
-        let Request::Localize(job) = envelope.request else {
-            panic!("wrong op");
-        };
-        assert_eq!(job.options, JobOptions::default());
-        assert_eq!(job.spec, JobSpec::Assertions);
+        for line in [
+            r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]]}"#,
+            // A key that names no option is ignored.
+            r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"portfolio":true}"#,
+        ] {
+            let envelope = parse_request(line).expect("parses");
+            assert_eq!(envelope.id, 0);
+            let Request::Localize(job) = envelope.request else {
+                panic!("wrong op");
+            };
+            assert_eq!(job.options, JobOptions::default());
+            assert_eq!(job.spec, JobSpec::Assertions);
+        }
     }
 
     #[test]
@@ -942,6 +901,14 @@ mod tests {
         ] {
             assert!(parse_request(line).is_err(), "should reject: {line}");
         }
+        // An unknown strategy is a bad request naming the valid ones.
+        let unknown = r#"{"op":"localize","program":"p","entry":"main","spec":"assertions","inputs":[[1]],"strategy":"portfolio"}"#;
+        assert_eq!(
+            parse_request(unknown),
+            Err(ProtocolError(
+                "strategy must be fu_malik or linear_sat_unsat".to_string()
+            ))
+        );
     }
 
     #[test]
@@ -1047,7 +1014,7 @@ mod tests {
         let config = job.localizer_config();
         assert_eq!(config.encode.width, 8);
         assert_eq!(config.trusted_lines, vec![Line(3)]);
-        assert!(config.portfolio);
+        assert_eq!(config.strategy, Strategy::LinearSatUnsat);
         assert_eq!(config.max_suspect_sets, DEFAULT_MAX_SUSPECT_SETS);
         assert!(matches!(job.bmc_spec(), Spec::ReturnEquals(4)));
     }

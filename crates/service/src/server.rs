@@ -65,8 +65,8 @@ pub struct ServiceConfig {
     /// Upper clamp on any job's deadline; a client asking for more gets
     /// this much. `None` = no clamp.
     pub max_deadline_ms: Option<u64>,
-    /// Conflict cap handed to every budgeted solve (per MAX-SAT strategy
-    /// worker). `None` = unlimited.
+    /// Conflict cap handed to every budgeted solve (per MAX-SAT solve, i.e.
+    /// per rank of a localization). `None` = unlimited.
     pub conflict_cap: Option<u64>,
     /// Maximum accepted request-line length in bytes; longer lines get a
     /// structured `request_too_large` error and the connection is closed.
@@ -1132,8 +1132,7 @@ impl ServerState {
             }
         }
         let key = queued.job.cache_key(&program);
-        // The pre-edit entry, for revisions: the delta source and the
-        // warm-start seed donor.
+        // The pre-edit entry, for revisions: the delta source.
         let prev = match queued.kind {
             JobKind::Revise { prev_key } => self.cache.lookup(prev_key),
             _ => None,
@@ -1230,28 +1229,12 @@ impl ServerState {
                         solved = false;
                         report
                     }
-                    None => {
-                        // Warm start: seed the racing portfolio with the
-                        // pre-edit report's per-rank costs. Deterministic
-                        // single-strategy jobs ignore the seeds (see
-                        // `Localizer::localize_seeded`), so reports stay
-                        // bit-reproducible.
-                        let seeds = match queued.kind {
-                            JobKind::Revise { .. } if queued.job.options.portfolio => {
-                                prev.as_ref().and_then(|p| p.seed_costs())
-                            }
-                            _ => None,
-                        };
-                        match entry
-                            .localizer
-                            .localize_budgeted(input, seeds.as_deref(), budget)
-                        {
-                            Err(e) => {
-                                return self.error_line(queued.id, Self::localize_error_kind(&e), e)
-                            }
-                            Ok(report) => report,
+                    None => match entry.localizer.localize_budgeted(input, budget) {
+                        Err(e) => {
+                            return self.error_line(queued.id, Self::localize_error_kind(&e), e)
                         }
-                    }
+                        Ok(report) => report,
+                    },
                 };
                 // Never remember an anytime report: the report cache feeds
                 // solve-skipping replays and revise remaps, which must only
