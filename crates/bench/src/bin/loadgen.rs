@@ -46,6 +46,7 @@
 //! edited version is a brand-new cache key, so each step pays a full cold
 //! build. The ratio of the two chains is the value of delta preparation.
 
+use bench::workloads::{git_revision, hardware_threads};
 use service::fleet::routing_key;
 use service::protocol::canonicalize;
 use service::{
@@ -1179,7 +1180,7 @@ fn main() {
     let stats = client.stats().expect("final stats");
     let solver = stats.get("solver").expect("solver section").clone();
     let queue = stats.get("queue").expect("queue section").clone();
-    // Formula-diet totals (gate-cache hits, preprocessor removals) across
+    // Formula-diet totals (preprocessor removals, word-level folds) across
     // every solved job of the run; a dead diet pipeline fails the bench.
     let formula = stats.get("formula").expect("formula section").clone();
     assert!(
@@ -1241,14 +1242,8 @@ fn main() {
 
     let report = Json::obj(vec![
         ("benchmark", Json::str("localization_service_loadgen")),
-        (
-            "hardware_threads",
-            Json::from(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            ),
-        ),
+        ("hardware_threads", Json::from(hardware_threads())),
+        ("git_revision", Json::str(git_revision())),
         (
             "config",
             Json::obj(vec![

@@ -9,7 +9,7 @@
 //! to exercise the whole pipeline without dominating the workflow.
 
 use bench::micro::BenchGroup;
-use bench::workloads::{parse_output_and_samples, selector_chain};
+use bench::workloads::{git_revision, hardware_threads, parse_output_and_samples, selector_chain};
 use bmc::{EncodeConfig, Spec};
 use bugassist::{Localizer, LocalizerConfig};
 use maxsat::Strategy;
@@ -81,7 +81,7 @@ fn main() {
 
     // --- formula-diet counters: encode size before/after the two stages ----
     // Printed in every mode (including CI's `--samples 1` quick mode) and
-    // *asserted*: a silently disabled gate cache or CNF simplifier fails the
+    // *asserted*: silently disabled gate folds or CNF simplifier fail the
     // build instead of quietly regressing the formula size.
     let spec = Spec::ReturnEquals(golden);
     let diet = {
@@ -92,25 +92,22 @@ fn main() {
         let stats = report.stats;
         let encode = localizer.trace().stats;
         assert!(
-            encode.gates_cached > 0,
-            "gate cache reported no sharing on TCAS"
+            encode.gates_folded > 0,
+            "encoder reported no folded gates on TCAS"
         );
         assert!(
             stats.vars_eliminated > 0 && stats.hard_clauses < stats.hard_clauses_pre_simplify,
             "CNF simplifier reported no reduction on TCAS: {stats:?}"
         );
         let mut raw_config = localizer_config(Strategy::FuMalik);
-        raw_config.encode.gate_cache = false;
         raw_config.simplify = false;
         let raw = Localizer::new(&faulty, TCAS_ENTRY, &spec, &raw_config).expect("TCAS encodes");
         raw.warm();
         let raw_report = raw.localize(probe).expect("localization succeeds");
         for (label, value) in [
-            ("encode_gates_cached", encode.gates_cached),
             ("encode_gates_emitted", encode.gates_emitted),
             ("encode_gates_folded", encode.gates_folded),
-            ("vars_raw", raw_report.stats.variables as u64),
-            ("vars_cached", stats.variables as u64),
+            ("variables", stats.variables as u64),
             ("hard_clauses_raw", raw_report.stats.hard_clauses as u64),
             (
                 "hard_clauses_pre_simplify",
@@ -124,11 +121,9 @@ fn main() {
             group.counter(label, value);
         }
         format!(
-            "  \"formula_diet\": {{\n    \"encode_gates_cached\": {},\n    \"encode_gates_emitted\": {},\n    \"encode_gates_folded\": {},\n    \"vars_raw\": {},\n    \"vars_cached\": {},\n    \"hard_clauses_raw\": {},\n    \"hard_clauses_pre_simplify\": {},\n    \"hard_clauses_simplified\": {},\n    \"clauses_subsumed\": {},\n    \"vars_eliminated\": {},\n    \"simplify_ms\": {},\n    \"hard_clause_reduction\": {:.3}\n  }},",
-            encode.gates_cached,
+            "  \"formula_diet\": {{\n    \"encode_gates_emitted\": {},\n    \"encode_gates_folded\": {},\n    \"variables\": {},\n    \"hard_clauses_raw\": {},\n    \"hard_clauses_pre_simplify\": {},\n    \"hard_clauses_simplified\": {},\n    \"clauses_subsumed\": {},\n    \"vars_eliminated\": {},\n    \"simplify_ms\": {},\n    \"hard_clause_reduction\": {:.3}\n  }},",
             encode.gates_emitted,
             encode.gates_folded,
-            raw_report.stats.variables,
             stats.variables,
             raw_report.stats.hard_clauses,
             stats.hard_clauses_pre_simplify,
@@ -283,15 +278,14 @@ fn main() {
         assert_eq!(ranked.per_test.len(), batch.len());
     });
 
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let hardware_threads = hardware_threads();
+    let git_revision = git_revision();
     let strategy_json: Vec<String> = strategy_ms
         .iter()
         .map(|(label, ms)| format!("    \"{label}_ms\": {ms:.3}"))
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"tcas_v1_localization\",\n  \"pool\": {{\"size\": 300, \"seed\": 2011}},\n  \"encode\": {{\"width\": 16, \"unwind\": 6}},\n  \"max_suspect_sets\": 4,\n  \"samples_per_measurement\": {samples},\n  \"hardware_threads\": {hardware_threads},\n{diet}\n{word}\n{prune}\n  \"single_extraction\": {{\n{}\n  }},\n  \"fu_malik_chain120_solver\": {{\n    \"sat_calls\": {},\n    \"conflicts\": {},\n    \"reduce_dbs\": {},\n    \"removed_learnts\": {},\n    \"arena_bytes\": {}\n  }},\n  \"batch\": {{\n    \"failing_tests\": {},\n    \"sequential_loop_ms\": {sequential_ms:.3},\n    \"localize_batch_ms\": {batched_ms:.3},\n    \"speedup\": {:.3}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"tcas_v1_localization\",\n  \"pool\": {{\"size\": 300, \"seed\": 2011}},\n  \"encode\": {{\"width\": 16, \"unwind\": 6}},\n  \"max_suspect_sets\": 4,\n  \"samples_per_measurement\": {samples},\n  \"hardware_threads\": {hardware_threads},\n  \"git_revision\": \"{git_revision}\",\n{diet}\n{word}\n{prune}\n  \"single_extraction\": {{\n{}\n  }},\n  \"fu_malik_chain120_solver\": {{\n    \"sat_calls\": {},\n    \"conflicts\": {},\n    \"reduce_dbs\": {},\n    \"removed_learnts\": {},\n    \"arena_bytes\": {}\n  }},\n  \"batch\": {{\n    \"failing_tests\": {},\n    \"sequential_loop_ms\": {sequential_ms:.3},\n    \"localize_batch_ms\": {batched_ms:.3},\n    \"speedup\": {:.3}\n  }}\n}}\n",
         strategy_json.join(",\n"),
         fm_stats.sat_calls,
         fm_stats.conflicts,

@@ -6,7 +6,10 @@
 //! Usage: `cargo run -p bench --bin solver_bench --release [output.json] [--samples N]`
 
 use bench::micro::BenchGroup;
-use bench::workloads::{parse_output_and_samples, pigeonhole, random_3sat_batch, selector_chain};
+use bench::workloads::{
+    git_revision, hardware_threads, parse_output_and_samples, pigeonhole, random_3sat_batch,
+    selector_chain,
+};
 use sat::{Lit, SatResult, Solver, Var};
 
 const DEFAULT_SAMPLES: usize = 15;
@@ -94,9 +97,9 @@ fn main() {
     }
 
     // Encode-size counters for the formula diet, measured on a bit-blast of
-    // the TCAS resolution logic: gates cached vs. emitted, and the
-    // vars/clauses trajectory raw -> hash-consed -> simplified. Printed in
-    // quick mode too, so CI logs always show the current formula sizes.
+    // the TCAS resolution logic: gates folded, and the vars/clauses of the
+    // encode before and after simplification. Printed in quick mode too, so
+    // CI logs always show the current formula sizes.
     {
         let program = siemens::tcas_program();
         let encode = bmc::EncodeConfig {
@@ -105,39 +108,30 @@ fn main() {
             max_inline_depth: 8,
             ..bmc::EncodeConfig::default()
         };
-        let raw_encode = bmc::EncodeConfig {
-            gate_cache: false,
-            ..encode.clone()
-        };
         let spec = bmc::Spec::Assertions;
-        let raw = bmc::encode_program(&program, siemens::TCAS_ENTRY, &spec, &raw_encode)
+        let encoded = bmc::encode_program(&program, siemens::TCAS_ENTRY, &spec, &encode)
             .expect("TCAS encodes");
-        let cached = bmc::encode_program(&program, siemens::TCAS_ENTRY, &spec, &encode)
-            .expect("TCAS encodes");
-        let mut frozen: Vec<sat::Var> = vec![cached.property.var()];
-        for (_, bv) in &cached.inputs {
+        let mut frozen: Vec<sat::Var> = vec![encoded.property.var()];
+        for (_, bv) in &encoded.inputs {
             frozen.extend(bv.bits().iter().map(|b| b.var()));
         }
         let simplified = sat::simplify(
-            cached.cnf.formula(),
+            encoded.cnf.formula(),
             &frozen,
             &sat::SimplifyConfig::default(),
         );
         assert!(
-            cached.stats.gates_cached > 0 && simplified.stats.vars_eliminated > 0,
+            encoded.stats.gates_folded > 0 && simplified.stats.vars_eliminated > 0,
             "formula diet inactive on the TCAS encode"
         );
         for (label, value) in [
-            ("tcas_encode_vars_raw", raw.stats.variables as u64),
-            ("tcas_encode_vars_cached", cached.stats.variables as u64),
-            ("tcas_encode_clauses_raw", raw.stats.clauses as u64),
-            ("tcas_encode_clauses_cached", cached.stats.clauses as u64),
+            ("tcas_encode_vars", encoded.stats.variables as u64),
+            ("tcas_encode_clauses", encoded.stats.clauses as u64),
             (
                 "tcas_encode_clauses_simplified",
                 simplified.stats.clauses_after as u64,
             ),
-            ("tcas_encode_gates_cached", cached.stats.gates_cached),
-            ("tcas_encode_gates_folded", cached.stats.gates_folded),
+            ("tcas_encode_gates_folded", encoded.stats.gates_folded),
             (
                 "tcas_simplify_vars_eliminated",
                 simplified.stats.vars_eliminated,
@@ -190,7 +184,9 @@ fn main() {
         .map(|(k, v)| format!("    \"{k}\": {v}"))
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"solver_micro\",\n  \"samples_per_measurement\": {samples},\n  \"current\": {{\n{}\n  }},\n  \"solver_counters\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"solver_micro\",\n  \"samples_per_measurement\": {samples},\n  \"hardware_threads\": {},\n  \"git_revision\": \"{}\",\n  \"current\": {{\n{}\n  }},\n  \"solver_counters\": {{\n{}\n  }}\n}}\n",
+        hardware_threads(),
+        git_revision(),
         body.join(",\n"),
         counter_body.join(",\n")
     );

@@ -27,6 +27,25 @@ pub fn parse_output_and_samples(default_output: &str, default_samples: usize) ->
     (output, samples)
 }
 
+/// Hardware threads available to this process, recorded in every BENCH file
+/// so a timing names the parallelism it ran with.
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The code a BENCH file measured: `git describe --always --dirty` of the
+/// working directory (a `-dirty` suffix marks uncommitted edits on top of
+/// that revision), or `"unknown"` outside a git checkout.
+pub fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
+}
+
 /// A solver pre-loaded with the pigeonhole principle instance: `pigeons`
 /// pigeons into `holes` holes (UNSAT iff `pigeons > holes`) — the classic
 /// analysis-heavy CDCL workload.

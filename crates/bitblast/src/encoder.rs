@@ -10,7 +10,6 @@
 
 use crate::grouped::{GroupId, GroupedCnf};
 use sat::Lit;
-use std::collections::HashMap;
 
 /// A fixed-width two's-complement bit-vector of CNF literals, LSB first.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -69,38 +68,11 @@ impl BitVec {
     }
 }
 
-/// One hash-consed gate: the output literal plus the clause group its
-/// defining Tseitin clauses were emitted under. The group gates reuse:
-/// an entry emitted under `None` (always-hard infrastructure) is valid
-/// everywhere, while an entry emitted inside a statement group may only be
-/// reused by that *same* group — reusing it elsewhere would let one
-/// statement's selector silently disable another statement's logic (or pin
-/// relaxable logic hard), changing the localization semantics.
-#[derive(Clone, Copy, Debug)]
-struct CachedGate {
-    out: Lit,
-    group: Option<GroupId>,
-}
-
-/// AIG-style structural-hashing tables, one per gate family. Keys are
-/// operand-normalized: AND operands are sorted, XOR operands are reduced to
-/// their positive phase (the complement is pushed to the output), ITE is
-/// normalized to a positive condition and a positive then-branch.
-#[derive(Clone, Debug, Default)]
-struct GateCache {
-    and_gates: HashMap<(u32, u32), CachedGate>,
-    xor_gates: HashMap<(u32, u32), CachedGate>,
-    ite_gates: HashMap<(u32, u32, u32), CachedGate>,
-}
-
-/// Structural-sharing counters of an [`Encoder`].
+/// Gate counters of an [`Encoder`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EncoderStats {
     /// Gates whose Tseitin clauses were actually emitted.
     pub gates_emitted: u64,
-    /// Gate requests answered from the hash-consing cache (no clauses
-    /// emitted).
-    pub gates_cached: u64,
     /// Gate requests answered by constant folding or a complement/absorption
     /// rewrite rule (no fresh variable, no clauses).
     pub gates_folded: u64,
@@ -112,13 +84,12 @@ pub struct EncoderStats {
 /// [`Encoder::set_group`]); the BugAssist layer later augments each group's
 /// clauses with that statement's selector variable.
 ///
-/// Gates are **hash-consed** by default: structurally identical `and` /
-/// `xor` / `ite` requests (after operand normalization, constant folding and
-/// complement rules) return the literal of the first emission instead of
-/// re-deriving a fresh Tseitin gate, subject to the clause-group safety rule
-/// documented on the cache. [`Encoder::set_gate_cache`] disables this and
-/// restores the naive one-gate-per-call encoding; [`Encoder::stats`] reports
-/// how much sharing happened.
+/// Gate construction is stateless: each `and` / `xor` / `ite` request is
+/// first tried against constant folds, complement rules and (for `ite`) the
+/// degenerate-mux rewrites, and otherwise emits one fresh Tseitin gate.
+/// Sharing of repeated structure happens a level higher, in the hash-consed
+/// word IR, which lowers each node once. [`Encoder::stats`] counts emitted
+/// and folded gates.
 ///
 /// # Examples
 ///
@@ -143,8 +114,6 @@ pub struct Encoder {
     width: usize,
     group: Option<GroupId>,
     true_lit: Lit,
-    cache: GateCache,
-    cache_enabled: bool,
     stats: EncoderStats,
 }
 
@@ -166,8 +135,6 @@ impl Encoder {
             width,
             group: None,
             true_lit,
-            cache: GateCache::default(),
-            cache_enabled: true,
             stats: EncoderStats::default(),
         }
     }
@@ -177,20 +144,7 @@ impl Encoder {
         self.width
     }
 
-    /// Enables or disables gate hash-consing (enabled by default). With the
-    /// cache off the encoder reproduces the naive one-Tseitin-gate-per-call
-    /// encoding exactly, which is what the cached-vs-uncached equivalence
-    /// tests compare against.
-    pub fn set_gate_cache(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-    }
-
-    /// Whether gate hash-consing is enabled.
-    pub fn gate_cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    /// Structural-sharing counters accumulated so far.
+    /// Gate counters accumulated so far.
     pub fn stats(&self) -> EncoderStats {
         self.stats
     }
@@ -285,13 +239,6 @@ impl Encoder {
 
     // ----- single-bit gates (Tseitin) -------------------------------------
 
-    /// `true` when a cached gate may be reused under the current group: the
-    /// entry's defining clauses are either always hard (`None`) or owned by
-    /// the very group asking again.
-    fn reusable(&self, gate: &CachedGate) -> bool {
-        gate.group.is_none() || gate.group == self.group
-    }
-
     /// Logical AND of two bits.
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
         if a == self.false_lit() || b == self.false_lit() {
@@ -314,29 +261,11 @@ impl Encoder {
             self.stats.gates_folded += 1;
             return self.false_lit();
         }
-        let key = (a.code().min(b.code()) as u32, a.code().max(b.code()) as u32);
-        if self.cache_enabled {
-            if let Some(gate) = self.cache.and_gates.get(&key) {
-                if self.reusable(gate) {
-                    self.stats.gates_cached += 1;
-                    return gate.out;
-                }
-            }
-        }
         let c = self.fresh_bit();
         self.emit(vec![!c, a]);
         self.emit(vec![!c, b]);
         self.emit(vec![c, !a, !b]);
         self.stats.gates_emitted += 1;
-        if self.cache_enabled {
-            self.cache.and_gates.insert(
-                key,
-                CachedGate {
-                    out: c,
-                    group: self.group,
-                },
-            );
-        }
         c
     }
 
@@ -371,46 +300,13 @@ impl Encoder {
             self.stats.gates_folded += 1;
             return self.true_lit;
         }
-        if !self.cache_enabled {
-            let c = self.fresh_bit();
-            self.emit(vec![!c, a, b]);
-            self.emit(vec![!c, !a, !b]);
-            self.emit(vec![c, !a, b]);
-            self.emit(vec![c, a, !b]);
-            self.stats.gates_emitted += 1;
-            return c;
-        }
-        // Canonical form: XOR of the positive phases; operand complements
-        // commute to the output (`xor(¬a, b) = ¬xor(a, b)`), so the same
-        // cached gate answers all four phase combinations — this is what
-        // lets a comparator's XNOR share the subtractor's XOR.
-        let flip = a.is_negative() ^ b.is_negative();
-        let pa = a.var().positive();
-        let pb = b.var().positive();
-        let key = (
-            pa.code().min(pb.code()) as u32,
-            pa.code().max(pb.code()) as u32,
-        );
-        if let Some(gate) = self.cache.xor_gates.get(&key) {
-            if self.reusable(gate) {
-                self.stats.gates_cached += 1;
-                return gate.out.apply_sign(!flip);
-            }
-        }
         let c = self.fresh_bit();
-        self.emit(vec![!c, pa, pb]);
-        self.emit(vec![!c, !pa, !pb]);
-        self.emit(vec![c, !pa, pb]);
-        self.emit(vec![c, pa, !pb]);
+        self.emit(vec![!c, a, b]);
+        self.emit(vec![!c, !a, !b]);
+        self.emit(vec![c, !a, b]);
+        self.emit(vec![c, a, !b]);
         self.stats.gates_emitted += 1;
-        self.cache.xor_gates.insert(
-            key,
-            CachedGate {
-                out: c,
-                group: self.group,
-            },
-        );
-        c.apply_sign(!flip)
+        c
     }
 
     /// Bit equivalence (XNOR).
@@ -432,70 +328,31 @@ impl Encoder {
             self.stats.gates_folded += 1;
             return then_bit;
         }
-        if self.cache_enabled {
-            // Rewrite degenerate muxes into AND/OR/XNOR gates (which fold and
-            // hash-cons further): `ite(c, t, ⊥) = c ∧ t`, `ite(c, ⊤, e) =
-            // c ∨ e`, `ite(c, t, ¬t) = c ↔ t`, and the absorption cases where
-            // a branch repeats the condition.
-            if then_bit == !else_bit {
-                self.stats.gates_folded += 1;
-                return self.iff(cond, then_bit);
-            }
-            if then_bit == self.true_lit || then_bit == cond {
-                self.stats.gates_folded += 1;
-                return self.or(cond, else_bit);
-            }
-            if then_bit == self.false_lit() || then_bit == !cond {
-                self.stats.gates_folded += 1;
-                return self.and(!cond, else_bit);
-            }
-            if else_bit == self.true_lit || else_bit == !cond {
-                self.stats.gates_folded += 1;
-                return self.or(!cond, then_bit);
-            }
-            if else_bit == self.false_lit() || else_bit == cond {
-                self.stats.gates_folded += 1;
-                return self.and(cond, then_bit);
-            }
-            // Canonical form: positive condition (swapping the branches) and
-            // positive then-branch (complementing both branches and the
-            // output).
-            let (cond, mut then_bit, mut else_bit) = if cond.is_negative() {
-                (!cond, else_bit, then_bit)
-            } else {
-                (cond, then_bit, else_bit)
-            };
-            let flip = then_bit.is_negative();
-            if flip {
-                then_bit = !then_bit;
-                else_bit = !else_bit;
-            }
-            let key = (
-                cond.code() as u32,
-                then_bit.code() as u32,
-                else_bit.code() as u32,
-            );
-            if let Some(gate) = self.cache.ite_gates.get(&key) {
-                if self.reusable(gate) {
-                    self.stats.gates_cached += 1;
-                    return gate.out.apply_sign(!flip);
-                }
-            }
-            let r = self.emit_ite(cond, then_bit, else_bit);
-            self.cache.ite_gates.insert(
-                key,
-                CachedGate {
-                    out: r,
-                    group: self.group,
-                },
-            );
-            return r.apply_sign(!flip);
+        // Rewrite degenerate muxes into AND/OR/XNOR gates (which fold
+        // further): `ite(c, t, ¬t) = c ↔ t`, `ite(c, ⊤, e) = c ∨ e`,
+        // `ite(c, ⊥, e) = ¬c ∧ e`, `ite(c, t, ⊤) = ¬c ∨ t`, `ite(c, t, ⊥) =
+        // c ∧ t`, and the absorption cases where a branch repeats the
+        // condition.
+        if then_bit == !else_bit {
+            self.stats.gates_folded += 1;
+            return self.iff(cond, then_bit);
         }
-        self.emit_ite(cond, then_bit, else_bit)
-    }
-
-    /// Emits the Tseitin clauses of a fresh mux gate.
-    fn emit_ite(&mut self, cond: Lit, then_bit: Lit, else_bit: Lit) -> Lit {
+        if then_bit == self.true_lit || then_bit == cond {
+            self.stats.gates_folded += 1;
+            return self.or(cond, else_bit);
+        }
+        if then_bit == self.false_lit() || then_bit == !cond {
+            self.stats.gates_folded += 1;
+            return self.and(!cond, else_bit);
+        }
+        if else_bit == self.true_lit || else_bit == !cond {
+            self.stats.gates_folded += 1;
+            return self.or(!cond, then_bit);
+        }
+        if else_bit == self.false_lit() || else_bit == cond {
+            self.stats.gates_folded += 1;
+            return self.and(cond, then_bit);
+        }
         let r = self.fresh_bit();
         self.emit(vec![!cond, !then_bit, r]);
         self.emit(vec![!cond, then_bit, !r]);
@@ -1069,56 +926,59 @@ mod tests {
         assert_eq!(enc.group(), None);
     }
 
+    /// The degenerate-mux rewrites in `ite_bit` each replace a six-clause mux
+    /// by a cheaper gate; every one must agree with `c ? then : else` on all
+    /// eight assignments of the symbolic bits `(c, t, e)`.
+    #[test]
+    fn ite_rewrites_match_the_mux_truth_table() {
+        // (name, then/else branches built from c, t, e and the true literal).
+        type Branches = fn(Lit, Lit, Lit, Lit) -> (Lit, Lit);
+        let cases: &[(&str, Branches)] = &[
+            ("ite(c, t, ¬t)", |_, t, _, _| (t, !t)),
+            ("ite(c, ⊤, e)", |_, _, e, one| (one, e)),
+            ("ite(c, c, e)", |c, _, e, _| (c, e)),
+            ("ite(c, ⊥, e)", |_, _, e, one| (!one, e)),
+            ("ite(c, ¬c, e)", |c, _, e, _| (!c, e)),
+            ("ite(c, t, ⊤)", |_, t, _, one| (t, one)),
+            ("ite(c, t, ¬c)", |c, t, _, _| (t, !c)),
+            ("ite(c, t, ⊥)", |_, t, _, one| (t, !one)),
+            ("ite(c, t, c)", |c, t, _, _| (t, c)),
+        ];
+        for (name, branches) in cases {
+            let mut enc = Encoder::new(W);
+            let (c, t, e) = (enc.fresh_bit(), enc.fresh_bit(), enc.fresh_bit());
+            let (then_bit, else_bit) = branches(c, t, e, enc.true_lit());
+            let before = enc.stats();
+            let r = enc.ite_bit(c, then_bit, else_bit);
+            let after = enc.stats();
+            assert!(
+                after.gates_folded > before.gates_folded,
+                "{name} not rewritten"
+            );
+            assert!(after.gates_emitted <= before.gates_emitted + 1, "{name}");
+            let mut solver = Solver::from_formula(enc.cnf().formula());
+            for row in 0..8u8 {
+                let assumptions: Vec<Lit> = [c, t, e]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &bit)| bit.apply_sign(row >> i & 1 == 1))
+                    .collect();
+                assert_eq!(solver.solve_assuming(&assumptions), SatResult::Sat);
+                let model = solver.model();
+                let value = |lit| Encoder::bit_value(&model, lit);
+                let expected = if value(c) {
+                    value(then_bit)
+                } else {
+                    value(else_bit)
+                };
+                assert_eq!(value(r), expected, "{name}, row {row:03b}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "width must be in")]
     fn width_is_validated() {
         let _ = Encoder::new(1);
-    }
-
-    #[test]
-    fn gate_cache_respects_clause_groups() {
-        let mut enc = Encoder::new(4);
-        let a = enc.fresh_bit();
-        let b = enc.fresh_bit();
-        // Group-less gates are reusable anywhere (their clauses stay hard).
-        let infra = enc.and(a, b);
-        enc.set_group(Some(GroupId(1)));
-        assert_eq!(enc.and(a, b), infra, "infrastructure gate shared");
-        // A gate first built *inside* a group is private to that group: the
-        // defining clauses vanish with the group's selector, so another
-        // group must derive its own copy.
-        let owned = enc.xor(a, b);
-        assert_eq!(enc.xor(a, b), owned, "same group reuses");
-        assert_eq!(enc.xor(!a, b), !owned, "complement rule shares the gate");
-        enc.set_group(Some(GroupId(2)));
-        let foreign = enc.xor(a, b);
-        assert_ne!(foreign, owned, "cross-group reuse is forbidden");
-        assert!(enc.stats().gates_cached >= 3);
-        assert!(enc.stats().gates_emitted >= 3);
-    }
-
-    #[test]
-    fn disabling_the_cache_restores_naive_encoding() {
-        let build = |cached: bool| {
-            let mut enc = Encoder::new(8);
-            enc.set_gate_cache(cached);
-            let x = enc.fresh_bv();
-            let y = enc.fresh_bv();
-            let s1 = enc.bv_add(&x, &y);
-            let s2 = enc.bv_add(&x, &y);
-            let same = enc.bv_eq(&s1, &s2);
-            enc.assert_true(same);
-            (enc.cnf().num_clauses(), enc.stats())
-        };
-        let (cached_clauses, cached_stats) = build(true);
-        let (plain_clauses, plain_stats) = build(false);
-        assert!(cached_clauses < plain_clauses);
-        assert_eq!(plain_stats.gates_cached, 0);
-        assert!(cached_stats.gates_cached > 0);
-        assert!(!{
-            let mut e = Encoder::new(4);
-            e.set_gate_cache(false);
-            e.gate_cache_enabled()
-        });
     }
 }

@@ -6,10 +6,9 @@
 //!
 //! * [`Encoder`] — fixed-width two's-complement [`BitVec`]s, Tseitin gates,
 //!   ripple-carry addition/subtraction, shift-and-add multiplication,
-//!   restoring division, comparators, barrel shifters and multiplexers, all
-//!   **hash-consed** through an AIG-style gate cache (operand-normalized
-//!   structural hashing with constant folding and complement rules) so that
-//!   repeated subcircuits are encoded once — see [`EncoderStats`];
+//!   restoring division, comparators, barrel shifters and multiplexers, with
+//!   stateless constant folds, complement rules and degenerate-mux rewrites
+//!   applied per gate — see [`EncoderStats`];
 //! * [`GroupedCnf`] / [`GroupId`] — every emitted clause records which program
 //!   statement (clause group) it came from, which is exactly the information
 //!   the paper's clause-grouping reduction (Sec. 3.4) needs to attach one
@@ -17,7 +16,8 @@
 //! * [`word`] — a BTOR2-flavored word-level DAG that sits *above* the
 //!   encoder: constant folding, ite flattening, cross-frame CSE and interval
 //!   narrowing all run before any gate exists, and only the surviving nodes
-//!   are bit-blasted ([`word::WordDag::lower`]);
+//!   are bit-blasted, each exactly once ([`word::WordDag::lower`]) — this
+//!   hash-consing is where repeated structure is shared;
 //! * [`dump`] — BTOR2 and SMT-LIB2 serializers for the word-level DAG, used
 //!   as a differential oracle (round-trip parsing + concrete evaluation) and
 //!   for shipping trace formulas to external solvers.

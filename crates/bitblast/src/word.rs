@@ -2,12 +2,12 @@
 //! the bit-blaster.
 //!
 //! The PLDI'11 pipeline pays for every gate it emits: once a statement has
-//! been bit-blasted, CNF-level machinery (the gate cache, the preprocessor)
-//! can only shrink what already exists. This module moves the fight one
-//! level up. The symbolic encoder builds a BTOR2-flavored **word-level DAG**
-//! ([`WordDag`]) of fixed-width bit-vector and Boolean nodes instead of
-//! calling the bit-blaster directly, and word-level passes run *before any
-//! bit exists*:
+//! been bit-blasted, CNF-level machinery (the encoder's per-gate folds, the
+//! preprocessor) can only shrink what already exists. This module moves the
+//! fight one level up. The symbolic encoder builds a BTOR2-flavored
+//! **word-level DAG** ([`WordDag`]) of fixed-width bit-vector and Boolean
+//! nodes instead of calling the bit-blaster directly, and word-level passes
+//! run *before any bit exists*:
 //!
 //! * **constant propagation / folding** — smart constructors evaluate
 //!   constant operands and apply algebraic identities (`x + 0`, `x ^ x`,
@@ -410,8 +410,9 @@ impl WordDag {
     /// lowered wires.
     ///
     /// With `hoist` on, every *pure* node is emitted as group-less (hard)
-    /// infrastructure, so the gate cache shares subcircuits globally; bound
-    /// nodes still emit their biconditionals inside their own group. With
+    /// infrastructure: word-level CSE lowers each node once, and several
+    /// statement groups may read it, so its gates belong to none of them.
+    /// Bound nodes still emit their biconditionals inside their own group. With
     /// `hoist` off, each node's gates are emitted under the clause group that
     /// was current when the node was created — the gate-level reference
     /// encoding. With `narrow` on, pure arithmetic whose interval fits a
@@ -469,8 +470,9 @@ impl WordDag {
         let width = self.width;
         let node = self.node(id);
         // Bound nodes always emit inside their own group; pure nodes are
-        // hoisted to hard infrastructure (shared globally by the gate cache)
-        // or kept under their creation group in the reference mode.
+        // hoisted to hard infrastructure (CSE lowers each once, and any group
+        // may read it) or kept under their creation group in the reference
+        // mode.
         let group = match node {
             Node::Bound { .. } | Node::BoundBit { .. } => self.group_of(id),
             _ if hoist => None,

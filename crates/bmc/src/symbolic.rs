@@ -12,7 +12,7 @@
 //! **word-level DAG** ([`bitblast::word`]) of BTOR2-flavored nodes first;
 //! constant folding, ite flattening and cross-frame CSE run during
 //! construction, interval narrowing during lowering, and only the surviving
-//! nodes are bit-blasted through the gate-cached [`bitblast::Encoder`].
+//! nodes are bit-blasted through [`bitblast::Encoder`].
 //! Statement groups survive as **bound nodes**: each statement's interface
 //! values (its SSA bindings and branch decisions) are fresh vectors equated
 //! to their definitions by clauses inside the statement's group, so relaxing
@@ -65,11 +65,6 @@ pub struct EncodeConfig {
     /// are compile-time constants (the concolic-style "C" trace reduction of
     /// Sec. 6.2). The bug is assumed not to be inside these functions.
     pub concretize: Vec<String>,
-    /// Hash-cons structurally identical gates through the encoder's AIG-style
-    /// cache (default `true`). Disabling it reproduces the naive
-    /// one-Tseitin-gate-per-call encoding, which the equivalence tests use as
-    /// the reference.
-    pub gate_cache: bool,
     /// Run the word-level passes — constant folding, ite flattening,
     /// cross-frame CSE, interval narrowing — and hoist pure computation out
     /// of statement groups before bit-blasting (default `true`). Disabling
@@ -85,7 +80,6 @@ impl Default for EncodeConfig {
             unwind: 8,
             max_inline_depth: 16,
             concretize: Vec::new(),
-            gate_cache: true,
             word_passes: true,
         }
     }
@@ -118,9 +112,6 @@ pub struct EncodeStats {
     pub clauses: usize,
     /// Number of statement groups.
     pub groups: usize,
-    /// Gate requests answered from the encoder's hash-consing cache instead
-    /// of emitting fresh Tseitin clauses (0 when the cache is disabled).
-    pub gates_cached: u64,
     /// Gates whose Tseitin clauses were actually emitted.
     pub gates_emitted: u64,
     /// Gate requests answered by constant folding / complement rules.
@@ -254,7 +245,6 @@ impl SymbolicTrace {
         w.write_usize(s.variables);
         w.write_usize(s.clauses);
         w.write_usize(s.groups);
-        w.write_u64(s.gates_cached);
         w.write_u64(s.gates_emitted);
         w.write_u64(s.gates_folded);
         w.write_u64(s.word_nodes);
@@ -306,7 +296,6 @@ impl SymbolicTrace {
             variables: r.read_usize()?,
             clauses: r.read_usize()?,
             groups: r.read_usize()?,
-            gates_cached: r.read_u64()?,
             gates_emitted: r.read_u64()?,
             gates_folded: r.read_u64()?,
             word_nodes: r.read_u64()?,
@@ -420,7 +409,6 @@ pub fn encode_program(
     let dag = we.encoder.b.into_dag();
 
     let mut enc = Encoder::new(config.width);
-    enc.set_gate_cache(config.gate_cache);
     let mut roots: Vec<NodeId> = we.inputs.iter().map(|(_, id)| *id).collect();
     roots.push(we.property);
     roots.extend(we.assumptions.iter().copied());
@@ -455,7 +443,6 @@ pub fn encode_program(
         variables: cnf.num_vars(),
         clauses: cnf.num_clauses(),
         groups: groups.len(),
-        gates_cached: gate_stats.gates_cached,
         gates_emitted: gate_stats.gates_emitted,
         gates_folded: gate_stats.gates_folded,
         word_nodes: word_stats.word_nodes,

@@ -157,10 +157,6 @@ pub struct LocalizerStats {
     /// Peak end-of-call SAT-solver clause-arena size, in bytes, over the
     /// MAX-SAT calls of this run.
     pub arena_bytes: u64,
-    /// Gate requests the bit-blaster answered from its hash-consing cache
-    /// instead of emitting fresh Tseitin clauses (a property of the shared
-    /// symbolic trace, identical for every call on one localizer).
-    pub encode_gates_cached: u64,
     /// Hard clauses of the prepared formula *before* CNF preprocessing
     /// (compare with [`LocalizerStats::hard_clauses`], counted after).
     pub hard_clauses_pre_simplify: usize,
@@ -174,8 +170,8 @@ pub struct LocalizerStats {
     /// recorded value is carried by every report of that localizer.
     pub simplify_ms: u128,
     /// Word-level IR nodes the symbolic encoder materialized before
-    /// bit-blasting (a property of the shared trace, like
-    /// [`LocalizerStats::encode_gates_cached`]).
+    /// bit-blasting (a property of the shared symbolic trace, identical for
+    /// every call on one localizer).
     pub word_nodes: u64,
     /// Word-level node requests answered by constant folding or an algebraic
     /// rewrite instead of a new node.
@@ -1161,7 +1157,6 @@ impl Localizer {
             lint_warnings: self.lint_warnings,
             variables: base.num_vars(),
             prepare_ms,
-            encode_gates_cached: self.trace.stats.gates_cached,
             hard_clauses_pre_simplify: prepared.hard_clauses_pre_simplify,
             clauses_subsumed: prepared.simplify_stats.clauses_subsumed,
             vars_eliminated: prepared.simplify_stats.vars_eliminated,

@@ -32,8 +32,10 @@ use std::sync::Arc;
 /// [`store::FORMAT_VERSION`] invalidates records wholesale at the framing
 /// layer; this byte exists so a payload-only layout change can do the same
 /// without a store format bump. Version 2 added the `static_prune` /
-/// `static_priors` option bytes; version 3 dropped the racing-strategy flag byte.
-pub const PAYLOAD_VERSION: u8 = 3;
+/// `static_priors` option bytes; version 3 dropped the racing-strategy flag byte;
+/// version 4 dropped the `gate_cache` option byte and the trace's
+/// `gates_cached` counter.
+pub const PAYLOAD_VERSION: u8 = 4;
 
 /// Serializes a warm prepared entry into a store payload, or `None` when
 /// the entry's localizer was never warmed (nothing worth persisting).
@@ -65,7 +67,6 @@ pub fn encode_entry(entry: &PreparedEntry) -> Option<Vec<u8>> {
         Strategy::FuMalik => 1,
         Strategy::LinearSatUnsat => 2,
     });
-    w.write_u8(u8::from(o.gate_cache));
     w.write_u8(u8::from(o.word_passes));
     w.write_u8(u8::from(o.simplify));
     w.write_u8(u8::from(o.static_prune));
@@ -140,7 +141,6 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
         2 => Strategy::LinearSatUnsat,
         t => return Err(DecodeError::new(format!("bad strategy tag {t}"))),
     };
-    let gate_cache = decode_bool(&mut r, "gate_cache")?;
     let word_passes = decode_bool(&mut r, "word_passes")?;
     let simplify = decode_bool(&mut r, "simplify")?;
     let static_prune = decode_bool(&mut r, "static_prune")?;
@@ -159,7 +159,6 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
         base_weight,
         max_suspect_sets,
         strategy,
-        gate_cache,
         word_passes,
         simplify,
         static_prune,

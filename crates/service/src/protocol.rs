@@ -176,7 +176,6 @@ impl Job {
             Strategy::FuMalik => 1,
             Strategy::LinearSatUnsat => 2,
         });
-        h.write_u8(u8::from(o.gate_cache));
         h.write_u8(u8::from(o.word_passes));
         h.write_u8(u8::from(o.simplify));
         h.write_u8(u8::from(o.static_prune));
@@ -196,7 +195,6 @@ impl Job {
                 unwind: o.unwind,
                 max_inline_depth: o.max_inline_depth,
                 concretize: Vec::new(),
-                gate_cache: o.gate_cache,
                 word_passes: o.word_passes,
             },
             strategy: o.strategy,
@@ -248,8 +246,6 @@ pub struct JobOptions {
     pub max_suspect_sets: usize,
     /// MAX-SAT strategy.
     pub strategy: Strategy,
-    /// Hash-cons structurally identical gates while bit-blasting.
-    pub gate_cache: bool,
     /// Run the word-level simplification passes before bit-blasting.
     pub word_passes: bool,
     /// Preprocess the prepared hard clauses (selector-aware simplification).
@@ -274,7 +270,6 @@ impl Default for JobOptions {
             base_weight: base.base_weight,
             max_suspect_sets: DEFAULT_MAX_SUSPECT_SETS,
             strategy: base.strategy,
-            gate_cache: base.encode.gate_cache,
             word_passes: base.encode.word_passes,
             simplify: base.simplify,
             static_prune: base.static_prune,
@@ -408,7 +403,6 @@ fn job_fields(job: &Job, pairs: &mut Vec<(String, Json)>) {
             Strategy::LinearSatUnsat => "linear_sat_unsat",
         }),
     );
-    push(pairs, "gate_cache", Json::Bool(o.gate_cache));
     push(pairs, "word_passes", Json::Bool(o.word_passes));
     push(pairs, "simplify", Json::Bool(o.simplify));
     push(pairs, "static_prune", Json::Bool(o.static_prune));
@@ -538,11 +532,6 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
             Some("linear_sat_unsat") => Strategy::LinearSatUnsat,
             _ => return Err(bad("strategy must be fu_malik or linear_sat_unsat")),
         };
-    }
-    if let Some(v) = value.get("gate_cache") {
-        options.gate_cache = v
-            .as_bool()
-            .ok_or_else(|| bad("gate_cache must be a boolean"))?;
     }
     if let Some(v) = value.get("word_passes") {
         options.word_passes = v
@@ -712,7 +701,6 @@ fn stats_to_json(stats: &LocalizerStats) -> Json {
         ("prepare_ms", Json::from(stats.prepare_ms)),
         ("reduce_dbs", Json::from(stats.reduce_dbs)),
         ("arena_bytes", Json::from(stats.arena_bytes)),
-        ("encode_gates_cached", Json::from(stats.encode_gates_cached)),
         (
             "hard_clauses_pre_simplify",
             Json::from(stats.hard_clauses_pre_simplify),
@@ -872,8 +860,9 @@ mod tests {
     fn omitted_options_take_defaults() {
         for line in [
             r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]]}"#,
-            // A key that names no option is ignored.
+            // A key that names no option is ignored, retired knobs included.
             r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"portfolio":true}"#,
+            r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"gate_cache":false}"#,
         ] {
             let envelope = parse_request(line).expect("parses");
             assert_eq!(envelope.id, 0);

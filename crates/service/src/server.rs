@@ -133,9 +133,8 @@ struct LastJob {
     prepare_ms: u128,
     build_ms: u128,
     elapsed_ms: u128,
-    /// Formula-diet counters of the served localizer (gate-cache hits while
-    /// bit-blasting; variables/clauses the CNF preprocessor removed).
-    encode_gates_cached: u64,
+    /// Formula-diet counters of the served localizer (variables/clauses the
+    /// CNF preprocessor removed).
     vars_eliminated: u64,
     clauses_subsumed: u64,
     simplify_ms: u128,
@@ -235,8 +234,7 @@ struct ServerState {
     total_reduce_dbs: AtomicU64,
     arena_bytes_peak: AtomicU64,
     /// Formula-diet totals over all solved jobs (cache builds included via
-    /// their first solve): gate-cache hits and preprocessor removals.
-    total_gates_cached: AtomicU64,
+    /// their first solve): preprocessor removals.
     total_vars_eliminated: AtomicU64,
     total_clauses_subsumed: AtomicU64,
     /// Word-level pre-bit-blast totals over all solved jobs.
@@ -392,7 +390,6 @@ impl ServerState {
                 ("prepare_ms", Json::from(last.prepare_ms)),
                 ("build_ms", Json::from(last.build_ms)),
                 ("elapsed_ms", Json::from(last.elapsed_ms)),
-                ("encode_gates_cached", Json::from(last.encode_gates_cached)),
                 ("vars_eliminated", Json::from(last.vars_eliminated)),
                 ("clauses_subsumed", Json::from(last.clauses_subsumed)),
                 ("simplify_ms", Json::from(last.simplify_ms)),
@@ -494,10 +491,6 @@ impl ServerState {
             (
                 "formula",
                 Json::obj(vec![
-                    (
-                        "gates_cached",
-                        Json::from(self.total_gates_cached.load(Ordering::Relaxed)),
-                    ),
                     (
                         "vars_eliminated",
                         Json::from(self.total_vars_eliminated.load(Ordering::Relaxed)),
@@ -718,10 +711,6 @@ impl ServerState {
         );
         // Formula-diet family.
         for (name, counter) in [
-            (
-                "bugassist_formula_gates_cached_total",
-                &self.total_gates_cached,
-            ),
             (
                 "bugassist_formula_vars_eliminated_total",
                 &self.total_vars_eliminated,
@@ -1192,23 +1181,20 @@ impl ServerState {
             {
                 Err(e) => return self.error_line(queued.id, Self::localize_error_kind(&e), e),
                 Ok(ranked) => {
-                    let mut merged = bugassist::LocalizerStats::default();
-                    for report in &ranked.per_test {
+                    // Every report of the batch carries the same
+                    // per-localizer constants (formula, word-level and
+                    // static-analysis counters): start from the first and
+                    // fold in only the per-call counters of the rest.
+                    let mut merged = ranked
+                        .per_test
+                        .first()
+                        .map_or_else(bugassist::LocalizerStats::default, |r| r.stats);
+                    for report in ranked.per_test.iter().skip(1) {
+                        merged.maxsat_calls += report.stats.maxsat_calls;
                         merged.reduce_dbs += report.stats.reduce_dbs;
                         merged.arena_bytes = merged.arena_bytes.max(report.stats.arena_bytes);
                         merged.elapsed_ms += report.stats.elapsed_ms;
                         merged.prepare_ms += report.stats.prepare_ms;
-                        // Per-localizer constants, identical on every report
-                        // of the batch: carry, don't sum.
-                        merged.encode_gates_cached = report.stats.encode_gates_cached;
-                        merged.hard_clauses_pre_simplify = report.stats.hard_clauses_pre_simplify;
-                        merged.clauses_subsumed = report.stats.clauses_subsumed;
-                        merged.vars_eliminated = report.stats.vars_eliminated;
-                        merged.simplify_ms = report.stats.simplify_ms;
-                        merged.word_nodes = report.stats.word_nodes;
-                        merged.word_nodes_folded = report.stats.word_nodes_folded;
-                        merged.word_cse_hits = report.stats.word_cse_hits;
-                        merged.bits_narrowed = report.stats.bits_narrowed;
                     }
                     self.batch_requests.fetch_add(1, Ordering::Relaxed);
                     ("ranked", ranked_to_json(&ranked), merged)
@@ -1271,8 +1257,6 @@ impl ServerState {
                 .fetch_add(stats.reduce_dbs, Ordering::Relaxed);
             self.arena_bytes_peak
                 .fetch_max(stats.arena_bytes, Ordering::Relaxed);
-            self.total_gates_cached
-                .fetch_add(stats.encode_gates_cached, Ordering::Relaxed);
             self.total_vars_eliminated
                 .fetch_add(stats.vars_eliminated, Ordering::Relaxed);
             self.total_clauses_subsumed
@@ -1297,7 +1281,6 @@ impl ServerState {
             prepare_ms: stats.prepare_ms,
             build_ms,
             elapsed_ms: stats.elapsed_ms,
-            encode_gates_cached: stats.encode_gates_cached,
             vars_eliminated: stats.vars_eliminated,
             clauses_subsumed: stats.clauses_subsumed,
             simplify_ms: stats.simplify_ms,
@@ -1638,7 +1621,6 @@ impl Server {
             error_responses: AtomicU64::new(0),
             total_reduce_dbs: AtomicU64::new(0),
             arena_bytes_peak: AtomicU64::new(0),
-            total_gates_cached: AtomicU64::new(0),
             total_vars_eliminated: AtomicU64::new(0),
             total_clauses_subsumed: AtomicU64::new(0),
             total_word_nodes_folded: AtomicU64::new(0),

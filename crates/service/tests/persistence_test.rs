@@ -304,7 +304,7 @@ fn metrics_exposition_is_valid_prometheus_text() {
         "bugassist_fair_queue_fair_share",
         "bugassist_cache_misses_total 1",
         "bugassist_worker_panics_total 0",
-        "bugassist_formula_gates_cached_total",
+        "bugassist_formula_vars_eliminated_total",
         "bugassist_analysis_requests_total",
         "bugassist_analysis_lines_pruned_total",
         "bugassist_analysis_lint_warnings_total",

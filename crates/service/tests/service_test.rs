@@ -534,12 +534,12 @@ fn health_stats_and_error_paths() {
     server.shutdown();
 }
 
-/// The formula-diet knobs travel over the wire, change the cache key, and —
+/// The `simplify` knob travels over the wire, changes the cache key, and —
 /// because CoMSS selection is canonical — never change the *answer*: the
 /// suspects of a simplified job are byte-identical to the raw-formula job's,
 /// while the stats prove two different formulas were solved.
 #[test]
-fn simplify_and_gate_cache_knobs_round_trip_with_identical_reports() {
+fn simplify_knob_round_trips_with_identical_reports() {
     let server = Server::start(ServiceConfig {
         workers: 1,
         ..ServiceConfig::default()
@@ -550,7 +550,6 @@ fn simplify_and_gate_cache_knobs_round_trip_with_identical_reports() {
     let dieted = mutated_minic_job(1);
     let mut raw = mutated_minic_job(1);
     raw.options.simplify = false;
-    raw.options.gate_cache = false;
 
     let a = client.localize(dieted).expect("dieted job localizes");
     let b = client.localize(raw).expect("raw job localizes");
@@ -581,16 +580,8 @@ fn simplify_and_gate_cache_knobs_round_trip_with_identical_reports() {
     let stats = client.stats().expect("stats");
     let formula = stats.get("formula").expect("formula totals");
     assert!(formula.get("vars_eliminated").and_then(Json::as_u64) > Some(0));
-    // (This toy program is too small for guaranteed gate sharing; the TCAS
-    // benches assert a strictly positive hit count on a real workload.)
-    assert!(formula.get("gates_cached").and_then(Json::as_u64).is_some());
     let last_job = stats.get("last_job").expect("last_job");
-    for field in [
-        "encode_gates_cached",
-        "vars_eliminated",
-        "clauses_subsumed",
-        "simplify_ms",
-    ] {
+    for field in ["vars_eliminated", "clauses_subsumed", "simplify_ms"] {
         assert!(
             last_job.get(field).and_then(Json::as_u64).is_some(),
             "last_job must carry {field}"
@@ -979,41 +970,50 @@ fn definite_uninit_read_fails_the_build_with_lint_error() {
 
 #[test]
 fn static_prune_counters_surface_in_stats() {
-    let server = Server::start(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    })
-    .expect("server starts");
-    let mut client = Client::connect(server.local_addr()).expect("connects");
     // Line 3 computes `w`, which the returned value never depends on: the
     // relevance prune hardens its selector, and the dead store is counted
-    // as a lint warning.
+    // as a lint warning. A batch of the same program must count them just
+    // like a single localize (each on a fresh server, so nothing carries).
     let job = Job::new(
         "int main(int x) {\nint y = x + 2;\nint w = x * 3;\nreturn y;\n}",
         "main",
         JobSpec::ReturnEquals(4),
-        vec![vec![3]],
+        vec![vec![3], vec![1]],
     );
-    client.localize(job).expect("localizes");
-    let stats = client.stats().expect("stats");
-    let analysis = stats.get("analysis").expect("analysis section");
-    let pruned = analysis
-        .get("lines_pruned")
-        .and_then(Json::as_u64)
-        .expect("lines_pruned");
-    let warnings = analysis
-        .get("lint_warnings")
-        .and_then(Json::as_u64)
-        .expect("lint_warnings");
-    assert!(pruned > 0, "the irrelevant line was pruned: {stats}");
-    assert!(warnings > 0, "the dead store was counted: {stats}");
-    // The per-job counters ride along on last_job too.
-    let last = stats.get("last_job").expect("last_job");
-    assert!(
-        last.get("lines_pruned").and_then(Json::as_u64).unwrap_or(0) > 0,
-        "{stats}"
-    );
-    server.shutdown();
+    for batch in [false, true] {
+        let server = Server::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("server starts");
+        let mut client = Client::connect(server.local_addr()).expect("connects");
+        if batch {
+            client.batch(job.clone()).expect("batch localizes");
+        } else {
+            let mut single = job.clone();
+            single.inputs.truncate(1);
+            client.localize(single).expect("localizes");
+        }
+        let stats = client.stats().expect("stats");
+        let analysis = stats.get("analysis").expect("analysis section");
+        let pruned = analysis
+            .get("lines_pruned")
+            .and_then(Json::as_u64)
+            .expect("lines_pruned");
+        let warnings = analysis
+            .get("lint_warnings")
+            .and_then(Json::as_u64)
+            .expect("lint_warnings");
+        assert!(pruned > 0, "the irrelevant line was pruned: {stats}");
+        assert!(warnings > 0, "the dead store was counted: {stats}");
+        // The per-job counters ride along on last_job too.
+        let last = stats.get("last_job").expect("last_job");
+        assert!(
+            last.get("lines_pruned").and_then(Json::as_u64).unwrap_or(0) > 0,
+            "{stats}"
+        );
+        server.shutdown();
+    }
 }
 
 /// The `health` wire shape is a contract: fleet routers and operators

@@ -1,22 +1,20 @@
-//! Formula-diet equivalence and shrinkage tests: the hash-consed encoder and
-//! the selector-aware CNF preprocessor must be *semantically invisible* —
-//! localization reports pinned identical with the machinery on vs. off — and
-//! *measurably effective* — the TCAS trace formula must lose at least a
-//! quarter of its hard clauses.
+//! Formula-diet equivalence and shrinkage tests: the selector-aware CNF
+//! preprocessor must be *semantically invisible* — localization reports
+//! pinned identical with it on vs. off — and *measurably effective* — the
+//! TCAS trace formula must lose at least a quarter of its hard clauses.
 
 use bmc::{EncodeConfig, Spec};
 use bugassist::{Localizer, LocalizerConfig};
 use minic::ast::Line;
 use sat::{SatResult, Solver};
 
-/// TCAS v1 localizer config with the two formula-diet knobs set explicitly.
-fn tcas_config(gate_cache: bool, simplify: bool) -> LocalizerConfig {
+/// TCAS v1 localizer config with the simplify knob set explicitly.
+fn tcas_config(simplify: bool) -> LocalizerConfig {
     LocalizerConfig {
         encode: EncodeConfig {
             width: 16,
             unwind: 6,
             max_inline_depth: 8,
-            gate_cache,
             ..EncodeConfig::default()
         },
         max_suspect_sets: 4,
@@ -45,20 +43,10 @@ fn tcas_failing_case() -> (minic::Program, Vec<i64>, i64) {
 fn tcas_reports_identical_with_and_without_simplification() {
     let (faulty, input, golden) = tcas_failing_case();
     let spec = Spec::ReturnEquals(golden);
-    let on = Localizer::new(
-        &faulty,
-        siemens::TCAS_ENTRY,
-        &spec,
-        &tcas_config(true, true),
-    )
-    .expect("TCAS encodes");
-    let off = Localizer::new(
-        &faulty,
-        siemens::TCAS_ENTRY,
-        &spec,
-        &tcas_config(true, false),
-    )
-    .expect("TCAS encodes");
+    let on = Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &tcas_config(true))
+        .expect("TCAS encodes");
+    let off = Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &tcas_config(false))
+        .expect("TCAS encodes");
     let simplified = on.localize(&input).expect("localizes");
     let raw = off.localize(&input).expect("localizes");
 
@@ -82,51 +70,12 @@ fn tcas_reports_identical_with_and_without_simplification() {
         stats.hard_clauses
     );
     assert!(stats.vars_eliminated > 0);
-    assert!(stats.encode_gates_cached > 0);
     // The unsimplified run reports the raw formula and zeroed diet counters
     // (`hard_clauses` additionally counts the per-test units appended on top
     // of the template, so it sits slightly above the template count).
     assert_eq!(raw.stats.vars_eliminated, 0);
     assert_eq!(raw.stats.clauses_subsumed, 0);
     assert!(raw.stats.hard_clauses >= raw.stats.hard_clauses_pre_simplify);
-}
-
-#[test]
-fn tcas_reports_identical_with_and_without_the_gate_cache() {
-    let (faulty, input, golden) = tcas_failing_case();
-    let spec = Spec::ReturnEquals(golden);
-    // Compare with simplification off on both sides so only the encoder
-    // differs; the cached encoding must blame exactly the same lines.
-    let cached = Localizer::new(
-        &faulty,
-        siemens::TCAS_ENTRY,
-        &spec,
-        &tcas_config(true, false),
-    )
-    .expect("TCAS encodes");
-    let naive = Localizer::new(
-        &faulty,
-        siemens::TCAS_ENTRY,
-        &spec,
-        &tcas_config(false, false),
-    )
-    .expect("TCAS encodes");
-    let with_cache = cached.localize(&input).expect("localizes");
-    let without = naive.localize(&input).expect("localizes");
-    assert_eq!(with_cache.suspect_lines, without.suspect_lines);
-    assert_eq!(
-        with_cache
-            .suspects
-            .iter()
-            .map(|s| s.cost)
-            .collect::<Vec<_>>(),
-        without.suspects.iter().map(|s| s.cost).collect::<Vec<_>>(),
-    );
-    // And it must be a diet, not a rename: fewer variables and clauses.
-    assert!(with_cache.stats.variables < without.stats.variables);
-    assert!(with_cache.stats.hard_clauses < without.stats.hard_clauses);
-    assert!(with_cache.stats.encode_gates_cached > 0);
-    assert_eq!(without.stats.encode_gates_cached, 0);
 }
 
 /// The Siemens fault programs (worked examples included): simplification on
