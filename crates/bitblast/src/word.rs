@@ -11,8 +11,8 @@
 //!
 //! * **constant propagation / folding** — smart constructors evaluate
 //!   constant operands and apply algebraic identities (`x + 0`, `x ^ x`,
-//!   `c ? t : t`, Boolean absorption, …), so folded expressions never
-//!   allocate a node, let alone a gate;
+//!   `c ? t : t`, Boolean absorption, conjunct subsumption, …), so folded
+//!   expressions never allocate a node, let alone a gate;
 //! * **ite-chain flattening** — a mux nested under the same condition
 //!   collapses (`ite(c, ite(c, t, _), e) = ite(c, t, e)`);
 //! * **cross-frame common-subexpression elimination** — nodes are
@@ -992,9 +992,41 @@ impl WordBuilder {
                 let f = self.fls();
                 return self.folded(f);
             }
+            // Subsumption: `x ∧ y = x` when `y` is already a conjunct of `x`.
+            // Path guards are such chains: a branch guard is `active ∧ cond`,
+            // and each statement inside it conjoins `¬returned` again, which
+            // `active` already contains.
+            if self.has_conjunct(a, b) {
+                return self.folded(a);
+            }
+            if self.has_conjunct(b, a) {
+                return self.folded(b);
+            }
         }
         let (a, b) = (a.min(b), a.max(b));
         self.mk(Node::And(a, b))
+    }
+
+    /// Whether `target` occurs in the AND tree rooted at `root`. The walk
+    /// gives up (answering `false`) after a fixed number of nodes, so each
+    /// [`WordBuilder::and`] stays constant-time.
+    fn has_conjunct(&self, root: NodeId, target: NodeId) -> bool {
+        const BUDGET: usize = 32;
+        let mut stack = vec![root];
+        let mut visited = 0;
+        while let Some(id) = stack.pop() {
+            if id == target {
+                return true;
+            }
+            visited += 1;
+            if visited > BUDGET {
+                return false;
+            }
+            if let Node::And(p, q) = self.dag.node(id) {
+                stack.extend([p, q]);
+            }
+        }
+        false
     }
 
     /// Boolean disjunction.
@@ -1541,6 +1573,32 @@ mod tests {
         assert_eq!(b.and(nz, tru), nz);
         let n = b.not(nz);
         assert_eq!(b.not(n), nz);
+    }
+
+    #[test]
+    fn guard_chains_drop_repeated_conjuncts() {
+        // The guard shape of a statement inside a branch:
+        // `((g ∧ ¬r) ∧ c) ∧ ¬r` is `(g ∧ ¬r) ∧ c`.
+        for config in [WordConfig::all(), WordConfig::off()] {
+            let mut b = builder(config);
+            let (x, y, z) = (b.input(), b.input(), b.input());
+            let g = b.nonzero(x);
+            let r = b.nonzero(y);
+            let c = b.nonzero(z);
+            let not_r = b.not(r);
+            let active = b.and(g, not_r);
+            let branch = b.and(active, c);
+            let before = b.stats().word_nodes;
+            let inner = b.and(branch, not_r);
+            let swapped = b.and(not_r, branch);
+            if config.fold {
+                assert_eq!((inner, swapped), (branch, branch));
+                assert_eq!(b.stats().word_nodes, before);
+            } else {
+                assert_ne!(inner, branch);
+                assert_eq!(b.stats().word_nodes, before + 2);
+            }
+        }
     }
 
     #[test]

@@ -139,19 +139,9 @@ fn siemens_fault_programs_pin_word_level_reports() {
             "suspect lines diverged on {}",
             benchmark.name
         );
-        // The passes hand the bit-blaster strictly fewer gate requests and
-        // never make it emit more gates. (On print_tokens every request they
-        // remove would have folded anyway, so emitted gates tie.)
-        let (on_stats, off_stats) = (on.trace().stats, off.trace().stats);
         assert!(
-            on_stats.gates_emitted + on_stats.gates_folded
-                < off_stats.gates_emitted + off_stats.gates_folded,
+            on.trace().stats.gates_emitted < off.trace().stats.gates_emitted,
             "no pre-bit-blast shrinkage on {}",
-            benchmark.name
-        );
-        assert!(
-            on_stats.gates_emitted <= off_stats.gates_emitted,
-            "word passes grew the gate count on {}",
             benchmark.name
         );
     }
