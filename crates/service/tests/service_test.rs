@@ -1083,6 +1083,239 @@ fn health_reports_queue_shed_and_store_status() {
     server.shutdown();
 }
 
+/// Dotted paths of every leaf of a JSON object, in document order.
+fn leaf_paths(value: &Json, prefix: &str, out: &mut Vec<String>) {
+    for (key, child) in value.as_obj().expect("an object") {
+        let path = if prefix.is_empty() {
+            key.clone()
+        } else {
+            format!("{prefix}.{key}")
+        };
+        match child {
+            Json::Obj(_) => leaf_paths(child, &path, out),
+            _ => out.push(path),
+        }
+    }
+}
+
+/// `stats` and `metrics` render one counter set: the stats key paths and
+/// the Prometheus sample names are pinned, and every counter exposed by
+/// both answers with the same value in both after a fixed request mix.
+#[test]
+fn stats_and_metrics_render_one_counter_set() {
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+
+    let job = mutated_minic_job(1);
+    let cold = client.localize(job.clone()).expect("cold localize");
+    assert!(!cold.cache_hit);
+    assert!(client.localize(job.clone()).expect("warm").cache_hit);
+    let mut shifted = job.clone();
+    shifted.program = job.program.replacen('\n', "\n\n", 1);
+    let revised = client.revise(shifted, cold.key).expect("revise");
+    assert!(revised.reused && !revised.solved);
+    client
+        .batch(Job::new(
+            "int main(int x) {\nint y = x + 2;\nint w = x * 3;\nreturn y;\n}",
+            "main",
+            JobSpec::ReturnEquals(4),
+            vec![vec![3], vec![1]],
+        ))
+        .expect("batch");
+    client
+        .analyze("int main(int x) {\nint w = x * 3;\nreturn x;\n}", 8)
+        .expect("analyze");
+    let garbage = Job::new("int main( {", "main", JobSpec::Assertions, vec![vec![1]]);
+    let err = client.localize(garbage).expect_err("parse error");
+    assert_eq!(err.kind(), Some("parse_error"));
+
+    let stats = client.stats().expect("stats");
+    let text = client.metrics().expect("metrics");
+
+    let mut paths = Vec::new();
+    leaf_paths(&stats, "", &mut paths);
+    paths.retain(|p| p != "last_job" && !p.starts_with("last_job."));
+    assert_eq!(
+        paths,
+        [
+            "id",
+            "ok",
+            "op",
+            "uptime_ms",
+            "version",
+            "requests.localize",
+            "requests.revise",
+            "requests.revise_reuses",
+            "requests.revise_solve_skips",
+            "requests.batch",
+            "requests.errors",
+            "cache.hits",
+            "cache.misses",
+            "cache.evictions",
+            "cache.poisoned",
+            "cache.entries",
+            "cache.capacity",
+            "cache.shards",
+            "queue.capacity",
+            "queue.depth",
+            "queue.enqueued",
+            "queue.shed",
+            "queue.expired",
+            "queue.avg_exec_ms",
+            "queue.active_lanes",
+            "queue.max_lane_depth",
+            "queue.fair_share",
+            "robustness.worker_panics",
+            "solver.reduce_dbs",
+            "solver.arena_bytes_peak",
+            "formula.vars_eliminated",
+            "formula.clauses_subsumed",
+            "formula.word_nodes_folded",
+            "formula.word_cse_hits",
+            "formula.bits_narrowed",
+            "analysis.analyze_requests",
+            "analysis.lines_pruned",
+            "analysis.lint_warnings",
+            "store.enabled",
+            "store.hits",
+            "store.misses",
+            "store.writes",
+            "store.write_errors",
+            "store.corrupt_records",
+            "store.restore_ms",
+            "store.restored_entries",
+        ]
+    );
+
+    // Every stats counter that has a Prometheus sample, with that sample.
+    let pairs = [
+        (
+            "requests.localize",
+            r#"bugassist_requests_total{op="localize"}"#,
+        ),
+        (
+            "requests.revise",
+            r#"bugassist_requests_total{op="revise"}"#,
+        ),
+        ("requests.batch", r#"bugassist_requests_total{op="batch"}"#),
+        ("requests.revise_reuses", "bugassist_revise_reuses_total"),
+        (
+            "requests.revise_solve_skips",
+            "bugassist_revise_solve_skips_total",
+        ),
+        ("requests.errors", "bugassist_error_responses_total"),
+        ("cache.hits", "bugassist_cache_hits_total"),
+        ("cache.misses", "bugassist_cache_misses_total"),
+        ("cache.evictions", "bugassist_cache_evictions_total"),
+        ("cache.poisoned", "bugassist_cache_poisoned_total"),
+        ("cache.entries", "bugassist_cache_entries"),
+        ("cache.capacity", "bugassist_cache_capacity"),
+        ("queue.capacity", "bugassist_queue_capacity"),
+        ("queue.depth", "bugassist_queue_depth"),
+        ("queue.enqueued", "bugassist_queue_enqueued_total"),
+        ("queue.shed", "bugassist_jobs_shed_total"),
+        ("queue.expired", "bugassist_jobs_expired_total"),
+        ("queue.avg_exec_ms", "bugassist_queue_avg_exec_ms"),
+        ("queue.active_lanes", "bugassist_fair_queue_active_lanes"),
+        (
+            "queue.max_lane_depth",
+            "bugassist_fair_queue_max_lane_depth",
+        ),
+        ("queue.fair_share", "bugassist_fair_queue_fair_share"),
+        ("robustness.worker_panics", "bugassist_worker_panics_total"),
+        ("solver.reduce_dbs", "bugassist_solver_reduce_dbs_total"),
+        (
+            "solver.arena_bytes_peak",
+            "bugassist_solver_arena_bytes_peak",
+        ),
+        (
+            "formula.vars_eliminated",
+            "bugassist_formula_vars_eliminated_total",
+        ),
+        (
+            "formula.clauses_subsumed",
+            "bugassist_formula_clauses_subsumed_total",
+        ),
+        (
+            "formula.word_nodes_folded",
+            "bugassist_formula_word_nodes_folded_total",
+        ),
+        (
+            "formula.word_cse_hits",
+            "bugassist_formula_word_cse_hits_total",
+        ),
+        (
+            "formula.bits_narrowed",
+            "bugassist_formula_bits_narrowed_total",
+        ),
+        (
+            "analysis.analyze_requests",
+            "bugassist_analysis_requests_total",
+        ),
+        (
+            "analysis.lines_pruned",
+            "bugassist_analysis_lines_pruned_total",
+        ),
+        (
+            "analysis.lint_warnings",
+            "bugassist_analysis_lint_warnings_total",
+        ),
+        ("store.hits", "bugassist_store_hits_total"),
+        ("store.misses", "bugassist_store_misses_total"),
+        ("store.writes", "bugassist_store_writes_total"),
+        ("store.write_errors", "bugassist_store_write_errors_total"),
+        (
+            "store.corrupt_records",
+            "bugassist_store_corrupt_records_total",
+        ),
+        ("store.restore_ms", "bugassist_store_restore_milliseconds"),
+        ("store.restored_entries", "bugassist_store_restored_entries"),
+    ];
+
+    let samples: std::collections::BTreeMap<&str, &str> = text
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| line.rsplit_once(' ').expect("sample has a value"))
+        .collect();
+    let build_info = concat!(
+        "bugassist_build_info{version=\"",
+        env!("CARGO_PKG_VERSION"),
+        "\"}"
+    );
+    let mut expected: Vec<&str> = pairs.iter().map(|&(_, sample)| sample).collect();
+    expected.extend([build_info, "bugassist_uptime_seconds"]);
+    expected.sort_unstable();
+    assert_eq!(samples.keys().copied().collect::<Vec<_>>(), expected);
+
+    let count = |path: &str| {
+        path.split('.')
+            .try_fold(&stats, |v, key| v.get(key))
+            .and_then(Json::as_u64)
+    };
+    for (path, sample) in pairs {
+        assert!(paths.iter().any(|p| p == path), "{path} is a stats path");
+        assert!(count(path).is_some(), "stats {path} is a number: {stats}");
+        assert_eq!(
+            samples[sample].parse::<u64>().ok(),
+            count(path),
+            "{path} vs {sample}"
+        );
+    }
+
+    // The mix above is what the request counters saw.
+    assert_eq!(count("requests.localize"), Some(2));
+    assert_eq!(count("requests.revise"), Some(1));
+    assert_eq!(count("requests.revise_solve_skips"), Some(1));
+    assert_eq!(count("requests.batch"), Some(1));
+    assert_eq!(count("requests.errors"), Some(1));
+    assert_eq!(count("analysis.analyze_requests"), Some(1));
+    server.shutdown();
+}
+
 /// The client's retry backoff must respect the job's own `deadline_ms`:
 /// retrying past the point where the answer could still arrive in budget
 /// only burns the caller's time. Against a daemon that hangs up on every
