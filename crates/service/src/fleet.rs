@@ -38,6 +38,7 @@
 //! before failing over.
 
 use crate::client::{Client, ClientConfig, ClientError, Outcome};
+use crate::counters::Exposition;
 use crate::json::Json;
 use crate::protocol::Job;
 use minic::StableHasher;
@@ -122,8 +123,6 @@ pub struct FleetStats {
     pub failovers: u64,
     /// Times a replica was marked down (entered its cooldown).
     pub down_marks: u64,
-    /// Health probes answered, summed over replicas.
-    pub probes_ok: u64,
     /// Jobs served per replica, indexed like `FleetConfig::replicas`.
     pub served_by: Vec<u64>,
 }
@@ -335,7 +334,6 @@ impl FleetClient {
                 |index| match self.on_replica(index, Client::health_report) {
                     Ok(report) => {
                         self.replicas[index].down_until = None;
-                        self.stats.probes_ok += 1;
                         Some(report)
                     }
                     Err(_) => {
@@ -356,51 +354,37 @@ impl FleetClient {
     /// format — same shape as the daemon's own `metrics` op, with a
     /// `bugassist_fleet_` prefix, ready for a scraper sidecar.
     pub fn metrics_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut text = String::new();
-        let mut metric = |name: &str, kind: &str, value: u64| {
-            let _ = writeln!(text, "# TYPE {name} {kind}");
-            let _ = writeln!(text, "{name} {value}");
-        };
-        metric(
-            "bugassist_fleet_replicas",
-            "gauge",
-            self.replicas.len() as u64,
-        );
-        metric(
-            "bugassist_fleet_replicas_up",
-            "gauge",
-            self.replicas_up() as u64,
-        );
-        metric(
+        let mut out = Exposition::default();
+        out.sample("bugassist_fleet_replicas", "gauge", self.replicas.len());
+        out.sample("bugassist_fleet_replicas_up", "gauge", self.replicas_up());
+        out.sample(
             "bugassist_fleet_requests_total",
             "counter",
             self.stats.requests,
         );
-        metric(
+        out.sample(
             "bugassist_fleet_delivered_total",
             "counter",
             self.stats.delivered,
         );
-        metric(
+        out.sample(
             "bugassist_fleet_failovers_total",
             "counter",
             self.stats.failovers,
         );
-        metric(
+        out.sample(
             "bugassist_fleet_down_marks_total",
             "counter",
             self.stats.down_marks,
         );
-        let _ = writeln!(text, "# TYPE bugassist_fleet_served_total counter");
         for (replica, served) in self.replicas.iter().zip(&self.stats.served_by) {
-            let _ = writeln!(
-                text,
-                "bugassist_fleet_served_total{{replica=\"{}\"}} {served}",
+            let name = format!(
+                "bugassist_fleet_served_total{{replica=\"{}\"}}",
                 replica.addr
             );
+            out.sample(&name, "counter", served);
         }
-        text
+        out.finish()
     }
 }
 

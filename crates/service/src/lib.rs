@@ -82,6 +82,7 @@
 
 pub mod cache;
 pub mod client;
+mod counters;
 pub mod faults;
 pub mod fleet;
 pub mod json;

@@ -691,7 +691,9 @@ fn suspect_to_json(suspect: &Suspect) -> Json {
     ])
 }
 
-fn stats_to_json(stats: &LocalizerStats) -> Json {
+/// Serializes a localizer's per-request counters: a report's `stats`
+/// object, and the body of the daemon's `last_job`.
+pub(crate) fn stats_to_json(stats: &LocalizerStats) -> Json {
     Json::obj(vec![
         ("maxsat_calls", Json::from(stats.maxsat_calls)),
         ("soft_clauses", Json::from(stats.soft_clauses)),

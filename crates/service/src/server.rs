@@ -29,18 +29,21 @@
 //!   request is ever dropped without a response.
 
 use crate::cache::{PreparedCache, PreparedEntry};
+use crate::counters::{Counters, Exposition, Own, View};
 use crate::faults::FaultPlan;
 use crate::json::Json;
 use crate::persist;
-use crate::protocol::{parse_request, ranked_to_json, report_to_json, Envelope, Job, Request};
+use crate::protocol::{
+    parse_request, ranked_to_json, report_to_json, stats_to_json, Envelope, Job, Request,
+};
 use crate::queue::{JobQueue, TryPushError};
-use bugassist::{Budget, LocalizationReport, Localizer};
+use bugassist::{Budget, LocalizationReport, Localizer, LocalizerStats};
 use minic::ast::Line;
 use minic::{EditClass, LineMap};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -120,32 +123,15 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Snapshot of the most recently completed job's solver counters, surfaced
-/// verbatim by the stats endpoint.
+/// The most recently completed job, surfaced by the stats endpoint.
 #[derive(Clone, Debug)]
 struct LastJob {
     op: &'static str,
     cache: &'static str,
     /// Delta classification of the preparation (revise jobs; "-" otherwise).
     delta: &'static str,
-    reduce_dbs: u64,
-    arena_bytes: u64,
-    prepare_ms: u128,
     build_ms: u128,
-    elapsed_ms: u128,
-    /// Formula-diet counters of the served localizer (variables/clauses the
-    /// CNF preprocessor removed).
-    vars_eliminated: u64,
-    clauses_subsumed: u64,
-    simplify_ms: u128,
-    /// Word-level pre-bit-blast counters of the served localizer.
-    word_nodes_folded: u64,
-    word_cse_hits: u64,
-    bits_narrowed: u64,
-    /// Static-analysis counters of the served localizer.
-    lines_pruned: u64,
-    prune_ms: u128,
-    lint_warnings: u64,
+    stats: LocalizerStats,
 }
 
 /// Which queued operation a job performs.
@@ -165,7 +151,7 @@ enum JobKind {
 
 /// One queued localization job plus the channel its response goes back on.
 #[derive(Debug)]
-struct QueuedJob {
+pub(crate) struct QueuedJob {
     id: u64,
     kind: JobKind,
     job: Job,
@@ -207,45 +193,12 @@ struct ServerState {
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
-    /// EWMA of job execution wall-clock (milliseconds), feeding the
-    /// admission controller's queue-wait estimate.
-    avg_exec_ms: AtomicU64,
-    /// Deadline jobs rejected at admission (queue full, or the estimated
-    /// queue wait already exceeded the job's whole budget).
-    jobs_shed: AtomicU64,
-    /// Jobs whose deadline expired while queued (answered, not solved).
-    jobs_expired: AtomicU64,
     /// Set by [`ServerState::crash_abrupt`]: an injected replica crash.
     /// A crashed daemon must not snapshot its cache on [`Server::wait`] —
     /// a real crash gets no goodbye write.
     crashed: AtomicBool,
-    /// Worker panics converted into `internal_error` responses.
-    worker_panics: AtomicU64,
-    localize_requests: AtomicU64,
-    revise_requests: AtomicU64,
-    /// Revise requests whose delta-prepare reused the pre-edit bit-blast
-    /// (relabel paths + already-cached revisions) instead of re-encoding.
-    revise_reuses: AtomicU64,
-    /// Revise requests answered by remapping/replaying a remembered report
-    /// instead of running the MAX-SAT enumeration.
-    revise_solve_skips: AtomicU64,
-    batch_requests: AtomicU64,
-    error_responses: AtomicU64,
-    total_reduce_dbs: AtomicU64,
-    arena_bytes_peak: AtomicU64,
-    /// Formula-diet totals over all solved jobs (cache builds included via
-    /// their first solve): preprocessor removals.
-    total_vars_eliminated: AtomicU64,
-    total_clauses_subsumed: AtomicU64,
-    /// Word-level pre-bit-blast totals over all solved jobs.
-    total_word_nodes_folded: AtomicU64,
-    total_word_cse_hits: AtomicU64,
-    total_bits_narrowed: AtomicU64,
-    /// Static-analysis totals: `analyze` requests answered, soft selectors
-    /// hardened by the relevance prune, lint warnings observed.
-    analyze_requests: AtomicU64,
-    total_lines_pruned: AtomicU64,
-    total_lint_warnings: AtomicU64,
+    /// Every counter `stats`, `metrics` and `health` expose.
+    counters: Counters,
     last_job: Mutex<Option<LastJob>>,
     /// Number of live connection threads, with a condvar for shutdown to
     /// wait on (connection threads are detached, never joined).
@@ -293,7 +246,7 @@ impl ServerState {
     }
 
     fn error_line(&self, id: u64, kind: &'static str, message: impl std::fmt::Display) -> String {
-        self.error_responses.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(Own::ErrorResponses, 1);
         Json::obj(vec![
             ("id", Json::from(id)),
             ("ok", Json::Bool(false)),
@@ -332,6 +285,18 @@ impl ServerState {
         }
     }
 
+    /// The live state the registry's read rows sample.
+    fn view(&self) -> View<'_> {
+        View {
+            cache: self.cache.stats(),
+            cache_capacity: self.cache.capacity(),
+            cache_shards: self.cache.shard_count(),
+            store_enabled: self.store.is_some(),
+            store: self.store.as_ref().map(|s| s.stats()).unwrap_or_default(),
+            queue: &self.queue,
+        }
+    }
+
     /// The `health` wire response. Beyond liveness it carries the load
     /// signals a fleet router needs to avoid a struggling replica — queue
     /// depth/capacity, active fair-queue lanes, shed/expired totals and the
@@ -339,14 +304,14 @@ impl ServerState {
     /// status so a restarted replica can be seen coming back warm. The
     /// shape is pinned by `health_reports_queue_shed_and_store_status`.
     fn health_line(&self, id: u64) -> String {
-        let shed = self.jobs_shed.load(Ordering::Relaxed);
-        let attempts = self.queue.enqueued() + shed;
+        let view = self.view();
+        let shed = self.counters.get(Own::JobsShed);
+        let attempts = view.queue.enqueued() + shed;
         let shed_rate = if attempts == 0 {
             0.0
         } else {
             shed as f64 / attempts as f64
         };
-        let store = self.store.as_ref().map(|s| s.stats()).unwrap_or_default();
         Json::obj(vec![
             ("id", Json::from(id)),
             ("ok", Json::Bool(true)),
@@ -354,22 +319,19 @@ impl ServerState {
             ("status", Json::str("ok")),
             ("uptime_ms", Json::from(self.started.elapsed().as_millis())),
             ("workers", Json::from(self.workers)),
-            ("queue_depth", Json::from(self.queue.depth())),
-            ("queue_capacity", Json::from(self.queue.capacity())),
-            ("active_lanes", Json::from(self.queue.active_lanes())),
+            ("queue_depth", Json::from(view.queue.depth())),
+            ("queue_capacity", Json::from(view.queue.capacity())),
+            ("active_lanes", Json::from(view.queue.active_lanes())),
             ("shed", Json::from(shed)),
-            (
-                "expired",
-                Json::from(self.jobs_expired.load(Ordering::Relaxed)),
-            ),
+            ("expired", Json::from(self.counters.get(Own::JobsExpired))),
             ("shed_rate", Json::Float(shed_rate)),
             (
                 "store",
                 Json::obj(vec![
-                    ("enabled", Json::Bool(self.store.is_some())),
-                    ("restored_entries", Json::from(store.restored_entries)),
-                    ("restore_ms", Json::from(store.restore_ms)),
-                    ("writes", Json::from(store.writes)),
+                    ("enabled", Json::Bool(view.store_enabled)),
+                    ("restored_entries", Json::from(view.store.restored_entries)),
+                    ("restore_ms", Json::from(view.store.restore_ms)),
+                    ("writes", Json::from(view.store.writes)),
                 ]),
             ),
         ])
@@ -377,425 +339,57 @@ impl ServerState {
     }
 
     fn stats_line(&self, id: u64) -> String {
-        let cache = self.cache.stats();
-        let store = self.store.as_ref().map(|s| s.stats()).unwrap_or_default();
         let last_job = match &*self.last_job.lock().expect("last_job poisoned") {
             None => Json::Null,
-            Some(last) => Json::obj(vec![
-                ("op", Json::str(last.op)),
-                ("cache", Json::str(last.cache)),
-                ("delta", Json::str(last.delta)),
-                ("reduce_dbs", Json::from(last.reduce_dbs)),
-                ("arena_bytes", Json::from(last.arena_bytes)),
-                ("prepare_ms", Json::from(last.prepare_ms)),
-                ("build_ms", Json::from(last.build_ms)),
-                ("elapsed_ms", Json::from(last.elapsed_ms)),
-                ("vars_eliminated", Json::from(last.vars_eliminated)),
-                ("clauses_subsumed", Json::from(last.clauses_subsumed)),
-                ("simplify_ms", Json::from(last.simplify_ms)),
-                ("word_nodes_folded", Json::from(last.word_nodes_folded)),
-                ("word_cse_hits", Json::from(last.word_cse_hits)),
-                ("bits_narrowed", Json::from(last.bits_narrowed)),
-                ("lines_pruned", Json::from(last.lines_pruned)),
-                ("prune_ms", Json::from(last.prune_ms)),
-                ("lint_warnings", Json::from(last.lint_warnings)),
-            ]),
+            Some(last) => {
+                let Json::Obj(stats) = stats_to_json(&last.stats) else {
+                    unreachable!("stats_to_json renders an object")
+                };
+                let head = [
+                    ("op", Json::str(last.op)),
+                    ("cache", Json::str(last.cache)),
+                    ("delta", Json::str(last.delta)),
+                    ("build_ms", Json::from(last.build_ms)),
+                ];
+                Json::Obj(
+                    head.into_iter()
+                        .map(|(key, value)| (key.to_string(), value))
+                        .chain(stats)
+                        .collect(),
+                )
+            }
         };
-        Json::obj(vec![
+        let mut fields = vec![
             ("id", Json::from(id)),
             ("ok", Json::Bool(true)),
             ("op", Json::str("stats")),
             ("uptime_ms", Json::from(self.started.elapsed().as_millis())),
             ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-            (
-                "requests",
-                Json::obj(vec![
-                    (
-                        "localize",
-                        Json::from(self.localize_requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "revise",
-                        Json::from(self.revise_requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "revise_reuses",
-                        Json::from(self.revise_reuses.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "revise_solve_skips",
-                        Json::from(self.revise_solve_skips.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "batch",
-                        Json::from(self.batch_requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "errors",
-                        Json::from(self.error_responses.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::from(cache.hits)),
-                    ("misses", Json::from(cache.misses)),
-                    ("evictions", Json::from(cache.evictions)),
-                    ("poisoned", Json::from(cache.poisoned)),
-                    ("entries", Json::from(cache.entries)),
-                    ("capacity", Json::from(self.cache.capacity())),
-                    ("shards", Json::from(self.cache.shard_count())),
-                ]),
-            ),
-            (
-                "queue",
-                Json::obj(vec![
-                    ("capacity", Json::from(self.queue.capacity())),
-                    ("depth", Json::from(self.queue.depth())),
-                    ("enqueued", Json::from(self.queue.enqueued())),
-                    ("shed", Json::from(self.jobs_shed.load(Ordering::Relaxed))),
-                    (
-                        "expired",
-                        Json::from(self.jobs_expired.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "avg_exec_ms",
-                        Json::from(self.avg_exec_ms.load(Ordering::Relaxed)),
-                    ),
-                    ("active_lanes", Json::from(self.queue.active_lanes())),
-                    ("max_lane_depth", Json::from(self.queue.max_lane_depth())),
-                    ("fair_share", Json::from(self.queue.fair_share())),
-                ]),
-            ),
-            (
-                "robustness",
-                Json::obj(vec![(
-                    "worker_panics",
-                    Json::from(self.worker_panics.load(Ordering::Relaxed)),
-                )]),
-            ),
-            (
-                "solver",
-                Json::obj(vec![
-                    (
-                        "reduce_dbs",
-                        Json::from(self.total_reduce_dbs.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "arena_bytes_peak",
-                        Json::from(self.arena_bytes_peak.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "formula",
-                Json::obj(vec![
-                    (
-                        "vars_eliminated",
-                        Json::from(self.total_vars_eliminated.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "clauses_subsumed",
-                        Json::from(self.total_clauses_subsumed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "word_nodes_folded",
-                        Json::from(self.total_word_nodes_folded.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "word_cse_hits",
-                        Json::from(self.total_word_cse_hits.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "bits_narrowed",
-                        Json::from(self.total_bits_narrowed.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "analysis",
-                Json::obj(vec![
-                    (
-                        "analyze_requests",
-                        Json::from(self.analyze_requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "lines_pruned",
-                        Json::from(self.total_lines_pruned.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "lint_warnings",
-                        Json::from(self.total_lint_warnings.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "store",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(self.store.is_some())),
-                    ("hits", Json::from(store.hits)),
-                    ("misses", Json::from(store.misses)),
-                    ("writes", Json::from(store.writes)),
-                    ("write_errors", Json::from(store.write_errors)),
-                    ("corrupt_records", Json::from(store.corrupt_records)),
-                    ("restore_ms", Json::from(store.restore_ms)),
-                    ("restored_entries", Json::from(store.restored_entries)),
-                ]),
-            ),
-            ("last_job", last_job),
-        ])
-        .to_string()
+        ];
+        fields.extend(self.counters.stats_sections(&self.view()));
+        fields.push(("last_job", last_job));
+        Json::obj(fields).to_string()
     }
 
-    /// The same counters as [`ServerState::stats_line`], rendered in the
-    /// Prometheus text exposition format (one `# TYPE` line per metric,
-    /// `_total`-suffixed counters, unsuffixed gauges) and shipped back as
-    /// the response's `text` field. The `store` family reads all zeros when
-    /// no store is configured.
+    /// The registry's counters and gauges in the Prometheus text exposition
+    /// format (one `# TYPE` line per metric, `_total`-suffixed counters,
+    /// unsuffixed gauges), after the build-info and uptime gauges, shipped
+    /// back as the response's `text` field.
     fn metrics_line(&self, id: u64) -> String {
-        use std::fmt::Write as _;
-        fn metric(out: &mut String, name: &str, kind: &str, value: u64) {
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        let cache = self.cache.stats();
-        let store = self.store.as_ref().map(|s| s.stats()).unwrap_or_default();
-        let mut text = String::new();
-        let _ = writeln!(text, "# TYPE bugassist_build_info gauge");
-        let _ = writeln!(
-            text,
-            "bugassist_build_info{{version=\"{}\"}} 1",
+        let mut out = Exposition::default();
+        let build_info = format!(
+            "bugassist_build_info{{version=\"{}\"}}",
             env!("CARGO_PKG_VERSION")
         );
-        let _ = writeln!(text, "# TYPE bugassist_uptime_seconds gauge");
-        let _ = writeln!(
-            text,
-            "bugassist_uptime_seconds {:.3}",
-            self.started.elapsed().as_millis() as f64 / 1000.0
-        );
-        let _ = writeln!(text, "# TYPE bugassist_requests_total counter");
-        for (op, count) in [
-            ("localize", &self.localize_requests),
-            ("revise", &self.revise_requests),
-            ("batch", &self.batch_requests),
-        ] {
-            let _ = writeln!(
-                text,
-                "bugassist_requests_total{{op=\"{op}\"}} {}",
-                count.load(Ordering::Relaxed)
-            );
-        }
-        for (name, counter) in [
-            ("bugassist_error_responses_total", &self.error_responses),
-            ("bugassist_revise_reuses_total", &self.revise_reuses),
-            (
-                "bugassist_revise_solve_skips_total",
-                &self.revise_solve_skips,
-            ),
-        ] {
-            metric(&mut text, name, "counter", counter.load(Ordering::Relaxed));
-        }
-        // Queue family.
-        metric(
-            &mut text,
-            "bugassist_queue_depth",
-            "gauge",
-            self.queue.depth() as u64,
-        );
-        metric(
-            &mut text,
-            "bugassist_queue_capacity",
-            "gauge",
-            self.queue.capacity() as u64,
-        );
-        metric(
-            &mut text,
-            "bugassist_queue_enqueued_total",
-            "counter",
-            self.queue.enqueued(),
-        );
-        metric(
-            &mut text,
-            "bugassist_jobs_shed_total",
-            "counter",
-            self.jobs_shed.load(Ordering::Relaxed),
-        );
-        metric(
-            &mut text,
-            "bugassist_jobs_expired_total",
-            "counter",
-            self.jobs_expired.load(Ordering::Relaxed),
-        );
-        metric(
-            &mut text,
-            "bugassist_queue_avg_exec_ms",
-            "gauge",
-            self.avg_exec_ms.load(Ordering::Relaxed),
-        );
-        // Fair-queue family (per-client DRR lanes).
-        metric(
-            &mut text,
-            "bugassist_fair_queue_active_lanes",
-            "gauge",
-            self.queue.active_lanes() as u64,
-        );
-        metric(
-            &mut text,
-            "bugassist_fair_queue_max_lane_depth",
-            "gauge",
-            self.queue.max_lane_depth() as u64,
-        );
-        metric(
-            &mut text,
-            "bugassist_fair_queue_fair_share",
-            "gauge",
-            self.queue.fair_share() as u64,
-        );
-        // Cache family (the in-memory tier).
-        metric(
-            &mut text,
-            "bugassist_cache_hits_total",
-            "counter",
-            cache.hits,
-        );
-        metric(
-            &mut text,
-            "bugassist_cache_misses_total",
-            "counter",
-            cache.misses,
-        );
-        metric(
-            &mut text,
-            "bugassist_cache_evictions_total",
-            "counter",
-            cache.evictions,
-        );
-        metric(
-            &mut text,
-            "bugassist_cache_poisoned_total",
-            "counter",
-            cache.poisoned,
-        );
-        metric(
-            &mut text,
-            "bugassist_cache_entries",
-            "gauge",
-            cache.entries as u64,
-        );
-        metric(
-            &mut text,
-            "bugassist_cache_capacity",
-            "gauge",
-            self.cache.capacity() as u64,
-        );
-        // Robustness family.
-        metric(
-            &mut text,
-            "bugassist_worker_panics_total",
-            "counter",
-            self.worker_panics.load(Ordering::Relaxed),
-        );
-        // Solver family.
-        metric(
-            &mut text,
-            "bugassist_solver_reduce_dbs_total",
-            "counter",
-            self.total_reduce_dbs.load(Ordering::Relaxed),
-        );
-        metric(
-            &mut text,
-            "bugassist_solver_arena_bytes_peak",
-            "gauge",
-            self.arena_bytes_peak.load(Ordering::Relaxed),
-        );
-        // Formula-diet family.
-        for (name, counter) in [
-            (
-                "bugassist_formula_vars_eliminated_total",
-                &self.total_vars_eliminated,
-            ),
-            (
-                "bugassist_formula_clauses_subsumed_total",
-                &self.total_clauses_subsumed,
-            ),
-            (
-                "bugassist_formula_word_nodes_folded_total",
-                &self.total_word_nodes_folded,
-            ),
-            (
-                "bugassist_formula_word_cse_hits_total",
-                &self.total_word_cse_hits,
-            ),
-            (
-                "bugassist_formula_bits_narrowed_total",
-                &self.total_bits_narrowed,
-            ),
-        ] {
-            metric(&mut text, name, "counter", counter.load(Ordering::Relaxed));
-        }
-        // Static-analysis family.
-        for (name, counter) in [
-            ("bugassist_analysis_requests_total", &self.analyze_requests),
-            (
-                "bugassist_analysis_lines_pruned_total",
-                &self.total_lines_pruned,
-            ),
-            (
-                "bugassist_analysis_lint_warnings_total",
-                &self.total_lint_warnings,
-            ),
-        ] {
-            metric(&mut text, name, "counter", counter.load(Ordering::Relaxed));
-        }
-        // Store family (the disk tier).
-        metric(
-            &mut text,
-            "bugassist_store_hits_total",
-            "counter",
-            store.hits,
-        );
-        metric(
-            &mut text,
-            "bugassist_store_misses_total",
-            "counter",
-            store.misses,
-        );
-        metric(
-            &mut text,
-            "bugassist_store_writes_total",
-            "counter",
-            store.writes,
-        );
-        metric(
-            &mut text,
-            "bugassist_store_write_errors_total",
-            "counter",
-            store.write_errors,
-        );
-        metric(
-            &mut text,
-            "bugassist_store_corrupt_records_total",
-            "counter",
-            store.corrupt_records,
-        );
-        metric(
-            &mut text,
-            "bugassist_store_restore_milliseconds",
-            "gauge",
-            store.restore_ms,
-        );
-        metric(
-            &mut text,
-            "bugassist_store_restored_entries",
-            "gauge",
-            store.restored_entries,
-        );
+        out.sample(&build_info, "gauge", 1);
+        let uptime = self.started.elapsed().as_millis() as f64 / 1000.0;
+        out.sample("bugassist_uptime_seconds", "gauge", format!("{uptime:.3}"));
+        self.counters.write_metrics(&self.view(), &mut out);
         Json::obj(vec![
             ("id", Json::from(id)),
             ("ok", Json::Bool(true)),
             ("op", Json::str("metrics")),
-            ("text", Json::str(text)),
+            ("text", Json::str(out.finish())),
         ])
         .to_string()
     }
@@ -810,15 +404,16 @@ impl ServerState {
             Ok(program) => program,
             Err(e) => return self.error_line(id, "parse_error", format!("parse error: {e}")),
         };
-        self.analyze_requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(Own::AnalyzeRequests, 1);
         let diagnostics = analysis::lint_program(&program, width);
-        self.total_lint_warnings.fetch_add(
-            diagnostics
+        // Lint warnings observed here join the per-solve totals.
+        self.counters.add_stats(&LocalizerStats {
+            lint_warnings: diagnostics
                 .iter()
                 .filter(|d| d.severity == analysis::Severity::Warning)
                 .count() as u64,
-            Ordering::Relaxed,
-        );
+            ..LocalizerStats::default()
+        });
         let items: Vec<Json> = diagnostics
             .iter()
             .map(|d| {
@@ -1188,7 +783,7 @@ impl ServerState {
                     let mut merged = ranked
                         .per_test
                         .first()
-                        .map_or_else(bugassist::LocalizerStats::default, |r| r.stats);
+                        .map_or_else(LocalizerStats::default, |r| r.stats);
                     for report in ranked.per_test.iter().skip(1) {
                         merged.maxsat_calls += report.stats.maxsat_calls;
                         merged.reduce_dbs += report.stats.reduce_dbs;
@@ -1196,7 +791,7 @@ impl ServerState {
                         merged.elapsed_ms += report.stats.elapsed_ms;
                         merged.prepare_ms += report.stats.prepare_ms;
                     }
-                    self.batch_requests.fetch_add(1, Ordering::Relaxed);
+                    self.counters.add(Own::BatchRequests, 1);
                     ("ranked", ranked_to_json(&ranked), merged)
                 }
             },
@@ -1234,17 +829,11 @@ impl ServerState {
                 let stats = report.stats;
                 match queued.kind {
                     JobKind::Revise { .. } => {
-                        self.revise_requests.fetch_add(1, Ordering::Relaxed);
-                        if reused {
-                            self.revise_reuses.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if !solved {
-                            self.revise_solve_skips.fetch_add(1, Ordering::Relaxed);
-                        }
+                        self.counters.add(Own::ReviseRequests, 1);
+                        self.counters.add(Own::ReviseReuses, u64::from(reused));
+                        self.counters.add(Own::ReviseSolveSkips, u64::from(!solved));
                     }
-                    _ => {
-                        self.localize_requests.fetch_add(1, Ordering::Relaxed);
-                    }
+                    _ => self.counters.add(Own::LocalizeRequests, 1),
                 }
                 ("report", report_to_json(&report), stats)
             }
@@ -1253,43 +842,14 @@ impl ServerState {
         // Replayed reports did no new solver work; only actual solves feed
         // the activity totals.
         if solved {
-            self.total_reduce_dbs
-                .fetch_add(stats.reduce_dbs, Ordering::Relaxed);
-            self.arena_bytes_peak
-                .fetch_max(stats.arena_bytes, Ordering::Relaxed);
-            self.total_vars_eliminated
-                .fetch_add(stats.vars_eliminated, Ordering::Relaxed);
-            self.total_clauses_subsumed
-                .fetch_add(stats.clauses_subsumed, Ordering::Relaxed);
-            self.total_word_nodes_folded
-                .fetch_add(stats.word_nodes_folded, Ordering::Relaxed);
-            self.total_word_cse_hits
-                .fetch_add(stats.word_cse_hits, Ordering::Relaxed);
-            self.total_bits_narrowed
-                .fetch_add(stats.bits_narrowed, Ordering::Relaxed);
-            self.total_lines_pruned
-                .fetch_add(stats.lines_pruned, Ordering::Relaxed);
-            self.total_lint_warnings
-                .fetch_add(stats.lint_warnings, Ordering::Relaxed);
+            self.counters.add_stats(&stats);
         }
         *self.last_job.lock().expect("last_job poisoned") = Some(LastJob {
             op,
             cache,
             delta,
-            reduce_dbs: stats.reduce_dbs,
-            arena_bytes: stats.arena_bytes,
-            prepare_ms: stats.prepare_ms,
             build_ms,
-            elapsed_ms: stats.elapsed_ms,
-            vars_eliminated: stats.vars_eliminated,
-            clauses_subsumed: stats.clauses_subsumed,
-            simplify_ms: stats.simplify_ms,
-            word_nodes_folded: stats.word_nodes_folded,
-            word_cse_hits: stats.word_cse_hits,
-            bits_narrowed: stats.bits_narrowed,
-            lines_pruned: stats.lines_pruned,
-            prune_ms: stats.prune_ms,
-            lint_warnings: stats.lint_warnings,
+            stats,
         });
 
         let mut pairs = vec![
@@ -1385,11 +945,10 @@ fn enqueue_and_wait(state: &ServerState, id: u64, kind: JobKind, job: Job) -> St
             let active_lanes = state.queue.active_lanes().max(1) as u64;
             let est_jobs_ahead =
                 (lane_depth.saturating_mul(active_lanes)).min(state.queue.depth() as u64);
-            let est_wait_ms = est_jobs_ahead
-                .saturating_mul(state.avg_exec_ms.load(Ordering::Relaxed))
+            let est_wait_ms = est_jobs_ahead.saturating_mul(state.counters.get(Own::AvgExecMs))
                 / state.workers.max(1) as u64;
             if est_wait_ms >= budget_ms.max(1) {
-                state.jobs_shed.fetch_add(1, Ordering::Relaxed);
+                state.counters.add(Own::JobsShed, 1);
                 Err(state.error_line(
                     id,
                     "overloaded",
@@ -1404,7 +963,7 @@ fn enqueue_and_wait(state: &ServerState, id: u64, kind: JobKind, job: Job) -> St
                     .try_push_lane(&lane, queued)
                     .map_err(|e| match e {
                         TryPushError::Full(_) => {
-                            state.jobs_shed.fetch_add(1, Ordering::Relaxed);
+                            state.counters.add(Own::JobsShed, 1);
                             state.error_line(
                                 id,
                                 "overloaded",
@@ -1608,27 +1167,8 @@ impl Server {
             read_timeout: config.read_timeout_ms.map(Duration::from_millis),
             write_timeout: config.write_timeout_ms.map(Duration::from_millis),
             faults: config.fault_plan.clone(),
-            avg_exec_ms: AtomicU64::new(0),
-            jobs_shed: AtomicU64::new(0),
-            jobs_expired: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
-            worker_panics: AtomicU64::new(0),
-            localize_requests: AtomicU64::new(0),
-            revise_requests: AtomicU64::new(0),
-            revise_reuses: AtomicU64::new(0),
-            revise_solve_skips: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            error_responses: AtomicU64::new(0),
-            total_reduce_dbs: AtomicU64::new(0),
-            arena_bytes_peak: AtomicU64::new(0),
-            total_vars_eliminated: AtomicU64::new(0),
-            total_clauses_subsumed: AtomicU64::new(0),
-            total_word_nodes_folded: AtomicU64::new(0),
-            total_word_cse_hits: AtomicU64::new(0),
-            total_bits_narrowed: AtomicU64::new(0),
-            analyze_requests: AtomicU64::new(0),
-            total_lines_pruned: AtomicU64::new(0),
-            total_lint_warnings: AtomicU64::new(0),
+            counters: Counters::new(),
             last_job: Mutex::new(None),
             connections: Mutex::new(0),
             connections_done: Condvar::new(),
@@ -1697,7 +1237,7 @@ impl Server {
                                 .deadline
                                 .is_some_and(|deadline| Instant::now() >= deadline)
                             {
-                                state.jobs_expired.fetch_add(1, Ordering::Relaxed);
+                                state.counters.add(Own::JobsExpired, 1);
                                 state.error_line(
                                     job.id,
                                     "deadline_exceeded",
@@ -1718,17 +1258,17 @@ impl Server {
                                 // EWMA (3:1 old:new) feeding the admission
                                 // controller's queue-wait estimate. Races
                                 // between workers just blend samples.
-                                let old = state.avg_exec_ms.load(Ordering::Relaxed);
+                                let old = state.counters.get(Own::AvgExecMs);
                                 let avg = if old == 0 {
                                     exec_ms
                                 } else {
                                     (3 * old + exec_ms) / 4
                                 };
-                                state.avg_exec_ms.store(avg, Ordering::Relaxed);
+                                state.counters.set(Own::AvgExecMs, avg);
                                 match outcome {
                                     Ok(response) => response,
                                     Err(panic) => {
-                                        state.worker_panics.fetch_add(1, Ordering::Relaxed);
+                                        state.counters.add(Own::WorkerPanics, 1);
                                         let message = panic
                                             .downcast_ref::<&str>()
                                             .map(|s| s.to_string())

@@ -255,9 +255,12 @@ fn corrupt_records_degrade_to_clean_boot_misses() {
 }
 
 /// Structural validity: every line is a `# TYPE` comment or a
-/// `name[{labels}] value` sample whose name a `# TYPE` declared.
+/// `name[{labels}] value` sample whose name a `# TYPE` declared. Each name
+/// is declared once, each name-and-labels sample appears once, and every
+/// declaration has at least one sample.
 fn assert_valid_prometheus(text: &str) {
-    let mut declared = Vec::new();
+    let mut declared: Vec<(String, usize)> = Vec::new();
+    let mut samples: Vec<&str> = Vec::new();
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut parts = rest.split_whitespace();
@@ -267,7 +270,11 @@ fn assert_valid_prometheus(text: &str) {
                 kind == "counter" || kind == "gauge",
                 "unknown metric kind in {line:?}"
             );
-            declared.push(name.to_string());
+            assert!(
+                declared.iter().all(|(d, _)| d != name),
+                "second # TYPE line for {name}"
+            );
+            declared.push((name.to_string(), 0));
             continue;
         }
         assert!(!line.starts_with('#'), "unexpected comment {line:?}");
@@ -278,11 +285,33 @@ fn assert_valid_prometheus(text: &str) {
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
             "invalid metric name in {line:?}"
         );
+        let (_, count) = declared
+            .iter_mut()
+            .find(|(d, _)| d == name)
+            .unwrap_or_else(|| panic!("sample {line:?} has no # TYPE declaration"));
+        *count += 1;
         assert!(
-            declared.iter().any(|d| d == name),
-            "sample {line:?} has no # TYPE declaration"
+            !samples.contains(&name_part),
+            "duplicate sample {name_part}"
         );
+        samples.push(name_part);
         assert!(value.parse::<f64>().is_ok(), "unparsable value in {line:?}");
+    }
+    for (name, count) in declared {
+        assert!(count > 0, "# TYPE {name} has no sample");
+    }
+}
+
+#[test]
+fn prometheus_validator_rejects_duplicates_and_empty_families() {
+    assert_valid_prometheus("# TYPE a counter\na 1\n# TYPE b gauge\nb{x=\"1\"} 2\nb{x=\"2\"} 3\n");
+    for bad in [
+        "# TYPE a counter\na 1\n# TYPE a counter\na{x=\"1\"} 2\n",
+        "# TYPE a counter\na 1\na 2\n",
+        "# TYPE a counter\na 1\n# TYPE b gauge\n",
+    ] {
+        let rejected = std::panic::catch_unwind(|| assert_valid_prometheus(bad)).is_err();
+        assert!(rejected, "validator accepted {bad:?}");
     }
 }
 
