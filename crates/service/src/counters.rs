@@ -258,3 +258,32 @@ impl Exposition {
         self.families.into_iter().map(|(_, text)| text).collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A row added out of place would split its `stats` section in two or
+    /// repeat a key or a sample.
+    #[test]
+    fn rows_keep_sections_contiguous_and_names_unique() {
+        let mut closed: Vec<&str> = Vec::new();
+        for (i, row) in ROWS.iter().enumerate() {
+            if i > 0 && ROWS[i - 1].section != row.section {
+                closed.push(ROWS[i - 1].section);
+            }
+            assert!(!closed.contains(&row.section), "{} split", row.section);
+            for other in &ROWS[..i] {
+                assert!(
+                    (other.section, other.key) != (row.section, row.key),
+                    "{}.{} twice",
+                    row.section,
+                    row.key
+                );
+                if let (Counter(a) | Gauge(a), Counter(b) | Gauge(b)) = (other.kind, row.kind) {
+                    assert_ne!(a, b, "sample {a} twice");
+                }
+            }
+        }
+    }
+}
