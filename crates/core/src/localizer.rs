@@ -17,11 +17,11 @@
 
 use bitblast::GroupId;
 use bmc::{encode_program, EncodeConfig, EncodeError, Spec, SymbolicTrace};
-use maxsat::{Budget, MaxSatInstance, MaxSatResult, MaxSatSolver, SoftId, Strategy};
+use maxsat::{Budget, MaxSatInstance, MaxSatResult, MaxSatSolver, Strategy};
 use minic::ast::Line;
 use minic::delta::{classify_edit, reachable_functions, segment_program, EditClass, LineMap};
 use minic::Program;
-use sat::Lit;
+use sat::{Lit, Solver};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
@@ -151,11 +151,12 @@ pub struct LocalizerStats {
     /// and later calls report (close to) zero — the observable difference
     /// between a cold and a warm prepared-formula cache.
     pub prepare_ms: u128,
-    /// Learnt-clause database reductions performed by the SAT solvers across
-    /// every MAX-SAT call of this run.
+    /// Learnt-clause database reductions the run's SAT solver performed,
+    /// summed over the MAX-SAT calls (each call reports only its own).
     pub reduce_dbs: u64,
     /// Peak end-of-call SAT-solver clause-arena size, in bytes, over the
-    /// MAX-SAT calls of this run.
+    /// MAX-SAT calls of this run. All ranks share one solver, so this is
+    /// its arena after the largest rank.
     pub arena_bytes: u64,
     /// Hard clauses of the prepared formula *before* CNF preprocessing
     /// (compare with [`LocalizerStats::hard_clauses`], counted after).
@@ -1108,6 +1109,28 @@ impl Localizer {
         prepared.reconstruction.extend(model);
     }
 
+    /// The hard part of one failing test's MAX-SAT instance, with no soft
+    /// clauses yet: the prepared template, the failing input as hard units,
+    /// the property, and the hardened trusted and pruned selectors.
+    fn base_instance(&self, prepared: &PreparedFormula, failing_input: &[i64]) -> MaxSatInstance {
+        // [[test]] : the failing input, as hard units on top of the template.
+        let mut base = prepared.template.clone();
+        for lit in self.trace.input_assumption_lits(failing_input) {
+            base.add_hard(vec![lit]);
+        }
+        // p : the violated assertion must hold — hard.
+        base.add_hard(vec![self.trace.property]);
+        // Trusted statements can never be switched off — and neither can
+        // statically-pruned ones, which provably cannot influence the
+        // property, so hardening them only shrinks the soft set.
+        for selector in &prepared.selectors {
+            if selector.trusted || selector.pruned {
+                base.add_hard(vec![selector.lit]);
+            }
+        }
+        base
+    }
+
     /// Runs Algorithm 1 for one failing test over the shared prepared
     /// formula (the selector-relaxed, preprocessed TF1).
     fn localize_with(
@@ -1118,7 +1141,6 @@ impl Localizer {
         budget: Budget,
     ) -> Result<LocalizationReport, LocalizeError> {
         let selectors: &[Selector] = &prepared.selectors;
-        let template = prepared.template.clone();
         if failing_input.len() != self.trace.inputs.len() {
             return Err(LocalizeError::ArityMismatch {
                 expected: self.trace.inputs.len(),
@@ -1126,22 +1148,10 @@ impl Localizer {
             });
         }
         let start = Instant::now();
-        // [[test]] : the failing input, as hard units on top of the template.
-        let mut base = template;
-        for lit in self.trace.input_assumption_lits(failing_input) {
-            base.add_hard(vec![lit]);
-        }
-        // p : the violated assertion must hold — hard.
-        base.add_hard(vec![self.trace.property]);
-        // Trusted statements can never be switched off — and neither can
-        // statically-pruned ones, which provably cannot influence the
-        // property, so hardening them only shrinks the soft set.
-        for selector in selectors {
-            if selector.trusted || selector.pruned {
-                base.add_hard(vec![selector.lit]);
-            }
-        }
-
+        let mut base = self.base_instance(prepared, failing_input);
+        // One SAT solver per call, loaded once: every rank solves on it, and
+        // each rank's blocking clause is added to it and to `base` alike.
+        let mut sat = Solver::from_formula(base.hard());
         let mut solver = MaxSatSolver::new(self.config.strategy);
         solver.set_budget(budget);
         let pruned_lines: BTreeSet<Line> = selectors
@@ -1174,8 +1184,6 @@ impl Localizer {
         let mut active: Vec<usize> = (0..selectors.len())
             .filter(|&i| !selectors[i].trusted && !selectors[i].pruned)
             .collect();
-        // Blocking clauses accumulated so far (hard).
-        let mut blocking: Vec<Vec<Lit>> = Vec::new();
 
         for rank in 0..self.config.max_suspect_sets {
             // The deadline may already be gone — because prepare ate it, or
@@ -1186,17 +1194,14 @@ impl Localizer {
                 complete = false;
                 break;
             }
-            let mut instance = base.clone();
-            for clause in &blocking {
-                instance.add_hard(clause.clone());
-            }
-            let mut soft_ids: BTreeMap<SoftId, usize> = BTreeMap::new();
+            // This rank's softs: one unit per active selector, so the soft
+            // id `k` names selector `active[k]`.
+            base.clear_soft();
             for &i in &active {
-                let id = instance.add_soft_unit(selectors[i].lit, selectors[i].weight);
-                soft_ids.insert(id, i);
+                base.add_soft_unit(selectors[i].lit, selectors[i].weight);
             }
             stats.maxsat_calls += 1;
-            let result = solver.solve(&instance);
+            let result = solver.solve_loaded(&mut sat, &base);
             let solver_stats = solver.stats();
             stats.reduce_dbs += solver_stats.reduce_dbs;
             stats.arena_bytes = stats.arena_bytes.max(solver_stats.arena_bytes);
@@ -1222,12 +1227,12 @@ impl Localizer {
             // solution keeping the lowest soft ids satisfied — see
             // `MaxSatSolver`'s canonical refinement), so the blamed set — and
             // with it the whole enumeration — is a function of the program
-            // and test alone, byte-identical across formula diets (gate
-            // cache on/off, simplification on/off).
+            // and test alone, byte-identical across formula diets
+            // (simplification on/off) and across the solver's search path.
             let blamed: Vec<usize> = solution
                 .falsified
                 .iter()
-                .filter_map(|id| soft_ids.get(id).copied())
+                .map(|id| active[id.index()])
                 .collect();
             let mut lines = Vec::new();
             let mut unwindings = Vec::new();
@@ -1247,7 +1252,9 @@ impl Localizer {
             }
             // Block this CoMSS: (λ₁ ∨ … ∨ λ_k) becomes hard, and those
             // selectors leave the soft set (Algorithm 1, lines 13–14).
-            blocking.push(blamed.iter().map(|&i| selectors[i].lit).collect());
+            let blocking: Vec<Lit> = blamed.iter().map(|&i| selectors[i].lit).collect();
+            sat.add_clause(blocking.iter().copied());
+            base.add_hard(blocking);
             active.retain(|i| !blamed.contains(i));
             if active.is_empty() {
                 break;
@@ -1379,6 +1386,9 @@ impl Localizer {
         Ok(crate::ranking::RankedReport::from_reports(per_test))
     }
 }
+
+#[cfg(test)]
+mod enumeration_oracle;
 
 #[cfg(test)]
 mod tests {

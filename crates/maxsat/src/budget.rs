@@ -24,8 +24,10 @@ pub struct Budget {
     /// boundary once it has passed.
     pub deadline: Option<Instant>,
     /// Maximum number of SAT conflicts one MAX-SAT solve may accumulate
-    /// over its run (each solve owns one incremental SAT solver, so the cap
-    /// is per solve — one rank of a localization — not per localization).
+    /// over its run. The cap is per solve (one rank of a localization), not
+    /// per localization: it is counted from the solve's start, even when
+    /// several solves share one SAT solver whose conflict counter keeps
+    /// growing across them.
     pub conflict_cap: Option<u64>,
 }
 

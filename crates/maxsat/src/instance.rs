@@ -106,6 +106,12 @@ impl MaxSatInstance {
         self.add_soft(vec![lit], weight)
     }
 
+    /// Removes every soft clause, keeping the hard part and the variable
+    /// pool; the next soft clause added gets `SoftId(0)` again.
+    pub fn clear_soft(&mut self) {
+        self.soft.clear();
+    }
+
     /// The hard part of the instance.
     pub fn hard(&self) -> &CnfFormula {
         &self.hard

@@ -12,6 +12,9 @@
 //!   family MSUnCORE belongs to;
 //! * [`Strategy::LinearSatUnsat`] — model-improving linear search, kept for
 //!   the solver-ablation experiment (E10 in DESIGN.md);
+//! * [`MaxSatSolver::solve_loaded`] — either strategy on a caller-owned
+//!   [`sat::Solver`] that already holds the hard clauses, so an enumeration
+//!   that only adds hard clauses between solves loads them once;
 //! * cardinality / pseudo-Boolean [`encodings`] (totalizer and generalized
 //!   totalizer) used by the strategies.
 //!

@@ -25,7 +25,7 @@
 use crate::budget::Budget;
 use crate::encodings::{encode_exactly_one, GeneralizedTotalizer, PAIRWISE_AT_MOST_ONE_MAX};
 use crate::instance::{MaxSatInstance, SoftId};
-use sat::{Lit, SatResult, Solver};
+use sat::{Lit, SatResult, Solver, SolverStats};
 
 /// Which algorithm to use for a [`solve`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
@@ -146,11 +146,11 @@ pub struct MaxSatStats {
     pub core_lits_trimmed: u64,
     /// Number of SAT-solver variables at the end of the run.
     pub final_vars: usize,
-    /// Number of SAT-solver conflicts accumulated.
+    /// Number of SAT-solver conflicts this solve spent.
     pub conflicts: u64,
-    /// Number of learnt-clause database reductions the SAT solver performed.
+    /// Number of learnt-clause database reductions during this solve.
     pub reduce_dbs: u64,
-    /// Number of learnt clauses the SAT solver deleted across reductions.
+    /// Number of learnt clauses deleted by this solve's reductions.
     pub removed_learnts: u64,
     /// Final size of the SAT solver's clause arena in bytes.
     pub arena_bytes: u64,
@@ -158,13 +158,15 @@ pub struct MaxSatStats {
 
 impl MaxSatStats {
     /// Copies the end-of-run solver counters out of the underlying SAT
-    /// solver (variables, conflicts, reduction and arena figures).
-    fn capture_solver(&mut self, solver: &Solver) {
+    /// solver: its variable count and arena size, and the conflicts and
+    /// reductions spent since `start`, the counters when this solve began
+    /// (the solver's own counters are cumulative across solves).
+    fn capture_solver(&mut self, solver: &Solver, start: &SolverStats) {
         let stats = solver.stats();
         self.final_vars = solver.num_vars();
-        self.conflicts = stats.conflicts;
-        self.reduce_dbs = stats.reduce_dbs;
-        self.removed_learnts = stats.removed_learnts;
+        self.conflicts = stats.conflicts - start.conflicts;
+        self.reduce_dbs = stats.reduce_dbs - start.reduce_dbs;
+        self.removed_learnts = stats.removed_learnts - start.removed_learnts;
         self.arena_bytes = stats.arena_bytes;
     }
 }
@@ -201,6 +203,9 @@ pub struct MaxSatSolver {
     /// Resource limits applied to every solve (see
     /// [`MaxSatSolver::set_budget`]). Unlimited by default.
     budget: Budget,
+    /// The SAT solver's counters when the current solve began: the conflict
+    /// cap and the reported counters are measured from here.
+    start: SolverStats,
 }
 
 impl Default for MaxSatSolver {
@@ -218,11 +223,12 @@ impl MaxSatSolver {
             canonical: true,
             core_trimming: true,
             budget: Budget::UNLIMITED,
+            start: SolverStats::default(),
         }
     }
 
     /// Installs the [`Budget`] (wall-clock deadline and/or conflict cap)
-    /// applied to every subsequent [`MaxSatSolver::solve`] call. With a
+    /// applied to every subsequent solve. With a
     /// budget in place a solve that runs out returns
     /// [`MaxSatResult::Anytime`] (the best incumbent found, canonically
     /// refined, its cost an upper bound on the optimum) or
@@ -236,7 +242,7 @@ impl MaxSatSolver {
     /// equal-cost optima, return the one keeping the lowest soft ids
     /// satisfied, making the `falsified` set a function of the instance
     /// semantics rather than of the search path. Disable to get the raw
-    /// first optimum the strategy happens to find.
+    /// first optimum (or anytime incumbent) the strategy happens to find.
     pub fn set_canonical(&mut self, enabled: bool) {
         self.canonical = enabled;
     }
@@ -254,40 +260,73 @@ impl MaxSatSolver {
         self.strategy
     }
 
-    /// Statistics from the most recent [`MaxSatSolver::solve`] call.
+    /// Statistics from the most recent solve.
     pub fn stats(&self) -> MaxSatStats {
         self.stats
     }
 
     /// Solves the instance to optimality — or, under a [`Budget`], to the
     /// best answer the budget allows (see [`MaxSatSolver::set_budget`]).
+    /// Loads the hard clauses into a fresh SAT solver and runs
+    /// [`MaxSatSolver::solve_loaded`] on it.
     pub fn solve(&mut self, instance: &MaxSatInstance) -> MaxSatResult {
+        let mut solver = Solver::from_formula(instance.hard());
+        self.solve_loaded(&mut solver, instance)
+    }
+
+    /// Solves the instance on a SAT solver that already holds
+    /// `instance.hard()`, so a caller solving a sequence of instances that
+    /// share one growing hard part (the localizer's suspect enumeration)
+    /// loads it once and keeps the learnt clauses across solves. Between
+    /// solves the caller may add hard clauses to both `solver` and
+    /// `instance` and replace the soft clauses; the variable pool of
+    /// `instance` must not grow after the first solve, since later
+    /// variables belong to the solves.
+    ///
+    /// Every clause a solve adds mentions variables created by that same
+    /// solve (selectors, relaxation variables, cardinality encodings,
+    /// refinement indicators), and some setting of those fresh variables
+    /// satisfies all of them. So what one solve leaves behind never
+    /// constrains a later one: every solve sees exactly the models of
+    /// `instance.hard()`. [`MaxSatSolver::stats`] and the budget's conflict
+    /// cap count from the start of this call.
+    pub fn solve_loaded(&mut self, solver: &mut Solver, instance: &MaxSatInstance) -> MaxSatResult {
+        debug_assert!(solver.num_vars() >= instance.num_vars());
         self.stats = MaxSatStats::default();
-        let budget = self.budget;
+        self.start = solver.stats();
         let result = match self.strategy {
+            // Refuted at the top level while loading or adding hard clauses:
+            // a definitive answer, whatever is left of the budget.
+            _ if !solver.is_ok() => MaxSatResult::HardUnsat,
             // Fu–Malik holds no model of the hard clauses until its optimum,
             // so a budget that runs out first leaves nothing to report.
             Strategy::FuMalik => self
-                .solve_fu_malik(instance, budget)
+                .solve_fu_malik(solver, instance)
                 .unwrap_or(MaxSatResult::Expired),
-            Strategy::LinearSatUnsat => self.solve_linear(instance, budget),
+            Strategy::LinearSatUnsat => self.solve_linear(solver, instance),
         };
+        self.stats.capture_solver(solver, &self.start);
         debug_assert!(check_solution(instance, &result));
         result
     }
 
     /// Dispatches one SAT call under `budget`, polling its deadline and
     /// conflict cap at restart boundaries. `None` means the budget ran out.
-    fn sat_call(solver: &mut Solver, assumptions: &[Lit], budget: Budget) -> Option<SatResult> {
+    fn sat_call(
+        &self,
+        solver: &mut Solver,
+        assumptions: &[Lit],
+        budget: Budget,
+    ) -> Option<SatResult> {
         if budget.is_unlimited() {
             return Some(solver.solve_assuming(assumptions));
         }
-        // The conflict cap bounds the whole solve; the SAT solver's conflict
-        // counter is cumulative across its calls, so the remaining allowance
-        // is cap − spent-so-far.
-        let remaining = budget
-            .conflict_cap
-            .map(|cap| cap.saturating_sub(solver.stats().conflicts));
+        // The conflict cap bounds the whole solve. The SAT solver's conflict
+        // counter is cumulative across its calls and across earlier solves
+        // on the same solver, so the remaining allowance is the cap minus
+        // what this solve has spent so far.
+        let spent = solver.stats().conflicts - self.start.conflicts;
+        let remaining = budget.conflict_cap.map(|cap| cap.saturating_sub(spent));
         if remaining == Some(0) || budget.deadline_expired() {
             return None;
         }
@@ -347,7 +386,7 @@ impl MaxSatSolver {
             }
             assumptions.push(pin);
             self.stats.sat_calls += 1;
-            match Self::sat_call(solver, &assumptions, budget)? {
+            match self.sat_call(solver, &assumptions, budget)? {
                 SatResult::Sat => witness = truncate_model(solver, instance.num_vars()),
                 SatResult::Unsat => {
                     // Falsified in every optimum consistent with the prefix:
@@ -363,17 +402,10 @@ impl MaxSatSolver {
     /// Runs Fu–Malik / WPM1. Returns `None` when the budget runs out.
     fn solve_fu_malik(
         &mut self,
+        solver: &mut Solver,
         instance: &MaxSatInstance,
-        budget: Budget,
     ) -> Option<MaxSatResult> {
-        let mut solver = Solver::new();
-        solver.ensure_vars(instance.num_vars());
-        for clause in instance.hard().iter() {
-            if !solver.add_clause(clause.lits().iter().copied()) {
-                return Some(MaxSatResult::HardUnsat);
-            }
-        }
-
+        let budget = self.budget;
         // Working representation of each (possibly relaxed / split) soft
         // clause: its literals, remaining weight and current selector.
         struct WorkSoft {
@@ -409,16 +441,14 @@ impl MaxSatSolver {
         loop {
             debug_assert_eq!(assumptions.len(), work.len());
             self.stats.sat_calls += 1;
-            match Self::sat_call(&mut solver, &assumptions, budget)? {
+            match self.sat_call(solver, &assumptions, budget)? {
                 SatResult::Sat => {
-                    let model = truncate_model(&solver, instance.num_vars());
+                    let model = truncate_model(solver, instance.num_vars());
                     // The WPM1 invariant makes every model under the final
                     // assumptions exactly optimal, so the canonical greedy
                     // can run directly on the warm solver.
-                    let model =
-                        self.canonicalize(&mut solver, instance, &assumptions, model, budget)?;
+                    let model = self.canonicalize(solver, instance, &assumptions, model, budget)?;
                     let falsified = falsified_soft(instance, &model);
-                    self.stats.capture_solver(&solver);
                     return Some(MaxSatResult::Optimum(MaxSatSolution {
                         cost,
                         model,
@@ -442,7 +472,7 @@ impl MaxSatSolver {
                     // re-solve could only recoup a few binary clauses.
                     if self.core_trimming && core.len() > PAIRWISE_AT_MOST_ONE_MAX {
                         self.stats.sat_calls += 1;
-                        match Self::sat_call(&mut solver, &core, budget)? {
+                        match self.sat_call(solver, &core, budget)? {
                             SatResult::Unsat => {
                                 let trimmed = solver.unsat_core();
                                 if trimmed.len() < core.len() {
@@ -505,7 +535,7 @@ impl MaxSatSolver {
                             assumptions.push(new_selector);
                         }
                     }
-                    encode_exactly_one(&mut solver, &relax_vars);
+                    encode_exactly_one(solver, &relax_vars);
                 }
             }
         }
@@ -513,14 +543,8 @@ impl MaxSatSolver {
 
     /// Runs linear SAT–UNSAT search. When the budget runs out after the
     /// first model, the best model so far becomes the anytime answer.
-    fn solve_linear(&mut self, instance: &MaxSatInstance, budget: Budget) -> MaxSatResult {
-        let mut solver = Solver::new();
-        solver.ensure_vars(instance.num_vars());
-        for clause in instance.hard().iter() {
-            if !solver.add_clause(clause.lits().iter().copied()) {
-                return MaxSatResult::HardUnsat;
-            }
-        }
+    fn solve_linear(&mut self, solver: &mut Solver, instance: &MaxSatInstance) -> MaxSatResult {
+        let budget = self.budget;
         // Relax every soft clause up front.
         let mut weighted_relax: Vec<(Lit, u64)> = Vec::new();
         let mut base_cost = 0u64;
@@ -537,26 +561,26 @@ impl MaxSatSolver {
         }
 
         self.stats.sat_calls += 1;
-        match Self::sat_call(&mut solver, &[], budget) {
+        match self.sat_call(solver, &[], budget) {
             None => return MaxSatResult::Expired,
             Some(SatResult::Unsat) => return MaxSatResult::HardUnsat,
             Some(SatResult::Sat) => {}
         }
         // `cost_of` already counts empty soft clauses (they evaluate to
         // false), so `base_cost` is only used to shift the totalizer bound.
-        let mut best_model = truncate_model(&solver, instance.num_vars());
+        let mut best_model = truncate_model(solver, instance.num_vars());
         let mut best_cost = instance
             .cost_of(&best_model)
             .expect("SAT model satisfies hard clauses");
 
         if best_cost > base_cost {
-            let gte = GeneralizedTotalizer::new(&mut solver, &weighted_relax);
+            let gte = GeneralizedTotalizer::new(solver, &weighted_relax);
             while best_cost > base_cost {
                 let assumptions = gte.at_most(best_cost - base_cost - 1);
                 self.stats.sat_calls += 1;
-                match Self::sat_call(&mut solver, &assumptions, budget) {
+                match self.sat_call(solver, &assumptions, budget) {
                     Some(SatResult::Sat) => {
-                        let model = truncate_model(&solver, instance.num_vars());
+                        let model = truncate_model(solver, instance.num_vars());
                         let cost = instance
                             .cost_of(&model)
                             .expect("SAT model satisfies hard clauses");
@@ -565,7 +589,10 @@ impl MaxSatSolver {
                         best_model = model;
                     }
                     Some(SatResult::Unsat) => break,
-                    None => return anytime_result(instance, best_cost, best_model),
+                    None => {
+                        let bound = gte.at_most(best_cost - base_cost);
+                        return self.refine_anytime(solver, instance, &bound, best_model);
+                    }
                 }
             }
             // Canonical refinement: under `at_most(best_cost - base_cost)`
@@ -575,18 +602,47 @@ impl MaxSatSolver {
             // unique.
             if best_cost > base_cost {
                 let bound = gte.at_most(best_cost - base_cost);
-                match self.canonicalize(&mut solver, instance, &bound, best_model.clone(), budget) {
+                match self.canonicalize(solver, instance, &bound, best_model.clone(), budget) {
                     Some(model) => best_model = model,
-                    None => return anytime_result(instance, best_cost, best_model),
+                    None => return self.refine_anytime(solver, instance, &bound, best_model),
                 }
             }
         }
 
-        self.stats.capture_solver(&solver);
         let falsified = falsified_soft(instance, &best_model);
         MaxSatResult::Optimum(MaxSatSolution {
             cost: best_cost,
             model: best_model,
+            falsified,
+        })
+    }
+
+    /// Builds the answer of a linear search whose budget ran out holding
+    /// `model`: that model, canonically refined on the warm solver under
+    /// `bound`, the totalizer bound pinning the falsified weight at the
+    /// model's cost. The reported CoMSS is then the unique representative
+    /// of that *upper bound*: the least falsified set, in `SoftId` order,
+    /// among models no costlier. The refinement runs unbudgeted: it is a
+    /// bounded greedy walk (one cheap SAT call per soft clause the witness
+    /// falsifies), so honouring the already-spent budget would only replace
+    /// a useful answer with none.
+    fn refine_anytime(
+        &mut self,
+        solver: &mut Solver,
+        instance: &MaxSatInstance,
+        bound: &[Lit],
+        model: Vec<bool>,
+    ) -> MaxSatResult {
+        let model = self
+            .canonicalize(solver, instance, bound, model, Budget::UNLIMITED)
+            .expect("an unbudgeted refinement completes");
+        let cost = instance
+            .cost_of(&model)
+            .expect("SAT model satisfies hard clauses");
+        let falsified = falsified_soft(instance, &model);
+        MaxSatResult::Anytime(MaxSatSolution {
+            cost,
+            model,
             falsified,
         })
     }
@@ -595,89 +651,6 @@ impl MaxSatSolver {
 /// Convenience function: solve with the given strategy.
 pub fn solve(instance: &MaxSatInstance, strategy: Strategy) -> MaxSatResult {
     MaxSatSolver::new(strategy).solve(instance)
-}
-
-/// Builds the answer of a solve whose budget ran out after it found a model
-/// of cost `cost`: that model, canonically refined at its own cost, so the
-/// reported CoMSS is the unique representative of that *upper bound*. The
-/// refinement runs unbudgeted on a fresh solver: it is a bounded greedy walk
-/// (one cheap SAT call per soft clause the witness falsifies, under a
-/// totalizer pinning the cost), so honouring the already-spent deadline would
-/// only replace a useful answer with none.
-fn anytime_result(instance: &MaxSatInstance, cost: u64, model: Vec<bool>) -> MaxSatResult {
-    let falsified = falsified_soft(instance, &model);
-    MaxSatResult::Anytime(canonical_refine_fresh(
-        instance,
-        MaxSatSolution {
-            cost,
-            model,
-            falsified,
-        },
-    ))
-}
-
-/// Canonicalizes a solution of known cost against a fresh solver: hard
-/// clauses plus one assumable satisfaction indicator per soft clause, with a
-/// generalized-totalizer bound pinning the falsified weight at that cost.
-/// Used where no warm all-models-at-this-cost solver state is available.
-fn canonical_refine_fresh(instance: &MaxSatInstance, solution: MaxSatSolution) -> MaxSatSolution {
-    let mut solver = Solver::new();
-    solver.ensure_vars(instance.num_vars());
-    for clause in instance.hard().iter() {
-        if !solver.add_clause(clause.lits().iter().copied()) {
-            return solution; // Unreachable: the instance has a model.
-        }
-    }
-    let mut base_cost = 0u64;
-    let mut pins: Vec<Option<Lit>> = Vec::with_capacity(instance.num_soft());
-    let mut weighted: Vec<(Lit, u64)> = Vec::new();
-    for soft in instance.soft_clauses() {
-        if soft.clause.is_empty() {
-            base_cost += soft.weight;
-            pins.push(None);
-            continue;
-        }
-        let pin = if soft.clause.len() == 1 {
-            soft.clause.lits()[0]
-        } else {
-            let t = solver.new_var().positive();
-            let mut lits = vec![!t];
-            lits.extend_from_slice(soft.clause.lits());
-            solver.add_clause(lits);
-            t
-        };
-        // `¬pin` over-approximates "falsified", so the bound below admits
-        // every true optimum (set each indicator to its clause's value) and
-        // rejects everything costlier.
-        weighted.push((!pin, soft.weight));
-        pins.push(Some(pin));
-    }
-    if solution.cost <= base_cost {
-        return solution; // Every non-empty soft is satisfied: unique.
-    }
-    let gte = GeneralizedTotalizer::new(&mut solver, &weighted);
-    let mut assumptions = gte.at_most(solution.cost - base_cost);
-    let mut witness = solution.model;
-    witness.resize(instance.num_vars(), false);
-    for (soft, pin) in instance.soft_clauses().iter().zip(&pins) {
-        let Some(pin) = pin else { continue };
-        assumptions.push(*pin);
-        if soft.clause.eval(&witness) {
-            continue;
-        }
-        match solver.solve_assuming(&assumptions) {
-            SatResult::Sat => witness = truncate_model(&solver, instance.num_vars()),
-            SatResult::Unsat => {
-                assumptions.pop();
-            }
-        }
-    }
-    let falsified = falsified_soft(instance, &witness);
-    MaxSatSolution {
-        cost: solution.cost,
-        model: witness,
-        falsified,
-    }
 }
 
 fn truncate_model(solver: &Solver, num_vars: usize) -> Vec<bool> {
@@ -780,6 +753,16 @@ mod tests {
         let (a, b) = both_strategies(&inst);
         assert!(a.is_hard_unsat());
         assert!(b.is_hard_unsat());
+        // A refutation found while loading is definitive even when the
+        // budget is already spent.
+        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
+            let mut solver = MaxSatSolver::new(strategy);
+            solver.set_budget(Budget {
+                deadline: None,
+                conflict_cap: Some(0),
+            });
+            assert!(solver.solve(&inst).is_hard_unsat(), "{strategy:?}");
+        }
     }
 
     #[test]
@@ -1015,6 +998,74 @@ mod tests {
         );
         let blamed = (PIGEONS - solution.cost as usize..PIGEONS).map(SoftId);
         assert_eq!(solution.falsified, blamed.collect::<Vec<_>>());
+    }
+
+    /// Two solves on one loaded SAT solver, the way the localizer
+    /// enumerates: pigeonhole with one pigeon too many, then the first
+    /// answer's blamed pigeon made hard and the other pigeons soft again.
+    /// Returns each solve's result and stats, plus the solver's cumulative
+    /// conflict count.
+    fn two_ranks_on_one_solver(
+        strategy: Strategy,
+        budget: Budget,
+    ) -> (Vec<(MaxSatResult, MaxSatStats)>, u64) {
+        const PIGEONS: usize = 7;
+        const HOLES: usize = PIGEONS - 1;
+        let at = |p: usize, h: usize| sat::Var::from_index(p * HOLES + h).positive();
+        let mut inst = MaxSatInstance::new();
+        inst.ensure_vars(PIGEONS * HOLES);
+        for h in 0..HOLES {
+            for p in 0..PIGEONS {
+                for q in p + 1..PIGEONS {
+                    inst.add_hard(vec![!at(p, h), !at(q, h)]);
+                }
+            }
+        }
+        let placed = |p: usize| (0..HOLES).map(|h| at(p, h)).collect::<Vec<_>>();
+        for p in 0..PIGEONS {
+            inst.add_soft(placed(p), 1);
+        }
+        let mut sat = Solver::from_formula(inst.hard());
+        let mut solver = MaxSatSolver::new(strategy);
+        solver.set_budget(budget);
+        let first = solver.solve_loaded(&mut sat, &inst);
+        let first_stats = solver.stats();
+        let blamed = first.solution().expect("first rank").falsified[0].index();
+        sat.add_clause(placed(blamed));
+        inst.add_hard(placed(blamed));
+        inst.clear_soft();
+        for p in (0..PIGEONS).filter(|&p| p != blamed) {
+            inst.add_soft(placed(p), 1);
+        }
+        let second = solver.solve_loaded(&mut sat, &inst);
+        let ranks = vec![(first, first_stats), (second, solver.stats())];
+        (ranks, sat.stats().conflicts)
+    }
+
+    #[test]
+    fn conflict_cap_and_stats_are_per_solve_on_a_shared_solver() {
+        // A cap at least each solve's own conflicts but below their sum:
+        // measured from each solve's start, it lets both solves finish; a
+        // cap on the solver's cumulative count would cut the second one.
+        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
+            let (free, total) = two_ranks_on_one_solver(strategy, Budget::UNLIMITED);
+            let (c1, c2) = (free[0].1.conflicts, free[1].1.conflicts);
+            assert_eq!(c1 + c2, total, "{strategy:?}: stats are per-solve deltas");
+            assert!(c1.min(c2) > 1, "{strategy:?}: {c1} and {c2} conflicts");
+            let cap = c1.max(c2) + 1;
+            assert!(cap < c1 + c2);
+            let budget = Budget {
+                deadline: None,
+                conflict_cap: Some(cap),
+            };
+            let (capped, _) = two_ranks_on_one_solver(strategy, budget);
+            for ((result, stats), (free_result, free_stats)) in capped.iter().zip(&free) {
+                assert!(result.optimum().is_some(), "{strategy:?}: {result:?}");
+                assert_eq!(result, free_result, "{strategy:?}");
+                assert_eq!(stats.sat_calls, free_stats.sat_calls, "{strategy:?}");
+                assert_eq!(stats.conflicts, free_stats.conflicts, "{strategy:?}");
+            }
+        }
     }
 
     #[test]
