@@ -112,3 +112,52 @@ fn comss_is_a_correction_set() {
         }
     }
 }
+
+/// The brute-force canonical CoMSS: among the assignments satisfying every
+/// hard clause at the least falsified weight, the falsified set that keeps
+/// the lowest soft ids satisfied (the lexicographically least falsified
+/// indicator vector). `None` when the hard clauses are unsatisfiable.
+fn brute_force_canonical(
+    hard: &CnfFormula,
+    soft: &[(Clause, u64)],
+    n: usize,
+) -> Option<Vec<usize>> {
+    let mut best: Option<(u64, Vec<bool>)> = None;
+    for bits in 0u64..(1u64 << n) {
+        let assignment: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
+        if !hard.eval(&assignment) {
+            continue;
+        }
+        let falsified: Vec<bool> = soft.iter().map(|(c, _)| !c.eval(&assignment)).collect();
+        let cost: u64 = soft
+            .iter()
+            .zip(&falsified)
+            .filter(|(_, &f)| f)
+            .map(|((_, w), _)| *w)
+            .sum();
+        let key = (cost, falsified);
+        if best.as_ref().is_none_or(|b| key < *b) {
+            best = Some(key);
+        }
+    }
+    best.map(|(_, falsified)| (0..falsified.len()).filter(|&i| falsified[i]).collect())
+}
+
+#[test]
+fn falsified_set_is_the_brute_force_canonical_comss() {
+    let mut rng = SplitMix64::seed_from_u64(0x1CA5);
+    for case in 0..128 {
+        let raw = random_instance(&mut rng, 6);
+        let (inst, hard, soft) = to_instance(&raw);
+        let expected = brute_force_canonical(&hard, &soft, raw.num_vars);
+        for strategy in [MsStrategy::FuMalik, MsStrategy::LinearSatUnsat] {
+            let got = solve(&inst, strategy).into_optimum().map(|sol| {
+                sol.falsified
+                    .iter()
+                    .map(|id| id.index())
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(got, expected, "case {case}, strategy {strategy:?}: {raw:?}");
+        }
+    }
+}

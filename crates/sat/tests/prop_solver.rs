@@ -97,3 +97,120 @@ fn incremental_solving_is_consistent() {
         assert_eq!(solver.solve(), expected, "case {case}");
     }
 }
+
+/// A random literal over the first `num_vars` variables.
+fn random_lit(rng: &mut SplitMix64, num_vars: usize) -> Lit {
+    Var::from_index(rng.gen_range(0..num_vars)).lit(rng.gen_bool(0.5))
+}
+
+/// Checks one `solve_assuming` answer against brute force on `cnf` plus the
+/// assumptions as units: the verdict agrees, a model satisfies the formula
+/// and every assumption, and a core is a subset of the assumptions that is
+/// unsatisfiable on its own.
+fn check_answer(
+    solver: &Solver,
+    cnf: &CnfFormula,
+    assumptions: &[Lit],
+    result: SatResult,
+    at: &str,
+) {
+    let mut constrained = cnf.clone();
+    for &lit in assumptions {
+        constrained.add_unit(lit);
+    }
+    let reference = brute_force_satisfiable(&constrained);
+    match result {
+        SatResult::Sat => {
+            assert!(reference.is_some(), "{at}: SAT but brute force UNSAT");
+            let model = solver.model();
+            assert!(
+                constrained.eval(&model),
+                "{at}: model violates formula or assumptions"
+            );
+        }
+        SatResult::Unsat => {
+            assert!(reference.is_none(), "{at}: UNSAT but brute force SAT");
+            let core = solver.unsat_core().to_vec();
+            assert!(
+                core.iter().all(|l| assumptions.contains(l)),
+                "{at}: core {core:?} not within {assumptions:?}"
+            );
+            let mut check = cnf.clone();
+            for &lit in &core {
+                check.add_unit(lit);
+            }
+            assert!(
+                brute_force_satisfiable(&check).is_none(),
+                "{at}: core {core:?} is satisfiable"
+            );
+        }
+    }
+}
+
+/// Sequences of calls on one solver whose assumption lists share, extend,
+/// shorten and change the previous call's prefix, with clauses and
+/// variables added between calls: every answer must match brute force.
+#[test]
+fn incremental_calls_match_brute_force() {
+    let mut rng = SplitMix64::seed_from_u64(0x5EC5);
+    for case in 0..96 {
+        let mut cnf = random_cnf(&mut rng, 7, 18);
+        let mut solver = Solver::from_formula(&cnf);
+        solver.ensure_vars(cnf.num_vars());
+        let mut assumptions: Vec<Lit> = Vec::new();
+        for step in 0..24 {
+            let num_vars = cnf.num_vars();
+            match rng.gen_range(0u32..8) {
+                // Same assumptions as last call.
+                0 => {}
+                // Extend the prefix.
+                1 | 2 => {
+                    for _ in 0..rng.gen_range(1usize..=3) {
+                        assumptions.push(random_lit(&mut rng, num_vars));
+                    }
+                }
+                // Shorten it.
+                3 => {
+                    let keep = rng.gen_range(0..=assumptions.len());
+                    assumptions.truncate(keep);
+                }
+                // Change one position, keeping what precedes it.
+                4 if !assumptions.is_empty() => {
+                    let at = rng.gen_range(0..assumptions.len());
+                    assumptions[at] = random_lit(&mut rng, num_vars);
+                }
+                // A clause added between calls.
+                5 => {
+                    let len = rng.gen_range(1usize..=3);
+                    let lits: Vec<Lit> = (0..len).map(|_| random_lit(&mut rng, num_vars)).collect();
+                    solver.add_clause(lits.iter().copied());
+                    cnf.add_clause(lits);
+                }
+                // A fresh variable, sometimes tied to the formula at once.
+                6 if num_vars < 10 => {
+                    let fresh = solver.new_var();
+                    assert_eq!(cnf.new_var(), fresh);
+                    if rng.gen_bool(0.5) {
+                        let lits =
+                            vec![fresh.lit(rng.gen_bool(0.5)), random_lit(&mut rng, num_vars)];
+                        solver.add_clause(lits.iter().copied());
+                        cnf.add_clause(lits);
+                    }
+                }
+                _ => {
+                    assumptions = (0..rng.gen_range(0usize..=4))
+                        .map(|_| random_lit(&mut rng, num_vars))
+                        .collect()
+                }
+            }
+            let result = solver.solve_assuming(&assumptions);
+            check_answer(
+                &solver,
+                &cnf,
+                &assumptions,
+                result,
+                &format!("case {case}, step {step}"),
+            );
+        }
+    }
+}
