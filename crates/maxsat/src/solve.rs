@@ -20,12 +20,18 @@
 //! [`SoftId`]s satisfied ([`MaxSatSolver::set_canonical`]) — so the reported
 //! CoMSS is a function of the instance's semantics, identical across
 //! strategies and across different CNF representations of the same
-//! projection (hash-consed or not, preprocessed or not).
+//! projection (hash-consed or not, preprocessed or not). The refinement is
+//! one SAT call on the warm solver: under the assumptions that fix the
+//! optimal cost, it decides every soft clause satisfied in [`SoftId`] order
+//! before any other decision, and its first model is the canonical optimum.
 
 use crate::budget::Budget;
 use crate::encodings::{encode_exactly_one, GeneralizedTotalizer, PAIRWISE_AT_MOST_ONE_MAX};
 use crate::instance::{MaxSatInstance, SoftId};
 use sat::{Lit, SatResult, Solver, SolverStats};
+
+#[cfg(test)]
+mod greedy_oracle;
 
 /// Which algorithm to use for a [`solve`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
@@ -197,6 +203,10 @@ pub struct MaxSatSolver {
     /// Refine every optimum into the canonical one (see
     /// [`MaxSatSolver::set_canonical`]).
     canonical: bool,
+    /// Refine with the greedy per-soft walk instead of the one-call
+    /// refinement: the test oracle of [`MaxSatSolver::canonicalize`].
+    #[cfg(test)]
+    greedy_oracle: bool,
     /// Trim each Fu–Malik core with one re-solve before relaxing it (see
     /// [`MaxSatSolver::set_core_trimming`]).
     core_trimming: bool,
@@ -221,6 +231,8 @@ impl MaxSatSolver {
             strategy,
             stats: MaxSatStats::default(),
             canonical: true,
+            #[cfg(test)]
+            greedy_oracle: false,
             core_trimming: true,
             budget: Budget::UNLIMITED,
             start: SolverStats::default(),
@@ -311,15 +323,19 @@ impl MaxSatSolver {
     }
 
     /// Dispatches one SAT call under `budget`, polling its deadline and
-    /// conflict cap at restart boundaries. `None` means the budget ran out.
+    /// conflict cap at restart boundaries, with `decide_first` decided true
+    /// in order after the assumptions (see
+    /// [`Solver::solve_assuming_budgeted`]). `None` means the budget ran
+    /// out.
     fn sat_call(
         &self,
         solver: &mut Solver,
         assumptions: &[Lit],
+        decide_first: &[Lit],
         budget: Budget,
     ) -> Option<SatResult> {
         if budget.is_unlimited() {
-            return Some(solver.solve_assuming(assumptions));
+            return solver.solve_assuming_budgeted(assumptions, decide_first, None, None);
         }
         // The conflict cap bounds the whole solve. The SAT solver's conflict
         // counter is cumulative across its calls and across earlier solves
@@ -330,21 +346,21 @@ impl MaxSatSolver {
         if remaining == Some(0) || budget.deadline_expired() {
             return None;
         }
-        solver.solve_assuming_budgeted(assumptions, budget.deadline, remaining)
+        solver.solve_assuming_budgeted(assumptions, decide_first, budget.deadline, remaining)
     }
 
-    /// Refines an optimal model into the **canonical** optimum: among all
-    /// solutions of the proven-optimal cost, the one that keeps the
-    /// lowest-identified soft clauses satisfied (pushing unavoidable blame
-    /// onto the highest [`SoftId`]s). Both complete strategies end in a
-    /// solver state whose models — under the final assumptions — all carry
-    /// exactly the optimal cost, so the refinement is a cheap greedy walk on
-    /// that *warm* solver: pin each soft satisfied in `SoftId` order,
-    /// consulting the current witness model first (a soft the witness
-    /// already satisfies is pinned for free) and asking the solver only when
-    /// the witness disagrees; every SAT answer installs a better witness,
-    /// every UNSAT answer proves the soft is falsified in *all* optima
-    /// consistent with the pinned prefix.
+    /// Finds the **canonical** optimum: among the models of the hard clauses
+    /// under `assumptions`, the one that keeps the lowest-identified soft
+    /// clauses satisfied (pushing unavoidable blame onto the highest
+    /// [`SoftId`]s). Both complete strategies end in a solver state whose
+    /// models under their final assumptions all carry exactly the optimal
+    /// cost, so this is one SAT call on that *warm* solver. The call keeps
+    /// the final assumptions, so the solver's kept trail spares their
+    /// propagation, and decides one pin per soft clause true, in `SoftId`
+    /// order, before any other decision. Its first model is the
+    /// lexicographic optimum over the pins: a pin left false is implied by
+    /// the assumptions and the earlier pins, so no model that agrees on
+    /// those earlier pins can satisfy its soft clause.
     ///
     /// The canonical optimum is a semantic object — a function of the
     /// instance, not of the search path — so both strategies, different
@@ -355,48 +371,23 @@ impl MaxSatSolver {
         &mut self,
         solver: &mut Solver,
         instance: &MaxSatInstance,
-        base_assumptions: &[Lit],
-        witness: Vec<bool>,
+        assumptions: &[Lit],
         budget: Budget,
     ) -> Option<Vec<bool>> {
-        if !self.canonical {
-            return Some(witness);
+        #[cfg(test)]
+        if self.greedy_oracle {
+            return greedy_oracle::canonicalize(self, solver, instance, assumptions, budget);
         }
-        let mut witness = witness;
-        let mut assumptions = base_assumptions.to_vec();
-        for soft in instance.soft_clauses() {
-            if soft.clause.is_empty() {
-                continue; // Unconditionally falsified; nothing to pin.
-            }
-            // Pinning "this soft is satisfied" needs a single assumable
-            // literal: the literal itself for unit softs, otherwise a fresh
-            // indicator t with t → clause.
-            let pin = if soft.clause.len() == 1 {
-                soft.clause.lits()[0]
-            } else {
-                let t = solver.new_var().positive();
-                let mut lits = vec![!t];
-                lits.extend_from_slice(soft.clause.lits());
-                solver.add_clause(lits);
-                t
-            };
-            if soft.clause.eval(&witness) {
-                assumptions.push(pin);
-                continue;
-            }
-            assumptions.push(pin);
-            self.stats.sat_calls += 1;
-            match self.sat_call(solver, &assumptions, budget)? {
-                SatResult::Sat => witness = truncate_model(solver, instance.num_vars()),
-                SatResult::Unsat => {
-                    // Falsified in every optimum consistent with the prefix:
-                    // canonical blame. (The witness already falsifies it, so
-                    // it stays a model of the remaining assumptions.)
-                    assumptions.pop();
-                }
-            }
-        }
-        Some(witness)
+        let pins: Vec<Lit> = instance
+            .soft_clauses()
+            .iter()
+            .filter(|soft| !soft.clause.is_empty())
+            .map(|soft| pin(solver, &soft.clause))
+            .collect();
+        self.stats.sat_calls += 1;
+        let result = self.sat_call(solver, assumptions, &pins, budget)?;
+        assert!(result.is_sat(), "the optimum's assumptions have a model");
+        Some(truncate_model(solver, instance.num_vars()))
     }
 
     /// Runs Fu–Malik / WPM1. Returns `None` when the budget runs out.
@@ -441,13 +432,16 @@ impl MaxSatSolver {
         loop {
             debug_assert_eq!(assumptions.len(), work.len());
             self.stats.sat_calls += 1;
-            match self.sat_call(solver, &assumptions, budget)? {
+            match self.sat_call(solver, &assumptions, &[], budget)? {
                 SatResult::Sat => {
-                    let model = truncate_model(solver, instance.num_vars());
                     // The WPM1 invariant makes every model under the final
-                    // assumptions exactly optimal, so the canonical greedy
-                    // can run directly on the warm solver.
-                    let model = self.canonicalize(solver, instance, &assumptions, model, budget)?;
+                    // assumptions exactly optimal, so the canonical
+                    // refinement runs under them on the warm solver.
+                    let model = if self.canonical {
+                        self.canonicalize(solver, instance, &assumptions, budget)?
+                    } else {
+                        truncate_model(solver, instance.num_vars())
+                    };
                     let falsified = falsified_soft(instance, &model);
                     return Some(MaxSatResult::Optimum(MaxSatSolution {
                         cost,
@@ -472,7 +466,7 @@ impl MaxSatSolver {
                     // re-solve could only recoup a few binary clauses.
                     if self.core_trimming && core.len() > PAIRWISE_AT_MOST_ONE_MAX {
                         self.stats.sat_calls += 1;
-                        match self.sat_call(solver, &core, budget)? {
+                        match self.sat_call(solver, &core, &[], budget)? {
                             SatResult::Unsat => {
                                 let trimmed = solver.unsat_core();
                                 if trimmed.len() < core.len() {
@@ -561,7 +555,7 @@ impl MaxSatSolver {
         }
 
         self.stats.sat_calls += 1;
-        match self.sat_call(solver, &[], budget) {
+        match self.sat_call(solver, &[], &[], budget) {
             None => return MaxSatResult::Expired,
             Some(SatResult::Unsat) => return MaxSatResult::HardUnsat,
             Some(SatResult::Sat) => {}
@@ -578,7 +572,7 @@ impl MaxSatSolver {
             while best_cost > base_cost {
                 let assumptions = gte.at_most(best_cost - base_cost - 1);
                 self.stats.sat_calls += 1;
-                match self.sat_call(solver, &assumptions, budget) {
+                match self.sat_call(solver, &assumptions, &[], budget) {
                     Some(SatResult::Sat) => {
                         let model = truncate_model(solver, instance.num_vars());
                         let cost = instance
@@ -597,12 +591,12 @@ impl MaxSatSolver {
             }
             // Canonical refinement: under `at_most(best_cost - base_cost)`
             // every model of the relaxed formula costs exactly the (now
-            // proven) optimum, so the greedy walks the warm solver. At the
-            // base cost the falsified set is the empty softs alone — already
-            // unique.
-            if best_cost > base_cost {
+            // proven) optimum, so the refinement runs under that bound on
+            // the warm solver. At the base cost the falsified set is the
+            // empty softs alone — already unique.
+            if self.canonical && best_cost > base_cost {
                 let bound = gte.at_most(best_cost - base_cost);
-                match self.canonicalize(solver, instance, &bound, best_model.clone(), budget) {
+                match self.canonicalize(solver, instance, &bound, budget) {
                     Some(model) => best_model = model,
                     None => return self.refine_anytime(solver, instance, &bound, best_model),
                 }
@@ -618,14 +612,14 @@ impl MaxSatSolver {
     }
 
     /// Builds the answer of a linear search whose budget ran out holding
-    /// `model`: that model, canonically refined on the warm solver under
-    /// `bound`, the totalizer bound pinning the falsified weight at the
-    /// model's cost. The reported CoMSS is then the unique representative
-    /// of that *upper bound*: the least falsified set, in `SoftId` order,
-    /// among models no costlier. The refinement runs unbudgeted: it is a
-    /// bounded greedy walk (one cheap SAT call per soft clause the witness
-    /// falsifies), so honouring the already-spent budget would only replace
-    /// a useful answer with none.
+    /// `model`: with canonical refinement on, the canonical model on the
+    /// warm solver under `bound`, the totalizer bound pinning the falsified
+    /// weight at `model`'s cost. The reported CoMSS is then the unique
+    /// representative of that *upper bound*: the least falsified set, in
+    /// `SoftId` order, among models no costlier. The refinement runs
+    /// unbudgeted: it is one SAT call whose models `model` proves exist, so
+    /// honouring the already-spent budget would only replace a useful
+    /// answer with none.
     fn refine_anytime(
         &mut self,
         solver: &mut Solver,
@@ -633,9 +627,12 @@ impl MaxSatSolver {
         bound: &[Lit],
         model: Vec<bool>,
     ) -> MaxSatResult {
-        let model = self
-            .canonicalize(solver, instance, bound, model, Budget::UNLIMITED)
-            .expect("an unbudgeted refinement completes");
+        let model = if self.canonical {
+            self.canonicalize(solver, instance, bound, Budget::UNLIMITED)
+                .expect("an unbudgeted refinement completes")
+        } else {
+            model
+        };
         let cost = instance
             .cost_of(&model)
             .expect("SAT model satisfies hard clauses");
@@ -651,6 +648,19 @@ impl MaxSatSolver {
 /// Convenience function: solve with the given strategy.
 pub fn solve(instance: &MaxSatInstance, strategy: Strategy) -> MaxSatResult {
     MaxSatSolver::new(strategy).solve(instance)
+}
+
+/// A literal that, assumed or decided true, makes `clause` satisfied: the
+/// literal itself for a unit clause, otherwise a fresh indicator `t` with
+/// `t → clause`. The indicator occurs nowhere else, so the clause it adds
+/// never constrains a later solve.
+fn pin(solver: &mut Solver, clause: &sat::Clause) -> Lit {
+    if let [lit] = clause.lits() {
+        return *lit;
+    }
+    let t = solver.new_var().positive();
+    solver.add_clause(std::iter::once(!t).chain(clause.lits().iter().copied()));
+    t
 }
 
 fn truncate_model(solver: &Solver, num_vars: usize) -> Vec<bool> {

@@ -7,6 +7,15 @@
 //! responsible for unsatisfiability (the "final conflict", used as an
 //! unsatisfiable core by the MAX-SAT engine).
 //!
+//! A call keeps its trail when it returns. The next call backtracks only to
+//! the first assumption that differs from the previous call's, so a run of
+//! calls sharing an assumption prefix propagates that prefix once (Hickey &
+//! Bacchus, *Speeding Up Assumption-Based SAT*, SAT 2019). A call may also
+//! name literals to decide true, in order, right after the assumptions and
+//! before any VSIDS decision; its model is then the lexicographically best
+//! one over those literals (Giunchiglia & Maratea, *Solving Optimization
+//! Problems with DLL*, ECAI 2006).
+//!
 //! The clause database is a flat [`ClauseArena`]: clauses are slices of one
 //! contiguous `u32` buffer addressed by [`ClauseRef`]s, the hot loops
 //! (`propagate`, `analyze`) never allocate, and the learnt-clause database is
@@ -147,6 +156,9 @@ pub struct Solver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
+    /// The previous call's assumptions. Decision level `i + 1` of the kept
+    /// trail holds `assumed[i]`, for every level up to `assumed.len()`.
+    assumed: Vec<Lit>,
 
     var_inc: f64,
     var_decay: f64,
@@ -196,6 +208,7 @@ impl Solver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
+            assumed: Vec::new(),
             var_inc: 1.0,
             var_decay: 0.95,
             cla_inc: 1.0,
@@ -303,12 +316,13 @@ impl Solver {
     /// top-level conflict followed).
     ///
     /// Tautological clauses are silently dropped; literals already falsified
-    /// at the top level are removed.
+    /// at the top level are removed. The trail a previous call kept is
+    /// dropped first, so the next call starts from level 0.
     pub fn add_clause<I>(&mut self, lits: I) -> bool
     where
         I: IntoIterator<Item = Lit>,
     {
-        debug_assert_eq!(self.decision_level(), 0);
+        self.cancel_until(0);
         if !self.ok {
             return false;
         }
@@ -800,8 +814,18 @@ impl Solver {
     /// One restart-bounded search episode. Returns `LBool::True` if a model
     /// was found, `LBool::False` on (assumption-relative) unsatisfiability,
     /// and `LBool::Undef` if the conflict budget was exhausted.
-    fn search(&mut self, conflict_budget: u64, assumptions: &[Lit]) -> LBool {
+    ///
+    /// Once every assumption holds, the first unassigned literal of
+    /// `decide_first` is decided true before VSIDS picks anything. So the
+    /// decisions on the trail are the assumptions, then `decide_first`
+    /// literals in list order, then VSIDS picks, and a `decide_first`
+    /// literal false on the trail is implied by the assumptions and the
+    /// earlier `decide_first` decisions.
+    fn search(&mut self, conflict_budget: u64, assumptions: &[Lit], decide_first: &[Lit]) -> LBool {
         let mut conflicts = 0u64;
+        // Every `decide_first` literal before this index is assigned; a
+        // backjump may unassign some, so it restarts from 0 after one.
+        let mut first_open = 0;
         loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
@@ -815,6 +839,7 @@ impl Solver {
                 // LBD uses the levels at conflict time, before backjumping.
                 let lbd = self.compute_lbd(&learnt);
                 self.cancel_until(backtrack_level);
+                first_open = 0;
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
@@ -852,13 +877,22 @@ impl Solver {
                 }
                 let next = match next {
                     Some(p) => p,
-                    None => match self.pick_branch_lit() {
-                        Some(p) => {
-                            self.stats.decisions += 1;
-                            p
+                    None => {
+                        while first_open < decide_first.len()
+                            && !self.value(decide_first[first_open]).is_undef()
+                        {
+                            first_open += 1;
                         }
-                        None => return LBool::True,
-                    },
+                        let picked = match decide_first.get(first_open) {
+                            Some(&p) => p,
+                            None => match self.pick_branch_lit() {
+                                Some(p) => p,
+                                None => return LBool::True,
+                            },
+                        };
+                        self.stats.decisions += 1;
+                        picked
+                    }
                 };
                 self.new_decision_level();
                 self.unchecked_enqueue(next, None);
@@ -878,19 +912,47 @@ impl Solver {
     /// returns a subset of `assumptions` that is inconsistent with the clause
     /// database (empty if the database is unsatisfiable on its own).
     pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_assuming_budgeted(assumptions, None, None)
+        self.solve_assuming_budgeted(assumptions, &[], None, None)
             .expect("an unbudgeted solve always completes")
     }
 
-    /// Like [`Solver::solve_assuming`], but gives up once `deadline` has
-    /// passed or more than `max_conflicts` conflicts have been spent *in this
-    /// call*. Both limits are polled at restart boundaries (every few hundred
-    /// conflicts), so overshoot is bounded by one restart interval. `None`
-    /// means the call was cut short; the solver keeps its learnt clauses and
-    /// can resume later.
+    /// Like [`Solver::solve_assuming`], with ordered decisions and a budget.
+    ///
+    /// Once the assumptions hold, each literal of `decide_first` still
+    /// unassigned is decided true, in order, before VSIDS picks anything.
+    /// The model of a [`SatResult::Sat`] answer is then the
+    /// lexicographically best one over `decide_first` among the models of
+    /// the assumptions: a `decide_first` literal is false only when every
+    /// model agreeing with it on the earlier `decide_first` literals
+    /// falsifies it.
+    ///
+    /// The call gives up once `deadline` has passed or more than
+    /// `max_conflicts` conflicts have been spent *in this call*. Both limits
+    /// are polled at restart boundaries (every few hundred conflicts), so
+    /// overshoot is bounded by one restart interval. `None` means the call
+    /// was cut short; the solver keeps its learnt clauses and can resume
+    /// later.
+    ///
+    /// A call that completes keeps its trail. The next call backtracks only
+    /// to the first assumption that differs from this call's, so the shared
+    /// prefix is not propagated again.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sat::{Solver, SatResult};
+    /// let mut solver = Solver::new();
+    /// let a = solver.new_var().positive();
+    /// let b = solver.new_var().positive();
+    /// solver.add_clause([!a, !b]);
+    /// // `a` first: it can hold, so `b` cannot.
+    /// assert_eq!(solver.solve_assuming_budgeted(&[], &[a, b], None, None), Some(SatResult::Sat));
+    /// assert_eq!((solver.model_value(a), solver.model_value(b)), (Some(true), Some(false)));
+    /// ```
     pub fn solve_assuming_budgeted(
         &mut self,
         assumptions: &[Lit],
+        decide_first: &[Lit],
         deadline: Option<std::time::Instant>,
         max_conflicts: Option<u64>,
     ) -> Option<SatResult> {
@@ -900,9 +962,20 @@ impl Solver {
         if !self.ok {
             return Some(SatResult::Unsat);
         }
-        for &lit in assumptions {
+        for &lit in assumptions.iter().chain(decide_first) {
             self.ensure_vars(lit.var().index() + 1);
         }
+        // Keep the levels of the assumption prefix this call shares with the
+        // previous one.
+        let shared = self
+            .assumed
+            .iter()
+            .zip(assumptions)
+            .take_while(|(kept, new)| kept == new)
+            .count();
+        self.cancel_until(shared);
+        self.assumed.clear();
+        self.assumed.extend_from_slice(assumptions);
         self.learnt_cap = self
             .reduce_base
             .unwrap_or_else(|| (self.clauses.len() / 3).max(100));
@@ -923,7 +996,7 @@ impl Solver {
                 }
             }
             let budget = luby(2.0, restarts) * 100.0;
-            let status = self.search(budget as u64, assumptions);
+            let status = self.search(budget as u64, assumptions, decide_first);
             if !status.is_undef() {
                 break status;
             }
@@ -931,16 +1004,14 @@ impl Solver {
             self.stats.restarts += 1;
         };
 
-        let result = match status {
+        Some(match status {
             LBool::True => {
                 self.model = self.assigns.clone();
                 SatResult::Sat
             }
             LBool::False => SatResult::Unsat,
             LBool::Undef => unreachable!("search loop only exits on a definite result"),
-        };
-        self.cancel_until(0);
-        Some(result)
+        })
     }
 
     /// Returns the value of `lit` in the most recent model, or `None` if the
@@ -968,19 +1039,6 @@ impl Solver {
     /// unsatisfiable.
     pub fn unsat_core(&self) -> &[Lit] {
         &self.conflict
-    }
-
-    /// Returns `true` if the literal is assigned at the top level (entailed by
-    /// unit propagation of the clause database alone).
-    pub fn fixed_at_top_level(&self, lit: Lit) -> LBool {
-        if lit.var().index() >= self.num_vars() {
-            return LBool::Undef;
-        }
-        if self.var_level(lit.var()) == 0 {
-            self.value(lit)
-        } else {
-            LBool::Undef
-        }
     }
 }
 
@@ -1313,6 +1371,29 @@ mod tests {
         }
     }
 
+    /// A backjump can unassign `decide_first` literals that were already
+    /// passed over. Here deciding `p0` makes `p1` false; `p0` then turns out
+    /// impossible (each value of `p2` conflicts with it), and the learnt
+    /// unit `!p0` jumps back to level 0. `p1` must be decided true again
+    /// rather than left to VSIDS, whose saved phase for it is false.
+    #[test]
+    fn ordered_decisions_resume_from_the_first_literal_after_a_backjump() {
+        let (mut solver, vars) = make_solver(5);
+        let [p0, p1, p2, x, y] = [0, 1, 2, 3, 4].map(|i| vars[i].positive());
+        solver.add_clause([!p0, !p1]);
+        solver.add_clause([!p0, !p2, x]);
+        solver.add_clause([!p0, !p2, !x]);
+        solver.add_clause([!p0, p2, y]);
+        solver.add_clause([!p0, p2, !y]);
+        let result = solver.solve_assuming_budgeted(&[], &[p0, p1, p2], None, None);
+        assert_eq!(result, Some(SatResult::Sat));
+        let model: Vec<Option<bool>> = [p0, p1, p2]
+            .iter()
+            .map(|&p| solver.model_value(p))
+            .collect();
+        assert_eq!(model, [Some(false), Some(true), Some(true)]);
+    }
+
     /// Budgeted solving gives up (returning `None`) once the per-call
     /// conflict cap or the wall-clock deadline is hit, and the solver stays
     /// usable afterwards: lifting the budget completes the solve.
@@ -1336,13 +1417,19 @@ mod tests {
         // A conflict cap of zero trips at the very first restart boundary.
         let mut solver = Solver::new();
         pigeonhole(&mut solver, 7, 6);
-        assert_eq!(solver.solve_assuming_budgeted(&[], None, Some(0)), None);
+        assert_eq!(
+            solver.solve_assuming_budgeted(&[], &[], None, Some(0)),
+            None
+        );
         // An already-expired deadline does the same.
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        assert_eq!(solver.solve_assuming_budgeted(&[], Some(past), None), None);
+        assert_eq!(
+            solver.solve_assuming_budgeted(&[], &[], Some(past), None),
+            None
+        );
         // With the budget lifted the same solver finishes the proof.
         assert_eq!(
-            solver.solve_assuming_budgeted(&[], None, None),
+            solver.solve_assuming_budgeted(&[], &[], None, None),
             Some(SatResult::Unsat)
         );
     }

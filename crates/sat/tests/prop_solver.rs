@@ -214,3 +214,45 @@ fn incremental_calls_match_brute_force() {
         }
     }
 }
+
+/// With ordered decisions the model is the lexicographically best one over
+/// the `decide_first` literals (true before false, earlier literals first)
+/// among the models of the formula and the assumptions.
+#[test]
+fn ordered_decisions_give_the_lexicographic_optimum() {
+    let mut rng = SplitMix64::seed_from_u64(0x0D0E);
+    for case in 0..128 {
+        let cnf = random_cnf(&mut rng, 8, 24);
+        let assumptions: Vec<Lit> = (0..rng.gen_range(0usize..=2))
+            .map(|_| random_lit(&mut rng, 8))
+            .collect();
+        let decide_first: Vec<Lit> = (0..rng.gen_range(1usize..=6))
+            .map(|_| random_lit(&mut rng, 8))
+            .collect();
+        let mut solver = Solver::from_formula(&cnf);
+        let result = solver.solve_assuming_budgeted(&assumptions, &decide_first, None, None);
+        let mut constrained = cnf.clone();
+        for &lit in &assumptions {
+            constrained.add_unit(lit);
+        }
+        let value = |model: &[bool], lit: Lit| model[lit.var().index()] == lit.is_positive();
+        let best = sat::reference::enumerate_models(&constrained)
+            .into_iter()
+            .map(|m| {
+                decide_first
+                    .iter()
+                    .map(|&l| value(&m, l))
+                    .collect::<Vec<bool>>()
+            })
+            .max();
+        match result.expect("unbudgeted") {
+            SatResult::Sat => {
+                let model = solver.model();
+                assert!(constrained.eval(&model), "case {case}: bad model");
+                let got: Vec<bool> = decide_first.iter().map(|&l| value(&model, l)).collect();
+                assert_eq!(Some(got), best, "case {case}: {decide_first:?}");
+            }
+            SatResult::Unsat => assert_eq!(best, None, "case {case}: UNSAT but models exist"),
+        }
+    }
+}
