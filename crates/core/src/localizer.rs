@@ -364,6 +364,18 @@ pub struct PreparedTemplate {
 }
 
 impl PreparedTemplate {
+    /// The selector literals, in template order.
+    pub fn selector_lits(&self) -> impl Iterator<Item = Lit> + '_ {
+        self.selectors.iter().map(|s| s.0)
+    }
+
+    /// The hard part of the template: the simplified selector-relaxed trace
+    /// formula, or the raw one when the localizer was built with
+    /// `simplify: false`.
+    pub fn hard(&self) -> &sat::CnfFormula {
+        &self.hard
+    }
+
     /// Appends this template to `w` (see [`sat::bytes`]).
     pub fn encode(&self, w: &mut sat::bytes::ByteWriter) {
         w.write_usize(self.selectors.len());

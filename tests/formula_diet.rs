@@ -222,3 +222,113 @@ fn motivating_example_survives_the_full_diet() {
     assert_eq!(after.stats.clauses_subsumed, report.stats.clauses_subsumed);
     assert_eq!(after.stats.hard_clauses, report.stats.hard_clauses);
 }
+
+/// FNV-1a over the simplifier's whole output except its timing: the
+/// simplified clause list, the `ModelReconstruction::encode` bytes and the
+/// `SimplifyStats` counters.
+fn simplify_fingerprint(simplified: &sat::Simplified) -> u64 {
+    let mut w = sat::bytes::ByteWriter::new();
+    simplified.cnf.encode(&mut w);
+    simplified.reconstruction.encode(&mut w);
+    simplified.stats.encode(&mut w);
+    w.into_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Runs `sat::simplify` on the unsimplified template of `program`, freezing
+/// what the localizer freezes (selectors, input bits, property), and
+/// returns `(clauses after, vars eliminated, fingerprint)`.
+fn pinned_simplify(
+    program: &minic::Program,
+    entry: &str,
+    golden: i64,
+    config: LocalizerConfig,
+) -> (usize, u64, u64) {
+    let raw = Localizer::new(
+        program,
+        entry,
+        &Spec::ReturnEquals(golden),
+        &LocalizerConfig {
+            simplify: false,
+            ..config
+        },
+    )
+    .expect("encodes");
+    raw.warm();
+    let template = raw.export_prepared().expect("warm");
+    let mut frozen: Vec<sat::Var> = template.selector_lits().map(|l| l.var()).collect();
+    for (_, bits) in &raw.trace().inputs {
+        frozen.extend(bits.bits().iter().map(|b| b.var()));
+    }
+    frozen.push(raw.trace().property.var());
+    let simplified = sat::simplify(template.hard(), &frozen, &sat::SimplifyConfig::default());
+    (
+        simplified.stats.clauses_after,
+        simplified.stats.vars_eliminated,
+        simplify_fingerprint(&simplified),
+    )
+}
+
+/// The simplifier's output is pinned bit for bit on real trace formulas:
+/// reports, the warm solve path and persisted store records all depend on
+/// it, so a faster simplifier must reproduce it exactly.
+#[test]
+fn simplified_trace_formulas_are_pinned() {
+    let mut seen = Vec::new();
+    let interp = siemens::tcas_interp_config();
+    let vectors = siemens::tcas_test_vectors(400, 2011);
+    for version in siemens::tcas_versions() {
+        if !["v1", "v10", "v20"].contains(&version.name) {
+            continue;
+        }
+        let faulty = version.build(siemens::TCAS_SOURCE);
+        let golden = vectors
+            .iter()
+            .find_map(|input| {
+                let golden = siemens::tcas_golden_output(input);
+                let outcome = bmc::run_program(&faulty, siemens::TCAS_ENTRY, input, &[], interp);
+                (outcome.result != Some(golden) || !outcome.is_ok()).then_some(golden)
+            })
+            .expect("failing vector");
+        let pinned = pinned_simplify(&faulty, siemens::TCAS_ENTRY, golden, tcas_config(false));
+        seen.push((version.name, pinned));
+    }
+    for benchmark in [
+        siemens::printtokens(),
+        siemens::schedule_small(),
+        siemens::schedule2(),
+    ] {
+        let input = benchmark
+            .failing_inputs()
+            .into_iter()
+            .next()
+            .expect("fails");
+        let golden = benchmark.golden_output(&input).expect("golden");
+        let config = LocalizerConfig {
+            encode: EncodeConfig {
+                width: benchmark.width,
+                unwind: benchmark.unwind,
+                max_inline_depth: 16,
+                concretize: benchmark.concretize.clone(),
+                ..EncodeConfig::default()
+            },
+            trusted_lines: benchmark.trusted_lines.clone(),
+            ..LocalizerConfig::default()
+        };
+        let pinned = pinned_simplify(&benchmark.faulty_program(), benchmark.entry, golden, config);
+        seen.push((benchmark.name, pinned));
+    }
+    // (name, (clauses after, vars eliminated, fingerprint))
+    let expected: &[(&str, (usize, u64, u64))] = &[
+        ("v1", (2148, 2335, 0xa6b0d48c2fceff71)),
+        ("v10", (2139, 2327, 0x64e53e1ced003e6b)),
+        ("v20", (2202, 2363, 0x7c52668b64a427a2)),
+        ("print_tokens", (19348, 8313, 0x9ec025a1cd0b56ef)),
+        ("schedule", (13816, 3712, 0xa852828c1ea56d46)),
+        ("schedule2", (61078, 22047, 0xb4386adb8da31e2f)),
+    ];
+    assert_eq!(seen, expected);
+}
