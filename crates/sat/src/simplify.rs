@@ -31,6 +31,34 @@
 //! Everything is deterministic: no hash-map iteration orders leak into the
 //! output, so the same input always produces byte-identical results.
 //!
+//! # Data structures
+//!
+//! The output is a function of the input formula, the frozen set and the
+//! config, and it is pinned bit for bit (clause order, reconstruction bytes,
+//! stats): reports, the warm solve path and persisted prepared formulas all
+//! depend on it. The data structures below only make reaching it cheaper.
+//!
+//! * **Flat clause arena.** All clause literals live back to back in one
+//!   `Vec<Lit>`, each clause described by a small header (offset, length,
+//!   variable signature). Ingestion copies from the input slice with
+//!   stamp-based duplicate/tautology checks; strengthening shifts literals
+//!   in place; removal zeroes the header's length.
+//! * **Lazy occurrence lists with stale counts.** Removal never unlinks a
+//!   clause from its literals' occurrence lists; a per-literal count of the
+//!   stale ids lets cleaning skip lists that have none. Lists are cleaned
+//!   in place and iterated by index; they stay sorted by clause id, which
+//!   is the order every scan visits candidates in.
+//! * **Allocation-free elimination check.** A stamp-based dry run counts
+//!   and length-checks every resolvent of a candidate variable without
+//!   building one; the resolvents are built straight into the arena only
+//!   once the elimination is accepted.
+//! * **Touched-variable scheduling.** A variable whose elimination attempt
+//!   failed is retried in a later pass only after a clause containing it
+//!   was added, strengthened or removed. The attempt reads nothing else,
+//!   so it would fail again, and skipping it leaves the output unchanged.
+//! * **Flat reconstruction.** The clauses saved by eliminations sit back to
+//!   back in one literal vector as well.
+//!
 //! # Examples
 //!
 //! ```
@@ -54,6 +82,7 @@ use crate::bytes::{ByteReader, ByteWriter, DecodeError};
 use crate::cnf::CnfFormula;
 use crate::types::{LBool, Lit, Var};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Tuning knobs of [`simplify`]. The defaults are conservative enough to be
 /// run on every prepared trace formula.
@@ -131,9 +160,10 @@ enum RecStep {
     /// A non-frozen variable was fixed at the root level; clauses mentioning
     /// it were removed or strengthened accordingly.
     Fixed { var: Var, value: bool },
-    /// A variable was resolved away; `clauses` are the clauses that
-    /// contained it at elimination time (needed to pick its value back).
-    Eliminated { var: Var, clauses: Vec<Vec<Lit>> },
+    /// A variable was resolved away; `clauses` indexes the saved clauses
+    /// ([`ModelReconstruction::saved`]) that contained it at elimination
+    /// time (needed to pick its value back).
+    Eliminated { var: Var, clauses: Range<usize> },
 }
 
 /// Extends models of the simplified formula back to the original variable
@@ -141,6 +171,10 @@ enum RecStep {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ModelReconstruction {
     steps: Vec<RecStep>,
+    /// The saved clauses of every elimination, back to back.
+    lits: Vec<Lit>,
+    /// Saved clause `i` is `lits[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+    ends: Vec<usize>,
 }
 
 impl ModelReconstruction {
@@ -152,6 +186,23 @@ impl ModelReconstruction {
     /// `true` when nothing was eliminated or fixed (extension is a no-op).
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
+    }
+
+    /// Where saved clause `i` lives in `lits`.
+    fn saved_range(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start..self.ends[i]
+    }
+
+    /// Saved clause `i` of the flat store.
+    fn saved(&self, i: usize) -> &[Lit] {
+        &self.lits[self.saved_range(i)]
+    }
+
+    /// Appends one saved clause to the flat store.
+    fn save(&mut self, clause: &[Lit]) {
+        self.lits.extend_from_slice(clause);
+        self.ends.push(self.lits.len());
     }
 
     /// Rewrites `model` — a satisfying assignment of the *simplified*
@@ -177,7 +228,7 @@ impl ModelReconstruction {
                     // model), so satisfy the positive demands and default to
                     // false.
                     let mut value = false;
-                    for clause in clauses {
+                    for clause in clauses.clone().map(|i| self.saved(i)) {
                         let satisfied_without = clause.iter().any(|&l| {
                             l.var() != *var
                                 && model.get(l.var().index()).copied().unwrap_or(false)
@@ -212,7 +263,7 @@ impl ModelReconstruction {
                     w.write_u8(1);
                     w.write_usize(var.index());
                     w.write_usize(clauses.len());
-                    for clause in clauses {
+                    for clause in clauses.clone().map(|i| self.saved(i)) {
                         w.write_usize(clause.len());
                         for lit in clause {
                             w.write_usize(lit.code());
@@ -226,7 +277,10 @@ impl ModelReconstruction {
     /// Reads back a map written by [`ModelReconstruction::encode`].
     pub fn decode(r: &mut ByteReader<'_>) -> Result<ModelReconstruction, DecodeError> {
         let len = r.read_len(2)?;
-        let mut steps = Vec::with_capacity(len);
+        let mut rec = ModelReconstruction {
+            steps: Vec::with_capacity(len),
+            ..ModelReconstruction::default()
+        };
         for _ in 0..len {
             let tag = r.read_u8()?;
             let var = Var::from_index(r.read_usize()?);
@@ -237,25 +291,23 @@ impl ModelReconstruction {
                         1 => true,
                         b => return Err(DecodeError::new(format!("bad bool byte {b}"))),
                     };
-                    steps.push(RecStep::Fixed { var, value });
+                    rec.steps.push(RecStep::Fixed { var, value });
                 }
                 1 => {
-                    let num_clauses = r.read_len(8)?;
-                    let mut clauses = Vec::with_capacity(num_clauses);
-                    for _ in 0..num_clauses {
-                        let num_lits = r.read_len(8)?;
-                        let mut lits = Vec::with_capacity(num_lits);
-                        for _ in 0..num_lits {
-                            lits.push(Lit::from_code(r.read_usize()?));
+                    let first = rec.ends.len();
+                    for _ in 0..r.read_len(8)? {
+                        for _ in 0..r.read_len(8)? {
+                            rec.lits.push(Lit::from_code(r.read_usize()?));
                         }
-                        clauses.push(lits);
+                        rec.ends.push(rec.lits.len());
                     }
-                    steps.push(RecStep::Eliminated { var, clauses });
+                    let clauses = first..rec.ends.len();
+                    rec.steps.push(RecStep::Eliminated { var, clauses });
                 }
                 t => return Err(DecodeError::new(format!("bad reconstruction tag {t}"))),
             }
         }
-        Ok(ModelReconstruction { steps })
+        Ok(rec)
     }
 }
 
@@ -308,22 +360,62 @@ pub struct Simplified {
     pub unsat: bool,
 }
 
+/// Where one stored clause lives in the flat literal store. Stored clauses
+/// always keep at least two literals, so `len == 0` marks a removed one.
+#[derive(Clone, Copy)]
+struct Header {
+    start: u32,
+    len: u32,
+    /// [`signature`] of the clause at ingestion: a superset of its current
+    /// variables once literals are struck, so still safe for rejecting
+    /// subset tests.
+    signature: u32,
+    /// A literal was struck since ingestion, so an occurrence-list entry
+    /// may be stale even while the clause is stored.
+    struck: bool,
+}
+
+/// Bloom signature of a clause's variables: when `signature(C)` has a bit
+/// `signature(D)` lacks, some variable of C is missing from D.
+fn signature(clause: &[Lit]) -> u32 {
+    clause
+        .iter()
+        .fold(0, |sig, lit| sig | 1 << (lit.var().index() % 32))
+}
+
+/// Clause id: the clause's position in insertion order.
+type ClauseId = u32;
+
 struct Simplifier<'a> {
     config: &'a SimplifyConfig,
-    /// Clause store; `None` = removed.
-    clauses: Vec<Option<Vec<Lit>>>,
-    /// Occurrence lists per literal code (lazily cleaned of stale indices).
-    occ: Vec<Vec<usize>>,
+    /// The literals of every stored clause, back to back. Clauses only
+    /// shrink, so strengthening works in place; removal leaves a hole.
+    lits: Vec<Lit>,
+    /// One header per clause ever stored, indexed by [`ClauseId`].
+    headers: Vec<Header>,
+    /// Occurrence lists per literal code (lazily cleaned of stale ids).
+    /// Ids only ever join a list at ingestion, so every list is sorted.
+    occ: Vec<Vec<ClauseId>>,
+    /// Per literal code: how many ids in its occurrence list are stale.
+    /// Cleaning a list without any is skipped.
+    stale: Vec<u32>,
     assign: Vec<LBool>,
     frozen: Vec<bool>,
+    /// Per variable: a clause containing it was added, strengthened or
+    /// removed since its last failed elimination attempt. An untouched
+    /// variable would fail again on the very same clauses, so elimination
+    /// skips it.
+    touched: Vec<bool>,
     units: VecDeque<Lit>,
-    /// Clause indices whose subsumption power has not been exploited yet.
-    subsumption_queue: VecDeque<usize>,
-    steps: Vec<RecStep>,
+    /// Clause ids whose subsumption power has not been exploited yet.
+    subsumption_queue: VecDeque<ClauseId>,
+    rec: ModelReconstruction,
     stats: SimplifyStats,
     /// Subset-test stamps, one per literal code.
     stamps: Vec<u64>,
     stamp_generation: u64,
+    /// Reusable copy of the current subsumer.
+    subsumer: Vec<Lit>,
 }
 
 /// Runs the preprocessing pipeline over `formula`.
@@ -342,15 +434,34 @@ pub fn simplify(formula: &CnfFormula, frozen: &[Var], config: &SimplifyConfig) -
             frozen_mask[var.index()] = true;
         }
     }
+    let mut occurrences = vec![0; 2 * num_vars];
+    for clause in formula.iter() {
+        for lit in clause {
+            occurrences[lit.code()] += 1;
+        }
+    }
+    // Resolvents about double the clause store and the occurrence lists of
+    // a Tseitin formula; reserving for them up front saves the regrowth.
+    let growth = if formula.num_clauses() <= config.max_clauses {
+        3
+    } else {
+        1
+    };
     let mut simp = Simplifier {
         config,
-        clauses: Vec::with_capacity(formula.num_clauses()),
-        occ: vec![Vec::new(); 2 * num_vars],
+        lits: Vec::with_capacity(growth * formula.num_literals()),
+        headers: Vec::with_capacity(growth * formula.num_clauses()),
+        occ: occurrences
+            .into_iter()
+            .map(|n| Vec::with_capacity(growth * n))
+            .collect(),
+        stale: vec![0; 2 * num_vars],
         assign: vec![LBool::Undef; num_vars],
         frozen: frozen_mask,
+        touched: vec![true; num_vars],
         units: VecDeque::new(),
         subsumption_queue: VecDeque::new(),
-        steps: Vec::new(),
+        rec: ModelReconstruction::default(),
         stats: SimplifyStats {
             clauses_before: formula.num_clauses(),
             literals_before: formula.num_literals(),
@@ -358,6 +469,7 @@ pub fn simplify(formula: &CnfFormula, frozen: &[Var], config: &SimplifyConfig) -
         },
         stamps: vec![0; 2 * num_vars],
         stamp_generation: 0,
+        subsumer: Vec::new(),
     };
     let unsat = !simp.run(formula);
 
@@ -375,15 +487,18 @@ pub fn simplify(formula: &CnfFormula, frozen: &[Var], config: &SimplifyConfig) -
                 }
             }
         }
-        for clause in simp.clauses.iter().flatten() {
-            cnf.add_clause(clause.clone());
+        for id in 0..simp.headers.len() {
+            let clause = simp.clause(id as ClauseId);
+            if !clause.is_empty() {
+                cnf.add_clause(clause);
+            }
         }
     }
     simp.stats.clauses_after = cnf.num_clauses();
     simp.stats.literals_after = cnf.num_literals();
     Simplified {
         cnf,
-        reconstruction: ModelReconstruction { steps: simp.steps },
+        reconstruction: simp.rec,
         stats: simp.stats,
         unsat,
     }
@@ -393,7 +508,7 @@ impl<'a> Simplifier<'a> {
     /// Executes the pipeline; `false` means root-level UNSAT.
     fn run(&mut self, formula: &CnfFormula) -> bool {
         for clause in formula.iter() {
-            if !self.ingest(clause.lits().to_vec()) {
+            if !self.ingest(clause.lits()) {
                 return false;
             }
         }
@@ -425,52 +540,102 @@ impl<'a> Simplifier<'a> {
         true
     }
 
+    /// The literals of clause `id`; empty once the clause is removed.
+    fn clause(&self, id: ClauseId) -> &[Lit] {
+        let header = self.headers[id as usize];
+        &self.lits[header.start as usize..(header.start + header.len) as usize]
+    }
+
+    /// Marks every variable of clause `id` as touched (call it *before*
+    /// changing the clause).
+    fn touch(&mut self, id: ClauseId) {
+        let header = self.headers[id as usize];
+        for &lit in &self.lits[header.start as usize..(header.start + header.len) as usize] {
+            self.touched[lit.var().index()] = true;
+        }
+    }
+
+    /// Removes clause `id` from the store (a no-op when already removed).
+    fn remove(&mut self, id: ClauseId) {
+        let header = self.headers[id as usize];
+        for &lit in &self.lits[header.start as usize..(header.start + header.len) as usize] {
+            self.touched[lit.var().index()] = true;
+            self.stale[lit.code()] += 1;
+        }
+        self.headers[id as usize].len = 0;
+    }
+
+    /// Strikes `lit` from clause `id` in place, keeping the order of the
+    /// other literals; a no-op when the clause no longer contains it.
+    fn strike(&mut self, id: ClauseId, lit: Lit) {
+        let header = self.headers[id as usize];
+        let (start, end) = (header.start as usize, (header.start + header.len) as usize);
+        if let Some(at) = self.lits[start..end].iter().position(|&l| l == lit) {
+            self.touch(id);
+            self.stale[lit.code()] += 1;
+            self.lits.copy_within(start + at + 1..end, start + at);
+            let header = &mut self.headers[id as usize];
+            header.len -= 1;
+            header.struck = true;
+        }
+    }
+
     /// Normalizes and stores one clause; `false` means UNSAT (empty clause).
-    fn ingest(&mut self, mut lits: Vec<Lit>) -> bool {
-        // Apply the root-level assignment and drop duplicates in place.
-        let mut write = 0;
-        let mut satisfied = false;
-        'reading: for read in 0..lits.len() {
-            let lit = lits[read];
+    fn ingest(&mut self, clause: &[Lit]) -> bool {
+        // Apply the root-level assignment and drop duplicates while copying
+        // onto the end of the store.
+        self.stamp_generation += 1;
+        let start = self.lits.len();
+        for &lit in clause {
             match self.value(lit) {
                 LBool::True => {
-                    satisfied = true;
-                    break;
+                    self.lits.truncate(start);
+                    return true;
                 }
                 LBool::False => continue,
                 LBool::Undef => {}
             }
-            for &kept in &lits[..write] {
-                if kept == lit {
-                    self.stats.duplicate_lits_removed += 1;
-                    continue 'reading;
-                }
-                if kept == !lit {
-                    self.stats.tautologies_removed += 1;
-                    satisfied = true;
-                    break 'reading;
-                }
+            if self.stamped(lit) {
+                self.stats.duplicate_lits_removed += 1;
+                continue;
             }
-            lits[write] = lit;
-            write += 1;
-        }
-        if satisfied {
-            return true;
-        }
-        lits.truncate(write);
-        match lits.len() {
-            0 => false,
-            1 => self.enqueue_unit(lits[0]),
-            _ => {
-                let index = self.clauses.len();
-                for &lit in &lits {
-                    self.occ[lit.code()].push(index);
-                }
-                self.clauses.push(Some(lits));
-                self.subsumption_queue.push_back(index);
-                true
+            if self.stamped(!lit) {
+                self.stats.tautologies_removed += 1;
+                self.lits.truncate(start);
+                return true;
             }
+            self.stamps[lit.code()] = self.stamp_generation;
+            self.lits.push(lit);
         }
+        self.store_tail(start)
+    }
+
+    /// Stores the unassigned, duplicate-free literals the store holds from
+    /// `start` on as a clause, or enqueues them as a unit; `false` means
+    /// UNSAT (empty clause).
+    fn store_tail(&mut self, start: usize) -> bool {
+        let len = self.lits.len() - start;
+        match len {
+            0 => return false,
+            1 => {
+                let unit = self.lits.pop().expect("one literal");
+                return self.enqueue_unit(unit);
+            }
+            _ => {}
+        }
+        let id = self.headers.len() as ClauseId;
+        self.headers.push(Header {
+            start: u32::try_from(start).expect("clause store exceeds u32 offsets"),
+            len: len as u32,
+            signature: signature(&self.lits[start..]),
+            struck: false,
+        });
+        for &lit in &self.lits[start..] {
+            self.occ[lit.code()].push(id);
+            self.touched[lit.var().index()] = true;
+        }
+        self.subsumption_queue.push_back(id);
+        true
     }
 
     fn value(&self, lit: Lit) -> LBool {
@@ -486,7 +651,7 @@ impl<'a> Simplifier<'a> {
                 self.assign[lit.var().index()] = LBool::from_bool(lit.is_positive());
                 self.stats.units_fixed += 1;
                 if !self.frozen[lit.var().index()] {
-                    self.steps.push(RecStep::Fixed {
+                    self.rec.steps.push(RecStep::Fixed {
                         var: lit.var(),
                         value: lit.is_positive(),
                     });
@@ -500,142 +665,188 @@ impl<'a> Simplifier<'a> {
     /// Applies every queued root-level unit to the clause store.
     ///
     /// Clause removal is **lazy** everywhere in the simplifier: a removed
-    /// clause is only `take`n out of the store; the stale indices left in
-    /// other literals' occurrence lists are dropped the next time those
-    /// lists are cleaned ([`Simplifier::clean_occ`]). Eager unlinking would
-    /// make every removal linear in its literals' occurrence-list lengths —
-    /// quadratic on selector literals, which occur in thousands of clauses.
+    /// clause only gets its header zeroed; the stale ids left in other
+    /// literals' occurrence lists are dropped the next time those lists are
+    /// cleaned ([`Simplifier::clean_occ`]). Eager unlinking would make every
+    /// removal linear in its literals' occurrence-list lengths — quadratic
+    /// on selector literals, which occur in thousands of clauses.
     fn propagate_units(&mut self) -> bool {
         while let Some(lit) = self.units.pop_front() {
             // Clauses containing the satisfied literal vanish. (The
             // variable is fixed, so its own occurrence lists are dead; take
             // them entirely.)
-            for index in std::mem::take(&mut self.occ[lit.code()]) {
-                self.clauses[index] = None;
+            for id in std::mem::take(&mut self.occ[lit.code()]) {
+                self.remove(id);
             }
+            self.stale[lit.code()] = 0;
             // Clauses containing the falsified literal lose it.
-            for index in std::mem::take(&mut self.occ[(!lit).code()]) {
-                let Some(clause) = self.clauses[index].as_mut() else {
+            for id in std::mem::take(&mut self.occ[(!lit).code()]) {
+                if self.headers[id as usize].len == 0 {
                     continue;
-                };
-                clause.retain(|&l| l != !lit);
-                match clause.len() {
-                    0 => return false,
-                    1 => {
-                        let unit = clause[0];
-                        self.clauses[index] = None;
-                        if !self.enqueue_unit(unit) {
-                            return false;
-                        }
+                }
+                self.strike(id, !lit);
+                // Stored clauses keep at least one literal when struck.
+                if self.headers[id as usize].len == 1 {
+                    let unit = self.clause(id)[0];
+                    self.remove(id);
+                    if !self.enqueue_unit(unit) {
+                        return false;
                     }
-                    _ => self.subsumption_queue.push_back(index),
+                } else {
+                    self.subsumption_queue.push_back(id);
                 }
             }
+            self.stale[(!lit).code()] = 0;
         }
         true
     }
 
-    /// The cleaned occurrence list of `lit` (stale indices dropped).
-    fn clean_occ(&mut self, lit: Lit) -> Vec<usize> {
-        let occ = &mut self.occ[lit.code()];
-        occ.retain(|&index| {
-            // A stale index may point at a removed clause or at a clause the
-            // literal was struck from.
-            matches!(&self.clauses[index], Some(clause) if clause.contains(&lit))
-        });
-        occ.clone()
+    /// Whether clause `id`, listed in the occurrence list of `lit`, still
+    /// contains `lit`. A stale id may point at a removed clause or at a
+    /// clause the literal was struck from.
+    fn contains(&self, id: ClauseId, lit: Lit) -> bool {
+        let header = self.headers[id as usize];
+        header.len != 0 && (!header.struck || self.clause(id).contains(&lit))
+    }
+
+    /// Drops the stale ids from the occurrence list of `lit`, in place.
+    fn clean_occ(&mut self, lit: Lit) {
+        let stale = std::mem::take(&mut self.stale[lit.code()]);
+        if stale == 0 {
+            return;
+        }
+        let mut list = std::mem::take(&mut self.occ[lit.code()]);
+        let before = list.len();
+        list.retain(|&id| self.contains(id, lit));
+        debug_assert_eq!(
+            before - list.len(),
+            stale as usize,
+            "stale count of {lit:?}"
+        );
+        self.occ[lit.code()] = list;
     }
 
     /// Exhausts the subsumption queue; `false` means UNSAT.
     fn subsume_all(&mut self, changed: &mut bool) -> bool {
-        while let Some(index) = self.subsumption_queue.pop_front() {
-            let Some(clause) = self.clauses[index].clone() else {
-                continue;
-            };
-            if clause.len() > self.config.max_subsumer_len {
+        let mut subsumer = std::mem::take(&mut self.subsumer);
+        let mut consistent = true;
+        while let Some(id) = self.subsumption_queue.pop_front() {
+            let len = self.headers[id as usize].len as usize;
+            if len == 0 || len > self.config.max_subsumer_len {
                 continue;
             }
-            if !self.backward_subsume(index, &clause, changed) {
-                return false;
+            subsumer.clear();
+            subsumer.extend_from_slice(self.clause(id));
+            if !self.backward_subsume(id, &subsumer, changed) {
+                consistent = false;
+                break;
             }
         }
-        true
+        self.subsumer = subsumer;
+        consistent
     }
 
-    /// Uses clause `index` to subsume/strengthen every other clause. The
-    /// candidate set is the occurrence list of the clause's rarest literal
-    /// (for plain subsumption) plus, per literal, the occurrences of its
-    /// negation (for self-subsuming resolution). The subsumer's literals are
-    /// stamped once; subset tests then count stamped literals in each
-    /// candidate.
-    fn backward_subsume(&mut self, index: usize, clause: &[Lit], changed: &mut bool) -> bool {
-        self.stamp(clause);
-        // Plain subsumption: every clause containing the rarest literal.
-        let rarest = clause
-            .iter()
-            .copied()
-            .min_by_key(|l| self.occ[l.code()].len())
-            .expect("clauses are non-empty");
-        for candidate in self.clean_occ(rarest) {
-            if candidate == index {
-                continue;
-            }
-            let subsumed = match &self.clauses[candidate] {
-                None => false,
-                Some(other) => {
-                    other.len() >= clause.len()
-                        && other.iter().filter(|l| self.stamped(**l)).count() == clause.len()
-                }
-            };
-            if subsumed {
-                self.clauses[candidate] = None;
-                self.stats.clauses_subsumed += 1;
-                *changed = true;
-            }
+    /// Whether clause `id` is at least `len` long, holds exactly `stamped`
+    /// literals stamped by [`Simplifier::stamp`] and, given `required`,
+    /// contains it too. `signature` (the stamped clause's) rejects most
+    /// candidates before their literals are read.
+    fn holds_stamped(
+        &self,
+        id: ClauseId,
+        len: usize,
+        signature: u32,
+        stamped: usize,
+        required: Option<Lit>,
+    ) -> bool {
+        let header = self.headers[id as usize];
+        if (header.len as usize) < len || signature & !header.signature != 0 {
+            return false;
         }
-        // Self-subsuming resolution: C = (l ∨ R) strengthens D ⊇ (¬l ∨ R)
-        // by deleting ¬l from D.
-        for &lit in clause {
-            for candidate in self.clean_occ(!lit) {
-                if candidate == index {
-                    continue;
+        let (mut count, mut found) = (0, required.is_none());
+        for &lit in self.clause(id) {
+            count += usize::from(self.stamped(lit));
+            found |= Some(lit) == required;
+        }
+        count == stamped && found
+    }
+
+    /// Uses `clause`, a copy of clause `id`, to subsume/strengthen every
+    /// other clause: first every clause containing the clause's rarest
+    /// literal (plain subsumption), then, per literal l, every clause
+    /// containing ¬l and the rest of the clause (self-subsuming
+    /// resolution). The subsumer's literals are stamped once; subset tests
+    /// then count stamped literals in each candidate.
+    ///
+    /// Candidates are visited in clause-id order, which every occurrence
+    /// list keeps, so the self-subsumption candidates of l can be read off
+    /// whichever of their occurrence lists is shortest.
+    ///
+    /// A strengthening that derives a unit propagates it, which may rewrite
+    /// arbitrary clauses, so the stamps no longer describe a consistent
+    /// snapshot: the whole scan then restarts with the same `clause`.
+    fn backward_subsume(&mut self, id: ClauseId, clause: &[Lit], changed: &mut bool) -> bool {
+        let signature = signature(clause);
+        'restart: loop {
+            self.stamp(clause);
+            // Plain subsumption: every clause containing the rarest literal.
+            let rarest = clause
+                .iter()
+                .copied()
+                .min_by_key(|l| self.occ[l.code()].len())
+                .expect("clauses are non-empty");
+            self.clean_occ(rarest);
+            for i in 0..self.occ[rarest.code()].len() {
+                let candidate = self.occ[rarest.code()][i];
+                if candidate != id
+                    && self.holds_stamped(candidate, clause.len(), signature, clause.len(), None)
+                {
+                    self.remove(candidate);
+                    self.stats.clauses_subsumed += 1;
+                    *changed = true;
                 }
-                let strengthens = match &self.clauses[candidate] {
-                    None => false,
-                    Some(other) => {
-                        // `other` contains ¬l (occurrence list is clean); it
-                        // cannot also contain l (no tautologies survive
-                        // ingestion), so counting its stamped literals
-                        // exactly measures |D ∩ C| = |D ∩ (C \ {l})|.
-                        other.len() >= clause.len()
-                            && other.iter().filter(|l| self.stamped(**l)).count()
-                                == clause.len() - 1
+            }
+            // Self-subsuming resolution: C = (l ∨ R) strengthens D ⊇ (¬l ∨ R)
+            // by deleting ¬l from D.
+            for &lit in clause {
+                self.clean_occ(!lit);
+                let search = clause
+                    .iter()
+                    .map(|&l| if l == lit { !l } else { l })
+                    .min_by_key(|l| self.occ[l.code()].len())
+                    .expect("clauses are non-empty");
+                for i in 0..self.occ[search.code()].len() {
+                    let candidate = self.occ[search.code()][i];
+                    // A candidate holding ¬l cannot also hold l (no
+                    // tautologies survive ingestion), so its stamped
+                    // literals are exactly D ∩ (C \ {l}).
+                    if candidate == id
+                        || !self.holds_stamped(
+                            candidate,
+                            clause.len(),
+                            signature,
+                            clause.len() - 1,
+                            Some(!lit),
+                        )
+                    {
+                        continue;
                     }
-                };
-                if strengthens {
-                    let other = self.clauses[candidate].as_mut().expect("present");
-                    other.retain(|&l| l != !lit);
+                    self.strike(candidate, !lit);
                     self.stats.lits_strengthened += 1;
                     *changed = true;
-                    match self.clauses[candidate].as_ref().map(Vec::len) {
-                        Some(0) => return false,
-                        Some(1) => {
-                            let unit = self.clauses[candidate].as_ref().expect("present")[0];
-                            self.clauses[candidate] = None;
-                            if !self.enqueue_unit(unit) || !self.propagate_units() {
-                                return false;
-                            }
-                            // Propagation may have rewritten arbitrary
-                            // clauses; the stamps no longer describe a
-                            // consistent snapshot, so restart this subsumer.
-                            return self.backward_subsume(index, clause, changed);
+                    // Stored clauses keep at least one literal when struck.
+                    if self.headers[candidate as usize].len == 1 {
+                        let unit = self.clause(candidate)[0];
+                        self.remove(candidate);
+                        if !self.enqueue_unit(unit) || !self.propagate_units() {
+                            return false;
                         }
-                        _ => self.subsumption_queue.push_back(candidate),
+                        continue 'restart;
                     }
+                    self.subsumption_queue.push_back(candidate);
                 }
             }
+            return true;
         }
-        true
     }
 
     fn stamp(&mut self, clause: &[Lit]) {
@@ -651,7 +862,15 @@ impl<'a> Simplifier<'a> {
 
     /// One bounded-variable-elimination sweep over all non-frozen variables,
     /// cheapest (fewest occurrences) first; `false` means UNSAT.
+    ///
+    /// A variable whose last attempt failed is retried only once it is
+    /// touched again: the attempt reads nothing but the clauses containing
+    /// the variable, so it would fail the same way, and its occurrence
+    /// lists are still clean, so skipping it changes no later decision.
     fn eliminate_variables(&mut self, changed: &mut bool) -> bool {
+        // A variable with empty occurrence lists is in no clause and never
+        // will be (clauses only gain variables from clauses), so trying it
+        // would change nothing.
         let mut order: Vec<(usize, usize)> = (0..self.assign.len())
             .filter(|&v| !self.frozen[v] && self.assign[v].is_undef())
             .map(|v| {
@@ -660,35 +879,88 @@ impl<'a> Simplifier<'a> {
                     self.occ[var.positive().code()].len() + self.occ[var.negative().code()].len();
                 (occurrences, v)
             })
+            .filter(|&(occurrences, _)| occurrences > 0)
             .collect();
         order.sort_unstable();
         for (_, v) in order {
-            let var = Var::from_index(v);
-            if !self.assign[v].is_undef() {
-                continue; // Fixed by a unit another elimination produced.
-            }
-            let pos = self.clean_occ(var.positive());
-            let neg = self.clean_occ(var.negative());
-            if pos.is_empty() && neg.is_empty() {
+            // Skip variables fixed by a unit another elimination produced,
+            // and those that would fail again.
+            if !self.assign[v].is_undef() || !self.touched[v] {
                 continue;
             }
-            if pos.is_empty() || neg.is_empty() {
+            let var = Var::from_index(v);
+            self.clean_occ(var.positive());
+            self.clean_occ(var.negative());
+            let num_pos = self.occ[var.positive().code()].len();
+            let num_neg = self.occ[var.negative().code()].len();
+            if num_pos == 0 && num_neg == 0 {
+                self.touched[v] = false;
+                continue;
+            }
+            if num_pos == 0 || num_neg == 0 {
                 // Pure literal: drop every clause containing the variable
                 // (elimination with an empty resolvent set).
-                self.eliminate(var, &pos, &neg);
+                self.eliminate(var);
                 *changed = true;
                 continue;
             }
-            if pos.len() + neg.len() > self.config.max_var_occurrences {
+            if num_pos + num_neg > self.config.max_var_occurrences || !self.resolvents_bounded(var)
+            {
+                self.touched[v] = false;
                 continue;
             }
-            let Some(resolvents) = self.bounded_resolvents(var, &pos, &neg) else {
-                continue;
-            };
-            self.eliminate(var, &pos, &neg);
+            let saved = self.eliminate(var);
             *changed = true;
-            for resolvent in resolvents {
-                if !self.ingest(resolvent) || !self.propagate_units() {
+            if !self.add_resolvents(var, saved, num_pos) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Whether eliminating `var` keeps the formula from growing: at most as
+    /// many non-tautological resolvents as removed clauses, none longer than
+    /// `max_resolvent_len`. A dry run over the clean occurrence lists that
+    /// only counts, so a refused candidate allocates nothing.
+    fn resolvents_bounded(&mut self, var: Var) -> bool {
+        let (pos, neg) = (var.positive().code(), var.negative().code());
+        let budget = self.occ[pos].len() + self.occ[neg].len();
+        let max_len = self.config.max_resolvent_len;
+        let mut resolvents = 0;
+        for i in 0..self.occ[pos].len() {
+            let p = self.occ[pos][i];
+            self.stamp_generation += 1;
+            let generation = self.stamp_generation;
+            let Simplifier {
+                occ,
+                headers,
+                lits,
+                stamps,
+                ..
+            } = &mut *self;
+            let slice = |id: ClauseId| {
+                let header = headers[id as usize];
+                &lits[header.start as usize..(header.start + header.len) as usize]
+            };
+            for &lit in slice(p) {
+                stamps[lit.code()] = generation;
+            }
+            let p_len = slice(p).len() - 1;
+            'pairs: for &n in &occ[neg] {
+                let mut len = p_len;
+                for &lit in slice(n) {
+                    if lit.var() == var {
+                        continue;
+                    }
+                    if stamps[(!lit).code()] == generation {
+                        continue 'pairs; // Tautology.
+                    }
+                    if stamps[lit.code()] != generation {
+                        len += 1;
+                    }
+                }
+                resolvents += 1;
+                if len > max_len || resolvents > budget {
                     return false;
                 }
             }
@@ -696,59 +968,82 @@ impl<'a> Simplifier<'a> {
         true
     }
 
-    /// All non-tautological resolvents of `var`, or `None` when elimination
-    /// would grow the formula (more resolvents than removed clauses, or an
-    /// over-long resolvent).
-    fn bounded_resolvents(&self, var: Var, pos: &[usize], neg: &[usize]) -> Option<Vec<Vec<Lit>>> {
-        let budget = pos.len() + neg.len();
-        let mut resolvents = Vec::new();
-        for &p in pos {
-            let p_clause = self.clauses[p].as_ref().expect("occ list is clean");
-            for &n in neg {
-                let n_clause = self.clauses[n].as_ref().expect("occ list is clean");
-                let mut resolvent: Vec<Lit> = Vec::with_capacity(p_clause.len() + n_clause.len());
-                let mut tautology = false;
-                for &lit in p_clause.iter().chain(n_clause.iter()) {
-                    if lit.var() == var || resolvent.contains(&lit) {
-                        continue;
-                    }
-                    if resolvent.contains(&!lit) {
-                        tautology = true;
-                        break;
-                    }
-                    resolvent.push(lit);
-                }
-                if tautology {
-                    continue;
-                }
-                if resolvent.len() > self.config.max_resolvent_len {
-                    return None;
-                }
-                resolvents.push(resolvent);
-                if resolvents.len() > budget {
-                    return None;
-                }
+    /// Removes every clause containing `var`, saving them for the
+    /// reconstruction step (positive occurrences first); returns the range
+    /// of saved clauses.
+    fn eliminate(&mut self, var: Var) -> Range<usize> {
+        let first = self.rec.ends.len();
+        for lit in [var.positive(), var.negative()] {
+            let mut list = std::mem::take(&mut self.occ[lit.code()]);
+            for &id in &list {
+                let header = self.headers[id as usize];
+                let (start, end) = (header.start as usize, (header.start + header.len) as usize);
+                self.rec.save(&self.lits[start..end]);
+                self.remove(id);
             }
+            list.clear();
+            self.occ[lit.code()] = list;
         }
-        Some(resolvents)
+        self.stale[var.positive().code()] = 0;
+        self.stale[var.negative().code()] = 0;
+        self.touched[var.index()] = false;
+        self.stats.vars_eliminated += 1;
+        let clauses = first..self.rec.ends.len();
+        self.rec.steps.push(RecStep::Eliminated {
+            var,
+            clauses: clauses.clone(),
+        });
+        clauses
     }
 
-    /// Removes every clause containing `var` and records the reconstruction
-    /// step; the caller ingests the resolvents afterwards.
-    fn eliminate(&mut self, var: Var, pos: &[usize], neg: &[usize]) {
-        let mut saved = Vec::with_capacity(pos.len() + neg.len());
-        for &index in pos.iter().chain(neg) {
-            if let Some(clause) = self.clauses[index].take() {
-                saved.push(clause);
+    /// Ingests every non-tautological resolvent of the clauses saved by
+    /// eliminating `var` (the first `num_pos` of them contain it positively),
+    /// in (positive, negative) pair order; `false` means UNSAT.
+    ///
+    /// Each resolvent is the positive clause's literals, then the negative
+    /// clause's new ones, built straight onto the end of the store. Saved
+    /// clauses are duplicate-free and never tautological, so stamping the
+    /// positive side catches every duplicate and complementary pair; only
+    /// the root-level assignment is left to apply, as [`Simplifier::ingest`]
+    /// would.
+    fn add_resolvents(&mut self, var: Var, saved: Range<usize>, num_pos: usize) -> bool {
+        for p in saved.start..saved.start + num_pos {
+            self.stamp_generation += 1;
+            let positive_end = self.rec.saved_range(p).end;
+            for i in self.rec.saved_range(p) {
+                let lit = self.rec.lits[i];
+                if lit.var() != var {
+                    self.stamps[lit.code()] = self.stamp_generation;
+                }
+            }
+            'pairs: for n in saved.start + num_pos..saved.end {
+                let start = self.lits.len();
+                for i in self.rec.saved_range(n) {
+                    let lit = self.rec.lits[i];
+                    if lit.var() != var && self.stamped(!lit) {
+                        continue 'pairs; // Tautology.
+                    }
+                }
+                for i in self.rec.saved_range(p).chain(self.rec.saved_range(n)) {
+                    let lit = self.rec.lits[i];
+                    if lit.var() == var || (i >= positive_end && self.stamped(lit)) {
+                        continue;
+                    }
+                    match self.value(lit) {
+                        LBool::True => {
+                            self.lits.truncate(start);
+                            continue 'pairs;
+                        }
+                        LBool::False => {}
+                        LBool::Undef => self.lits.push(lit),
+                    }
+                }
+                if !self.store_tail(start) || !self.propagate_units() {
+                    return false;
+                }
             }
         }
-        self.occ[var.positive().code()].clear();
-        self.occ[var.negative().code()].clear();
-        self.stats.vars_eliminated += 1;
-        self.steps.push(RecStep::Eliminated {
-            var,
-            clauses: saved,
-        });
+        true
     }
 }
 
@@ -906,6 +1201,45 @@ mod tests {
         assert!(simplified.stats.vars_eliminated >= 1);
         assert_eq!(simplified.cnf.num_clauses(), 0);
         let mut model = vec![false, false, false];
+        simplified.reconstruction.extend(&mut model);
+        assert!(cnf.eval(&model));
+    }
+
+    #[test]
+    fn refused_variable_is_retried_once_its_clauses_change() {
+        // x = 1 occurs 5 times, over the bound of 4, so pass 1 refuses it.
+        // y = 2 is pure and occurs 6 times, so pass 1 reaches it after x
+        // and drops its clauses, three of them x's. Pass 2 must retry x,
+        // now down to (x ∨ 3)(¬x ∨ 4), and resolve it to (3 ∨ 4).
+        let mut cnf = CnfFormula::new();
+        cnf.add_clause(vec![lit(1), lit(3)]);
+        cnf.add_clause(vec![lit(-1), lit(4)]);
+        cnf.add_clause(vec![lit(1), lit(2), lit(5)]);
+        cnf.add_clause(vec![lit(1), lit(2), lit(6)]);
+        cnf.add_clause(vec![lit(-1), lit(2), lit(7)]);
+        for other in 8..=10 {
+            cnf.add_clause(vec![lit(2), lit(other)]);
+        }
+        let frozen: Vec<Var> = (3..=10).map(var).collect();
+        let config = SimplifyConfig {
+            max_var_occurrences: 4,
+            ..SimplifyConfig::default()
+        };
+        let one_pass = simplify(
+            &cnf,
+            &frozen,
+            &SimplifyConfig {
+                max_passes: 1,
+                ..config.clone()
+            },
+        );
+        assert_eq!(one_pass.stats.vars_eliminated, 1, "pass 1 takes y only");
+        let simplified = simplify(&cnf, &frozen, &config);
+        assert_eq!(simplified.stats.vars_eliminated, 2);
+        assert_eq!(simplified.cnf.num_clauses(), 1);
+        assert_eq!(simplified.cnf.clauses()[0].lits(), [lit(3), lit(4)]);
+        let mut model = vec![false; cnf.num_vars()];
+        model[var(3).index()] = true;
         simplified.reconstruction.extend(&mut model);
         assert!(cnf.eval(&model));
     }
