@@ -925,42 +925,26 @@ impl<'a> Simplifier<'a> {
     fn resolvents_bounded(&mut self, var: Var) -> bool {
         let (pos, neg) = (var.positive().code(), var.negative().code());
         let budget = self.occ[pos].len() + self.occ[neg].len();
-        let max_len = self.config.max_resolvent_len;
         let mut resolvents = 0;
         for i in 0..self.occ[pos].len() {
-            let p = self.occ[pos][i];
+            let p = self.headers[self.occ[pos][i] as usize];
             self.stamp_generation += 1;
-            let generation = self.stamp_generation;
-            let Simplifier {
-                occ,
-                headers,
-                lits,
-                stamps,
-                ..
-            } = &mut *self;
-            let slice = |id: ClauseId| {
-                let header = headers[id as usize];
-                &lits[header.start as usize..(header.start + header.len) as usize]
-            };
-            for &lit in slice(p) {
-                stamps[lit.code()] = generation;
+            for k in p.start..p.start + p.len {
+                self.stamps[self.lits[k as usize].code()] = self.stamp_generation;
             }
-            let p_len = slice(p).len() - 1;
-            'pairs: for &n in &occ[neg] {
-                let mut len = p_len;
-                for &lit in slice(n) {
+            'pairs: for &n in &self.occ[neg] {
+                let mut len = p.len as usize - 1;
+                for &lit in self.clause(n) {
                     if lit.var() == var {
                         continue;
                     }
-                    if stamps[(!lit).code()] == generation {
+                    if self.stamped(!lit) {
                         continue 'pairs; // Tautology.
                     }
-                    if stamps[lit.code()] != generation {
-                        len += 1;
-                    }
+                    len += usize::from(!self.stamped(lit));
                 }
                 resolvents += 1;
-                if len > max_len || resolvents > budget {
+                if len > self.config.max_resolvent_len || resolvents > budget {
                     return false;
                 }
             }
