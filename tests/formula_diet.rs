@@ -78,6 +78,35 @@ fn tcas_reports_identical_with_and_without_simplification() {
     assert!(raw.stats.hard_clauses >= raw.stats.hard_clauses_pre_simplify);
 }
 
+/// The encoder folds gates on the TCAS v1 trace formula whichever spec it
+/// carries, and the simplifier still eliminates variables from the
+/// Assertions-spec encode with only the inputs and the property frozen.
+#[test]
+fn tcas_encode_folds_gates_under_both_specs() {
+    let (faulty, _, golden) = tcas_failing_case();
+    for spec in [Spec::ReturnEquals(golden), Spec::Assertions] {
+        let localizer = Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &tcas_config(true))
+            .expect("TCAS encodes");
+        let trace = localizer.trace();
+        assert!(
+            trace.stats.gates_folded > 0,
+            "encoder folded no gates on TCAS under {spec:?}"
+        );
+        if spec == Spec::Assertions {
+            let mut frozen: Vec<sat::Var> = vec![trace.property.var()];
+            for (_, bv) in &trace.inputs {
+                frozen.extend(bv.bits().iter().map(|b| b.var()));
+            }
+            let simplified = sat::simplify(
+                trace.cnf.formula(),
+                &frozen,
+                &sat::SimplifyConfig::default(),
+            );
+            assert!(simplified.stats.vars_eliminated > 0);
+        }
+    }
+}
+
 /// The Siemens fault programs (worked examples included): simplification on
 /// vs. off must pin byte-identical suspect sets on a real failing input.
 #[test]

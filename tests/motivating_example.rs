@@ -3,7 +3,7 @@
 //! generation, MAX-SAT localization, baseline comparison and repair.
 
 use bmc::{EncodeConfig, SliceCriterion, Spec};
-use bugassist::{Localizer, LocalizerConfig, RepairConfig, RepairKind};
+use bugassist::{Granularity, Localizer, LocalizerConfig, RepairConfig, RepairKind};
 use minic::ast::Line;
 
 const SOURCE: &str = "int Array[3];\nint testme(int index) {\nif (index != 1) {\nindex = 2;\n} else {\nindex = index + 2;\n}\nint i = index;\nreturn Array[i];\n}";
@@ -26,23 +26,27 @@ fn bmc_finds_the_paper_failing_input() {
     assert_eq!(failing, vec![1]);
 }
 
+/// Line and statement-instance selectors agree on this loop-free program.
 #[test]
 fn localization_reports_the_papers_two_fix_points() {
     let program = minic::parse_program(SOURCE).unwrap();
-    let config = LocalizerConfig {
-        encode: encode_config(),
-        ..LocalizerConfig::default()
-    };
-    let localizer = Localizer::new(&program, "testme", &Spec::Assertions, &config).unwrap();
-    let report = localizer.localize(&[1]).unwrap();
-    // The paper reports the faulty constant (our line 6) and the branch
-    // condition (our line 3) as the two repair points.
-    assert!(report.blames_line(Line(6)));
-    assert!(report.blames_line(Line(3)));
-    // Every reported CoMSS here is a single statement.
-    assert!(report.suspects.iter().all(|s| s.lines.len() == 1));
-    // And the first (minimum-cost) one has cost 1.
-    assert_eq!(report.suspects[0].cost, 1);
+    for granularity in [Granularity::Line, Granularity::StatementInstance] {
+        let config = LocalizerConfig {
+            encode: encode_config(),
+            granularity,
+            ..LocalizerConfig::default()
+        };
+        let localizer = Localizer::new(&program, "testme", &Spec::Assertions, &config).unwrap();
+        let report = localizer.localize(&[1]).unwrap();
+        // The paper reports the faulty constant (our line 6) and the branch
+        // condition (our line 3) as the two repair points.
+        assert!(report.blames_line(Line(6)), "{granularity:?}");
+        assert!(report.blames_line(Line(3)), "{granularity:?}");
+        // Every reported CoMSS here is a single statement.
+        assert!(report.suspects.iter().all(|s| s.lines.len() == 1));
+        // And the first (minimum-cost) one has cost 1.
+        assert_eq!(report.suspects[0].cost, 1);
+    }
 }
 
 #[test]

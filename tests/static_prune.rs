@@ -116,3 +116,58 @@ fn reports_are_identical_with_pruning_on_and_off() {
         "the corpus never exercised the prune: no irrelevant lines found"
     );
 }
+
+/// The prune on a real program at the Table 1 configuration (TCAS v1,
+/// width 16, unwind 6, trusted input-copy lines, first failing vector): it
+/// must harden at least one selector, the instance-size identity must
+/// balance, and the report must not change.
+#[test]
+fn tcas_prune_hardens_selectors_without_changing_the_report() {
+    let version = siemens::tcas_versions().into_iter().next().expect("v1");
+    let faulty = version.build(siemens::TCAS_SOURCE);
+    let interp = siemens::tcas_interp_config();
+    let (input, golden) = siemens::tcas_test_vectors(300, 2011)
+        .into_iter()
+        .find_map(|input| {
+            let golden = siemens::tcas_golden_output(&input);
+            let outcome = bmc::run_program(&faulty, siemens::TCAS_ENTRY, &input, &[], interp);
+            (outcome.result != Some(golden) || !outcome.is_ok()).then_some((input, golden))
+        })
+        .expect("TCAS v1 has a failing vector");
+    let spec = Spec::ReturnEquals(golden);
+    let localize = |static_prune: bool| {
+        let config = LocalizerConfig {
+            encode: EncodeConfig {
+                width: 16,
+                unwind: 6,
+                max_inline_depth: 8,
+                ..EncodeConfig::default()
+            },
+            max_suspect_sets: 4,
+            trusted_lines: siemens::tcas_trusted_lines(),
+            static_prune,
+            ..LocalizerConfig::default()
+        };
+        Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &config)
+            .expect("TCAS encodes")
+            .localize(&input)
+            .expect("TCAS localizes")
+    };
+    let on = localize(true);
+    let off = localize(false);
+    assert!(
+        on.stats.lines_pruned > 0,
+        "static prune hardened no TCAS selectors: {:?}",
+        on.stats
+    );
+    assert_eq!(
+        on.stats.soft_clauses + on.stats.lines_pruned as usize,
+        off.stats.soft_clauses,
+        "prune arithmetic does not balance on TCAS"
+    );
+    assert_eq!(
+        on.suspects, off.suspects,
+        "pruning changed the TCAS suspects"
+    );
+    assert_eq!(on.suspect_lines, off.suspect_lines);
+}
