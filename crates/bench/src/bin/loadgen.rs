@@ -46,7 +46,6 @@
 //! edited version is a brand-new cache key, so each step pays a full cold
 //! build. The ratio of the two chains is the value of delta preparation.
 
-use bench::workloads::{git_revision, hardware_threads};
 use service::fleet::routing_key;
 use service::protocol::canonicalize;
 use service::{
@@ -178,6 +177,25 @@ fn tcas_job() -> Job {
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
     sorted_ms[idx]
+}
+
+/// Hardware threads available to this process, recorded in the output so a
+/// timing names the parallelism it ran with.
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The code the output measured: `git describe --always --dirty` of the
+/// working directory (a `-dirty` suffix marks uncommitted edits on top of
+/// that revision), or `"unknown"` outside a git checkout.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
 }
 
 /// One version of an edit-stream program: a build-heavy straight-line

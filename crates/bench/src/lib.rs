@@ -10,11 +10,13 @@
 //! * `loops` — faulty-loop-iteration localization (Sec. 6.4 / Program 3);
 //! * `baseline_compare` — BugAssist vs. backward slice vs. spectrum-based
 //!   localization (the comparison sketched in Sec. 2).
+//!
+//! The crate's one other binary, `loadgen`, drives the localization
+//! service end to end (cold/warm cache, edit stream, chaos, restart and
+//! fleet scenarios) and writes `BENCH_service.json`. Pipeline speed is
+//! measured by the separate `perfbench/` package, not here.
 
 #![warn(missing_docs)]
-
-pub mod micro;
-pub mod workloads;
 
 use baselines::{SpectrumFormula, SpectrumLocalizer};
 use bmc::{backward_slice, slice_program, EncodeConfig, InterpConfig, SliceCriterion, Spec};
@@ -183,12 +185,13 @@ pub fn run_table1(options: Table1Options) -> Table1 {
             let spec = Spec::ReturnEquals(golden[idx]);
             let config = tcas_localizer_config(options.max_suspect_sets);
             let started = Instant::now();
-            let Ok(localizer) = Localizer::new(&faulty, TCAS_ENTRY, &spec, &config) else {
-                continue;
-            };
-            let Ok(report) = localizer.localize(input) else {
-                continue;
-            };
+            let localizer =
+                Localizer::new(&faulty, TCAS_ENTRY, &spec, &config).unwrap_or_else(|e| {
+                    panic!("TCAS {} does not encode for {input:?}: {e}", version.name)
+                });
+            let report = localizer.localize(input).unwrap_or_else(|e| {
+                panic!("TCAS {} fails to localize {input:?}: {e}", version.name)
+            });
             total_time += started.elapsed().as_secs_f64();
             if version.faulty_lines.iter().any(|l| report.blames_line(*l)) {
                 detected += 1;
