@@ -17,7 +17,7 @@
 
 use bitblast::GroupId;
 use bmc::{encode_program, EncodeConfig, EncodeError, Spec, SymbolicTrace};
-use maxsat::{Budget, MaxSatInstance, MaxSatResult, MaxSatSolver, Strategy};
+use maxsat::{Budget, MaxSatInstance, MaxSatResult, MaxSatSolver};
 use minic::ast::Line;
 use minic::delta::{classify_edit, reachable_functions, segment_program, EditClass, LineMap};
 use minic::Program;
@@ -46,8 +46,6 @@ pub struct LocalizerConfig {
     /// Symbolic-encoding options (bit width, unwinding bound, inlining depth,
     /// concretized functions).
     pub encode: EncodeConfig,
-    /// MAX-SAT strategy to use.
-    pub strategy: Strategy,
     /// Maximum number of CoMSSes to enumerate before stopping.
     pub max_suspect_sets: usize,
     /// Blame granularity.
@@ -90,7 +88,6 @@ impl Default for LocalizerConfig {
     fn default() -> LocalizerConfig {
         LocalizerConfig {
             encode: EncodeConfig::default(),
-            strategy: Strategy::FuMalik,
             max_suspect_sets: 16,
             granularity: Granularity::Line,
             loop_weighting: false,
@@ -207,11 +204,10 @@ pub struct LocalizationReport {
     /// Statistics of the run.
     pub stats: LocalizerStats,
     /// `true` if the enumeration ran to its natural end (every CoMSS up to
-    /// the configured limit is a *proven* canonical optimum). `false` when a
-    /// [`Budget`] expired mid-run: the reported suspects are still genuine
-    /// (every completed rank is the canonical optimum, and a final anytime
-    /// rank — if present — carries a cost that upper-bounds that rank's true
-    /// optimum), but later ranks may be missing.
+    /// the configured limit). `false` when a [`Budget`] expired mid-run:
+    /// the reported suspects are then a proven prefix of the complete
+    /// report — every reported rank is that rank's canonical optimum — and
+    /// only later ranks are missing.
     pub complete: bool,
 }
 
@@ -639,7 +635,7 @@ impl Localizer {
     }
 
     /// `true` when everything that shapes the prepared formula — encoding
-    /// options, granularity, weights, strategy — matches, *except* the
+    /// options, granularity, weights — matches, *except* the
     /// trusted-line set, which is applied per solve and recomputed freely
     /// by the relabel path.
     fn options_reusable(&self, entry: &str, spec: &Spec, config: &LocalizerConfig) -> bool {
@@ -650,7 +646,6 @@ impl Localizer {
         self.entry == entry
             && &self.spec == spec
             && a.encode == b.encode
-            && a.strategy == b.strategy
             && a.max_suspect_sets == b.max_suspect_sets
             && a.granularity == b.granularity
             && a.loop_weighting == b.loop_weighting
@@ -1091,8 +1086,8 @@ impl Localizer {
     /// before each rank, and travels into every solve so a rank in flight
     /// gives up at the solver's next restart boundary. Expiry is never an
     /// error — the report comes back with [`LocalizationReport::complete`]
-    /// `false` and whatever ranks were proven (plus at most one anytime rank
-    /// whose cost upper-bounds that rank's true optimum).
+    /// `false` and the ranks proven before it: a prefix of the unbudgeted
+    /// report.
     ///
     /// # Errors
     ///
@@ -1164,7 +1159,7 @@ impl Localizer {
         // One SAT solver per call, loaded once: every rank solves on it, and
         // each rank's blocking clause is added to it and to `base` alike.
         let mut sat = Solver::from_formula(base.hard());
-        let mut solver = MaxSatSolver::new(self.config.strategy);
+        let mut solver = MaxSatSolver::default();
         solver.set_budget(budget);
         let pruned_lines: BTreeSet<Line> = selectors
             .iter()
@@ -1217,13 +1212,8 @@ impl Localizer {
             let solver_stats = solver.stats();
             stats.reduce_dbs += solver_stats.reduce_dbs;
             stats.arena_bytes = stats.arena_bytes.max(solver_stats.arena_bytes);
-            let (solution, proven) = match result {
-                MaxSatResult::Optimum(solution) => (solution, true),
-                // Budget ran out mid-solve but an incumbent existed: keep it
-                // as a final, unproven rank (its cost upper-bounds this
-                // rank's true optimum) and stop enumerating — later ranks
-                // would be built on an unproven blocking clause.
-                MaxSatResult::Anytime(solution) => (solution, false),
+            let solution = match result {
+                MaxSatResult::Optimum(solution) => solution,
                 MaxSatResult::Expired => {
                     complete = false; // Ran dry with nothing to show for it.
                     break;
@@ -1258,10 +1248,6 @@ impl Localizer {
                 rank,
                 cost: solution.cost,
             });
-            if !proven {
-                complete = false;
-                break;
-            }
             // Block this CoMSS: (λ₁ ∨ … ∨ λ_k) becomes hard, and those
             // selectors leave the soft set (Algorithm 1, lines 13–14).
             let blocking: Vec<Lit> = blamed.iter().map(|&i| selectors[i].lit).collect();
@@ -1467,15 +1453,13 @@ mod tests {
         assert!(exact.complete);
 
         // An already-expired deadline: the enumeration must come back
-        // immediately, incomplete, with every reported rank (if any) costing
-        // at least its exact counterpart — never hang or error.
+        // immediately, incomplete, with a prefix of the exact ranks (if
+        // any) — never hang or error.
         let expired = Budget::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
         let partial = localizer.localize_budgeted(&[1], expired).unwrap();
         assert!(!partial.complete, "{partial:?}");
         assert!(partial.suspects.len() <= exact.suspects.len());
-        for (got, want) in partial.suspects.iter().zip(&exact.suspects) {
-            assert!(got.cost >= want.cost, "anytime cost must upper-bound");
-        }
+        assert_eq!(partial.suspects, exact.suspects[..partial.suspects.len()]);
 
         // Lifting the budget on the same localizer restores the exact run
         // (the prepared formula is shared state; expiry must not corrupt it).

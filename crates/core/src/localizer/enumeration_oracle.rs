@@ -3,7 +3,7 @@
 //! rebuild-every-rank oracle that clones the instance, re-adds every
 //! blocking clause and solves each rank on a fresh solver. The canonical
 //! optimum makes every rank a function of the instance alone, so both must
-//! report the same suspects byte for byte, for both strategies.
+//! report the same suspects byte for byte.
 
 use super::*;
 use minic::ast::BinOp;
@@ -40,7 +40,7 @@ fn localize_rebuilding(localizer: &Localizer, input: &[i64]) -> (Vec<Suspect>, E
         for &i in &active {
             instance.add_soft_unit(selectors[i].lit, selectors[i].weight);
         }
-        let solution = match MaxSatSolver::new(localizer.config.strategy).solve(&instance) {
+        let solution = match MaxSatSolver::default().solve(&instance) {
             MaxSatResult::Optimum(solution) => solution,
             MaxSatResult::HardUnsat => return (suspects, Exit::HardUnsat),
             other => unreachable!("an unbudgeted solve ended {other:?}"),
@@ -84,7 +84,7 @@ fn assert_warm_matches_oracle(localizer: &Localizer, input: &[i64], what: &str) 
     exit
 }
 
-fn tcas_config(strategy: Strategy) -> LocalizerConfig {
+fn tcas_config() -> LocalizerConfig {
     LocalizerConfig {
         encode: EncodeConfig {
             width: 16,
@@ -93,7 +93,6 @@ fn tcas_config(strategy: Strategy) -> LocalizerConfig {
             concretize: Vec::new(),
             ..EncodeConfig::default()
         },
-        strategy,
         max_suspect_sets: 24,
         trusted_lines: siemens::tcas_trusted_lines(),
         ..LocalizerConfig::default()
@@ -125,12 +124,9 @@ fn tcas_failing(name: &str) -> (Program, Spec, Vec<i64>) {
 fn warm_enumeration_matches_the_rebuilding_oracle_on_tcas() {
     for name in ["v1", "v10", "v20"] {
         let (faulty, spec, input) = tcas_failing(name);
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let localizer =
-                Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &tcas_config(strategy))
-                    .expect("TCAS encodes");
-            assert_warm_matches_oracle(&localizer, &input, &format!("{name} {strategy:?}"));
-        }
+        let localizer = Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &tcas_config())
+            .expect("TCAS encodes");
+        assert_warm_matches_oracle(&localizer, &input, name);
     }
 }
 
@@ -141,13 +137,8 @@ fn a_per_rank_conflict_cap_above_every_rank_keeps_the_full_report() {
     // the unbudgeted report, complete, even though the ranks together spend
     // more than the cap.
     let (faulty, spec, input) = tcas_failing("v1");
-    let localizer = Localizer::new(
-        &faulty,
-        siemens::TCAS_ENTRY,
-        &spec,
-        &tcas_config(Strategy::FuMalik),
-    )
-    .expect("TCAS encodes");
+    let localizer =
+        Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &tcas_config()).expect("TCAS encodes");
     let full = localizer.localize(&input).expect("localizes");
     assert!(full.complete);
     // Conflicts of every rank on the warm solver, replayed the way
@@ -155,7 +146,7 @@ fn a_per_rank_conflict_cap_above_every_rank_keeps_the_full_report() {
     let (prepared, _) = localizer.prepared_timed();
     let mut base = localizer.base_instance(prepared, &input);
     let mut sat = Solver::from_formula(base.hard());
-    let mut solver = MaxSatSolver::new(Strategy::FuMalik);
+    let mut solver = MaxSatSolver::default();
     let mut active: Vec<usize> = (0..prepared.selectors.len())
         .filter(|&i| !prepared.selectors[i].trusted && !prepared.selectors[i].pruned)
         .collect();
@@ -259,18 +250,15 @@ fn warm_enumeration_matches_the_rebuilding_oracle_on_seeded_mutants() {
         let Some((input, expected)) = failing else {
             continue; // An equivalent mutant on every sampled input.
         };
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let config = LocalizerConfig {
-                strategy,
-                max_suspect_sets: 16,
-                ..config8()
-            };
-            let localizer = Localizer::new(&mutant, "main", &Spec::ReturnEquals(expected), &config)
-                .expect("mutant encodes");
-            let exit = assert_warm_matches_oracle(&localizer, &input, &format!("{strategy:?}"));
-            hard_unsat_exits += usize::from(exit == Exit::HardUnsat);
-            cases += 1;
-        }
+        let config = LocalizerConfig {
+            max_suspect_sets: 16,
+            ..config8()
+        };
+        let localizer = Localizer::new(&mutant, "main", &Spec::ReturnEquals(expected), &config)
+            .expect("mutant encodes");
+        let exit = assert_warm_matches_oracle(&localizer, &input, "mutant");
+        hard_unsat_exits += usize::from(exit == Exit::HardUnsat);
+        cases += 1;
     }
     assert!(cases >= 12, "only {cases} failing mutants");
     assert!(

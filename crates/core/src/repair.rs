@@ -26,7 +26,7 @@ pub enum RepairKind {
 /// Repair-search configuration.
 #[derive(Clone, Debug)]
 pub struct RepairConfig {
-    /// Localization options (encoding, MAX-SAT strategy, trusted lines…).
+    /// Localization options (encoding, granularity, trusted lines…).
     pub localizer: LocalizerConfig,
     /// Which repair classes to try.
     pub kinds: Vec<RepairKind>,

@@ -7,11 +7,10 @@
 //! installs it, and every SAT call of the solve polls it at the SAT solver's
 //! restart boundaries via [`sat::Solver::solve_assuming_budgeted`].
 //!
-//! A budgeted solve never turns expiry into an error: if an incumbent model
-//! exists when the budget runs out, the solver returns it as an **anytime
-//! result** ([`crate::MaxSatResult::Anytime`]) whose cost is an upper bound
-//! on the true optimum; with no incumbent it returns
-//! [`crate::MaxSatResult::Expired`].
+//! A budgeted solve never turns expiry into an error: Fu–Malik holds no
+//! model of the hard clauses until it reaches the canonical optimum, so a
+//! solve the budget cuts short returns [`crate::MaxSatResult::Expired`], and
+//! a caller enumerating ranks keeps the ranks it already proved.
 
 use std::time::{Duration, Instant};
 

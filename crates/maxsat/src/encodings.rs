@@ -1,14 +1,11 @@
-//! CNF encodings of cardinality and pseudo-Boolean constraints.
+//! CNF encodings of at-most-one and exactly-one constraints.
 //!
 //! The core-guided MAX-SAT algorithm (Fu–Malik / WPM1) needs an
 //! *exactly-one* constraint over the relaxation variables introduced for each
-//! unsatisfiable core, and the linear SAT–UNSAT strategy needs an
-//! incrementally strengthenable upper bound on a weighted sum of relaxation
-//! variables. Both are provided here: pairwise / sequential at-most-one, the
-//! totalizer, and the generalized (weighted) totalizer.
+//! unsatisfiable core: pairwise for small cores, the sequential (Sinz)
+//! ladder for larger ones.
 
 use sat::{Lit, Solver};
-use std::collections::BTreeMap;
 
 /// Largest input size still encoded pairwise by [`encode_at_most_one`];
 /// larger sets get the linear sequential (Sinz) ladder. Fu–Malik's core
@@ -54,178 +51,6 @@ pub fn encode_exactly_one(solver: &mut Solver, lits: &[Lit]) {
     );
     solver.add_clause(lits.iter().copied());
     encode_at_most_one(solver, lits);
-}
-
-/// Totalizer encoding of a cardinality constraint (Bailleux & Boufkhad).
-///
-/// After construction, `outputs()[k]` is a literal that is implied whenever
-/// at least `k + 1` of the inputs are true. An upper bound "at most `k`
-/// inputs true" is therefore enforced by asserting (or assuming)
-/// `!outputs()[k]`.
-///
-/// # Examples
-///
-/// ```
-/// use sat::{Solver, SatResult};
-/// use maxsat::encodings::Totalizer;
-/// let mut solver = Solver::new();
-/// let xs: Vec<_> = (0..4).map(|_| solver.new_var().positive()).collect();
-/// let tot = Totalizer::new(&mut solver, &xs);
-/// // At most 1 of the 4 inputs:
-/// let bound = tot.at_most(1);
-/// solver.add_clause([xs[0]]);
-/// solver.add_clause([xs[1]]);
-/// assert_eq!(solver.solve_assuming(&bound), SatResult::Unsat);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Totalizer {
-    outputs: Vec<Lit>,
-}
-
-impl Totalizer {
-    /// Builds the totalizer over the given input literals, adding the
-    /// defining clauses to `solver`.
-    pub fn new(solver: &mut Solver, inputs: &[Lit]) -> Totalizer {
-        let outputs = build_totalizer(solver, inputs);
-        Totalizer { outputs }
-    }
-
-    /// The ordered output literals; `outputs()[k]` means "at least `k + 1`
-    /// inputs are true".
-    pub fn outputs(&self) -> &[Lit] {
-        &self.outputs
-    }
-
-    /// Returns assumption literals enforcing "at most `k` inputs are true".
-    pub fn at_most(&self, k: usize) -> Vec<Lit> {
-        self.outputs.iter().skip(k).map(|&o| !o).collect()
-    }
-}
-
-fn build_totalizer(solver: &mut Solver, inputs: &[Lit]) -> Vec<Lit> {
-    match inputs.len() {
-        0 => Vec::new(),
-        1 => vec![inputs[0]],
-        _ => {
-            let mid = inputs.len() / 2;
-            let left = build_totalizer(solver, &inputs[..mid]);
-            let right = build_totalizer(solver, &inputs[mid..]);
-            let outputs: Vec<Lit> = (0..inputs.len())
-                .map(|_| solver.new_var().positive())
-                .collect();
-            // (left >= a) and (right >= b) implies (out >= a + b).
-            for a in 0..=left.len() {
-                for b in 0..=right.len() {
-                    if a + b == 0 {
-                        continue;
-                    }
-                    let mut clause = Vec::with_capacity(3);
-                    if a > 0 {
-                        clause.push(!left[a - 1]);
-                    }
-                    if b > 0 {
-                        clause.push(!right[b - 1]);
-                    }
-                    clause.push(outputs[a + b - 1]);
-                    solver.add_clause(clause);
-                }
-            }
-            outputs
-        }
-    }
-}
-
-/// Generalized totalizer: an output literal per achievable weighted partial
-/// sum, implied whenever the true inputs reach at least that sum.
-///
-/// Used by the linear SAT–UNSAT MAX-SAT strategy to bound the total weight of
-/// falsified soft clauses.
-///
-/// # Examples
-///
-/// ```
-/// use sat::{Solver, SatResult};
-/// use maxsat::encodings::GeneralizedTotalizer;
-/// let mut solver = Solver::new();
-/// let a = solver.new_var().positive();
-/// let b = solver.new_var().positive();
-/// let gte = GeneralizedTotalizer::new(&mut solver, &[(a, 2), (b, 3)]);
-/// solver.add_clause([a]);
-/// solver.add_clause([b]);
-/// assert_eq!(solver.solve_assuming(&gte.at_most(4)), SatResult::Unsat);
-/// assert_eq!(solver.solve_assuming(&gte.at_most(5)), SatResult::Sat);
-/// ```
-#[derive(Clone, Debug)]
-pub struct GeneralizedTotalizer {
-    outputs: BTreeMap<u64, Lit>,
-}
-
-impl GeneralizedTotalizer {
-    /// Builds the weighted totalizer over `(literal, weight)` inputs, adding
-    /// the defining clauses to `solver`. Zero-weight inputs are ignored.
-    pub fn new(solver: &mut Solver, inputs: &[(Lit, u64)]) -> GeneralizedTotalizer {
-        let filtered: Vec<(Lit, u64)> = inputs.iter().copied().filter(|&(_, w)| w > 0).collect();
-        let outputs = build_gte(solver, &filtered);
-        GeneralizedTotalizer { outputs }
-    }
-
-    /// The map from achievable sum to the output literal meaning "the
-    /// weighted sum of true inputs is at least this value".
-    pub fn outputs(&self) -> &BTreeMap<u64, Lit> {
-        &self.outputs
-    }
-
-    /// Returns assumption literals enforcing "weighted sum ≤ `bound`".
-    pub fn at_most(&self, bound: u64) -> Vec<Lit> {
-        self.outputs
-            .range((bound + 1)..)
-            .map(|(_, &lit)| !lit)
-            .collect()
-    }
-}
-
-fn build_gte(solver: &mut Solver, inputs: &[(Lit, u64)]) -> BTreeMap<u64, Lit> {
-    match inputs.len() {
-        0 => BTreeMap::new(),
-        1 => {
-            let mut m = BTreeMap::new();
-            m.insert(inputs[0].1, inputs[0].0);
-            m
-        }
-        _ => {
-            let mid = inputs.len() / 2;
-            let left = build_gte(solver, &inputs[..mid]);
-            let right = build_gte(solver, &inputs[mid..]);
-            // Collect every achievable sum.
-            let mut sums: Vec<u64> = Vec::new();
-            sums.extend(left.keys().copied());
-            sums.extend(right.keys().copied());
-            for &a in left.keys() {
-                for &b in right.keys() {
-                    sums.push(a + b);
-                }
-            }
-            sums.sort_unstable();
-            sums.dedup();
-            let outputs: BTreeMap<u64, Lit> = sums
-                .into_iter()
-                .map(|s| (s, solver.new_var().positive()))
-                .collect();
-            // Propagation clauses.
-            for (&a, &la) in &left {
-                solver.add_clause([!la, outputs[&a]]);
-            }
-            for (&b, &lb) in &right {
-                solver.add_clause([!lb, outputs[&b]]);
-            }
-            for (&a, &la) in &left {
-                for (&b, &lb) in &right {
-                    solver.add_clause([!la, !lb, outputs[&(a + b)]]);
-                }
-            }
-            outputs
-        }
-    }
 }
 
 #[cfg(test)]
@@ -312,70 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn totalizer_bounds_cardinality() {
-        for bound in 0..4 {
-            let mut solver = Solver::new();
-            let xs = fresh(&mut solver, 5);
-            let tot = Totalizer::new(&mut solver, &xs);
-            // Force bound + 1 inputs true: must conflict with at_most(bound).
-            for x in xs.iter().take(bound + 1) {
-                solver.add_clause([*x]);
-            }
-            assert_eq!(
-                solver.solve_assuming(&tot.at_most(bound)),
-                SatResult::Unsat,
-                "bound {bound} should be violated"
-            );
-            assert_eq!(
-                solver.solve_assuming(&tot.at_most(bound + 1)),
-                SatResult::Sat,
-                "bound {} should be satisfiable",
-                bound + 1
-            );
-        }
-    }
-
-    #[test]
-    fn totalizer_at_most_zero() {
-        let mut solver = Solver::new();
-        let xs = fresh(&mut solver, 3);
-        let tot = Totalizer::new(&mut solver, &xs);
-        assert_eq!(solver.solve_assuming(&tot.at_most(0)), SatResult::Sat);
-        assert_eq!(count_true(&solver, &xs), 0);
-    }
-
-    #[test]
-    fn generalized_totalizer_weighted_bounds() {
-        let mut solver = Solver::new();
-        let xs = fresh(&mut solver, 3);
-        let weighted: Vec<(Lit, u64)> = vec![(xs[0], 3), (xs[1], 5), (xs[2], 7)];
-        let gte = GeneralizedTotalizer::new(&mut solver, &weighted);
-        solver.add_clause([xs[0]]);
-        solver.add_clause([xs[2]]);
-        // Sum of forced-true weights is 10.
-        assert_eq!(solver.solve_assuming(&gte.at_most(9)), SatResult::Unsat);
-        assert_eq!(solver.solve_assuming(&gte.at_most(10)), SatResult::Sat);
-        assert_eq!(solver.model_value(xs[1]), Some(false));
-    }
-
-    #[test]
-    fn generalized_totalizer_ignores_zero_weights() {
-        let mut solver = Solver::new();
-        let xs = fresh(&mut solver, 2);
-        let gte = GeneralizedTotalizer::new(&mut solver, &[(xs[0], 0), (xs[1], 2)]);
-        assert_eq!(gte.outputs().len(), 1);
-        solver.add_clause([xs[0]]);
-        assert_eq!(solver.solve_assuming(&gte.at_most(0)), SatResult::Sat);
-    }
-
-    #[test]
     fn empty_encodings_are_noops() {
         let mut solver = Solver::new();
         encode_at_most_one(&mut solver, &[]);
-        let tot = Totalizer::new(&mut solver, &[]);
-        assert!(tot.at_most(0).is_empty());
-        let gte = GeneralizedTotalizer::new(&mut solver, &[]);
-        assert!(gte.at_most(0).is_empty());
+        assert_eq!(solver.num_clauses(), 0);
         assert_eq!(solver.solve(), SatResult::Sat);
     }
 }

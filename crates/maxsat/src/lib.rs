@@ -8,20 +8,18 @@
 //! that substrate on top of the in-workspace [`sat`] CDCL solver:
 //!
 //! * [`MaxSatInstance`] — hard clauses + weighted soft clauses;
-//! * [`Strategy::FuMalik`] — core-guided Fu–Malik / WPM1, the algorithm
-//!   family MSUnCORE belongs to;
-//! * [`Strategy::LinearSatUnsat`] — model-improving linear search, kept for
-//!   the solver-ablation experiment (E10 in DESIGN.md);
-//! * [`MaxSatSolver::solve_loaded`] — either strategy on a caller-owned
+//! * [`MaxSatSolver`] — core-guided Fu–Malik / WPM1, the algorithm family
+//!   MSUnCORE belongs to, with every optimum refined to the canonical one;
+//! * [`MaxSatSolver::solve_loaded`] — a solve on a caller-owned
 //!   [`sat::Solver`] that already holds the hard clauses, so an enumeration
 //!   that only adds hard clauses between solves loads them once;
-//! * cardinality / pseudo-Boolean [`encodings`] (totalizer and generalized
-//!   totalizer) used by the strategies.
+//! * [`Budget`] — a wall-clock deadline and/or conflict cap per solve;
+//! * the at-most-one / exactly-one [`encodings`] Fu–Malik puts on each core.
 //!
 //! # Examples
 //!
 //! ```
-//! use maxsat::{MaxSatInstance, Strategy, solve};
+//! use maxsat::{MaxSatInstance, solve};
 //!
 //! let mut inst = MaxSatInstance::new();
 //! let x = inst.new_var().positive();
@@ -29,7 +27,7 @@
 //! let blameworthy = inst.add_soft(vec![!x], 1);
 //! let innocent = inst.add_soft(vec![x], 1);
 //!
-//! let solution = solve(&inst, Strategy::FuMalik).into_optimum().unwrap();
+//! let solution = solve(&inst).into_optimum().unwrap();
 //! assert_eq!(solution.cost, 1);
 //! assert_eq!(solution.falsified, vec![blameworthy]);
 //! assert!(!solution.falsified.contains(&innocent));

@@ -1,46 +1,40 @@
-//! MAX-SAT solving strategies.
+//! The core-guided MAX-SAT algorithm.
 //!
-//! Two complete strategies for weighted partial MAX-SAT are provided:
+//! [`MaxSatSolver`] runs the algorithm of Fu & Malik in its weighted WPM1
+//! variant, which is what the MSUnCORE solver used by the BugAssist paper
+//! implements: repeatedly ask a SAT solver for an unsatisfiable core over the
+//! soft-clause selectors, relax each clause of the core with a fresh
+//! relaxation variable, constrain the relaxation variables of the core to
+//! exactly one, and pay the minimum weight of the core.
 //!
-//! * [`Strategy::FuMalik`] — the core-guided algorithm of Fu & Malik in its
-//!   weighted WPM1 variant, which is what the MSUnCORE solver used by the
-//!   BugAssist paper implements: repeatedly ask a SAT solver for an
-//!   unsatisfiable core over the soft-clause selectors, relax each clause of
-//!   the core with a fresh relaxation variable, constrain the relaxation
-//!   variables of the core to exactly one, and pay the minimum weight of the
-//!   core.
-//! * [`Strategy::LinearSatUnsat`] — model-improving linear search: relax every
-//!   soft clause up front, find any model, then repeatedly ask for a strictly
-//!   cheaper model via a generalized-totalizer bound until UNSAT.
-//!
-//! Both return the same [`MaxSatSolution`], including the **CoMSS** (the set
-//! of soft clauses falsified by the optimal model) that BugAssist interprets
-//! as a candidate error localization. By default every optimum is refined to
-//! the **canonical** one — the equal-cost solution keeping the lowest
-//! [`SoftId`]s satisfied ([`MaxSatSolver::set_canonical`]) — so the reported
-//! CoMSS is a function of the instance's semantics, identical across
-//! strategies and across different CNF representations of the same
-//! projection (hash-consed or not, preprocessed or not). The refinement is
-//! one SAT call on the warm solver: under the assumptions that fix the
-//! optimal cost, it decides every soft clause satisfied in [`SoftId`] order
-//! before any other decision, and its first model is the canonical optimum.
+//! The returned [`MaxSatSolution`] carries the **CoMSS** (the set of soft
+//! clauses falsified by the optimal model) that BugAssist interprets as a
+//! candidate error localization. Every optimum is refined to the
+//! **canonical** one — the equal-cost solution keeping the lowest
+//! [`SoftId`]s satisfied — so the reported CoMSS is a function of the
+//! instance's semantics, identical across different CNF representations of
+//! the same projection (hash-consed or not, preprocessed or not). The
+//! refinement is one SAT call on the warm solver: under the assumptions that
+//! fix the optimal cost, it decides every soft clause satisfied in
+//! [`SoftId`] order before any other decision, and its first model is the
+//! canonical optimum.
 
 use crate::budget::Budget;
-use crate::encodings::{encode_exactly_one, GeneralizedTotalizer, PAIRWISE_AT_MOST_ONE_MAX};
+use crate::encodings::{encode_exactly_one, PAIRWISE_AT_MOST_ONE_MAX};
 use crate::instance::{MaxSatInstance, SoftId};
 use sat::{Lit, SatResult, Solver, SolverStats};
 
 #[cfg(test)]
 mod greedy_oracle;
 
-/// Which algorithm to use for a [`solve`] call.
+/// The MAX-SAT algorithm, named by [`MaxSatSolver::new`]. Fu–Malik / WPM1
+/// is the only one; the enum stays so that `MaxSatSolver::new` keeps the
+/// signature the out-of-workspace `perfbench` package calls it with.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum Strategy {
-    /// Core-guided Fu–Malik / WPM1 (default; mirrors MSUnCORE).
+    /// Core-guided Fu–Malik / WPM1 (mirrors MSUnCORE).
     #[default]
     FuMalik,
-    /// Model-improving linear SAT–UNSAT search with a generalized totalizer.
-    LinearSatUnsat,
 }
 
 /// An optimal solution to a weighted partial MAX-SAT instance.
@@ -70,23 +64,15 @@ impl MaxSatSolution {
 pub enum MaxSatResult {
     /// The hard clauses are satisfiable; an optimal solution is attached.
     Optimum(MaxSatSolution),
-    /// The solve's [`Budget`] expired before optimality was proven, but an
-    /// incumbent model was found: an **anytime result**. The attached
-    /// solution is a genuine model of the hard clauses and its `cost` is a
-    /// valid *upper bound* on the optimum — refined to the canonical
-    /// representative at that cost, exactly like a proven optimum would be.
-    Anytime(MaxSatSolution),
-    /// The solve's [`Budget`] expired before any model of the hard clauses
-    /// was found; nothing can be reported.
+    /// The solve's [`Budget`] expired before the canonical optimum was
+    /// found; nothing can be reported.
     Expired,
     /// The hard clauses alone are unsatisfiable; no assignment exists.
     HardUnsat,
 }
 
 impl MaxSatResult {
-    /// Returns the *proven-optimal* solution; `None` for every other
-    /// outcome, including an anytime result (use [`MaxSatResult::solution`]
-    /// to accept those too).
+    /// Returns the optimal solution; `None` for every other outcome.
     pub fn optimum(&self) -> Option<&MaxSatSolution> {
         match self {
             MaxSatResult::Optimum(sol) => Some(sol),
@@ -94,33 +80,11 @@ impl MaxSatResult {
         }
     }
 
-    /// Consumes the result and returns the proven-optimal solution, or
-    /// `None`.
+    /// Consumes the result and returns the optimal solution, or `None`.
     pub fn into_optimum(self) -> Option<MaxSatSolution> {
         match self {
             MaxSatResult::Optimum(sol) => Some(sol),
             _ => None,
-        }
-    }
-
-    /// Returns whatever solution is attached — a proven optimum or an
-    /// anytime incumbent (whose cost is only an upper bound).
-    pub fn solution(&self) -> Option<&MaxSatSolution> {
-        match self {
-            MaxSatResult::Optimum(sol) | MaxSatResult::Anytime(sol) => Some(sol),
-            _ => None,
-        }
-    }
-
-    /// Consumes the result and returns `(solution, complete)`: the attached
-    /// solution plus `true` when it is a proven optimum, `false` when it is
-    /// an anytime upper bound. `None` for [`MaxSatResult::HardUnsat`] and
-    /// [`MaxSatResult::Expired`].
-    pub fn into_solution(self) -> Option<(MaxSatSolution, bool)> {
-        match self {
-            MaxSatResult::Optimum(sol) => Some((sol, true)),
-            MaxSatResult::Anytime(sol) => Some((sol, false)),
-            MaxSatResult::Expired | MaxSatResult::HardUnsat => None,
         }
     }
 
@@ -142,9 +106,9 @@ impl MaxSatResult {
 pub struct MaxSatStats {
     /// Number of calls made to the underlying SAT solver.
     pub sat_calls: u64,
-    /// Number of unsatisfiable cores processed (Fu–Malik only).
+    /// Number of unsatisfiable cores processed.
     pub cores: u64,
-    /// Cores the trimming re-solve actually shrank (Fu–Malik only).
+    /// Cores the trimming re-solve actually shrank.
     pub cores_trimmed: u64,
     /// Total selectors dropped from cores by trimming — every one saved is a
     /// relaxation variable not allocated and a smaller exactly-one
@@ -177,7 +141,7 @@ impl MaxSatStats {
     }
 }
 
-/// A configurable weighted partial MAX-SAT solver.
+/// A weighted partial MAX-SAT solver running Fu–Malik / WPM1.
 ///
 /// # Examples
 ///
@@ -198,17 +162,14 @@ impl MaxSatStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MaxSatSolver {
-    strategy: Strategy,
     stats: MaxSatStats,
-    /// Refine every optimum into the canonical one (see
-    /// [`MaxSatSolver::set_canonical`]).
-    canonical: bool,
     /// Refine with the greedy per-soft walk instead of the one-call
     /// refinement: the test oracle of [`MaxSatSolver::canonicalize`].
     #[cfg(test)]
     greedy_oracle: bool,
-    /// Trim each Fu–Malik core with one re-solve before relaxing it (see
-    /// [`MaxSatSolver::set_core_trimming`]).
+    /// Trim each wide core with one re-solve before relaxing it (default
+    /// on); tests switch it off to compare against untrimmed cores.
+    #[cfg(test)]
     core_trimming: bool,
     /// Resource limits applied to every solve (see
     /// [`MaxSatSolver::set_budget`]). Unlimited by default.
@@ -220,19 +181,18 @@ pub struct MaxSatSolver {
 
 impl Default for MaxSatSolver {
     fn default() -> MaxSatSolver {
-        MaxSatSolver::new(Strategy::default())
+        MaxSatSolver::new(Strategy::FuMalik)
     }
 }
 
 impl MaxSatSolver {
-    /// Creates a solver using the given strategy.
-    pub fn new(strategy: Strategy) -> MaxSatSolver {
+    /// Creates a solver. [`Strategy::FuMalik`] is the only strategy.
+    pub fn new(_strategy: Strategy) -> MaxSatSolver {
         MaxSatSolver {
-            strategy,
             stats: MaxSatStats::default(),
-            canonical: true,
             #[cfg(test)]
             greedy_oracle: false,
+            #[cfg(test)]
             core_trimming: true,
             budget: Budget::UNLIMITED,
             start: SolverStats::default(),
@@ -240,36 +200,12 @@ impl MaxSatSolver {
     }
 
     /// Installs the [`Budget`] (wall-clock deadline and/or conflict cap)
-    /// applied to every subsequent solve. With a
-    /// budget in place a solve that runs out returns
-    /// [`MaxSatResult::Anytime`] (the best incumbent found, canonically
-    /// refined, its cost an upper bound on the optimum) or
-    /// [`MaxSatResult::Expired`] when no model was found in time — never an
-    /// error. Pass [`Budget::UNLIMITED`] to restore unbounded solving.
+    /// applied to every subsequent solve. With a budget in place a solve
+    /// that runs out before its canonical optimum returns
+    /// [`MaxSatResult::Expired`] — never an error. Pass
+    /// [`Budget::UNLIMITED`] to restore unbounded solving.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
-    }
-
-    /// Enables or disables canonical-optimum refinement (default on): among
-    /// equal-cost optima, return the one keeping the lowest soft ids
-    /// satisfied, making the `falsified` set a function of the instance
-    /// semantics rather than of the search path. Disable to get the raw
-    /// first optimum (or anytime incumbent) the strategy happens to find.
-    pub fn set_canonical(&mut self, enabled: bool) {
-        self.canonical = enabled;
-    }
-
-    /// Enables or disables Fu–Malik core trimming (default on): one cheap
-    /// re-solve per core — for cores above the pairwise at-most-one
-    /// threshold — with only the core as assumptions, keeping the (often
-    /// smaller) returned core before relaxing.
-    pub fn set_core_trimming(&mut self, enabled: bool) {
-        self.core_trimming = enabled;
-    }
-
-    /// The strategy this solver uses.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// Statistics from the most recent solve.
@@ -306,16 +242,15 @@ impl MaxSatSolver {
         debug_assert!(solver.num_vars() >= instance.num_vars());
         self.stats = MaxSatStats::default();
         self.start = solver.stats();
-        let result = match self.strategy {
-            // Refuted at the top level while loading or adding hard clauses:
-            // a definitive answer, whatever is left of the budget.
-            _ if !solver.is_ok() => MaxSatResult::HardUnsat,
+        let result = if solver.is_ok() {
             // Fu–Malik holds no model of the hard clauses until its optimum,
             // so a budget that runs out first leaves nothing to report.
-            Strategy::FuMalik => self
-                .solve_fu_malik(solver, instance)
-                .unwrap_or(MaxSatResult::Expired),
-            Strategy::LinearSatUnsat => self.solve_linear(solver, instance),
+            self.solve_fu_malik(solver, instance)
+                .unwrap_or(MaxSatResult::Expired)
+        } else {
+            // Refuted at the top level while loading or adding hard clauses:
+            // a definitive answer, whatever is left of the budget.
+            MaxSatResult::HardUnsat
         };
         self.stats.capture_solver(solver, &self.start);
         debug_assert!(check_solution(instance, &result));
@@ -352,21 +287,21 @@ impl MaxSatSolver {
     /// Finds the **canonical** optimum: among the models of the hard clauses
     /// under `assumptions`, the one that keeps the lowest-identified soft
     /// clauses satisfied (pushing unavoidable blame onto the highest
-    /// [`SoftId`]s). Both complete strategies end in a solver state whose
-    /// models under their final assumptions all carry exactly the optimal
-    /// cost, so this is one SAT call on that *warm* solver. The call keeps
-    /// the final assumptions, so the solver's kept trail spares their
-    /// propagation, and decides one pin per soft clause true, in `SoftId`
-    /// order, before any other decision. Its first model is the
-    /// lexicographic optimum over the pins: a pin left false is implied by
-    /// the assumptions and the earlier pins, so no model that agrees on
-    /// those earlier pins can satisfy its soft clause.
+    /// [`SoftId`]s). Fu–Malik ends in a solver state whose models under its
+    /// final assumptions all carry exactly the optimal cost, so this is one
+    /// SAT call on that *warm* solver. The call keeps the final
+    /// assumptions, so the solver's kept trail spares their propagation,
+    /// and decides one pin per soft clause true, in `SoftId` order, before
+    /// any other decision. Its first model is the lexicographic optimum
+    /// over the pins: a pin left false is implied by the assumptions and the
+    /// earlier pins, so no model that agrees on those earlier pins can
+    /// satisfy its soft clause.
     ///
     /// The canonical optimum is a semantic object — a function of the
-    /// instance, not of the search path — so both strategies, different
-    /// clause layouts and preprocessed/unpreprocessed encodings of the same
-    /// instance all converge to the same `falsified` set. Returns `None`
-    /// only when the budget runs out.
+    /// instance, not of the search path — so different clause layouts and
+    /// preprocessed/unpreprocessed encodings of the same instance all
+    /// converge to the same `falsified` set. Returns `None` only when the
+    /// budget runs out.
     fn canonicalize(
         &mut self,
         solver: &mut Solver,
@@ -437,11 +372,7 @@ impl MaxSatSolver {
                     // The WPM1 invariant makes every model under the final
                     // assumptions exactly optimal, so the canonical
                     // refinement runs under them on the warm solver.
-                    let model = if self.canonical {
-                        self.canonicalize(solver, instance, &assumptions, budget)?
-                    } else {
-                        truncate_model(solver, instance.num_vars())
-                    };
+                    let model = self.canonicalize(solver, instance, &assumptions, budget)?;
                     let falsified = falsified_soft(instance, &model);
                     return Some(MaxSatResult::Optimum(MaxSatSolution {
                         cost,
@@ -464,7 +395,10 @@ impl MaxSatSolver {
                     // pairwise at-most-one threshold: smaller cores get the
                     // quadratic-but-tiny pairwise encoding anyway, so the
                     // re-solve could only recoup a few binary clauses.
-                    if self.core_trimming && core.len() > PAIRWISE_AT_MOST_ONE_MAX {
+                    let trim = core.len() > PAIRWISE_AT_MOST_ONE_MAX;
+                    #[cfg(test)]
+                    let trim = trim && self.core_trimming;
+                    if trim {
                         self.stats.sat_calls += 1;
                         match self.sat_call(solver, &core, &[], budget)? {
                             SatResult::Unsat => {
@@ -534,120 +468,11 @@ impl MaxSatSolver {
             }
         }
     }
-
-    /// Runs linear SAT–UNSAT search. When the budget runs out after the
-    /// first model, the best model so far becomes the anytime answer.
-    fn solve_linear(&mut self, solver: &mut Solver, instance: &MaxSatInstance) -> MaxSatResult {
-        let budget = self.budget;
-        // Relax every soft clause up front.
-        let mut weighted_relax: Vec<(Lit, u64)> = Vec::new();
-        let mut base_cost = 0u64;
-        for soft in instance.soft_clauses() {
-            if soft.clause.is_empty() {
-                base_cost += soft.weight;
-                continue;
-            }
-            let relax = solver.new_var().positive();
-            let mut lits: Vec<Lit> = soft.clause.lits().to_vec();
-            lits.push(relax);
-            solver.add_clause(lits);
-            weighted_relax.push((relax, soft.weight));
-        }
-
-        self.stats.sat_calls += 1;
-        match self.sat_call(solver, &[], &[], budget) {
-            None => return MaxSatResult::Expired,
-            Some(SatResult::Unsat) => return MaxSatResult::HardUnsat,
-            Some(SatResult::Sat) => {}
-        }
-        // `cost_of` already counts empty soft clauses (they evaluate to
-        // false), so `base_cost` is only used to shift the totalizer bound.
-        let mut best_model = truncate_model(solver, instance.num_vars());
-        let mut best_cost = instance
-            .cost_of(&best_model)
-            .expect("SAT model satisfies hard clauses");
-
-        if best_cost > base_cost {
-            let gte = GeneralizedTotalizer::new(solver, &weighted_relax);
-            while best_cost > base_cost {
-                let assumptions = gte.at_most(best_cost - base_cost - 1);
-                self.stats.sat_calls += 1;
-                match self.sat_call(solver, &assumptions, &[], budget) {
-                    Some(SatResult::Sat) => {
-                        let model = truncate_model(solver, instance.num_vars());
-                        let cost = instance
-                            .cost_of(&model)
-                            .expect("SAT model satisfies hard clauses");
-                        debug_assert!(cost < best_cost);
-                        best_cost = cost;
-                        best_model = model;
-                    }
-                    Some(SatResult::Unsat) => break,
-                    None => {
-                        let bound = gte.at_most(best_cost - base_cost);
-                        return self.refine_anytime(solver, instance, &bound, best_model);
-                    }
-                }
-            }
-            // Canonical refinement: under `at_most(best_cost - base_cost)`
-            // every model of the relaxed formula costs exactly the (now
-            // proven) optimum, so the refinement runs under that bound on
-            // the warm solver. At the base cost the falsified set is the
-            // empty softs alone — already unique.
-            if self.canonical && best_cost > base_cost {
-                let bound = gte.at_most(best_cost - base_cost);
-                match self.canonicalize(solver, instance, &bound, budget) {
-                    Some(model) => best_model = model,
-                    None => return self.refine_anytime(solver, instance, &bound, best_model),
-                }
-            }
-        }
-
-        let falsified = falsified_soft(instance, &best_model);
-        MaxSatResult::Optimum(MaxSatSolution {
-            cost: best_cost,
-            model: best_model,
-            falsified,
-        })
-    }
-
-    /// Builds the answer of a linear search whose budget ran out holding
-    /// `model`: with canonical refinement on, the canonical model on the
-    /// warm solver under `bound`, the totalizer bound pinning the falsified
-    /// weight at `model`'s cost. The reported CoMSS is then the unique
-    /// representative of that *upper bound*: the least falsified set, in
-    /// `SoftId` order, among models no costlier. The refinement runs
-    /// unbudgeted: it is one SAT call whose models `model` proves exist, so
-    /// honouring the already-spent budget would only replace a useful
-    /// answer with none.
-    fn refine_anytime(
-        &mut self,
-        solver: &mut Solver,
-        instance: &MaxSatInstance,
-        bound: &[Lit],
-        model: Vec<bool>,
-    ) -> MaxSatResult {
-        let model = if self.canonical {
-            self.canonicalize(solver, instance, bound, Budget::UNLIMITED)
-                .expect("an unbudgeted refinement completes")
-        } else {
-            model
-        };
-        let cost = instance
-            .cost_of(&model)
-            .expect("SAT model satisfies hard clauses");
-        let falsified = falsified_soft(instance, &model);
-        MaxSatResult::Anytime(MaxSatSolution {
-            cost,
-            model,
-            falsified,
-        })
-    }
 }
 
-/// Convenience function: solve with the given strategy.
-pub fn solve(instance: &MaxSatInstance, strategy: Strategy) -> MaxSatResult {
-    MaxSatSolver::new(strategy).solve(instance)
+/// Convenience function: solve with a default [`MaxSatSolver`].
+pub fn solve(instance: &MaxSatInstance) -> MaxSatResult {
+    MaxSatSolver::default().solve(instance)
 }
 
 /// A literal that, assumed or decided true, makes `clause` satisfied: the
@@ -683,10 +508,7 @@ fn falsified_soft(instance: &MaxSatInstance, model: &[bool]) -> Vec<SoftId> {
 fn check_solution(instance: &MaxSatInstance, result: &MaxSatResult) -> bool {
     match result {
         MaxSatResult::HardUnsat | MaxSatResult::Expired => true,
-        // An anytime solution is held to the same internal-consistency bar
-        // as a proven optimum: a genuine model whose recorded cost equals
-        // the weight of its falsified set. Only *optimality* is unproven.
-        MaxSatResult::Optimum(sol) | MaxSatResult::Anytime(sol) => {
+        MaxSatResult::Optimum(sol) => {
             let recomputed: u64 = sol
                 .falsified
                 .iter()
@@ -706,23 +528,15 @@ mod tests {
         Lit::from_dimacs(d)
     }
 
-    fn both_strategies(instance: &MaxSatInstance) -> (MaxSatResult, MaxSatResult) {
-        (
-            solve(instance, Strategy::FuMalik),
-            solve(instance, Strategy::LinearSatUnsat),
-        )
-    }
-
     #[test]
     fn all_soft_satisfiable() {
         let mut inst = MaxSatInstance::new();
         inst.add_hard(vec![lit(1), lit(2)]);
         inst.add_soft(vec![lit(1)], 1);
         inst.add_soft(vec![lit(2)], 1);
-        let (a, b) = both_strategies(&inst);
-        assert_eq!(a.optimum().unwrap().cost, 0);
-        assert_eq!(b.optimum().unwrap().cost, 0);
-        assert!(a.optimum().unwrap().falsified.is_empty());
+        let sol = solve(&inst).into_optimum().unwrap();
+        assert_eq!(sol.cost, 0);
+        assert!(sol.falsified.is_empty());
     }
 
     #[test]
@@ -731,10 +545,9 @@ mod tests {
         inst.ensure_vars(1);
         inst.add_soft(vec![lit(1)], 1);
         inst.add_soft(vec![lit(-1)], 1);
-        let (a, b) = both_strategies(&inst);
-        assert_eq!(a.optimum().unwrap().cost, 1);
-        assert_eq!(b.optimum().unwrap().cost, 1);
-        assert_eq!(a.optimum().unwrap().falsified.len(), 1);
+        let sol = solve(&inst).into_optimum().unwrap();
+        assert_eq!(sol.cost, 1);
+        assert_eq!(sol.falsified.len(), 1);
     }
 
     #[test]
@@ -743,15 +556,10 @@ mod tests {
         inst.ensure_vars(1);
         inst.add_soft(vec![lit(1)], 10);
         inst.add_soft(vec![lit(-1)], 1);
-        for result in [
-            solve(&inst, Strategy::FuMalik),
-            solve(&inst, Strategy::LinearSatUnsat),
-        ] {
-            let sol = result.into_optimum().unwrap();
-            assert_eq!(sol.cost, 1);
-            assert_eq!(sol.falsified, vec![SoftId(1)]);
-            assert!(sol.model[0]);
-        }
+        let sol = solve(&inst).into_optimum().unwrap();
+        assert_eq!(sol.cost, 1);
+        assert_eq!(sol.falsified, vec![SoftId(1)]);
+        assert!(sol.model[0]);
     }
 
     #[test]
@@ -760,19 +568,15 @@ mod tests {
         inst.add_hard(vec![lit(1)]);
         inst.add_hard(vec![lit(-1)]);
         inst.add_soft(vec![lit(2)], 1);
-        let (a, b) = both_strategies(&inst);
-        assert!(a.is_hard_unsat());
-        assert!(b.is_hard_unsat());
+        assert!(solve(&inst).is_hard_unsat());
         // A refutation found while loading is definitive even when the
         // budget is already spent.
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let mut solver = MaxSatSolver::new(strategy);
-            solver.set_budget(Budget {
-                deadline: None,
-                conflict_cap: Some(0),
-            });
-            assert!(solver.solve(&inst).is_hard_unsat(), "{strategy:?}");
-        }
+        let mut solver = MaxSatSolver::default();
+        solver.set_budget(Budget {
+            deadline: None,
+            conflict_cap: Some(0),
+        });
+        assert!(solver.solve(&inst).is_hard_unsat());
     }
 
     #[test]
@@ -783,12 +587,10 @@ mod tests {
         inst.add_soft(vec![lit(-1)], 5);
         inst.add_soft(vec![lit(2)], 1);
         inst.add_soft(vec![lit(-2)], 1);
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let sol = solve(&inst, strategy).into_optimum().unwrap();
-            assert_eq!(sol.cost, 6, "strategy {strategy:?}");
-            assert!(sol.model[0]);
-            assert!(sol.falsified.contains(&SoftId(0)));
-        }
+        let sol = solve(&inst).into_optimum().unwrap();
+        assert_eq!(sol.cost, 6);
+        assert!(sol.model[0]);
+        assert!(sol.falsified.contains(&SoftId(0)));
     }
 
     #[test]
@@ -797,11 +599,9 @@ mod tests {
         inst.ensure_vars(1);
         inst.add_soft(Vec::<Lit>::new(), 7);
         inst.add_soft(vec![lit(1)], 1);
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let sol = solve(&inst, strategy).into_optimum().unwrap();
-            assert_eq!(sol.cost, 7, "strategy {strategy:?}");
-            assert_eq!(sol.falsified, vec![SoftId(0)]);
-        }
+        let sol = solve(&inst).into_optimum().unwrap();
+        assert_eq!(sol.cost, 7);
+        assert_eq!(sol.falsified, vec![SoftId(0)]);
     }
 
     #[test]
@@ -809,11 +609,9 @@ mod tests {
         let mut inst = MaxSatInstance::new();
         inst.add_hard(vec![lit(1), lit(2)]);
         inst.add_hard(vec![lit(-1)]);
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let sol = solve(&inst, strategy).into_optimum().unwrap();
-            assert_eq!(sol.cost, 0);
-            assert!(sol.model[1]);
-        }
+        let sol = solve(&inst).into_optimum().unwrap();
+        assert_eq!(sol.cost, 0);
+        assert!(sol.model[1]);
     }
 
     #[test]
@@ -836,15 +634,13 @@ mod tests {
         inst.add_soft(vec![s1], 1);
         inst.add_soft(vec![s2], 1);
         inst.add_soft(vec![s3], 1);
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let sol = solve(&inst, strategy).into_optimum().unwrap();
-            assert_eq!(sol.cost, 1, "strategy {strategy:?}");
-            assert_eq!(
-                sol.falsified,
-                vec![SoftId(0)],
-                "only statement 1 is to blame"
-            );
-        }
+        let sol = solve(&inst).into_optimum().unwrap();
+        assert_eq!(sol.cost, 1);
+        assert_eq!(
+            sol.falsified,
+            vec![SoftId(0)],
+            "only statement 1 is to blame"
+        );
     }
 
     #[test]
@@ -860,7 +656,7 @@ mod tests {
         for v in 1..=8 {
             inst.add_soft(vec![lit(v)], 1);
         }
-        let mut solver = MaxSatSolver::new(Strategy::FuMalik);
+        let mut solver = MaxSatSolver::default();
         let sol = solver.solve(&inst).into_optimum().expect("satisfiable");
         assert_eq!(sol.cost, 1);
         assert_eq!(sol.falsified, vec![SoftId(7)], "canonical blame");
@@ -869,44 +665,61 @@ mod tests {
         // The trimming call is counted: initial UNSAT + trim + final SAT.
         assert!(stats.sat_calls >= 3, "{stats:?}");
 
-        // Small cores skip the trim, and disabling the knobs entirely still
-        // yields the same optimum cost.
-        let mut plain = MaxSatSolver::new(Strategy::FuMalik);
-        plain.set_core_trimming(false);
-        plain.set_canonical(false);
-        let raw = plain.solve(&inst).into_optimum().expect("satisfiable");
-        assert_eq!(raw.cost, 1);
+        // Without the trim the same canonical optimum comes back, one SAT
+        // call cheaper.
+        let mut untrimmed = MaxSatSolver {
+            core_trimming: false,
+            ..MaxSatSolver::default()
+        };
+        assert_eq!(untrimmed.solve(&inst).into_optimum(), Some(sol));
+        assert_eq!(untrimmed.stats().sat_calls + 1, stats.sat_calls);
     }
 
     #[test]
     fn canonical_refinement_is_strategy_independent() {
         // Several equal-cost optima: any one of x1..x4 can absorb the
-        // conflict with x5. Both strategies must land on the same canonical
-        // falsified set (keep low ids satisfied => blame the highest id
-        // possible), byte-identically.
+        // conflict with x5. The one-call refinement and the greedy oracle
+        // walk must land on the same canonical falsified set (keep low ids
+        // satisfied => blame the highest id possible), byte-identically.
         let mut inst = MaxSatInstance::new();
         inst.ensure_vars(5);
         for v in 1..=4 {
             inst.add_soft(vec![lit(v)], 1);
         }
         inst.add_soft(vec![lit(-1), lit(-2), lit(-3), lit(-4)], 2);
-        let fm = solve(&inst, Strategy::FuMalik).into_optimum().unwrap();
-        let linear = solve(&inst, Strategy::LinearSatUnsat)
-            .into_optimum()
-            .unwrap();
-        assert_eq!(fm.cost, linear.cost);
-        assert_eq!(fm.falsified, linear.falsified);
-        assert_eq!(fm.falsified, vec![SoftId(3)], "blame the highest id");
+        let one_call = solve(&inst).into_optimum().unwrap();
+        let mut greedy = MaxSatSolver {
+            greedy_oracle: true,
+            ..MaxSatSolver::default()
+        };
+        let greedy = greedy.solve(&inst).into_optimum().unwrap();
+        assert_eq!(one_call.cost, greedy.cost);
+        assert_eq!(one_call.falsified, greedy.falsified);
+        assert_eq!(one_call.falsified, vec![SoftId(3)], "blame the highest id");
     }
 
     #[test]
     fn trimmed_and_untrimmed_agree_on_random_instances() {
         use prng::SplitMix64;
         let mut rng = SplitMix64::seed_from_u64(0x7819);
-        for _ in 0..25 {
-            let num_vars = 3 + (rng.next_u64() % 4) as usize;
+        let mut trim_calls = 0;
+        for case in 0..50 {
+            // The second half adds `wide` soft units that one hard clause
+            // forbids all at once: a core above the pairwise threshold, so
+            // the trimming re-solve runs.
+            let wide = match case {
+                0..25 => 0,
+                _ => PAIRWISE_AT_MOST_ONE_MAX + 1 + (rng.next_u64() % 3) as usize,
+            };
+            let num_vars = (3 + (rng.next_u64() % 4) as usize).max(wide);
             let mut inst = MaxSatInstance::new();
             inst.ensure_vars(num_vars);
+            if wide > 0 {
+                inst.add_hard((1..=wide as i64).map(|v| lit(-v)).collect::<Vec<_>>());
+                for v in 1..=wide as i64 {
+                    inst.add_soft(vec![lit(v)], 1 + rng.next_u64() % 3);
+                }
+            }
             for _ in 0..(2 + rng.next_u64() % 6) {
                 let len = 1 + (rng.next_u64() % 2) as usize;
                 let clause: Vec<Lit> = (0..len)
@@ -917,37 +730,47 @@ mod tests {
                     .collect();
                 inst.add_soft(clause, 1 + rng.next_u64() % 3);
             }
-            let fm = solve(&inst, Strategy::FuMalik);
-            let linear = solve(&inst, Strategy::LinearSatUnsat);
-            assert_eq!(
-                fm.optimum().map(|s| s.cost),
-                linear.optimum().map(|s| s.cost),
-                "{inst:?}"
-            );
+            let mut trimmed = MaxSatSolver::default();
+            let mut untrimmed = MaxSatSolver {
+                core_trimming: false,
+                ..MaxSatSolver::default()
+            };
+            let answers = [&mut trimmed, &mut untrimmed].map(|solver| {
+                let sol = solver
+                    .solve(&inst)
+                    .into_optimum()
+                    .expect("no hard conflict");
+                (sol.cost, sol.falsified)
+            });
+            assert_eq!(answers[0], answers[1], "case {case}: {inst:?}");
+            let (with, without) = (trimmed.stats(), untrimmed.stats());
+            // Every SAT call beyond one per core plus the final model and
+            // its refinement is a trimming re-solve.
+            trim_calls += with.sat_calls - with.cores - 2;
+            assert_eq!(without.sat_calls, without.cores + 2, "case {case}");
         }
+        assert!(trim_calls >= 25, "{trim_calls} trimming re-solves");
     }
 
     #[test]
     fn expired_budget_without_a_model_returns_expired() {
         // A deadline already in the past stops the very first SAT call, so
-        // neither strategy can find any model: the budgeted solve must
-        // report Expired — never panic, never fabricate a solution.
+        // no model can be found: the budgeted solve must report Expired —
+        // never panic, never fabricate a solution.
         let mut inst = MaxSatInstance::new();
         inst.ensure_vars(1);
         inst.add_soft(vec![lit(1)], 1);
         inst.add_soft(vec![lit(-1)], 1);
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let mut solver = MaxSatSolver::new(strategy);
-            solver.set_budget(Budget::with_deadline(past));
-            let result = solver.solve(&inst);
-            assert_eq!(result, MaxSatResult::Expired, "strategy {strategy:?}");
-            assert!(!result.is_complete());
-            assert!(result.solution().is_none());
-            // Lifting the budget restores the exact answer.
-            solver.set_budget(Budget::UNLIMITED);
-            assert_eq!(solver.solve(&inst).into_optimum().expect("optimum").cost, 1);
-        }
+        let mut solver = MaxSatSolver::default();
+        solver.set_budget(Budget::with_deadline(past));
+        let result = solver.solve(&inst);
+        assert_eq!(result, MaxSatResult::Expired);
+        assert!(!result.is_complete());
+        assert!(result.optimum().is_none());
+        // Lifting the budget restores the exact answer.
+        solver.set_budget(Budget::UNLIMITED);
+        assert_eq!(solver.solve(&inst).into_optimum().expect("optimum").cost, 1);
     }
 
     #[test]
@@ -956,7 +779,7 @@ mod tests {
         inst.ensure_vars(1);
         inst.add_soft(vec![lit(1)], 1);
         inst.add_soft(vec![lit(-1)], 1);
-        let mut solver = MaxSatSolver::new(Strategy::FuMalik);
+        let mut solver = MaxSatSolver::default();
         solver.set_budget(Budget {
             deadline: None,
             conflict_cap: Some(0),
@@ -964,61 +787,12 @@ mod tests {
         assert_eq!(solver.solve(&inst), MaxSatResult::Expired);
     }
 
-    #[test]
-    fn expiry_with_an_incumbent_returns_a_refined_anytime_upper_bound() {
-        // Pigeonhole: one soft clause per pigeon (weight 1) puts it in some
-        // of the holes, and hard clauses keep every hole to one pigeon. With
-        // one pigeon too many the optimum costs 1. Its first models fit in
-        // the cap, but proving it optimal takes the pigeonhole refutation
-        // (about ten thousand conflicts), far more than the cap allows. So
-        // linear search runs out holding a model of its own, and must hand
-        // it back as an Anytime result, canonically refined at its own cost:
-        // a valid upper bound that blames the highest soft ids.
-        const PIGEONS: usize = 8;
-        const HOLES: usize = PIGEONS - 1;
-        let mut inst = MaxSatInstance::new();
-        let at = |p: usize, h: usize| sat::Var::from_index(p * HOLES + h).positive();
-        inst.ensure_vars(PIGEONS * HOLES);
-        for h in 0..HOLES {
-            for p in 0..PIGEONS {
-                for q in p + 1..PIGEONS {
-                    inst.add_hard(vec![!at(p, h), !at(q, h)]);
-                }
-            }
-        }
-        for p in 0..PIGEONS {
-            inst.add_soft((0..HOLES).map(|h| at(p, h)).collect::<Vec<_>>(), 1);
-        }
-        let mut solver = MaxSatSolver::new(Strategy::LinearSatUnsat);
-        solver.set_budget(Budget {
-            deadline: None,
-            conflict_cap: Some(1000),
-        });
-        let result = solver.solve(&inst);
-        let (solution, complete) = result.into_solution().expect("anytime incumbent");
-        assert!(!complete);
-        let true_optimum = solve(&inst, Strategy::LinearSatUnsat)
-            .into_optimum()
-            .expect("satisfiable")
-            .cost;
-        assert_eq!(true_optimum, 1);
-        assert!(
-            solution.cost >= true_optimum,
-            "anytime cost is an upper bound"
-        );
-        let blamed = (PIGEONS - solution.cost as usize..PIGEONS).map(SoftId);
-        assert_eq!(solution.falsified, blamed.collect::<Vec<_>>());
-    }
-
     /// Two solves on one loaded SAT solver, the way the localizer
     /// enumerates: pigeonhole with one pigeon too many, then the first
     /// answer's blamed pigeon made hard and the other pigeons soft again.
     /// Returns each solve's result and stats, plus the solver's cumulative
     /// conflict count.
-    fn two_ranks_on_one_solver(
-        strategy: Strategy,
-        budget: Budget,
-    ) -> (Vec<(MaxSatResult, MaxSatStats)>, u64) {
+    fn two_ranks_on_one_solver(budget: Budget) -> (Vec<(MaxSatResult, MaxSatStats)>, u64) {
         const PIGEONS: usize = 7;
         const HOLES: usize = PIGEONS - 1;
         let at = |p: usize, h: usize| sat::Var::from_index(p * HOLES + h).positive();
@@ -1036,11 +810,11 @@ mod tests {
             inst.add_soft(placed(p), 1);
         }
         let mut sat = Solver::from_formula(inst.hard());
-        let mut solver = MaxSatSolver::new(strategy);
+        let mut solver = MaxSatSolver::default();
         solver.set_budget(budget);
         let first = solver.solve_loaded(&mut sat, &inst);
         let first_stats = solver.stats();
-        let blamed = first.solution().expect("first rank").falsified[0].index();
+        let blamed = first.optimum().expect("first rank").falsified[0].index();
         sat.add_clause(placed(blamed));
         inst.add_hard(placed(blamed));
         inst.clear_soft();
@@ -1057,24 +831,22 @@ mod tests {
         // A cap at least each solve's own conflicts but below their sum:
         // measured from each solve's start, it lets both solves finish; a
         // cap on the solver's cumulative count would cut the second one.
-        for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-            let (free, total) = two_ranks_on_one_solver(strategy, Budget::UNLIMITED);
-            let (c1, c2) = (free[0].1.conflicts, free[1].1.conflicts);
-            assert_eq!(c1 + c2, total, "{strategy:?}: stats are per-solve deltas");
-            assert!(c1.min(c2) > 1, "{strategy:?}: {c1} and {c2} conflicts");
-            let cap = c1.max(c2) + 1;
-            assert!(cap < c1 + c2);
-            let budget = Budget {
-                deadline: None,
-                conflict_cap: Some(cap),
-            };
-            let (capped, _) = two_ranks_on_one_solver(strategy, budget);
-            for ((result, stats), (free_result, free_stats)) in capped.iter().zip(&free) {
-                assert!(result.optimum().is_some(), "{strategy:?}: {result:?}");
-                assert_eq!(result, free_result, "{strategy:?}");
-                assert_eq!(stats.sat_calls, free_stats.sat_calls, "{strategy:?}");
-                assert_eq!(stats.conflicts, free_stats.conflicts, "{strategy:?}");
-            }
+        let (free, total) = two_ranks_on_one_solver(Budget::UNLIMITED);
+        let (c1, c2) = (free[0].1.conflicts, free[1].1.conflicts);
+        assert_eq!(c1 + c2, total, "stats are per-solve deltas");
+        assert!(c1.min(c2) > 1, "{c1} and {c2} conflicts");
+        let cap = c1.max(c2) + 1;
+        assert!(cap < c1 + c2);
+        let budget = Budget {
+            deadline: None,
+            conflict_cap: Some(cap),
+        };
+        let (capped, _) = two_ranks_on_one_solver(budget);
+        for ((result, stats), (free_result, free_stats)) in capped.iter().zip(&free) {
+            assert!(result.optimum().is_some(), "{result:?}");
+            assert_eq!(result, free_result);
+            assert_eq!(stats.sat_calls, free_stats.sat_calls);
+            assert_eq!(stats.conflicts, free_stats.conflicts);
         }
     }
 
@@ -1085,12 +857,9 @@ mod tests {
         inst.add_soft(vec![lit(1)], 1);
         inst.add_soft(vec![lit(-1)], 1);
         inst.add_soft(vec![lit(2)], 1);
-        let mut solver = MaxSatSolver::new(Strategy::FuMalik);
+        let mut solver = MaxSatSolver::default();
         let _ = solver.solve(&inst);
         assert!(solver.stats().sat_calls >= 2);
         assert!(solver.stats().cores >= 1);
-        let mut solver = MaxSatSolver::new(Strategy::LinearSatUnsat);
-        let _ = solver.solve(&inst);
-        assert!(solver.stats().sat_calls >= 2);
     }
 }

@@ -49,23 +49,19 @@ pub(super) fn canonicalize(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Budget, MaxSatInstance, MaxSatResult, MaxSatSolver, Strategy};
+    use crate::{MaxSatInstance, MaxSatSolver};
     use prng::SplitMix64;
     use sat::{Lit, Var};
 
     /// `(cost, falsified ids)` of a solve with the one-call
     /// refinement and of the same solve with the greedy oracle.
-    fn both_refinements(
-        instance: &MaxSatInstance,
-        strategy: Strategy,
-        budget: Budget,
-    ) -> [Option<(u64, Vec<usize>)>; 2] {
+    fn both_refinements(instance: &MaxSatInstance) -> [Option<(u64, Vec<usize>)>; 2] {
         [false, true].map(|greedy| {
-            let mut solver = MaxSatSolver::new(strategy);
-            solver.greedy_oracle = greedy;
-            solver.set_budget(budget);
-            let result: MaxSatResult = solver.solve(instance);
-            result.into_solution().map(|(sol, _)| {
+            let mut solver = MaxSatSolver {
+                greedy_oracle: greedy,
+                ..MaxSatSolver::default()
+            };
+            solver.solve(instance).into_optimum().map(|sol| {
                 let ids = sol.falsified.iter().map(|id| id.index()).collect();
                 (sol.cost, ids)
             })
@@ -92,57 +88,8 @@ mod tests {
                 let weight = rng.gen_range(1u64..=5);
                 inst.add_soft(random_clause(&mut rng, num_vars), weight);
             }
-            for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-                let [one_call, greedy] = both_refinements(&inst, strategy, Budget::UNLIMITED);
-                assert_eq!(one_call, greedy, "case {case}, {strategy:?}: {inst:?}");
-            }
+            let [one_call, greedy] = both_refinements(&inst);
+            assert_eq!(one_call, greedy, "case {case}: {inst:?}");
         }
-    }
-
-    /// Linear search cut short by a conflict cap refines its incumbent under
-    /// the totalizer bound at the incumbent's cost: the anytime path. Weighted
-    /// pigeonhole instances (one pigeon too many) with extra random soft
-    /// units take enough conflicts for small caps to cut them at different
-    /// points.
-    #[test]
-    fn one_call_refinement_matches_the_greedy_on_the_anytime_path() {
-        let mut rng = SplitMix64::seed_from_u64(0xA171);
-        let mut anytime = 0;
-        for case in 0..12 {
-            let pigeons = rng.gen_range(5usize..=6);
-            let holes = pigeons - 1;
-            let at = |p: usize, h: usize| Var::from_index(p * holes + h).positive();
-            let mut inst = MaxSatInstance::new();
-            inst.ensure_vars(pigeons * holes);
-            for h in 0..holes {
-                for p in 0..pigeons {
-                    for q in p + 1..pigeons {
-                        inst.add_hard(vec![!at(p, h), !at(q, h)]);
-                    }
-                }
-            }
-            for p in 0..pigeons {
-                let weight = rng.gen_range(1u64..=4);
-                inst.add_soft((0..holes).map(|h| at(p, h)).collect::<Vec<_>>(), weight);
-            }
-            for _ in 0..rng.gen_range(0usize..=4) {
-                let lit = at(rng.gen_range(0..pigeons), rng.gen_range(0..holes));
-                inst.add_soft(vec![!lit], 1);
-            }
-            for cap in [0, 2, 8, 32, 128] {
-                let budget = Budget {
-                    deadline: None,
-                    conflict_cap: Some(cap),
-                };
-                let mut probe = MaxSatSolver::new(Strategy::LinearSatUnsat);
-                probe.set_budget(budget);
-                if matches!(probe.solve(&inst), MaxSatResult::Anytime(_)) {
-                    anytime += 1;
-                }
-                let [one_call, greedy] = both_refinements(&inst, Strategy::LinearSatUnsat, budget);
-                assert_eq!(one_call, greedy, "case {case}, cap {cap}: {inst:?}");
-            }
-        }
-        assert!(anytime >= 20, "only {anytime} runs took the anytime path");
     }
 }

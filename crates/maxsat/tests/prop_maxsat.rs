@@ -1,9 +1,9 @@
-//! Randomized tests: both MAX-SAT strategies must agree with the exhaustive
-//! brute-force optimum on random small instances, and their reported CoMSS
+//! Randomized tests: the MAX-SAT solver must agree with the exhaustive
+//! brute-force optimum on random small instances, and its reported CoMSS
 //! must be a genuine minimum-weight correction set. Seeded PRNG keeps every
 //! run deterministic.
 
-use maxsat::{solve, MaxSatInstance, Strategy as MsStrategy};
+use maxsat::{solve, MaxSatInstance};
 use prng::SplitMix64;
 use sat::reference::brute_force_max_sat;
 use sat::{Clause, CnfFormula, Lit, Var};
@@ -66,26 +66,23 @@ fn strategies_match_brute_force_optimum() {
         let raw = random_instance(&mut rng, 6);
         let (inst, hard, soft) = to_instance(&raw);
         let reference = brute_force_max_sat(&hard, &soft);
-        for strategy in [MsStrategy::FuMalik, MsStrategy::LinearSatUnsat] {
-            let result = solve(&inst, strategy);
-            match (&reference, result.optimum()) {
-                (None, None) => {}
-                (Some((best_weight, _)), Some(sol)) => {
-                    let total: u64 = soft.iter().map(|(_, w)| *w).sum();
-                    let expected_cost = total - best_weight;
-                    assert_eq!(
-                        sol.cost, expected_cost,
-                        "case {case}, strategy {strategy:?}: cost mismatch on {raw:?}"
-                    );
-                    // The model must satisfy all hard clauses and pay exactly cost.
-                    assert_eq!(inst.cost_of(&sol.model), Some(sol.cost), "case {case}");
-                }
-                (r, s) => panic!(
-                    "case {case}: disagreement: reference {:?}, solver {:?}",
-                    r.is_some(),
-                    s.is_some()
-                ),
+        match (&reference, solve(&inst).optimum()) {
+            (None, None) => {}
+            (Some((best_weight, _)), Some(sol)) => {
+                let total: u64 = soft.iter().map(|(_, w)| *w).sum();
+                let expected_cost = total - best_weight;
+                assert_eq!(
+                    sol.cost, expected_cost,
+                    "case {case}: cost mismatch on {raw:?}"
+                );
+                // The model must satisfy all hard clauses and pay exactly cost.
+                assert_eq!(inst.cost_of(&sol.model), Some(sol.cost), "case {case}");
             }
+            (r, s) => panic!(
+                "case {case}: disagreement: reference {:?}, solver {:?}",
+                r.is_some(),
+                s.is_some()
+            ),
         }
     }
 }
@@ -96,7 +93,7 @@ fn comss_is_a_correction_set() {
     for _ in 0..96 {
         let raw = random_instance(&mut rng, 6);
         let (inst, hard, _) = to_instance(&raw);
-        if let Some(sol) = solve(&inst, MsStrategy::FuMalik).into_optimum() {
+        if let Some(sol) = solve(&inst).into_optimum() {
             // Removing the CoMSS clauses and keeping the rest as hard must be
             // satisfiable.
             let mut check = hard.clone();
@@ -150,14 +147,12 @@ fn falsified_set_is_the_brute_force_canonical_comss() {
         let raw = random_instance(&mut rng, 6);
         let (inst, hard, soft) = to_instance(&raw);
         let expected = brute_force_canonical(&hard, &soft, raw.num_vars);
-        for strategy in [MsStrategy::FuMalik, MsStrategy::LinearSatUnsat] {
-            let got = solve(&inst, strategy).into_optimum().map(|sol| {
-                sol.falsified
-                    .iter()
-                    .map(|id| id.index())
-                    .collect::<Vec<_>>()
-            });
-            assert_eq!(got, expected, "case {case}, strategy {strategy:?}: {raw:?}");
-        }
+        let got = solve(&inst).into_optimum().map(|sol| {
+            sol.falsified
+                .iter()
+                .map(|id| id.index())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(got, expected, "case {case}: {raw:?}");
     }
 }

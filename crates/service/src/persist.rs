@@ -24,7 +24,6 @@
 use crate::cache::PreparedEntry;
 use crate::protocol::{Job, JobOptions, JobSpec};
 use bugassist::{Granularity, Localizer, PreparedTemplate};
-use maxsat::Strategy;
 use sat::bytes::{ByteReader, ByteWriter, DecodeError};
 use std::sync::Arc;
 
@@ -34,8 +33,8 @@ use std::sync::Arc;
 /// without a store format bump. Version 2 added the `static_prune` /
 /// `static_priors` option bytes; version 3 dropped the racing-strategy flag byte;
 /// version 4 dropped the `gate_cache` option byte and the trace's
-/// `gates_cached` counter.
-pub const PAYLOAD_VERSION: u8 = 4;
+/// `gates_cached` counter; version 5 dropped the MAX-SAT strategy byte.
+pub const PAYLOAD_VERSION: u8 = 5;
 
 /// Serializes a warm prepared entry into a store payload, or `None` when
 /// the entry's localizer was never warmed (nothing worth persisting).
@@ -63,10 +62,6 @@ pub fn encode_entry(entry: &PreparedEntry) -> Option<Vec<u8>> {
     w.write_u8(u8::from(o.loop_weighting));
     w.write_u64(o.base_weight);
     w.write_usize(o.max_suspect_sets);
-    w.write_u8(match o.strategy {
-        Strategy::FuMalik => 1,
-        Strategy::LinearSatUnsat => 2,
-    });
     w.write_u8(u8::from(o.word_passes));
     w.write_u8(u8::from(o.simplify));
     w.write_u8(u8::from(o.static_prune));
@@ -136,11 +131,6 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
     let loop_weighting = decode_bool(&mut r, "loop_weighting")?;
     let base_weight = r.read_u64()?;
     let max_suspect_sets = r.read_usize()?;
-    let strategy = match r.read_u8()? {
-        1 => Strategy::FuMalik,
-        2 => Strategy::LinearSatUnsat,
-        t => return Err(DecodeError::new(format!("bad strategy tag {t}"))),
-    };
     let word_passes = decode_bool(&mut r, "word_passes")?;
     let simplify = decode_bool(&mut r, "simplify")?;
     let static_prune = decode_bool(&mut r, "static_prune")?;
@@ -158,7 +148,6 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
         loop_weighting,
         base_weight,
         max_suspect_sets,
-        strategy,
         word_passes,
         simplify,
         static_prune,
@@ -272,6 +261,11 @@ mod tests {
         let mut garbled = payload.clone();
         garbled[0] = 99; // unknown payload version
         assert!(decode_entry(&garbled).is_err());
+        // A record of the previous layout, which still carried a strategy
+        // byte, is a miss rather than a misread.
+        let mut previous = payload.clone();
+        previous[0] = PAYLOAD_VERSION - 1;
+        assert!(decode_entry(&previous).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);
         assert!(decode_entry(&trailing).is_err());

@@ -26,8 +26,7 @@
 //! ```json
 //! {"id":1,"op":"localize","program":"int main(int x) {\nint y = x + 2;\nreturn y;\n}",
 //!  "entry":"main","spec":{"return_equals":4},"inputs":[[5]],
-//!  "width":8,"unwind":8,"max_suspect_sets":16,"granularity":"line",
-//!  "strategy":"fu_malik"}
+//!  "width":8,"unwind":8,"max_suspect_sets":16,"granularity":"line"}
 //! ```
 //!
 //! and a successful response like
@@ -58,7 +57,11 @@
 //! Jobs may carry `"deadline_ms"`, a wall-clock budget measured from
 //! admission: the daemon sheds the job (`kind":"overloaded"`) instead of
 //! queueing it past its deadline, and a solve that outlives the budget
-//! returns the best report found so far marked `"complete":false`.
+//! returns the ranks proven so far marked `"complete":false`.
+//!
+//! A `"strategy"` key is still accepted, as `"fu_malik"` only: Fu–Malik is
+//! the one MAX-SAT algorithm, so the key selects nothing and no request
+//! this module writes carries it.
 //!
 //! Everything here is pure data transformation (no I/O), shared by the
 //! server, the blocking client, the tests and the load generator — both
@@ -70,7 +73,6 @@ use bmc::{EncodeConfig, Spec};
 use bugassist::{
     Granularity, LocalizationReport, LocalizerConfig, LocalizerStats, RankedReport, Suspect,
 };
-use maxsat::Strategy;
 use minic::{ast::Line, StableHasher};
 use std::fmt;
 
@@ -172,10 +174,6 @@ impl Job {
         h.write_u8(u8::from(o.loop_weighting));
         h.write_u64(o.base_weight);
         h.write_usize(o.max_suspect_sets);
-        h.write_u8(match o.strategy {
-            Strategy::FuMalik => 1,
-            Strategy::LinearSatUnsat => 2,
-        });
         h.write_u8(u8::from(o.word_passes));
         h.write_u8(u8::from(o.simplify));
         h.write_u8(u8::from(o.static_prune));
@@ -197,7 +195,6 @@ impl Job {
                 concretize: Vec::new(),
                 word_passes: o.word_passes,
             },
-            strategy: o.strategy,
             max_suspect_sets: o.max_suspect_sets,
             granularity: o.granularity,
             loop_weighting: o.loop_weighting,
@@ -244,8 +241,6 @@ pub struct JobOptions {
     pub base_weight: u64,
     /// Maximum CoMSSes enumerated per failing input.
     pub max_suspect_sets: usize,
-    /// MAX-SAT strategy.
-    pub strategy: Strategy,
     /// Run the word-level simplification passes before bit-blasting.
     pub word_passes: bool,
     /// Preprocess the prepared hard clauses (selector-aware simplification).
@@ -269,7 +264,6 @@ impl Default for JobOptions {
             loop_weighting: base.loop_weighting,
             base_weight: base.base_weight,
             max_suspect_sets: DEFAULT_MAX_SUSPECT_SETS,
-            strategy: base.strategy,
             word_passes: base.encode.word_passes,
             simplify: base.simplify,
             static_prune: base.static_prune,
@@ -395,14 +389,6 @@ fn job_fields(job: &Job, pairs: &mut Vec<(String, Json)>) {
     push(pairs, "loop_weighting", Json::Bool(o.loop_weighting));
     push(pairs, "base_weight", Json::from(o.base_weight));
     push(pairs, "max_suspect_sets", Json::from(o.max_suspect_sets));
-    push(
-        pairs,
-        "strategy",
-        Json::str(match o.strategy {
-            Strategy::FuMalik => "fu_malik",
-            Strategy::LinearSatUnsat => "linear_sat_unsat",
-        }),
-    );
     push(pairs, "word_passes", Json::Bool(o.word_passes));
     push(pairs, "simplify", Json::Bool(o.simplify));
     push(pairs, "static_prune", Json::Bool(o.static_prune));
@@ -526,12 +512,11 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
     if let Some(v) = value.get("max_suspect_sets") {
         options.max_suspect_sets = parse_usize(v, "max_suspect_sets")?;
     }
-    if let Some(v) = value.get("strategy") {
-        options.strategy = match v.as_str() {
-            Some("fu_malik") => Strategy::FuMalik,
-            Some("linear_sat_unsat") => Strategy::LinearSatUnsat,
-            _ => return Err(bad("strategy must be fu_malik or linear_sat_unsat")),
-        };
+    if value
+        .get("strategy")
+        .is_some_and(|v| v.as_str() != Some("fu_malik"))
+    {
+        return Err(bad("strategy must be fu_malik"));
     }
     if let Some(v) = value.get("word_passes") {
         options.word_passes = v
@@ -814,7 +799,6 @@ mod tests {
             vec![vec![5], vec![7]],
         );
         job.options.trusted_lines = vec![3];
-        job.options.strategy = Strategy::LinearSatUnsat;
         job
     }
 
@@ -865,6 +849,8 @@ mod tests {
             // A key that names no option is ignored, retired knobs included.
             r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"portfolio":true}"#,
             r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"gate_cache":false}"#,
+            // The one strategy, as older clients still name it.
+            r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"strategy":"fu_malik"}"#,
         ] {
             let envelope = parse_request(line).expect("parses");
             assert_eq!(envelope.id, 0);
@@ -892,14 +878,16 @@ mod tests {
         ] {
             assert!(parse_request(line).is_err(), "should reject: {line}");
         }
-        // An unknown strategy is a bad request naming the valid ones.
-        let unknown = r#"{"op":"localize","program":"p","entry":"main","spec":"assertions","inputs":[[1]],"strategy":"portfolio"}"#;
-        assert_eq!(
-            parse_request(unknown),
-            Err(ProtocolError(
-                "strategy must be fu_malik or linear_sat_unsat".to_string()
-            ))
-        );
+        // Any strategy but Fu–Malik is a bad request naming the valid one.
+        for strategy in ["portfolio", "linear_sat_unsat"] {
+            let line = format!(
+                r#"{{"op":"localize","program":"p","entry":"main","spec":"assertions","inputs":[[1]],"strategy":"{strategy}"}}"#
+            );
+            assert_eq!(
+                parse_request(&line),
+                Err(ProtocolError("strategy must be fu_malik".to_string()))
+            );
+        }
     }
 
     #[test]
@@ -1005,7 +993,6 @@ mod tests {
         let config = job.localizer_config();
         assert_eq!(config.encode.width, 8);
         assert_eq!(config.trusted_lines, vec![Line(3)]);
-        assert_eq!(config.strategy, Strategy::LinearSatUnsat);
         assert_eq!(config.max_suspect_sets, DEFAULT_MAX_SUSPECT_SETS);
         assert!(matches!(job.bmc_spec(), Spec::ReturnEquals(4)));
     }

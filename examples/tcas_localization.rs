@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("failing test vectors in the pool: {}", failing.len());
 
     // Localize the first two failing vectors and aggregate the blamed lines.
-    let mut config = LocalizerConfig {
+    let config = LocalizerConfig {
         encode: bmc::EncodeConfig {
             width: 16,
             unwind: 6,
@@ -46,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trusted_lines: tcas_trusted_lines(),
         ..LocalizerConfig::default()
     };
-    config.strategy = maxsat::Strategy::FuMalik;
 
     for input in failing.iter().take(2) {
         let golden = tcas_golden_output(input);

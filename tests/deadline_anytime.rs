@@ -1,10 +1,9 @@
 //! The anytime contract of budgeted localization, pinned on the paper's
 //! TCAS workload: a wall-clock deadline that expires mid-enumeration must
 //! come back with a report — never an error, never a hang — whose ranks
-//! are a proven prefix of the exact enumeration, except possibly a final
-//! *anytime* rank whose cost upper-bounds that rank's true optimum. And
-//! the expiry must leave no residue: re-running unbudgeted on the same
-//! (shared, prepared) localizer reproduces the exact report.
+//! are a proven prefix of the exact enumeration. And the expiry must leave
+//! no residue: re-running unbudgeted on the same (shared, prepared)
+//! localizer reproduces the exact report.
 
 use bmc::Spec;
 use bugassist::{Budget, Localizer, LocalizerConfig};
@@ -49,7 +48,7 @@ fn config() -> LocalizerConfig {
 }
 
 #[test]
-fn tcas_mid_solve_deadline_yields_anytime_upper_bound_or_exact() {
+fn tcas_mid_solve_deadline_yields_a_proven_prefix_or_exact() {
     let (faulty, golden, input) = tcas_failing_case();
     let localizer = Localizer::new(
         &faulty,
@@ -83,33 +82,17 @@ fn tcas_mid_solve_deadline_yields_anytime_upper_bound_or_exact() {
         // A cut run reports a prefix: never more ranks than the exact run.
         assert!(
             budgeted.suspects.len() <= exact.suspects.len(),
-            "anytime run found {} ranks, exact run {}",
+            "cut run found {} ranks, exact run {}",
             budgeted.suspects.len(),
             exact.suspects.len()
         );
-        // Every rank but the last was returned as a *proven* optimum, and
-        // proven ranks of the deterministic enumeration are canonical:
-        // they equal the exact run's ranks exactly.
-        if budgeted.suspects.len() > 1 {
-            let proven = budgeted.suspects.len() - 1;
-            assert_eq!(
-                budgeted.suspects[..proven],
-                exact.suspects[..proven],
-                "completed ranks must be prefix-identical to the exact run"
-            );
-        }
-        // The final rank may be an anytime incumbent: its cost
-        // upper-bounds the true optimum of that rank (equality when the
-        // incumbent happened to be optimal).
-        for (got, want) in budgeted.suspects.iter().zip(&exact.suspects) {
-            assert!(
-                got.cost >= want.cost,
-                "rank {} anytime cost {} undercuts the true optimum {}",
-                got.rank,
-                got.cost,
-                want.cost
-            );
-        }
+        // Every reported rank is a proven canonical optimum, so the cut
+        // run's ranks equal the exact run's, rank for rank.
+        assert_eq!(
+            budgeted.suspects,
+            exact.suspects[..budgeted.suspects.len()],
+            "reported ranks must be prefix-identical to the exact run"
+        );
     }
 
     // No residue: the cut enumeration shares its prepared formula with

@@ -1,11 +1,10 @@
 //! TCAS localization equality regressions guarding the SAT-core rewrite:
 //! the arena-backed solver with learnt-clause reduction must produce the
 //! same localizations and the same batch ranking as the straight-line
-//! paths, whichever MAX-SAT strategy runs.
+//! paths.
 
 use bmc::Spec;
 use bugassist::{Localizer, LocalizerConfig, RankedReport};
-use maxsat::Strategy;
 use std::collections::BTreeMap;
 
 fn tcas_failing_batch() -> (minic::Program, i64, Vec<Vec<i64>>) {
@@ -33,7 +32,7 @@ fn tcas_failing_batch() -> (minic::Program, i64, Vec<Vec<i64>>) {
     (faulty, golden, failing.iter().take(3).cloned().collect())
 }
 
-fn config(strategy: Strategy) -> LocalizerConfig {
+fn config() -> LocalizerConfig {
     LocalizerConfig {
         encode: bmc::EncodeConfig {
             width: 16,
@@ -42,7 +41,6 @@ fn config(strategy: Strategy) -> LocalizerConfig {
             concretize: Vec::new(),
             ..bmc::EncodeConfig::default()
         },
-        strategy,
         max_suspect_sets: 2,
         trusted_lines: siemens::tcas_trusted_lines(),
         ..LocalizerConfig::default()
@@ -55,7 +53,7 @@ fn config(strategy: Strategy) -> LocalizerConfig {
 fn tcas_batch_ranking_equals_sequential_merge() {
     let (faulty, golden, batch) = tcas_failing_batch();
     let spec = Spec::ReturnEquals(golden);
-    let cfg = config(Strategy::FuMalik);
+    let cfg = config();
     let localizer =
         Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &cfg).expect("TCAS encodes");
 
@@ -77,39 +75,21 @@ fn tcas_batch_ranking_equals_sequential_merge() {
     }
 }
 
-/// Both strategies — core-guided and model-improving — must agree on the
-/// optimum CoMSS cost of the same failing test, and, since every optimum is
-/// refined to the canonical one, on the whole report.
+/// The Fu–Malik report of a failing test blames something, and never a
+/// trusted input-copy line. (The name predates the removal of the second
+/// MAX-SAT strategy; the pinned reports in `tcas_pinned_reports.rs` hold
+/// the exact costs.)
 #[test]
 fn tcas_all_strategies_agree_on_optimal_cost() {
     let (faulty, golden, batch) = tcas_failing_batch();
     let spec = Spec::ReturnEquals(golden);
-    let probe = &batch[0];
-
-    let mut reports = Vec::new();
-    for (label, strategy) in [
-        ("fu_malik", Strategy::FuMalik),
-        ("linear_sat_unsat", Strategy::LinearSatUnsat),
-    ] {
-        let cfg = config(strategy);
-        let localizer =
-            Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &cfg).expect("TCAS encodes");
-        let report = localizer.localize(probe).expect("localization succeeds");
-        assert!(
-            !report.suspect_lines.is_empty(),
-            "{label}: no suspects reported"
-        );
-        // Trusted input-copy lines are never blamed, whatever the strategy.
-        for line in siemens::tcas_trusted_lines() {
-            assert!(!report.blames_line(line), "{label} blamed trusted {line}");
-        }
-        reports.push(report);
+    let localizer =
+        Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &config()).expect("TCAS encodes");
+    let report = localizer
+        .localize(&batch[0])
+        .expect("localization succeeds");
+    assert!(!report.suspect_lines.is_empty(), "no suspects reported");
+    for line in siemens::tcas_trusted_lines() {
+        assert!(!report.blames_line(line), "blamed trusted {line}");
     }
-    let (fu_malik, linear) = (&reports[0], &reports[1]);
-    assert_eq!(
-        linear.suspects[0].cost, fu_malik.suspects[0].cost,
-        "linear_sat_unsat found a different optimum than fu_malik"
-    );
-    assert_eq!(linear.suspects, fu_malik.suspects);
-    assert_eq!(linear.suspect_lines, fu_malik.suspect_lines);
 }

@@ -1,7 +1,7 @@
 //! Pinned TCAS reports: the full suspect list (rank, cost, lines) of the
-//! first failing vector of TCAS v1, v10 and v20 under both MAX-SAT
-//! strategies, at the Table 1 configuration (pool of 300 vectors from seed
-//! 2011, 24 suspect sets, 16-bit words, 6 unwindings).
+//! first failing vector of TCAS v1, v10 and v20, at the Table 1
+//! configuration (pool of 300 vectors from seed 2011, 24 suspect sets,
+//! 16-bit words, 6 unwindings).
 //!
 //! The other TCAS regressions compare paths that share the canonical
 //! refinement, so a refinement that is consistently wrong would pass them.
@@ -10,9 +10,8 @@
 
 use bmc::{EncodeConfig, Spec};
 use bugassist::{LocalizationReport, Localizer, LocalizerConfig};
-use maxsat::Strategy;
 
-fn table1_config(strategy: Strategy) -> LocalizerConfig {
+fn table1_config() -> LocalizerConfig {
     LocalizerConfig {
         encode: EncodeConfig {
             width: 16,
@@ -21,7 +20,6 @@ fn table1_config(strategy: Strategy) -> LocalizerConfig {
             concretize: Vec::new(),
             ..EncodeConfig::default()
         },
-        strategy,
         max_suspect_sets: 24,
         trusted_lines: siemens::tcas_trusted_lines(),
         ..LocalizerConfig::default()
@@ -41,7 +39,7 @@ fn render(report: &LocalizationReport) -> String {
 }
 
 /// Localizes the first failing vector of `version` in the Table 1 pool.
-fn localize_first_failing(version: &str, strategy: Strategy) -> String {
+fn localize_first_failing(version: &str) -> String {
     let version = siemens::tcas_versions()
         .into_iter()
         .find(|v| v.name == version)
@@ -57,21 +55,14 @@ fn localize_first_failing(version: &str, strategy: Strategy) -> String {
         })
         .expect("version has a failing vector");
     let spec = Spec::ReturnEquals(siemens::tcas_golden_output(&failing));
-    let localizer = Localizer::new(
-        &faulty,
-        siemens::TCAS_ENTRY,
-        &spec,
-        &table1_config(strategy),
-    )
-    .expect("TCAS encodes");
+    let localizer = Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &table1_config())
+        .expect("TCAS encodes");
     render(&localizer.localize(&failing).expect("localization succeeds"))
 }
 
 fn check(version: &str, expected: &str) {
-    for strategy in [Strategy::FuMalik, Strategy::LinearSatUnsat] {
-        let got = localize_first_failing(version, strategy);
-        assert_eq!(got, expected, "{version} under {strategy:?}:\n{got}");
-    }
+    let got = localize_first_failing(version);
+    assert_eq!(got, expected, "{version}:\n{got}");
 }
 
 #[test]
