@@ -7,7 +7,7 @@
 //! then derives:
 //!
 //! * branch/loop conditions that are provably always true or always false
-//!   (the `constant_branch` lint and the suspiciousness anomaly flag);
+//!   (the `constant_branch` lint);
 //! * a refined reachability: blocks only reachable through the impossible
 //!   side of a constant branch are unreachable (the `unreachable` lint
 //!   sees through `if (0) { ... }`).
@@ -306,9 +306,6 @@ pub struct Intervals {
     pub constant_conds: Vec<ConstantCond>,
     /// Per-block reachability refined by constant branch edges.
     pub reachable: Vec<bool>,
-    /// Lines with an interval anomaly (a provably-constant condition), for
-    /// the suspiciousness prior.
-    pub anomaly_lines: Vec<Line>,
 }
 
 const WIDEN_AFTER: usize = 4;
@@ -414,7 +411,6 @@ pub fn intervals(cfg: &Cfg, havoc_on_call: &[String]) -> Intervals {
     }
 
     let mut constant_conds = Vec::new();
-    let mut anomaly_lines = Vec::new();
     for (b, block) in cfg.blocks.iter().enumerate() {
         if !reachable[b] || !block_in[b].reached {
             continue;
@@ -428,18 +424,14 @@ pub fn intervals(cfg: &Cfg, havoc_on_call: &[String]) -> Intervals {
                         value,
                         is_loop: *is_loop,
                     });
-                    anomaly_lines.push(point.line);
                 }
             }
         }
     }
-    anomaly_lines.sort();
-    anomaly_lines.dedup();
     Intervals {
         block_in,
         constant_conds,
         reachable,
-        anomaly_lines,
     }
 }
 

@@ -8,16 +8,13 @@
 //! * [`dataflow`] — a generic worklist engine over join-semilattices,
 //!   forward or backward;
 //! * [`mod@reaching`] — reaching definitions and def-use chains (powers the
-//!   uninitialized-read lint and the def-use proximity prior);
+//!   uninitialized-read lint);
 //! * [`mod@liveness`] — live variables (powers the dead-store lint);
 //! * [`mod@intervals`] — conditional constant propagation with interval
-//!   domains and widening (powers the constant-branch/unreachable lints
-//!   and the anomaly prior);
+//!   domains and widening (powers the constant-branch/unreachable lints);
 //! * [`mod@relevance`] — static backward relevance from the failing property
 //!   (powers `LocalizerConfig::static_prune`: statically-irrelevant lines
 //!   become hard constraints for free, shrinking the CoMSS search space);
-//! * [`mod@suspicion`] — per-line suspiciousness priors for weighted MAX-SAT
-//!   (`LocalizerConfig::static_priors`);
 //! * [`mod@lint`] — the structured diagnostic pass surfaced by the service's
 //!   `analyze` op and run in its build path.
 //!
@@ -36,7 +33,6 @@ pub mod lint;
 pub mod liveness;
 pub mod reaching;
 pub mod relevance;
-pub mod suspicion;
 
 pub use cfg::{Block, Cfg, Doms, Point, PointKind};
 pub use dataflow::{solve, BlockFacts, Direction, Lattice};
@@ -45,4 +41,3 @@ pub use lint::{lint_program, Diagnostic, DiagnosticKind, Severity};
 pub use liveness::{dead_stores, liveness, LiveSet, Liveness};
 pub use reaching::{reaching, Def, ReachEnv, Reaching, UseSite};
 pub use relevance::{prunable_lines, relevance, Criterion, Relevance};
-pub use suspicion::{suspiciousness, Suspiciousness, MAX_SCORE};

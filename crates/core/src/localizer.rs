@@ -40,6 +40,10 @@ pub enum Granularity {
     StatementInstance,
 }
 
+/// The uniform soft-clause weight α of every selector (Sec. 3.4); the
+/// loop-iteration weights of Sec. 5.2 are `α + η − κ` on top of it.
+const BASE_WEIGHT: u64 = 1;
+
 /// Configuration of the [`Localizer`].
 #[derive(Clone, Debug)]
 pub struct LocalizerConfig {
@@ -50,12 +54,10 @@ pub struct LocalizerConfig {
     pub max_suspect_sets: usize,
     /// Blame granularity.
     pub granularity: Granularity,
-    /// Weight soft clauses by loop iteration (`α + η − κ`, Sec. 5.2) so that
-    /// earlier iterations are preferred when blaming loop bodies. Only
-    /// meaningful with [`Granularity::StatementInstance`].
+    /// Weight soft clauses by loop iteration (`α + η − κ`, Sec. 5.2, with
+    /// α = 1) so that earlier iterations are preferred when blaming loop
+    /// bodies. Only meaningful with [`Granularity::StatementInstance`].
     pub loop_weighting: bool,
-    /// Default soft-clause weight α.
-    pub base_weight: u64,
     /// Lines that must not be blamed (e.g. verified library code, Sec. 6.3);
     /// their selectors are asserted hard.
     pub trusted_lines: Vec<Line>,
@@ -65,7 +67,8 @@ pub struct LocalizerConfig {
     /// Every selector variable, test-input bit and the property literal is
     /// frozen, so the soft structure (the unit of blame) survives verbatim
     /// and per-test hard units still mean what they meant. Disable to get
-    /// the raw bit-blasted formula.
+    /// the raw bit-blasted formula. An in-process test oracle: reports are
+    /// byte-identical either way, so the service does not expose it.
     pub simplify: bool,
     /// Run the static backward-relevance analysis ([`analysis::relevance()`])
     /// and treat every statically-irrelevant line like a trusted line —
@@ -73,15 +76,9 @@ pub struct LocalizerConfig {
     /// MAX-SAT work (default `true`). Sound by construction: a pruned line
     /// provably cannot influence the property, so it can never appear in
     /// any CoMSS and the report is byte-identical with pruning on or off
-    /// (only the instance-size counters differ).
+    /// (only the instance-size counters differ). An in-process test oracle
+    /// for that claim; the service always prunes.
     pub static_prune: bool,
-    /// Weight soft clauses by the static suspiciousness prior
-    /// ([`analysis::suspiciousness`]): lines close to the failing property
-    /// in def-use hops, deeper in control dependence, or flagged by the
-    /// interval analysis become *cheaper* to blame (default `false` — the
-    /// weighted instance can legitimately reorder equal-cost suspects, so
-    /// it is opt-in and part of the cache key).
-    pub static_priors: bool,
 }
 
 impl Default for LocalizerConfig {
@@ -91,11 +88,9 @@ impl Default for LocalizerConfig {
             max_suspect_sets: 16,
             granularity: Granularity::Line,
             loop_weighting: false,
-            base_weight: 1,
             trusted_lines: Vec::new(),
             simplify: true,
             static_prune: true,
-            static_priors: false,
         }
     }
 }
@@ -184,13 +179,13 @@ pub struct LocalizerStats {
     /// relevance analysis hardened ([`LocalizerConfig::static_prune`]) —
     /// lines that provably cannot appear in any CoMSS.
     pub lines_pruned: u64,
-    /// Wall-clock milliseconds the static analyses (relevance, priors,
-    /// lint) took. Paid once in [`Localizer::new`] and carried by every
-    /// report of that localizer, like [`LocalizerStats::simplify_ms`].
+    /// Wall-clock milliseconds the static analyses (relevance, lint) took.
+    /// Paid once in [`Localizer::new`] and carried by every report of that
+    /// localizer, like [`LocalizerStats::simplify_ms`].
     pub prune_ms: u128,
     /// Warning-severity diagnostics the MinC lint pass found in the
-    /// program (computed alongside the pruning analysis; 0 when both
-    /// static options are off).
+    /// program (computed alongside the pruning analysis; 0 when
+    /// [`LocalizerConfig::static_prune`] is off).
     pub lint_warnings: u64,
 }
 
@@ -548,9 +543,6 @@ pub struct Localizer {
     /// Statically-irrelevant statement lines (sorted), computed in
     /// [`Localizer::new`] when [`LocalizerConfig::static_prune`] is on.
     pruned_lines: Vec<Line>,
-    /// Static suspiciousness prior, computed when
-    /// [`LocalizerConfig::static_priors`] is on.
-    priors: Option<analysis::Suspiciousness>,
     /// Warning-severity lint diagnostics found in the program.
     lint_warnings: u64,
     /// Milliseconds the static analyses took.
@@ -572,37 +564,24 @@ fn criterion_of_spec(spec: &Spec) -> analysis::Criterion {
 }
 
 /// The static-analysis bundle [`Localizer::new`] and
-/// [`Localizer::from_restored`] compute: prunable lines, priors, lint
-/// warning count and the time all of it took.
+/// [`Localizer::from_restored`] compute: prunable lines, lint warning
+/// count and the time both took.
 fn analyze_program(
     program: &Program,
     entry: &str,
     spec: &Spec,
     config: &LocalizerConfig,
-) -> (Vec<Line>, Option<analysis::Suspiciousness>, u64, u128) {
-    if !config.static_prune && !config.static_priors {
-        return (Vec::new(), None, 0, 0);
+) -> (Vec<Line>, u64, u128) {
+    if !config.static_prune {
+        return (Vec::new(), 0, 0);
     }
     let started = Instant::now();
-    let criterion = criterion_of_spec(spec);
-    let pruned_lines = if config.static_prune {
-        analysis::prunable_lines(program, entry, criterion)
-    } else {
-        Vec::new()
-    };
-    let priors = config
-        .static_priors
-        .then(|| analysis::suspiciousness(program, entry, criterion));
+    let pruned_lines = analysis::prunable_lines(program, entry, criterion_of_spec(spec));
     let lint_warnings = analysis::lint_program(program, config.encode.width)
         .iter()
         .filter(|d| d.severity == analysis::Severity::Warning)
         .count() as u64;
-    (
-        pruned_lines,
-        priors,
-        lint_warnings,
-        started.elapsed().as_millis(),
-    )
+    (pruned_lines, lint_warnings, started.elapsed().as_millis())
 }
 
 impl Localizer {
@@ -618,8 +597,7 @@ impl Localizer {
         config: &LocalizerConfig,
     ) -> Result<Localizer, LocalizeError> {
         let trace = encode_program(program, entry, spec, &config.encode)?;
-        let (pruned_lines, priors, lint_warnings, prune_ms) =
-            analyze_program(program, entry, spec, config);
+        let (pruned_lines, lint_warnings, prune_ms) = analyze_program(program, entry, spec, config);
         Ok(Localizer {
             trace,
             config: config.clone(),
@@ -627,7 +605,6 @@ impl Localizer {
             spec: spec.clone(),
             program_lines: program.statement_lines().len(),
             pruned_lines,
-            priors,
             lint_warnings,
             prune_ms,
             prepared: OnceLock::new(),
@@ -649,10 +626,8 @@ impl Localizer {
             && a.max_suspect_sets == b.max_suspect_sets
             && a.granularity == b.granularity
             && a.loop_weighting == b.loop_weighting
-            && a.base_weight == b.base_weight
             && a.simplify == b.simplify
             && a.static_prune == b.static_prune
-            && a.static_priors == b.static_priors
     }
 
     /// Delta preparation: builds a localizer for `new_program` — an edited
@@ -752,14 +727,9 @@ impl Localizer {
             group.line = map.remap(group.line);
         }
         // A pure line shift (or dead-function edit) leaves the analysis
-        // result intact modulo line labels — relevance and priors are
-        // structural — so the pruned set and the prior scores are remapped
-        // like the blame lines, never recomputed.
+        // result intact modulo line labels — relevance is structural — so
+        // the pruned set is remapped like the blame lines, never recomputed.
         let pruned_lines: Vec<Line> = self.pruned_lines.iter().map(|&l| map.remap(l)).collect();
-        let priors = self
-            .priors
-            .as_ref()
-            .map(|p| p.remap(|l| Some(map.remap(l))));
         let prepared = OnceLock::new();
         if let Some(old) = self.prepared.get() {
             let selectors = old
@@ -794,7 +764,6 @@ impl Localizer {
             spec: self.spec.clone(),
             program_lines: new_program.statement_lines().len(),
             pruned_lines,
-            priors,
             lint_warnings: self.lint_warnings,
             prune_ms: self.prune_ms,
             prepared,
@@ -835,11 +804,10 @@ impl Localizer {
     /// trace and template are taken verbatim (exactly what [`Localizer::new`]
     /// plus [`Localizer::warm`] would have produced for the same program and
     /// options), while the trusted-line flags — and the static-analysis
-    /// results behind [`LocalizerConfig::static_prune`] and
-    /// [`LocalizerConfig::static_priors`], which are cheap and never
-    /// persisted — are recomputed from `program` and `config`, mirroring
-    /// the relabel reuse path, so the persisted bytes never override the
-    /// caller's current trusted or pruned sets.
+    /// results behind [`LocalizerConfig::static_prune`], which are cheap
+    /// and never persisted — are recomputed from `program` and `config`,
+    /// mirroring the relabel reuse path, so the persisted bytes never
+    /// override the caller's current trusted or pruned sets.
     ///
     /// The caller is responsible for only pairing a snapshot with the trace
     /// and options it was exported under; the service keys store records by
@@ -852,8 +820,7 @@ impl Localizer {
         config: &LocalizerConfig,
         program: &Program,
     ) -> Localizer {
-        let (pruned_lines, priors, lint_warnings, prune_ms) =
-            analyze_program(program, entry, spec, config);
+        let (pruned_lines, lint_warnings, prune_ms) = analyze_program(program, entry, spec, config);
         let selectors = template
             .selectors
             .into_iter()
@@ -885,7 +852,6 @@ impl Localizer {
             spec: spec.clone(),
             program_lines: program.statement_lines().len(),
             pruned_lines,
-            priors,
             lint_warnings,
             prune_ms,
             prepared,
@@ -920,15 +886,6 @@ impl Localizer {
         self.pruned_lines.binary_search(&line).is_ok()
     }
 
-    /// The soft weight of a selector for `line`, given the granularity
-    /// weight `base` — the prior surcharge stacks on top of loop weighting.
-    fn selector_weight(&self, line: Line, base: u64) -> u64 {
-        match &self.priors {
-            Some(priors) => priors.weight(line, base),
-            None => base,
-        }
-    }
-
     /// Builds the selector set according to the configured granularity.
     fn build_selectors(&self, instance: &mut MaxSatInstance) -> Vec<Selector> {
         let unwind = self.config.encode.unwind as u64;
@@ -945,7 +902,7 @@ impl Localizer {
                         lit,
                         lines: vec![line],
                         unwindings: vec![None],
-                        weight: self.selector_weight(line, self.config.base_weight),
+                        weight: BASE_WEIGHT,
                         trusted: self.config.trusted_lines.contains(&line),
                         pruned: self.line_pruned(line),
                     });
@@ -958,17 +915,17 @@ impl Localizer {
                     let weight = if self.config.loop_weighting {
                         match group.unwinding {
                             // α + η − κ : earlier iterations weigh more.
-                            Some(k) => self.config.base_weight + unwind - (k as u64).min(unwind),
-                            None => self.config.base_weight,
+                            Some(k) => BASE_WEIGHT + unwind - (k as u64).min(unwind),
+                            None => BASE_WEIGHT,
                         }
                     } else {
-                        self.config.base_weight
+                        BASE_WEIGHT
                     };
                     selectors.push(Selector {
                         lit,
                         lines: vec![group.line],
                         unwindings: vec![group.unwinding],
-                        weight: self.selector_weight(group.line, weight),
+                        weight,
                         trusted: self.config.trusted_lines.contains(&group.line),
                         pruned: self.line_pruned(group.line),
                     });
@@ -1889,21 +1846,6 @@ mod tests {
     }
 
     #[test]
-    fn static_priors_weighted_run_still_blames_the_fault() {
-        let program = motivating_example();
-        let mut config = config8();
-        config.static_priors = true;
-        let localizer = Localizer::new(&program, "testme", &Spec::Assertions, &config).unwrap();
-        let report = localizer.localize(&[1]).unwrap();
-        assert!(report.blames_line(Line(6)), "report: {report:?}");
-        assert!(report.blames_line(Line(3)), "report: {report:?}");
-        // The weighted instance pays more than base weight for rank 0 only
-        // if the cheapest CoMSS is off the most-suspicious line; either way
-        // the cost reflects the prior weights, not the uniform base.
-        assert!(report.suspects[0].cost >= 1);
-    }
-
-    #[test]
     fn static_options_gate_delta_reuse() {
         let program = parse_program("int main(int x) {\nint y = x + 2;\nreturn y;\n}").unwrap();
         let config = config8();
@@ -1918,12 +1860,6 @@ mod tests {
                 &Spec::ReturnEquals(4),
                 &no_prune,
             )
-            .unwrap();
-        assert_eq!(delta, DeltaPrepare::RebuiltConfig);
-        let mut priors = config.clone();
-        priors.static_priors = true;
-        let (_, delta) = old
-            .reprepare(&program, &program, "main", &Spec::ReturnEquals(4), &priors)
             .unwrap();
         assert_eq!(delta, DeltaPrepare::RebuiltConfig);
     }

@@ -30,11 +30,13 @@ use std::sync::Arc;
 /// Version byte of the payload layout inside a store record. Bumping
 /// [`store::FORMAT_VERSION`] invalidates records wholesale at the framing
 /// layer; this byte exists so a payload-only layout change can do the same
-/// without a store format bump. Version 2 added the `static_prune` /
-/// `static_priors` option bytes; version 3 dropped the racing-strategy flag byte;
-/// version 4 dropped the `gate_cache` option byte and the trace's
-/// `gates_cached` counter; version 5 dropped the MAX-SAT strategy byte.
-pub const PAYLOAD_VERSION: u8 = 5;
+/// without a store format bump. Version 2 added the static pruning and
+/// static prior option bytes; version 3 dropped the racing-strategy flag
+/// byte; version 4 dropped the `gate_cache` option byte and the trace's
+/// `gates_cached` counter; version 5 dropped the MAX-SAT strategy byte;
+/// version 6 dropped five option bytes: the base weight, the static prior,
+/// and the word-pass, simplify and static-prune switches.
+pub const PAYLOAD_VERSION: u8 = 6;
 
 /// Serializes a warm prepared entry into a store payload, or `None` when
 /// the entry's localizer was never warmed (nothing worth persisting).
@@ -60,12 +62,7 @@ pub fn encode_entry(entry: &PreparedEntry) -> Option<Vec<u8>> {
         Granularity::StatementInstance => 2,
     });
     w.write_u8(u8::from(o.loop_weighting));
-    w.write_u64(o.base_weight);
     w.write_usize(o.max_suspect_sets);
-    w.write_u8(u8::from(o.word_passes));
-    w.write_u8(u8::from(o.simplify));
-    w.write_u8(u8::from(o.static_prune));
-    w.write_u8(u8::from(o.static_priors));
     w.write_usize(o.trusted_lines.len());
     for line in &o.trusted_lines {
         w.write_u32(*line);
@@ -129,12 +126,7 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
         t => return Err(DecodeError::new(format!("bad granularity tag {t}"))),
     };
     let loop_weighting = decode_bool(&mut r, "loop_weighting")?;
-    let base_weight = r.read_u64()?;
     let max_suspect_sets = r.read_usize()?;
-    let word_passes = decode_bool(&mut r, "word_passes")?;
-    let simplify = decode_bool(&mut r, "simplify")?;
-    let static_prune = decode_bool(&mut r, "static_prune")?;
-    let static_priors = decode_bool(&mut r, "static_priors")?;
     let num_trusted = r.read_len(4)?;
     let mut trusted_lines = Vec::with_capacity(num_trusted);
     for _ in 0..num_trusted {
@@ -146,12 +138,7 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
         max_inline_depth,
         granularity,
         loop_weighting,
-        base_weight,
         max_suspect_sets,
-        word_passes,
-        simplify,
-        static_prune,
-        static_priors,
         trusted_lines,
     };
     let trace = bmc::SymbolicTrace::decode_bytes(&mut r)?;
@@ -186,9 +173,8 @@ mod tests {
     use super::*;
     use bmc::Spec;
 
-    fn warm_entry(source: &str, spec: JobSpec, simplify: bool) -> PreparedEntry {
-        let mut job = Job::new(source, "main", spec, vec![vec![5]]);
-        job.options.simplify = simplify;
+    fn warm_entry(source: &str, spec: JobSpec) -> PreparedEntry {
+        let job = Job::new(source, "main", spec, vec![vec![5]]);
         let program = minic::parse_program(source).unwrap();
         let bmc_spec = match spec {
             JobSpec::Assertions => Spec::Assertions,
@@ -219,13 +205,12 @@ mod tests {
     #[test]
     fn roundtrip_restores_a_warm_equivalent_entry() {
         let source = "int main(int x) {\nint y = x + 2;\nreturn y;\n}";
-        let entry = warm_entry(source, JobSpec::ReturnEquals(4), true);
+        let entry = warm_entry(source, JobSpec::ReturnEquals(4));
         let payload = encode_entry(&entry).expect("warm entry encodes");
         let (key, fingerprint, restored) = decode_entry(&payload).expect("decodes");
 
         // Key and fingerprint match what the original job would compute.
-        let mut job = Job::new(source, "main", JobSpec::ReturnEquals(4), vec![]);
-        job.options.simplify = true;
+        let job = Job::new(source, "main", JobSpec::ReturnEquals(4), vec![]);
         assert_eq!(key, job.cache_key(&entry.program));
         assert_eq!(fingerprint, job.options_fingerprint());
 
@@ -243,7 +228,7 @@ mod tests {
     #[test]
     fn reencode_of_a_decoded_entry_is_byte_identical() {
         let source = "int main(int x) {\nint y = x * 3;\nassert(y != 9);\nreturn y;\n}";
-        let entry = warm_entry(source, JobSpec::Assertions, true);
+        let entry = warm_entry(source, JobSpec::Assertions);
         let payload = encode_entry(&entry).unwrap();
         let (_, _, restored) = decode_entry(&payload).unwrap();
         let payload_again = encode_entry(&restored).unwrap();
@@ -253,7 +238,7 @@ mod tests {
     #[test]
     fn truncated_and_garbled_payloads_error_cleanly() {
         let source = "int main(int x) {\nint y = x + 2;\nreturn y;\n}";
-        let entry = warm_entry(source, JobSpec::ReturnEquals(4), false);
+        let entry = warm_entry(source, JobSpec::ReturnEquals(4));
         let payload = encode_entry(&entry).unwrap();
         for cut in [0, 1, 5, payload.len() / 2, payload.len() - 1] {
             assert!(decode_entry(&payload[..cut]).is_err(), "cut at {cut}");
@@ -261,8 +246,8 @@ mod tests {
         let mut garbled = payload.clone();
         garbled[0] = 99; // unknown payload version
         assert!(decode_entry(&garbled).is_err());
-        // A record of the previous layout, which still carried a strategy
-        // byte, is a miss rather than a misread.
+        // A record of the previous layout, which still carried five more
+        // option bytes, is a miss rather than a misread.
         let mut previous = payload.clone();
         previous[0] = PAYLOAD_VERSION - 1;
         assert!(decode_entry(&previous).is_err());

@@ -172,19 +172,16 @@ impl Job {
             Granularity::StatementInstance => 2,
         });
         h.write_u8(u8::from(o.loop_weighting));
-        h.write_u64(o.base_weight);
         h.write_usize(o.max_suspect_sets);
-        h.write_u8(u8::from(o.word_passes));
-        h.write_u8(u8::from(o.simplify));
-        h.write_u8(u8::from(o.static_prune));
-        h.write_u8(u8::from(o.static_priors));
         h.write_usize(o.trusted_lines.len());
         for line in &o.trusted_lines {
             h.write_u64(u64::from(*line));
         }
     }
 
-    /// The [`LocalizerConfig`] these options describe.
+    /// The [`LocalizerConfig`] these options describe; everything they do
+    /// not name (the word-level passes, simplification, static pruning)
+    /// keeps its default.
     pub fn localizer_config(&self) -> LocalizerConfig {
         let o = &self.options;
         LocalizerConfig {
@@ -192,17 +189,13 @@ impl Job {
                 width: o.width,
                 unwind: o.unwind,
                 max_inline_depth: o.max_inline_depth,
-                concretize: Vec::new(),
-                word_passes: o.word_passes,
+                ..EncodeConfig::default()
             },
             max_suspect_sets: o.max_suspect_sets,
             granularity: o.granularity,
             loop_weighting: o.loop_weighting,
-            base_weight: o.base_weight,
             trusted_lines: o.trusted_lines.iter().map(|&l| Line(l)).collect(),
-            simplify: o.simplify,
-            static_prune: o.static_prune,
-            static_priors: o.static_priors,
+            ..LocalizerConfig::default()
         }
     }
 
@@ -224,10 +217,14 @@ pub enum JobSpec {
     ReturnEquals(i64),
 }
 
-/// Encoding and solver options of a [`Job`], mirroring [`LocalizerConfig`].
+/// Encoding and solver options of a [`Job`]: the [`LocalizerConfig`]
+/// fields that change a report. The report-invariant switches
+/// (`LocalizerConfig::simplify`, `LocalizerConfig::static_prune`,
+/// `EncodeConfig::word_passes`) are in-process test oracles and stay at
+/// their defaults on the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobOptions {
-    /// Bit width of the symbolic encoding.
+    /// Bit width of the symbolic encoding (2 to 64).
     pub width: usize,
     /// Loop unwinding bound.
     pub unwind: usize,
@@ -237,18 +234,8 @@ pub struct JobOptions {
     pub granularity: Granularity,
     /// Weight soft clauses by loop iteration (Sec. 5.2).
     pub loop_weighting: bool,
-    /// Default soft-clause weight.
-    pub base_weight: u64,
     /// Maximum CoMSSes enumerated per failing input.
     pub max_suspect_sets: usize,
-    /// Run the word-level simplification passes before bit-blasting.
-    pub word_passes: bool,
-    /// Preprocess the prepared hard clauses (selector-aware simplification).
-    pub simplify: bool,
-    /// Harden selectors of statically-irrelevant lines before solving.
-    pub static_prune: bool,
-    /// Weight soft clauses by the static suspiciousness prior.
-    pub static_priors: bool,
     /// Line numbers that must never be blamed.
     pub trusted_lines: Vec<u32>,
 }
@@ -262,12 +249,7 @@ impl Default for JobOptions {
             max_inline_depth: base.encode.max_inline_depth,
             granularity: base.granularity,
             loop_weighting: base.loop_weighting,
-            base_weight: base.base_weight,
             max_suspect_sets: DEFAULT_MAX_SUSPECT_SETS,
-            word_passes: base.encode.word_passes,
-            simplify: base.simplify,
-            static_prune: base.static_prune,
-            static_priors: base.static_priors,
             trusted_lines: Vec::new(),
         }
     }
@@ -387,12 +369,7 @@ fn job_fields(job: &Job, pairs: &mut Vec<(String, Json)>) {
         }),
     );
     push(pairs, "loop_weighting", Json::Bool(o.loop_weighting));
-    push(pairs, "base_weight", Json::from(o.base_weight));
     push(pairs, "max_suspect_sets", Json::from(o.max_suspect_sets));
-    push(pairs, "word_passes", Json::Bool(o.word_passes));
-    push(pairs, "simplify", Json::Bool(o.simplify));
-    push(pairs, "static_prune", Json::Bool(o.static_prune));
-    push(pairs, "static_priors", Json::Bool(o.static_priors));
     push(
         pairs,
         "trusted_lines",
@@ -485,6 +462,9 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
     let mut options = JobOptions::default();
     if let Some(v) = value.get("width") {
         options.width = parse_usize(v, "width")?;
+        if !(2..=64).contains(&options.width) {
+            return Err(bad("width must be in 2..=64"));
+        }
     }
     if let Some(v) = value.get("unwind") {
         options.unwind = parse_usize(v, "unwind")?;
@@ -504,11 +484,6 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
             .as_bool()
             .ok_or_else(|| bad("loop_weighting must be a boolean"))?;
     }
-    if let Some(v) = value.get("base_weight") {
-        options.base_weight = v
-            .as_u64()
-            .ok_or_else(|| bad("base_weight must be a non-negative integer"))?;
-    }
     if let Some(v) = value.get("max_suspect_sets") {
         options.max_suspect_sets = parse_usize(v, "max_suspect_sets")?;
     }
@@ -518,25 +493,19 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
     {
         return Err(bad("strategy must be fu_malik"));
     }
-    if let Some(v) = value.get("word_passes") {
-        options.word_passes = v
-            .as_bool()
-            .ok_or_else(|| bad("word_passes must be a boolean"))?;
+    // Retired knobs that changed answers are accepted only at the value
+    // that reproduces today's report.
+    if value
+        .get("static_priors")
+        .is_some_and(|v| v.as_bool() != Some(false))
+    {
+        return Err(bad("static_priors must be false"));
     }
-    if let Some(v) = value.get("simplify") {
-        options.simplify = v
-            .as_bool()
-            .ok_or_else(|| bad("simplify must be a boolean"))?;
-    }
-    if let Some(v) = value.get("static_prune") {
-        options.static_prune = v
-            .as_bool()
-            .ok_or_else(|| bad("static_prune must be a boolean"))?;
-    }
-    if let Some(v) = value.get("static_priors") {
-        options.static_priors = v
-            .as_bool()
-            .ok_or_else(|| bad("static_priors must be a boolean"))?;
+    if value
+        .get("base_weight")
+        .is_some_and(|v| v.as_u64() != Some(1))
+    {
+        return Err(bad("base_weight must be 1"));
     }
     if let Some(v) = value.get("trusted_lines") {
         let lines = v
@@ -849,8 +818,11 @@ mod tests {
             // A key that names no option is ignored, retired knobs included.
             r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"portfolio":true}"#,
             r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"gate_cache":false}"#,
-            // The one strategy, as older clients still name it.
+            r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"word_passes":false,"simplify":false,"static_prune":false}"#,
+            // The one strategy, uniform weights and no prior, as older
+            // clients still name them.
             r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"strategy":"fu_malik"}"#,
+            r#"{"op":"localize","program":"int main(int x) { return x; }","entry":"main","spec":"assertions","inputs":[[1]],"static_priors":false,"base_weight":1}"#,
         ] {
             let envelope = parse_request(line).expect("parses");
             assert_eq!(envelope.id, 0);
@@ -878,14 +850,30 @@ mod tests {
         ] {
             assert!(parse_request(line).is_err(), "should reject: {line}");
         }
-        // Any strategy but Fu–Malik is a bad request naming the valid one.
-        for strategy in ["portfolio", "linear_sat_unsat"] {
+        // A retired answer-changing knob at any other value, and a width
+        // the encoder cannot represent, are bad requests naming the valid
+        // value.
+        for (field, message) in [
+            (r#""strategy":"portfolio""#, "strategy must be fu_malik"),
+            (
+                r#""strategy":"linear_sat_unsat""#,
+                "strategy must be fu_malik",
+            ),
+            (r#""static_priors":true"#, "static_priors must be false"),
+            (r#""static_priors":0"#, "static_priors must be false"),
+            (r#""base_weight":2"#, "base_weight must be 1"),
+            (r#""base_weight":0"#, "base_weight must be 1"),
+            (r#""width":0"#, "width must be in 2..=64"),
+            (r#""width":1"#, "width must be in 2..=64"),
+            (r#""width":65"#, "width must be in 2..=64"),
+        ] {
             let line = format!(
-                r#"{{"op":"localize","program":"p","entry":"main","spec":"assertions","inputs":[[1]],"strategy":"{strategy}"}}"#
+                r#"{{"op":"localize","program":"p","entry":"main","spec":"assertions","inputs":[[1]],{field}}}"#
             );
             assert_eq!(
                 parse_request(&line),
-                Err(ProtocolError("strategy must be fu_malik".to_string()))
+                Err(ProtocolError(message.to_string())),
+                "{field}"
             );
         }
     }
@@ -928,11 +916,17 @@ mod tests {
         gran.options.granularity = Granularity::StatementInstance;
         let mut unwind = job.clone();
         unwind.options.unwind += 1;
-        let mut prune = job.clone();
-        prune.options.static_prune = !prune.options.static_prune;
-        let mut priors = job.clone();
-        priors.options.static_priors = !priors.options.static_priors;
-        for changed in [&width, &spec, &gran, &unwind, &prune, &priors] {
+        let mut inline = job.clone();
+        inline.options.max_inline_depth += 1;
+        let mut weighting = job.clone();
+        weighting.options.loop_weighting = !weighting.options.loop_weighting;
+        let mut sets = job.clone();
+        sets.options.max_suspect_sets += 1;
+        let mut trusted = job.clone();
+        trusted.options.trusted_lines = vec![];
+        for changed in [
+            &width, &spec, &gran, &unwind, &inline, &weighting, &sets, &trusted,
+        ] {
             assert_ne!(changed.cache_key(&program), base);
         }
     }
@@ -961,15 +955,21 @@ mod tests {
         spec.spec = JobSpec::Assertions;
         let mut width = job.clone();
         width.options.width = 16;
-        let mut simplify = job.clone();
-        simplify.options.simplify = !simplify.options.simplify;
+        let mut unwind = job.clone();
+        unwind.options.unwind += 1;
+        let mut inline = job.clone();
+        inline.options.max_inline_depth += 1;
+        let mut gran = job.clone();
+        gran.options.granularity = Granularity::StatementInstance;
+        let mut weighting = job.clone();
+        weighting.options.loop_weighting = !weighting.options.loop_weighting;
+        let mut sets = job.clone();
+        sets.options.max_suspect_sets += 1;
         let mut trusted = job.clone();
         trusted.options.trusted_lines = vec![];
-        let mut prune = job.clone();
-        prune.options.static_prune = !prune.options.static_prune;
-        let mut priors = job.clone();
-        priors.options.static_priors = !priors.options.static_priors;
-        for changed in [&entry, &spec, &width, &simplify, &trusted, &prune, &priors] {
+        for changed in [
+            &entry, &spec, &width, &unwind, &inline, &gran, &weighting, &sets, &trusted,
+        ] {
             assert_ne!(changed.options_fingerprint(), base);
         }
     }
