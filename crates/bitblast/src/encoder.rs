@@ -673,25 +673,6 @@ impl Encoder {
         BitVec { bits }
     }
 
-    /// If every bit of the vector is the constant true or false literal,
-    /// returns its signed value; otherwise `None`. Used for constant folding
-    /// and the concolic-style concretization of the trace reducer.
-    pub fn bv_const_value(&self, bv: &BitVec) -> Option<i64> {
-        let mut value: u64 = 0;
-        for (i, &bit) in bv.bits().iter().enumerate() {
-            if bit == self.true_lit {
-                value |= 1 << i;
-            } else if bit != !self.true_lit {
-                return None;
-            }
-        }
-        let width = bv.width();
-        if width < 64 && value >> (width - 1) & 1 == 1 {
-            value |= !0u64 << width;
-        }
-        Some(value as i64)
-    }
-
     // ----- model reading ----------------------------------------------------
 
     /// Reads the value of a single literal from a model indexed by variable.

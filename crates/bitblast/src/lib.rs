@@ -17,10 +17,7 @@
 //!   encoder: constant folding, ite flattening, cross-frame CSE and interval
 //!   narrowing all run before any gate exists, and only the surviving nodes
 //!   are bit-blasted, each exactly once ([`word::WordDag::lower`]) — this
-//!   hash-consing is where repeated structure is shared;
-//! * [`dump`] — BTOR2 and SMT-LIB2 serializers for the word-level DAG, used
-//!   as a differential oracle (round-trip parsing + concrete evaluation) and
-//!   for shipping trace formulas to external solvers.
+//!   hash-consing is where repeated structure is shared.
 //!
 //! # Examples
 //!
@@ -48,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod dump;
 mod encoder;
 mod grouped;
 pub mod word;

@@ -75,25 +75,16 @@ use std::collections::HashMap;
 pub struct NodeId(pub u32);
 
 impl NodeId {
-    /// The index of this node in [`WordDag::node`] order.
+    /// The index of this node in creation order.
     pub fn index(self) -> usize {
         self.0 as usize
     }
 }
 
-/// The sort of a node: a `width`-bit vector or a Boolean.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Sort {
-    /// Fixed-width two's-complement bit-vector.
-    BitVec,
-    /// Single Boolean (comparisons, guards, gate outputs).
-    Bool,
-}
-
 /// One word-level operation. Bit-vector nodes all share the DAG's width;
 /// Boolean nodes carry guards, comparisons and the property.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Node {
+pub(crate) enum Node {
     /// Bit-vector constant (two's-complement wrapped to the width).
     Const(i64),
     /// Boolean constant.
@@ -160,15 +151,6 @@ pub enum Node {
     /// Arithmetic right shift (unsigned amount; `>= width` yields the sign
     /// fill).
     Ashr(NodeId, NodeId),
-    /// Bits `lo..=hi` of `of`, zero-extended back to the width.
-    Slice {
-        /// The sliced vector.
-        of: NodeId,
-        /// Most significant extracted bit.
-        hi: u32,
-        /// Least significant extracted bit.
-        lo: u32,
-    },
 }
 
 /// Which word-level passes run while building and lowering a DAG. The
@@ -225,7 +207,7 @@ pub struct WordStats {
     pub word_cse_hits: u64,
 }
 
-/// An immutable word-level DAG, ready to dump or lower.
+/// An immutable word-level DAG, ready to evaluate or lower.
 #[derive(Clone, Debug)]
 pub struct WordDag {
     nodes: Vec<Node>,
@@ -235,7 +217,7 @@ pub struct WordDag {
 
 impl WordDag {
     /// The node behind an id.
-    pub fn node(&self, id: NodeId) -> Node {
+    pub(crate) fn node(&self, id: NodeId) -> Node {
         self.nodes[id.index()]
     }
 
@@ -260,32 +242,15 @@ impl WordDag {
         self.groups[id.index()]
     }
 
-    /// The sort of a node.
-    pub fn sort(&self, id: NodeId) -> Sort {
-        match self.node(id) {
-            Node::ConstBool(_)
-            | Node::BoundBit { .. }
-            | Node::Not(_)
-            | Node::And(..)
-            | Node::Or(..)
-            | Node::Eq(..)
-            | Node::Slt(..)
-            | Node::Ult(..)
-            | Node::Nonzero(_) => Sort::Bool,
-            _ => Sort::BitVec,
-        }
-    }
-
     /// The operand ids of a node, in order.
-    pub fn operands(&self, id: NodeId) -> Vec<NodeId> {
+    pub(crate) fn operands(&self, id: NodeId) -> Vec<NodeId> {
         match self.node(id) {
             Node::Const(_) | Node::ConstBool(_) | Node::Input(_) => Vec::new(),
             Node::Bound { of, .. }
             | Node::BoundBit { of, .. }
             | Node::Not(of)
             | Node::Nonzero(of)
-            | Node::BitNot(of)
-            | Node::Slice { of, .. } => vec![of],
+            | Node::BitNot(of) => vec![of],
             Node::And(a, b)
             | Node::Or(a, b)
             | Node::Eq(a, b)
@@ -310,7 +275,7 @@ impl WordDag {
     /// missing entries read zero). Bound nodes evaluate transparently to
     /// their definition — this is the semantics of the faithful program, all
     /// selectors on — so the evaluator doubles as the differential oracle
-    /// for the serializers and the lowering.
+    /// for the word-level passes and the lowering.
     pub fn eval(&self, root: NodeId, values: &[i64]) -> i64 {
         let mut memo: Vec<Option<i64>> = vec![None; self.nodes.len()];
         for idx in 0..=root.index() {
@@ -395,11 +360,6 @@ impl WordDag {
                 } else {
                     wrap((get(a) >> amount) as i128, w)
                 }
-            }
-            Node::Slice { of, hi, lo } => {
-                let bits = unsigned(get(of)) >> lo;
-                let len = hi - lo + 1;
-                wrap((bits & mask(len as usize)) as i128, w)
             }
         }
     }
@@ -624,12 +584,6 @@ impl WordDag {
                 let (a, b) = (bv(out, a), bv(out, b));
                 out.bv[id.index()] = Some(enc.bv_ashr(&a, &b));
             }
-            Node::Slice { of, hi, lo } => {
-                let a = bv(out, of);
-                let mut bits: Vec<Lit> = a.bits()[lo as usize..=hi as usize].to_vec();
-                bits.resize(width, enc.false_lit());
-                out.bv[id.index()] = Some(BitVec::from_bits(bits));
-            }
         }
     }
 
@@ -687,14 +641,6 @@ impl WordDag {
                     }
                     _ => None,
                 },
-                Node::Slice { hi, lo, .. } => {
-                    let len = (hi - lo + 1) as usize;
-                    if len < width {
-                        Some((0, (mask(len)) as i64))
-                    } else {
-                        None
-                    }
-                }
                 _ => None,
             };
         }
@@ -1488,28 +1434,6 @@ impl WordBuilder {
         }
         self.mk(Node::Ashr(a, b))
     }
-
-    /// Bits `lo..=hi`, zero-extended to the width.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo <= hi < width`.
-    pub fn slice(&mut self, of: NodeId, hi: u32, lo: u32) -> NodeId {
-        let width = self.dag.width as u32;
-        assert!(lo <= hi && hi < width, "slice {hi}:{lo} out of 0..{width}");
-        if self.config.fold {
-            if let Some(v) = self.const_value(of) {
-                let len = (hi - lo + 1) as usize;
-                let bits = ((v as u64) & mask(self.dag.width)) >> lo;
-                let r = self.const_bv((bits & mask(len)) as i64);
-                return self.folded(r);
-            }
-            if lo == 0 && hi == width - 1 {
-                return self.folded(of);
-            }
-        }
-        self.mk(Node::Slice { of, hi, lo })
-    }
 }
 
 #[cfg(test)]
@@ -1537,9 +1461,9 @@ mod tests {
             }
         }
         assert_eq!(solver.solve_assuming(&assumptions), SatResult::Sat);
-        match dag.sort(root) {
-            Sort::BitVec => Encoder::bv_value(&solver.model(), lowered.bv(root)),
-            Sort::Bool => i64::from(Encoder::bit_value(&solver.model(), lowered.lit(root))),
+        match lowered.bit[root.index()] {
+            Some(lit) => i64::from(Encoder::bit_value(&solver.model(), lit)),
+            None => Encoder::bv_value(&solver.model(), lowered.bv(root)),
         }
     }
 

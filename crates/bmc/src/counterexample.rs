@@ -1,16 +1,12 @@
 //! Counterexample generation (`GenerateCounterexample` in Algorithm 1).
 //!
 //! The paper obtains failing executions either from an existing test suite or
-//! from bounded model checking. Both entry points are provided here:
-//!
-//! * [`find_failing_input`] — BMC-style: solve for inputs that violate the
-//!   specification;
-//! * [`failing_tests_from_suite`] — run a pool of test vectors through the
-//!   concrete interpreter and keep the ones whose outcome deviates from the
-//!   specification (assertion failure, bounds violation, or wrong golden
-//!   output).
+//! from bounded model checking. This module is the BMC half:
+//! [`find_failing_input`] solves for inputs that violate the specification.
+//! Test pools are classified against a golden output by running the concrete
+//! [interpreter](crate::interp), as `siemens::FaultyVersion::failing_inputs`
+//! does for the Table 1 versions.
 
-use crate::interp::{run_program, ExecOutcome, InterpConfig};
 use crate::symbolic::{encode_program, EncodeConfig, EncodeError, Spec};
 use minic::Program;
 use sat::{SatResult, Solver};
@@ -55,50 +51,6 @@ pub fn find_failing_input(
     }
 }
 
-/// The verdict of running one test vector against a specification.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TestVerdict {
-    /// The input vector.
-    pub input: Vec<i64>,
-    /// The concrete execution outcome.
-    pub outcome: ExecOutcome,
-    /// Whether the test fails the specification.
-    pub failing: bool,
-}
-
-/// Runs a pool of test vectors and classifies each against the specification.
-///
-/// With [`Spec::ReturnEquals`] the expected value is ignored here — instead
-/// the *golden output* closure is consulted, mirroring how the paper derives
-/// specifications for the Siemens programs (run the original program, compare
-/// outputs).
-pub fn failing_tests_from_suite(
-    program: &Program,
-    entry: &str,
-    tests: &[Vec<i64>],
-    golden: impl Fn(&[i64]) -> Option<i64>,
-    config: InterpConfig,
-) -> Vec<TestVerdict> {
-    tests
-        .iter()
-        .map(|input| {
-            let outcome = run_program(program, entry, input, &[], config);
-            let failing = if outcome.is_failure() {
-                true
-            } else if let Some(expected) = golden(input) {
-                outcome.result != Some(expected)
-            } else {
-                false
-            };
-            TestVerdict {
-                input: input.clone(),
-                outcome,
-                failing,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,40 +82,5 @@ mod tests {
                 .unwrap();
         let result = find_failing_input(&program, "main", &Spec::Assertions, &cfg()).unwrap();
         assert_eq!(result, None);
-    }
-
-    #[test]
-    fn suite_classification_against_golden_output() {
-        // The "faulty" program doubles instead of adding 1.
-        let faulty = parse_program("int main(int x) { return x * 2; }").unwrap();
-        let tests: Vec<Vec<i64>> = (0..5).map(|v| vec![v]).collect();
-        let verdicts = failing_tests_from_suite(
-            &faulty,
-            "main",
-            &tests,
-            |input| Some(input[0] + 1), // golden: x + 1
-            InterpConfig::default(),
-        );
-        // x = 1 is the only agreeing input (2 == 2).
-        let failing: Vec<i64> = verdicts
-            .iter()
-            .filter(|v| v.failing)
-            .map(|v| v.input[0])
-            .collect();
-        assert_eq!(failing, vec![0, 2, 3, 4]);
-    }
-
-    #[test]
-    fn suite_classification_detects_crashes() {
-        let program = parse_program("int a[2]; int main(int i) { return a[i]; }").unwrap();
-        let verdicts = failing_tests_from_suite(
-            &program,
-            "main",
-            &[vec![0], vec![5]],
-            |_| None,
-            InterpConfig::default(),
-        );
-        assert!(!verdicts[0].failing);
-        assert!(verdicts[1].failing);
     }
 }

@@ -8,13 +8,11 @@
 //! * a [symbolic encoder](crate::symbolic) that unrolls loops, inlines calls
 //!   and bit-blasts the program into a grouped CNF — the paper's trace
 //!   formula TF with one clause group per statement instance (Sec. 3.2, 3.4);
-//! * [counterexample generation](crate::counterexample) — either BMC-style
-//!   search for a violating input or classification of an existing test pool
-//!   against a golden output (Sec. 4.1);
-//! * trace reduction: backward [slicing](crate::slice) ("S"), concolic-style
-//!   constant concretization (built into the encoder, "C"), and ddmin input
-//!   minimization ([`reduce`], "D") as used for the larger benchmarks of
-//!   Sec. 6.2.
+//! * [counterexample generation](crate::counterexample) — BMC-style search
+//!   for a violating input (Sec. 4.1);
+//! * trace reduction: backward [slicing](crate::slice) ("S") and
+//!   concolic-style constant concretization (built into the encoder, "C"),
+//!   two of the reductions Sec. 6.2 uses for the larger benchmarks.
 //!
 //! # Examples
 //!
@@ -42,14 +40,12 @@
 
 pub mod counterexample;
 pub mod interp;
-pub mod reduce;
 pub mod slice;
 pub mod symbolic;
 pub mod value;
 
-pub use counterexample::{failing_tests_from_suite, find_failing_input, TestVerdict};
+pub use counterexample::find_failing_input;
 pub use interp::{run_program, ExecOutcome, InterpConfig, Violation, ViolationKind};
-pub use reduce::{ddmin, shrink_scalar};
 pub use slice::{backward_slice, slice_program, SliceCriterion, SliceResult};
 pub use symbolic::{
     encode_program, word_trace, EncodeConfig, EncodeError, EncodeStats, Spec, StmtGroup,

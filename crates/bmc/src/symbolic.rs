@@ -198,11 +198,6 @@ impl SymbolicTrace {
             .collect()
     }
 
-    /// The groups whose statements lie on the given source line.
-    pub fn groups_on_line(&self, line: Line) -> Vec<&StmtGroup> {
-        self.groups.iter().filter(|g| g.line == line).collect()
-    }
-
     /// The distinct source lines that have at least one clause group.
     pub fn blamable_lines(&self) -> Vec<Line> {
         let mut lines: Vec<Line> = self.groups.iter().map(|g| g.line).collect();
@@ -316,8 +311,9 @@ impl SymbolicTrace {
 }
 
 /// A word-level trace formula: the program's unrolled semantics as a
-/// [`WordDag`], before any bit exists. This is what [`bitblast::dump`]
-/// serializes to BTOR2/SMT-LIB2 for external cross-checking.
+/// [`WordDag`], before any bit exists. Its concrete evaluator
+/// ([`WordDag::eval`]) is the oracle the word-level passes are checked
+/// against.
 #[derive(Clone, Debug)]
 pub struct WordTrace {
     /// The word-level DAG of the unrolled program.
@@ -327,7 +323,7 @@ pub struct WordTrace {
     /// The entry function's return value, if any.
     pub return_value: Option<NodeId>,
     /// Boolean node that holds iff the specification holds, with the loop
-    /// unwinding assumptions folded in as antecedents (so the dump is
+    /// unwinding assumptions folded in as antecedents (so the formula is
     /// self-contained: `not(property)` is satisfiable iff a counterexample
     /// within the unwinding bound exists).
     pub property: NodeId,
@@ -339,7 +335,7 @@ pub struct WordTrace {
 
 /// Encodes `program.entry(...)` to a word-level trace formula without
 /// bit-blasting it — the front half of [`encode_program`], exposed for
-/// dumping to BTOR2/SMT-LIB2.
+/// evaluating the formula concretely and timing the word-level front end.
 ///
 /// # Errors
 ///
@@ -354,8 +350,9 @@ pub struct WordTrace {
 ///     "int main(int x) { int y = x + 1; assert(y != 5); return y; }"
 /// ).unwrap();
 /// let wt = word_trace(&program, "main", &Spec::Assertions, &EncodeConfig::default()).unwrap();
-/// let btor = bitblast::dump::btor2(&wt.dag, &wt.inputs, wt.property);
-/// assert!(btor.contains("bad"));
+/// // The property fails exactly where x + 1 == 5.
+/// assert_eq!(wt.dag.eval(wt.property, &[4]), 0);
+/// assert_ne!(wt.dag.eval(wt.property, &[3]), 0);
 /// ```
 pub fn word_trace(
     program: &Program,
@@ -364,7 +361,7 @@ pub fn word_trace(
     config: &EncodeConfig,
 ) -> Result<WordTrace, EncodeError> {
     let mut we = encode_to_words(program, entry, spec, config)?;
-    // Fold the environmental assumptions into the dumped claim.
+    // Fold the environmental assumptions into the claim.
     let assumed = we.encoder.b.and_many(&we.assumptions);
     let property = we.encoder.b.implies(assumed, we.property);
     Ok(WordTrace {
@@ -1263,7 +1260,7 @@ mod tests {
         assert!(on.stats.gates_emitted <= off.stats.gates_emitted);
     }
 
-    /// `word_trace` exposes the same program as a dumpable DAG whose concrete
+    /// `word_trace` exposes the same program as a DAG whose concrete
     /// evaluator agrees with the interpreter.
     #[test]
     fn word_trace_evaluates_like_the_interpreter() {
@@ -1277,8 +1274,5 @@ mod tests {
             let holds = wt.dag.eval(wt.property, &[x]) != 0;
             assert_eq!(holds, x != 7, "x={x}");
         }
-        // And the dumps mention the entry input by name.
-        let smt = bitblast::dump::smtlib2(&wt.dag, &wt.inputs, wt.property);
-        assert!(smt.contains("|x|"));
     }
 }

@@ -160,40 +160,11 @@ impl MaxSatInstance {
                 .sum(),
         )
     }
-
-    /// Converts from a parsed WCNF file.
-    pub fn from_wcnf(wcnf: &sat::dimacs::WcnfInstance) -> MaxSatInstance {
-        let mut inst = MaxSatInstance::new();
-        inst.ensure_vars(wcnf.num_vars);
-        for clause in &wcnf.hard {
-            inst.add_hard(clause.clone());
-        }
-        for (clause, weight) in &wcnf.soft {
-            if *weight > 0 {
-                inst.add_soft(clause.clone(), *weight);
-            }
-        }
-        inst
-    }
-
-    /// Converts to the WCNF interchange representation.
-    pub fn to_wcnf(&self) -> sat::dimacs::WcnfInstance {
-        sat::dimacs::WcnfInstance {
-            num_vars: self.num_vars(),
-            hard: self.hard.clauses().to_vec(),
-            soft: self
-                .soft
-                .iter()
-                .map(|s| (s.clause.clone(), s.weight))
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sat::Var;
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
@@ -229,19 +200,5 @@ mod tests {
         assert_eq!(inst.cost_of(&[true, true]), Some(2));
         assert_eq!(inst.cost_of(&[true, false]), Some(7));
         assert_eq!(inst.cost_of(&[false, true]), None);
-    }
-
-    #[test]
-    fn wcnf_roundtrip() {
-        let mut inst = MaxSatInstance::new();
-        let v = Var::from_index(0);
-        inst.ensure_vars(1);
-        inst.add_hard(vec![v.positive()]);
-        inst.add_soft(vec![v.negative()], 4);
-        let wcnf = inst.to_wcnf();
-        let back = MaxSatInstance::from_wcnf(&wcnf);
-        assert_eq!(back.num_hard(), 1);
-        assert_eq!(back.num_soft(), 1);
-        assert_eq!(back.soft_clauses()[0].weight, 4);
     }
 }

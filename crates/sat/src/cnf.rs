@@ -70,11 +70,6 @@ impl Clause {
             .any(|l| assignment[l.var().index()] == l.is_positive())
     }
 
-    /// Consumes the clause and returns its literals.
-    pub fn into_lits(self) -> Vec<Lit> {
-        self.lits
-    }
-
     /// Iterates over the literals.
     pub fn iter(&self) -> std::slice::Iter<'_, Lit> {
         self.lits.iter()
@@ -207,12 +202,6 @@ impl CnfFormula {
     /// clause arena in one shot.
     pub fn num_literals(&self) -> usize {
         self.clauses.iter().map(|c| c.len()).sum()
-    }
-
-    /// Reserves room for at least `additional` more clauses (used by the
-    /// DIMACS parser, which knows the declared clause count up front).
-    pub fn reserve_clauses(&mut self, additional: usize) {
-        self.clauses.reserve(additional);
     }
 
     /// Adds a clause given as anything convertible to a [`Clause`].

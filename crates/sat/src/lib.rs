@@ -21,7 +21,6 @@
 //!   subsumption, self-subsuming resolution and bounded variable elimination
 //!   with a caller-supplied frozen-variable set and a model-reconstruction
 //!   map, used to shrink trace formulas before MAX-SAT solving;
-//! * DIMACS CNF / WCNF parsing and printing ([`dimacs`]);
 //! * exponential brute-force oracles ([`mod@reference`]) used by tests to
 //!   cross-check both solvers.
 //!
@@ -45,7 +44,6 @@
 mod arena;
 pub mod bytes;
 mod cnf;
-pub mod dimacs;
 mod heap;
 pub mod reference;
 mod simplify;

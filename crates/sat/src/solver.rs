@@ -55,11 +55,6 @@ impl SatResult {
     pub fn is_sat(self) -> bool {
         self == SatResult::Sat
     }
-
-    /// Returns `true` iff the result is [`SatResult::Unsat`].
-    pub fn is_unsat(self) -> bool {
-        self == SatResult::Unsat
-    }
 }
 
 /// Counters describing the work performed by a [`Solver`].

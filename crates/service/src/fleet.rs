@@ -183,11 +183,6 @@ impl FleetClient {
         }
     }
 
-    /// The replica addresses, in configuration order.
-    pub fn replica_addrs(&self) -> Vec<String> {
-        self.replicas.iter().map(|r| r.addr.clone()).collect()
-    }
-
     /// The counters so far.
     pub fn stats(&self) -> &FleetStats {
         &self.stats

@@ -430,6 +430,15 @@ fn parse_usize(value: &Json, field: &str) -> Result<usize, ProtocolError> {
         .ok_or_else(|| bad(format!("{field} must be a non-negative integer")))
 }
 
+/// The encoding width both `localize`-style jobs and `analyze` accept.
+fn parse_width(value: &Json) -> Result<usize, ProtocolError> {
+    let width = parse_usize(value, "width")?;
+    if !(2..=64).contains(&width) {
+        return Err(bad("width must be in 2..=64"));
+    }
+    Ok(width)
+}
+
 fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
     let program = value
         .get("program")
@@ -461,10 +470,7 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
 
     let mut options = JobOptions::default();
     if let Some(v) = value.get("width") {
-        options.width = parse_usize(v, "width")?;
-        if !(2..=64).contains(&options.width) {
-            return Err(bad("width must be in 2..=64"));
-        }
+        options.width = parse_width(v)?;
     }
     if let Some(v) = value.get("unwind") {
         options.unwind = parse_usize(v, "unwind")?;
@@ -600,7 +606,7 @@ pub fn parse_request(line: &str) -> Result<Envelope, ProtocolError> {
                 .to_string();
             let width = match value.get("width") {
                 None => JobOptions::default().width,
-                Some(v) => parse_usize(v, "width")?,
+                Some(v) => parse_width(v)?,
             };
             Request::Analyze { program, width }
         }
@@ -874,6 +880,16 @@ mod tests {
                 parse_request(&line),
                 Err(ProtocolError(message.to_string())),
                 "{field}"
+            );
+        }
+        // analyze checks its width the same way, so a width that localize
+        // rejects cannot switch the truncation lint off.
+        for width in [0, 1, 65] {
+            let line = format!(r#"{{"op":"analyze","program":"p","width":{width}}}"#);
+            assert_eq!(
+                parse_request(&line),
+                Err(ProtocolError("width must be in 2..=64".to_string())),
+                "analyze width {width}"
             );
         }
     }

@@ -471,11 +471,10 @@ fn narrowed_encodings_decode_through_extend_model() {
     );
 }
 
-/// The BTOR2 dump of a whole unrolled program round-trips through the
-/// bundled parser and evaluates exactly like the original word-level DAG —
-/// the external-format half of the differential oracle.
+/// The word-level trace formula of the paper's running example evaluates
+/// its bounds-check property to false exactly on the paper's failing input.
 #[test]
-fn dumped_trace_formulas_round_trip_and_agree() {
+fn trace_formula_property_fails_exactly_at_the_papers_input() {
     let src = "int Array[3];\nint testme(int index) {\nif (index != 1) {\nindex = 2;\n} else {\nindex = index + 2;\n}\nint i = index;\nreturn Array[i];\n}";
     let program = minic::parse_program(src).unwrap();
     let config = EncodeConfig {
@@ -483,19 +482,8 @@ fn dumped_trace_formulas_round_trip_and_agree() {
         ..EncodeConfig::default()
     };
     let wt = bmc::word_trace(&program, "testme", &Spec::Assertions, &config).unwrap();
-    let btor = bitblast::dump::btor2(&wt.dag, &wt.inputs, wt.property);
-    let parsed = bitblast::dump::parse_btor2(&btor).expect("our own dump parses");
-    assert_eq!(parsed.inputs.len(), wt.inputs.len());
     for index in [-3i64, 0, 1, 2, 5] {
-        let expected = wt.dag.eval(wt.property, &[index]);
-        let got = parsed.dag.eval(parsed.property, &[index]);
-        assert_eq!(got, expected, "round-trip diverged at index {index}");
-        // The property is the bounds check: it must fail exactly on the
-        // paper's failing input, index = 1.
-        assert_eq!(expected != 0, index != 1, "property wrong at {index}");
+        let holds = wt.dag.eval(wt.property, &[index]) != 0;
+        assert_eq!(holds, index != 1, "property wrong at {index}");
     }
-    let smt = bitblast::dump::smtlib2(&wt.dag, &wt.inputs, wt.property);
-    assert!(smt.contains("(set-logic QF_BV)"));
-    assert!(smt.contains("|index|"));
-    assert!(smt.contains("(check-sat)"));
 }
