@@ -15,9 +15,10 @@
 //!
 //! Severity policy: an **error** means the symbolic encoding of the program
 //! is meaningless (ill-typed, or a read that *every* execution leaves
-//! undefined), so the service fails the build fast with a `lint_error`
-//! response. Everything else is a warning: counted, surfaced through the
-//! `analyze` op, never blocking.
+//! undefined), so `bugassist::Localizer::new` refuses the program before
+//! encoding it (the service answers `type_error` or `lint_error`).
+//! Everything else is a warning: counted, surfaced through the `analyze`
+//! op, never blocking.
 
 use crate::cfg::Cfg;
 use crate::intervals::intervals;

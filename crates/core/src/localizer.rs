@@ -179,13 +179,11 @@ pub struct LocalizerStats {
     /// relevance analysis hardened ([`LocalizerConfig::static_prune`]) —
     /// lines that provably cannot appear in any CoMSS.
     pub lines_pruned: u64,
-    /// Wall-clock milliseconds the static analyses (relevance, lint) took.
+    /// Wall-clock milliseconds the static analyses (lint, relevance) took.
     /// Paid once in [`Localizer::new`] and carried by every report of that
     /// localizer, like [`LocalizerStats::simplify_ms`].
     pub prune_ms: u128,
-    /// Warning-severity diagnostics the MinC lint pass found in the
-    /// program (computed alongside the pruning analysis; 0 when
-    /// [`LocalizerConfig::static_prune`] is off).
+    /// Warning-severity diagnostics the MinC lint pass found.
     pub lint_warnings: u64,
 }
 
@@ -212,37 +210,6 @@ impl LocalizationReport {
         self.suspect_lines.binary_search(&line).is_ok()
     }
 
-    /// The report with every blamed line pushed through a (strictly
-    /// monotonic) line map, all other content verbatim.
-    ///
-    /// This is the solve-skipping half of delta localization: when an edit
-    /// is a pure line shift (or is confined to dead code), the post-edit
-    /// MAX-SAT instance is *identical* to the pre-edit one — only the blame
-    /// labels differ — and the solver is deterministic, so re-running it
-    /// must reproduce this report with shifted lines. Remapping the old
-    /// report is therefore byte-equivalent to a full re-localization of the
-    /// edited program (the timing stats are carried over; consumers that
-    /// compare reports canonicalize timings anyway). Monotonicity keeps
-    /// `suspect_lines` sorted and injectivity keeps it deduplicated, so
-    /// every invariant of a freshly built report holds.
-    pub fn remap_lines(&self, map: &minic::delta::LineMap) -> LocalizationReport {
-        LocalizationReport {
-            suspects: self
-                .suspects
-                .iter()
-                .map(|s| Suspect {
-                    lines: s.lines.iter().map(|&l| map.remap(l)).collect(),
-                    unwindings: s.unwindings.clone(),
-                    rank: s.rank,
-                    cost: s.cost,
-                })
-                .collect(),
-            suspect_lines: self.suspect_lines.iter().map(|&l| map.remap(l)).collect(),
-            stats: self.stats,
-            complete: self.complete,
-        }
-    }
-
     /// The fraction of blamable program lines that were reported — the
     /// paper's "SizeReduc%" metric (smaller is better).
     pub fn size_reduction_percent(&self, total_lines: usize) -> f64 {
@@ -256,6 +223,10 @@ impl LocalizationReport {
 /// Errors produced while building a localizer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LocalizeError {
+    /// The lint pass found an error-severity diagnostic — a type or scope
+    /// error, or a read every execution leaves undefined — so the program
+    /// was refused before encoding: its trace formula would be meaningless.
+    Rejected(analysis::Diagnostic),
     /// The symbolic encoder failed.
     Encode(EncodeError),
     /// The number of test values does not match the entry function.
@@ -270,6 +241,7 @@ pub enum LocalizeError {
 impl fmt::Display for LocalizeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            LocalizeError::Rejected(d) => write!(f, "{d}"),
             LocalizeError::Encode(e) => write!(f, "{e}"),
             LocalizeError::ArityMismatch { expected, provided } => write!(
                 f,
@@ -335,7 +307,8 @@ type TemplateSelector = (Lit, Vec<Line>, Vec<Option<usize>>, u64);
 /// service's persistent store (`crates/store`) can write it to disk and
 /// rebuild a warm-from-birth localizer on restart.
 ///
-/// The snapshot deliberately omits the trusted-line flags: they are
+/// The snapshot carries the build's analysis results, so a restore runs no
+/// analysis, but deliberately omits the trusted-line flags: they are
 /// recomputed from the restoring configuration (exactly like the relabel
 /// reuse path), so a stale trusted set can never be resurrected from disk.
 ///
@@ -352,6 +325,9 @@ pub struct PreparedTemplate {
     simplify_stats: sat::SimplifyStats,
     simplify_ms: u128,
     reconstruction: sat::ModelReconstruction,
+    pruned_lines: Vec<Line>,
+    lint_warnings: u64,
+    prune_ms: u128,
 }
 
 impl PreparedTemplate {
@@ -372,10 +348,7 @@ impl PreparedTemplate {
         w.write_usize(self.selectors.len());
         for (lit, lines, unwindings, weight) in &self.selectors {
             w.write_usize(lit.code());
-            w.write_usize(lines.len());
-            for line in lines {
-                w.write_u32(line.0);
-            }
+            write_lines(w, lines);
             w.write_usize(unwindings.len());
             for unwinding in unwindings {
                 match unwinding {
@@ -391,13 +364,17 @@ impl PreparedTemplate {
         self.simplify_stats.encode(w);
         w.write_u64(self.simplify_ms.min(u64::MAX as u128) as u64);
         self.reconstruction.encode(w);
+        write_lines(w, &self.pruned_lines);
+        w.write_u64(self.lint_warnings);
+        w.write_u64(self.prune_ms.min(u64::MAX as u128) as u64);
     }
 
     /// Reads back a template written by [`PreparedTemplate::encode`].
     ///
     /// # Errors
     ///
-    /// Returns [`sat::bytes::DecodeError`] on truncated or malformed input.
+    /// Returns [`sat::bytes::DecodeError`] on truncated or malformed input,
+    /// including a pruned-line list that is not strictly increasing.
     pub fn decode(
         r: &mut sat::bytes::ByteReader<'_>,
     ) -> Result<PreparedTemplate, sat::bytes::DecodeError> {
@@ -406,11 +383,7 @@ impl PreparedTemplate {
         let mut selectors = Vec::with_capacity(num_selectors);
         for _ in 0..num_selectors {
             let lit = Lit::from_code(r.read_usize()?);
-            let num_lines = r.read_len(4)?;
-            let mut lines = Vec::with_capacity(num_lines);
-            for _ in 0..num_lines {
-                lines.push(Line(r.read_u32()?));
-            }
+            let lines = read_lines(r)?;
             let num_unwindings = r.read_len(8)?;
             let mut unwindings = Vec::with_capacity(num_unwindings);
             for _ in 0..num_unwindings {
@@ -434,6 +407,13 @@ impl PreparedTemplate {
         let simplify_stats = sat::SimplifyStats::decode(r)?;
         let simplify_ms = u128::from(r.read_u64()?);
         let reconstruction = sat::ModelReconstruction::decode(r)?;
+        let pruned_lines = read_lines(r)?;
+        // The localizer binary-searches the pruned set.
+        if pruned_lines.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(DecodeError::new("pruned lines not strictly increasing"));
+        }
+        let lint_warnings = r.read_u64()?;
+        let prune_ms = u128::from(r.read_u64()?);
         Ok(PreparedTemplate {
             selectors,
             hard,
@@ -442,8 +422,23 @@ impl PreparedTemplate {
             simplify_stats,
             simplify_ms,
             reconstruction,
+            pruned_lines,
+            lint_warnings,
+            prune_ms,
         })
     }
+}
+
+fn write_lines(w: &mut sat::bytes::ByteWriter, lines: &[Line]) {
+    w.write_usize(lines.len());
+    for line in lines {
+        w.write_u32(line.0);
+    }
+}
+
+fn read_lines(r: &mut sat::bytes::ByteReader<'_>) -> Result<Vec<Line>, sat::bytes::DecodeError> {
+    let len = r.read_len(4)?;
+    (0..len).map(|_| r.read_u32().map(Line)).collect()
 }
 
 /// How [`Localizer::reprepare`] obtained the localizer for an edited
@@ -563,41 +558,47 @@ fn criterion_of_spec(spec: &Spec) -> analysis::Criterion {
     }
 }
 
-/// The static-analysis bundle [`Localizer::new`] and
-/// [`Localizer::from_restored`] compute: prunable lines, lint warning
-/// count and the time both took.
-fn analyze_program(
-    program: &Program,
-    entry: &str,
-    spec: &Spec,
-    config: &LocalizerConfig,
-) -> (Vec<Line>, u64, u128) {
-    if !config.static_prune {
-        return (Vec::new(), 0, 0);
+/// The program check every build route runs once: lints `program` (the
+/// lint pass includes the type check) and refuses it on an error-severity
+/// diagnostic — a type-kind one first, else the first other error.
+/// Returns the warning count.
+fn lint_gate(program: &Program, width: usize) -> Result<u64, LocalizeError> {
+    let (errors, warnings): (Vec<_>, Vec<_>) = analysis::lint_program(program, width)
+        .into_iter()
+        .partition(|d| d.severity == analysis::Severity::Error);
+    // `min_by_key` keeps the first of equal keys, and `false` sorts first.
+    match errors
+        .into_iter()
+        .min_by_key(|d| d.kind != analysis::DiagnosticKind::Type)
+    {
+        Some(d) => Err(LocalizeError::Rejected(d)),
+        None => Ok(warnings.len() as u64),
     }
-    let started = Instant::now();
-    let pruned_lines = analysis::prunable_lines(program, entry, criterion_of_spec(spec));
-    let lint_warnings = analysis::lint_program(program, config.encode.width)
-        .iter()
-        .filter(|d| d.severity == analysis::Severity::Warning)
-        .count() as u64;
-    (pruned_lines, lint_warnings, started.elapsed().as_millis())
 }
 
 impl Localizer {
-    /// Encodes the program and prepares the localizer.
+    /// Checks, analyzes and encodes the program and prepares the localizer.
     ///
     /// # Errors
     ///
-    /// Returns [`LocalizeError::Encode`] if the program cannot be encoded.
+    /// Returns [`LocalizeError::Rejected`] if the lint pass finds an error
+    /// (before any encoding), and [`LocalizeError::Encode`] if the program
+    /// cannot be encoded.
     pub fn new(
         program: &Program,
         entry: &str,
         spec: &Spec,
         config: &LocalizerConfig,
     ) -> Result<Localizer, LocalizeError> {
+        let started = Instant::now();
+        let lint_warnings = lint_gate(program, config.encode.width)?;
+        let pruned_lines = if config.static_prune {
+            analysis::prunable_lines(program, entry, criterion_of_spec(spec))
+        } else {
+            Vec::new()
+        };
+        let prune_ms = started.elapsed().as_millis();
         let trace = encode_program(program, entry, spec, &config.encode)?;
-        let (pruned_lines, lint_warnings, prune_ms) = analyze_program(program, entry, spec, config);
         Ok(Localizer {
             trace,
             config: config.clone(),
@@ -654,8 +655,9 @@ impl Localizer {
     ///
     /// # Errors
     ///
-    /// Returns [`LocalizeError::Encode`] only on the rebuild paths, when
-    /// the new program cannot be encoded.
+    /// Exactly the errors a cold [`Localizer::new`] of `new_program` would
+    /// return: every edit except an identical program or a pure line shift
+    /// re-runs the program check.
     pub fn reprepare(
         &self,
         old_program: &Program,
@@ -684,6 +686,8 @@ impl Localizer {
             return Ok((rebuilt, DeltaPrepare::RebuiltConfig));
         }
         match class {
+            // Same structure as this localizer's checked program: the
+            // check's verdict and warning count carry over.
             EditClass::Identical => Ok((
                 self.relabel(&LineMap::default(), new_program, config),
                 DeltaPrepare::Relabeled,
@@ -701,11 +705,12 @@ impl Localizer {
                 } else {
                     // The changed function contributes no clause to a trace
                     // rooted at `entry`; every group line belongs to an
-                    // unchanged function and is covered by the map.
-                    Ok((
-                        self.relabel(line_map, new_program, config),
-                        DeltaPrepare::DeadFunction,
-                    ))
+                    // unchanged function and is covered by the map. Its
+                    // body still answers to the program check.
+                    let lint_warnings = lint_gate(new_program, config.encode.width)?;
+                    let mut relabeled = self.relabel(line_map, new_program, config);
+                    relabeled.lint_warnings = lint_warnings;
+                    Ok((relabeled, DeltaPrepare::DeadFunction))
                 }
             }
             EditClass::Global => {
@@ -770,6 +775,41 @@ impl Localizer {
         }
     }
 
+    /// A report of the localizer this one was relabeled from, as this one
+    /// would produce it: blamed lines pushed through the (strictly
+    /// monotonic) line map, this program's lint-warning count, all other
+    /// content verbatim.
+    ///
+    /// This is the solve-skipping half of delta localization: when an edit
+    /// is a pure line shift (or is confined to dead code), the post-edit
+    /// MAX-SAT instance is *identical* to the pre-edit one — only the blame
+    /// labels differ — and the solver is deterministic, so re-running it
+    /// must reproduce the report with shifted lines. Remapping the old
+    /// report is therefore byte-equivalent to a full re-localization of the
+    /// edited program (the timing stats are carried over; consumers that
+    /// compare reports canonicalize timings anyway). Monotonicity keeps
+    /// `suspect_lines` sorted and injectivity keeps it deduplicated, so
+    /// every invariant of a freshly built report holds.
+    pub fn remap_report(&self, report: &LocalizationReport, map: &LineMap) -> LocalizationReport {
+        let remap = |lines: &[Line]| lines.iter().map(|&l| map.remap(l)).collect();
+        LocalizationReport {
+            suspects: report
+                .suspects
+                .iter()
+                .map(|s| Suspect {
+                    lines: remap(&s.lines),
+                    ..s.clone()
+                })
+                .collect(),
+            suspect_lines: remap(&report.suspect_lines),
+            stats: LocalizerStats {
+                lint_warnings: self.lint_warnings,
+                ..report.stats
+            },
+            complete: report.complete,
+        }
+    }
+
     /// Forces construction of the cached input-independent prepared formula
     /// and returns the milliseconds it took (0 if it was already built). A
     /// cache that stores localizers warms them on insert so that every later
@@ -797,21 +837,23 @@ impl Localizer {
             simplify_stats: prepared.simplify_stats,
             simplify_ms: prepared.simplify_ms,
             reconstruction: prepared.reconstruction.clone(),
+            pruned_lines: self.pruned_lines.clone(),
+            lint_warnings: self.lint_warnings,
+            prune_ms: self.prune_ms,
         })
     }
 
     /// Rebuilds a warm-from-birth localizer from a persisted snapshot: the
-    /// trace and template are taken verbatim (exactly what [`Localizer::new`]
-    /// plus [`Localizer::warm`] would have produced for the same program and
-    /// options), while the trusted-line flags — and the static-analysis
-    /// results behind [`LocalizerConfig::static_prune`], which are cheap
-    /// and never persisted — are recomputed from `program` and `config`,
+    /// trace, template and static-analysis results are taken verbatim
+    /// (exactly what [`Localizer::new`] plus [`Localizer::warm`] would have
+    /// produced for the same program and options), so a restore runs no
+    /// analysis. Only the trusted-line flags are recomputed from `config`,
     /// mirroring the relabel reuse path, so the persisted bytes never
-    /// override the caller's current trusted or pruned sets.
+    /// override the caller's current trusted set.
     ///
-    /// The caller is responsible for only pairing a snapshot with the trace
-    /// and options it was exported under; the service keys store records by
-    /// program AST hash and an options fingerprint to enforce this.
+    /// The caller is responsible for only pairing a snapshot with the
+    /// program, trace and options it was exported under; the service keys
+    /// store records by program AST hash and options to enforce this.
     pub fn from_restored(
         trace: SymbolicTrace,
         template: PreparedTemplate,
@@ -820,7 +862,7 @@ impl Localizer {
         config: &LocalizerConfig,
         program: &Program,
     ) -> Localizer {
-        let (pruned_lines, lint_warnings, prune_ms) = analyze_program(program, entry, spec, config);
+        let pruned_lines = template.pruned_lines;
         let selectors = template
             .selectors
             .into_iter()
@@ -852,8 +894,8 @@ impl Localizer {
             spec: spec.clone(),
             program_lines: program.statement_lines().len(),
             pruned_lines,
-            lint_warnings,
-            prune_ms,
+            lint_warnings: template.lint_warnings,
+            prune_ms: template.prune_ms,
             prepared,
         }
     }
@@ -1693,6 +1735,46 @@ mod tests {
         assert_eq!(
             revised.localize(&[3]).unwrap().suspects,
             cold.localize(&[3]).unwrap().suspects
+        );
+    }
+
+    #[test]
+    fn lint_errors_are_rejected_before_encoding_on_every_build_route() {
+        let rejected_kind = |result: Result<Localizer, LocalizeError>| match result {
+            Err(LocalizeError::Rejected(d)) => d.kind,
+            other => panic!("expected a rejection, got {other:?}"),
+        };
+        let spec = Spec::ReturnEquals(4);
+        let config = config8();
+        let uninit = parse_program("int main(int x) {\nint y;\nreturn y;\n}").unwrap();
+        assert_eq!(
+            rejected_kind(Localizer::new(&uninit, "main", &spec, &config)),
+            analysis::DiagnosticKind::UninitRead
+        );
+        // A type error outranks the uninitialized read on the line before.
+        let both = parse_program("int main(int x) {\nint y;\nreturn y + nosuch;\n}").unwrap();
+        assert_eq!(
+            rejected_kind(Localizer::new(&both, "main", &spec, &config)),
+            analysis::DiagnosticKind::Type
+        );
+
+        // A dead-function edit reuses the trace, but not the check's verdict.
+        let old_program = parse_program(
+            "int unused(int a) {\nreturn a * 2;\n}\nint main(int x) {\nint y = x + 2;\nreturn y;\n}",
+        )
+        .unwrap();
+        let old = Localizer::new(&old_program, "main", &spec, &config).unwrap();
+        old.warm();
+        let reprepare = |body: &str| {
+            let src = format!("int unused(int a) {{\n{body}\n}}\nint main(int x) {{\nint y = x + 2;\nreturn y;\n}}");
+            let new_program = parse_program(&src).unwrap();
+            old.reprepare(&old_program, &new_program, "main", &spec, &config)
+        };
+        let (_, delta) = reprepare("int z = a;\nreturn z;").unwrap();
+        assert_eq!(delta, DeltaPrepare::DeadFunction);
+        assert_eq!(
+            rejected_kind(reprepare("int z;\nreturn z;").map(|(l, _)| l)),
+            analysis::DiagnosticKind::UninitRead
         );
     }
 

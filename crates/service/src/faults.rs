@@ -8,11 +8,9 @@
 //! [`FaultPlan`] injects exactly those faults at seed-determined points,
 //! so a failing chaos run can be replayed bit-for-bit.
 //!
-//! Everything is behind the `faults` cargo feature: the hook methods are
-//! always *callable* (the server code stays identical), but with the
-//! feature disabled every hook starts with a constant-`false` test and the
-//! whole body — counter increments included — compiles away. Production
-//! builds of the daemon pay nothing.
+//! The server calls a hook only when [`crate::ServiceConfig::fault_plan`]
+//! is set, which the `serve` binary never does: a daemon without a plan
+//! pays one `None` check per hook site.
 //!
 //! Faults are **period + phase** driven, per hook: hook invocation `n`
 //! fires when `n % period == phase`, with the phase drawn from a
@@ -87,10 +85,6 @@ pub struct FaultPlan {
     injected_crashes: AtomicU64,
 }
 
-/// `true` when the `faults` cargo feature is compiled in. With the feature
-/// off every hook body sits behind this constant and compiles away.
-const ENABLED: bool = cfg!(feature = "faults");
-
 impl FaultPlan {
     /// Builds a plan; the seed fixes each fault's phase within its period.
     pub fn new(config: FaultConfig) -> FaultPlan {
@@ -128,9 +122,6 @@ impl FaultPlan {
 
     /// Hook: a worker picked a job off the queue. May sleep (stall).
     pub fn worker_pickup(&self) {
-        if !ENABLED {
-            return;
-        }
         let n = self.pickups.fetch_add(1, Ordering::Relaxed);
         if Self::fires(n, self.config.stall_period, self.phases[0]) {
             self.injected_stalls.fetch_add(1, Ordering::Relaxed);
@@ -142,9 +133,6 @@ impl FaultPlan {
     /// panic (worker fault — the server must catch it, answer the client
     /// with a structured error, and keep the worker alive).
     pub fn execute_start(&self) {
-        if !ENABLED {
-            return;
-        }
         let n = self.executes.fetch_add(1, Ordering::Relaxed);
         if Self::fires(n, self.config.delay_period, self.phases[2]) {
             self.injected_delays.fetch_add(1, Ordering::Relaxed);
@@ -159,9 +147,6 @@ impl FaultPlan {
     /// Hook: a prepared-formula build is starting inside the cache's
     /// single-flight slot. May panic (exercises poisoned-slot eviction).
     pub fn build_start(&self) {
-        if !ENABLED {
-            return;
-        }
         let n = self.builds.fetch_add(1, Ordering::Relaxed);
         if Self::fires(n, self.config.build_panic_period, self.phases[3]) {
             self.injected_build_panics.fetch_add(1, Ordering::Relaxed);
@@ -175,9 +160,6 @@ impl FaultPlan {
     /// by a compare-and-swap: with several workers racing past the
     /// threshold, only one gets to pull the trigger.
     pub fn crash_check(&self) -> bool {
-        if !ENABLED {
-            return false;
-        }
         let threshold = self.config.crash_after_executes;
         if threshold == 0 || self.executes.load(Ordering::Relaxed) < threshold {
             return false;
@@ -190,11 +172,6 @@ impl FaultPlan {
     /// Total replica crashes injected so far (0 or 1).
     pub fn injected_crashes(&self) -> u64 {
         self.injected_crashes.load(Ordering::Relaxed)
-    }
-
-    /// The plan's configuration.
-    pub fn config(&self) -> FaultConfig {
-        self.config
     }
 
     /// Total faults injected so far, by kind:
@@ -230,7 +207,6 @@ mod tests {
         assert_eq!(plan.injected_total(), 0);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn periodic_faults_fire_deterministically() {
         let config = FaultConfig {
@@ -255,7 +231,6 @@ mod tests {
         assert_eq!(first, run(), "same seed, same faults");
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn crash_fires_exactly_once_after_the_threshold() {
         let plan = FaultPlan::new(FaultConfig {
@@ -273,7 +248,6 @@ mod tests {
         assert_eq!(plan.injected_total(), 1);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn injected_panics_carry_a_recognizable_message() {
         let plan = FaultPlan::new(FaultConfig {

@@ -5,10 +5,11 @@
 //! [`PreparedEntry`] — the job's source text, entry, spec and options, the
 //! bit-blasted [`bmc::SymbolicTrace`] and the warm
 //! [`bugassist::PreparedTemplate`] (simplified CNF template, selector map,
-//! model reconstruction). A decoded record rebuilds a warm-from-birth
-//! localizer without touching the encoder or the simplifier, which is the
-//! entire point: restore-on-boot pays parse + typecheck only (~100x cheaper
-//! than a cold build) and the first post-restart request solves immediately.
+//! model reconstruction, analysis results). A decoded record rebuilds a
+//! warm-from-birth localizer without touching the encoder, the simplifier
+//! or the static analyses, which is the entire point: restore-on-boot pays
+//! the parse only (~100x cheaper than a cold build) and the first
+//! post-restart request solves immediately.
 //!
 //! Determinism note: [`encode_entry`] of a freshly built entry and of its
 //! own decoded image produce identical bytes (everything serialized is
@@ -35,8 +36,10 @@ use std::sync::Arc;
 /// byte; version 4 dropped the `gate_cache` option byte and the trace's
 /// `gates_cached` counter; version 5 dropped the MAX-SAT strategy byte;
 /// version 6 dropped five option bytes: the base weight, the static prior,
-/// and the word-pass, simplify and static-prune switches.
-pub const PAYLOAD_VERSION: u8 = 6;
+/// and the word-pass, simplify and static-prune switches; version 7 added
+/// the build's analysis results (pruned lines, lint-warning count, analysis
+/// milliseconds) to the template.
+pub const PAYLOAD_VERSION: u8 = 7;
 
 /// Serializes a warm prepared entry into a store payload, or `None` when
 /// the entry's localizer was never warmed (nothing worth persisting).
@@ -225,6 +228,52 @@ mod tests {
         assert_eq!(canonical(&fresh), canonical(&back));
     }
 
+    /// Line 3 is a dead store (a lint warning) and, like line 4, cannot
+    /// influence the return value (pruned).
+    const ANALYZED: &str =
+        "int main(int x) {\nint y = x + 2;\nint junk = x * 3;\nint junk2 = 1;\nreturn y;\n}";
+
+    #[test]
+    fn restore_keeps_the_builds_analysis_results() {
+        let entry = warm_entry(ANALYZED, JobSpec::ReturnEquals(4));
+        let fresh = entry.localizer.localize(&[5]).unwrap().stats;
+        assert!(fresh.lines_pruned >= 2, "{fresh:?}");
+        assert!(fresh.lint_warnings >= 1, "{fresh:?}");
+        let mut payload = encode_entry(&entry).unwrap();
+        let (_, _, restored) = decode_entry(&payload).unwrap();
+        let back = restored.localizer.localize(&[5]).unwrap().stats;
+        assert_eq!(
+            (back.lines_pruned, back.lint_warnings, back.prune_ms),
+            (fresh.lines_pruned, fresh.lint_warnings, fresh.prune_ms)
+        );
+
+        // The record ends with the warning count and the analysis
+        // milliseconds: patched values come back verbatim, so the restore
+        // read them rather than re-running the analyses.
+        let tail = payload.len() - 16;
+        payload[tail..tail + 8].copy_from_slice(&7u64.to_le_bytes());
+        payload[tail + 8..].copy_from_slice(&1234u64.to_le_bytes());
+        let (_, _, patched) = decode_entry(&payload).unwrap();
+        let stats = patched.localizer.localize(&[5]).unwrap().stats;
+        assert_eq!((stats.lint_warnings, stats.prune_ms), (7, 1234));
+    }
+
+    #[test]
+    fn unsorted_pruned_lines_are_a_decode_error() {
+        let entry = warm_entry(ANALYZED, JobSpec::ReturnEquals(4));
+        let pruned =
+            analysis::prunable_lines(&entry.program, "main", analysis::Criterion::ReturnValue);
+        assert!(pruned.len() >= 2, "{pruned:?}");
+        let mut payload = encode_entry(&entry).unwrap();
+        // The pruned lines (one u32 each) sit just before the two trailing
+        // u64 counters; swap the first two.
+        let start = payload.len() - 16 - 4 * pruned.len();
+        payload[start..start + 4].copy_from_slice(&pruned[1].0.to_le_bytes());
+        payload[start + 4..start + 8].copy_from_slice(&pruned[0].0.to_le_bytes());
+        let err = decode_entry(&payload).expect_err("unsorted list rejected");
+        assert!(err.to_string().contains("pruned lines"), "{err}");
+    }
+
     #[test]
     fn reencode_of_a_decoded_entry_is_byte_identical() {
         let source = "int main(int x) {\nint y = x * 3;\nassert(y != 9);\nreturn y;\n}";
@@ -246,8 +295,8 @@ mod tests {
         let mut garbled = payload.clone();
         garbled[0] = 99; // unknown payload version
         assert!(decode_entry(&garbled).is_err());
-        // A record of the previous layout, which still carried five more
-        // option bytes, is a miss rather than a misread.
+        // A record of the previous layout, which lacked the analysis
+        // results, is a miss rather than a misread.
         let mut previous = payload.clone();
         previous[0] = PAYLOAD_VERSION - 1;
         assert!(decode_entry(&previous).is_err());

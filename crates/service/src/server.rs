@@ -37,7 +37,7 @@ use crate::protocol::{
     parse_request, ranked_to_json, report_to_json, stats_to_json, Envelope, Job, Request,
 };
 use crate::queue::{JobQueue, TryPushError};
-use bugassist::{Budget, LocalizationReport, Localizer, LocalizerStats};
+use bugassist::{Budget, LocalizationReport, LocalizeError, Localizer, LocalizerStats};
 use minic::ast::Line;
 use minic::{EditClass, LineMap};
 use std::io::{BufRead, BufReader, Write};
@@ -82,8 +82,9 @@ pub struct ServiceConfig {
     /// Socket write timeout per connection: bounds how long a client that
     /// stopped draining its socket can block a response write.
     pub write_timeout_ms: Option<u64>,
-    /// Deterministic fault-injection plan (chaos testing). Hooks are free
-    /// unless the `faults` cargo feature is enabled; see [`crate::faults`].
+    /// Deterministic fault-injection plan (chaos testing); see
+    /// [`crate::faults`]. `None` (the default, and all `serve` ever uses)
+    /// skips every hook.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Directory of the persistent prepared-formula store (`crates/store`).
     /// `None` (the default) disables the disk tier entirely. When set, the
@@ -258,30 +259,33 @@ impl ServerState {
 
     /// The machine-readable `kind` of a prepared-cache build error. Builds
     /// run behind a single-flight slot and can only report a `String`, so
-    /// every build error is prefixed at its source (`parse error: …`,
-    /// `type error: …`, `lint error: …`, `encode error: …`,
-    /// `internal error: …`) and classified here — the one place the
-    /// mapping lives.
+    /// every build error is prefixed with its kind in words (`type error:
+    /// …`, `lint error: …`, `encode error: …`, `internal error: …`) and
+    /// classified here.
     fn build_error_kind(message: &str) -> &'static str {
-        if message.starts_with("parse error") {
-            "parse_error"
-        } else if message.starts_with("type error") {
-            "type_error"
-        } else if message.starts_with("lint error") {
-            "lint_error"
-        } else if message.starts_with("encode error") {
-            "encode_error"
-        } else if message.starts_with("internal error") {
-            "internal_error"
-        } else {
-            "error"
+        ["type_error", "lint_error", "encode_error", "internal_error"]
+            .into_iter()
+            .find(|kind| message.starts_with(&kind.replace('_', " ")))
+            .unwrap_or("error")
+    }
+
+    fn localize_error_kind(error: &LocalizeError) -> &'static str {
+        match error {
+            LocalizeError::Rejected(d) if d.kind == analysis::DiagnosticKind::Type => "type_error",
+            LocalizeError::Rejected(_) => "lint_error",
+            LocalizeError::Encode(_) => "encode_error",
+            LocalizeError::ArityMismatch { .. } => "arity_mismatch",
         }
     }
 
-    fn localize_error_kind(error: &bugassist::LocalizeError) -> &'static str {
-        match error {
-            bugassist::LocalizeError::Encode(_) => "encode_error",
-            bugassist::LocalizeError::ArityMismatch { .. } => "arity_mismatch",
+    /// A failed localizer build as a prefixed build-error message: a
+    /// rejected program is a type or lint error by its diagnostic's kind,
+    /// anything else an encode error.
+    fn build_error(error: LocalizeError) -> String {
+        match Self::localize_error_kind(&error) {
+            "type_error" => format!("type error: {error}"),
+            "lint_error" => format!("lint error: {error}"),
+            _ => format!("encode error: {error}"),
         }
     }
 
@@ -435,28 +439,13 @@ impl ServerState {
         .to_string()
     }
 
-    /// The cold build: typecheck, encode, warm, package as a cache entry.
+    /// The cold build: check and encode ([`Localizer::new`]), warm,
+    /// package as a cache entry. The check belongs to the build, not the
+    /// hot path: a cache hit means a structurally identical AST already
+    /// checked clean.
     fn build_entry(&self, job: &Job, program: &minic::Program) -> Result<PreparedEntry, String> {
         if let Some(faults) = &self.faults {
             faults.build_start();
-        }
-        // Typecheck belongs to the build, not the hot path: a cache hit
-        // means a structurally identical AST already checked clean.
-        if let Some(first) = minic::check_program(program).first() {
-            return Err(format!("type error: {first}"));
-        }
-        // Lint gate: a hard dataflow diagnostic (a read that *every*
-        // execution leaves undefined) makes the symbolic encoding
-        // meaningless, so it fails the build exactly like a type error
-        // would — before any bit-blasting is paid. Type-kind errors were
-        // already surfaced above; warnings never block.
-        if let Some(first) = analysis::lint_program(program, job.options.width)
-            .iter()
-            .find(|d| {
-                d.severity == analysis::Severity::Error && d.kind != analysis::DiagnosticKind::Type
-            })
-        {
-            return Err(format!("lint error: {first}"));
         }
         let localizer = Localizer::new(
             program,
@@ -464,7 +453,7 @@ impl ServerState {
             &job.bmc_spec(),
             &job.localizer_config(),
         )
-        .map_err(|e| format!("encode error: {e}"))?;
+        .map_err(Self::build_error)?;
         // Pay bit-blast *and* formula preparation before publishing, so
         // cached instances are warm for every future input.
         localizer.warm();
@@ -534,6 +523,7 @@ impl ServerState {
         prev: &PreparedEntry,
         job: &Job,
         class: &EditClass,
+        localizer: &Localizer,
     ) -> Option<LocalizationReport> {
         let identity = LineMap::default();
         let map = match class {
@@ -572,7 +562,7 @@ impl ServerState {
             return None;
         }
         prev.cached_report(&job.inputs[0])
-            .map(|report| report.remap_lines(map))
+            .map(|report| localizer.remap_report(&report, map))
     }
 
     /// Fetches (or delta-builds) the prepared entry for a *revision*: an
@@ -624,21 +614,8 @@ impl ServerState {
                 Some(prev) => {
                     let new_segments = minic::segment_program(program);
                     let class = minic::classify_edit(&prev.segments, &new_segments);
-                    // The relabel classes reuse a structure that already
-                    // checked clean; every other class must re-typecheck so
-                    // a revise answers exactly like a cold build would
-                    // (including its errors). (A relabel-class edit whose
-                    // *options* changed still skips soundly: typing depends
-                    // only on the program, and the structure is identical
-                    // to the checked pre-edit AST. Option mismatches are
-                    // the core's call — `reprepare_classified` rebuilds and
-                    // reports `RebuiltConfig`, so there is exactly one
-                    // option-compatibility check in the system.)
-                    if !matches!(class, EditClass::Identical | EditClass::LineShift(_)) {
-                        if let Some(first) = minic::check_program(program).first() {
-                            return Err(format!("type error: {first}"));
-                        }
-                    }
+                    // The core re-checks every edit that changes structure,
+                    // so a revise fails exactly like a cold build would.
                     match prev.localizer.reprepare_classified(
                         &class,
                         program,
@@ -646,12 +623,12 @@ impl ServerState {
                         &job.bmc_spec(),
                         &job.localizer_config(),
                     ) {
-                        Err(e) => Err(format!("encode error: {e}")),
+                        Err(e) => Err(Self::build_error(e)),
                         Ok((localizer, dp)) => {
                             delta = dp.label();
                             reused = dp.reused();
                             if reused {
-                                remapped = Self::remap_candidate(prev, job, &class);
+                                remapped = Self::remap_candidate(prev, job, &class, &localizer);
                             }
                             // Relabeled localizers are born warm; rebuilt
                             // ones pay preparation here, exactly like the

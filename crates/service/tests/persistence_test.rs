@@ -196,7 +196,6 @@ fn failed_builds_are_never_written_through() {
 
 /// A build that *panics* poisons its single-flight slot; the poisoned slot
 /// must never reach the store either.
-#[cfg(feature = "faults")]
 #[test]
 fn panicked_builds_are_never_written_through() {
     use service::{FaultConfig, FaultPlan};
@@ -251,6 +250,37 @@ fn corrupt_records_degrade_to_clean_boot_misses() {
     // errors, and fresh builds proceed normally.
     let out = client.localize(minic_job(2)).expect("serves normally");
     assert_eq!(out.tier, "built");
+    server.shutdown();
+}
+
+/// A record of an older payload layout (version 6 lacked the analysis
+/// results) is counted and rebuilt, never misread.
+#[test]
+fn previous_payload_version_is_a_counted_miss() {
+    let dir = TempDir::new("payload-version");
+    let job = minic_job(2);
+    {
+        let server = Server::start(store_config(&dir)).expect("daemon starts");
+        let mut client = Client::connect(server.local_addr()).expect("connects");
+        assert_eq!(client.localize(job.clone()).expect("builds").tier, "built");
+        wait_for_writes(&mut client, 1);
+        server.shutdown();
+    }
+    let program = minic::parse_program(&job.program).expect("parses");
+    let (key, fingerprint) = (job.cache_key(&program), job.options_fingerprint());
+    let raw = store::Store::open(dir.path()).expect("store opens");
+    let mut payload = raw.load(key, fingerprint).expect("record written");
+    assert_eq!(payload[0], service::persist::PAYLOAD_VERSION);
+    payload[0] = 6;
+    raw.save(key, fingerprint, &payload).expect("saves");
+    drop(raw);
+
+    let server = Server::start(store_config(&dir)).expect("daemon boots anyway");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let stats = client.stats().expect("stats");
+    assert_eq!(store_stat(&stats, "restored_entries"), 0, "{stats}");
+    assert_eq!(store_stat(&stats, "corrupt_records"), 1, "{stats}");
+    assert_eq!(client.localize(job).expect("rebuilds").tier, "built");
     server.shutdown();
 }
 

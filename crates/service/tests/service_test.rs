@@ -371,6 +371,19 @@ fn revise_matches_cold_rebuild_byte_for_byte_across_edit_classes() {
         last.get("delta").and_then(Json::as_str),
         Some("prev_missing")
     );
+
+    // A dead store in the dead function: reused and replayed, but the
+    // report carries the edited program's lint-warning count.
+    let dead_store =
+        edit_job(edit_base_src().replace("return a - 1;", "int w = a;\nreturn a - 1;"));
+    let rev6 = client
+        .revise(dead_store.clone(), cold.key)
+        .expect("revise 6");
+    assert_eq!(rev6.delta, "dead_function");
+    assert_eq!(
+        canonical(&rev6.outcome.body),
+        expected_canonical(&dead_store)
+    );
     server.shutdown();
 }
 
@@ -456,6 +469,35 @@ fn revise_reports_cold_build_errors_verbatim() {
             if kind == "type_error" && message.contains("type error")),
         "{err:?}"
     );
+
+    // Reads every execution leaves undefined, in the dead function and in
+    // the live helper: the revise fails with exactly the kind and message
+    // a cold build on a fresh server reports.
+    for (before, after) in [
+        ("return a - 1;", "int z;\nreturn z;"),
+        ("return a + a;", "int z;\nreturn z + a;"),
+    ] {
+        let edited = edit_job(edit_base_src().replace(before, after));
+        let revised = client
+            .revise(edited.clone(), cold.key)
+            .expect_err("revise must fail");
+        let fresh = Server::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("fresh server starts");
+        let built = Client::connect(fresh.local_addr())
+            .expect("connects")
+            .localize(edited)
+            .expect_err("cold build must fail");
+        fresh.shutdown();
+        let kind_and_message = |err: &ClientError| match err {
+            ClientError::Server { kind, message } => (kind.clone(), message.clone()),
+            other => panic!("not a server error: {other:?}"),
+        };
+        assert_eq!(kind_and_message(&built).0, "lint_error", "{built:?}");
+        assert_eq!(kind_and_message(&revised), kind_and_message(&built));
+    }
 
     // Options changed alongside the edit: the old preparation answers a
     // different question, so the revise silently falls back to a cold
@@ -834,7 +876,6 @@ fn saturated_queue_sheds_budgeted_jobs_instead_of_blocking() {
     server.shutdown();
 }
 
-#[cfg(feature = "faults")]
 #[test]
 fn injected_worker_panics_become_structured_errors_and_the_worker_survives() {
     use service::{FaultConfig, FaultPlan};
