@@ -129,6 +129,11 @@ impl fmt::Display for Suspect {
 pub struct LocalizerStats {
     /// Number of MAX-SAT calls (CoMSS extractions) made.
     pub maxsat_calls: u64,
+    /// SAT-solver calls, summed over the MAX-SAT calls: one per
+    /// unsatisfiable core plus one for each call's optimum.
+    pub sat_calls: u64,
+    /// Unsatisfiable cores the MAX-SAT calls relaxed, summed.
+    pub cores: u64,
     /// Number of soft clauses (selectors) in the instance.
     pub soft_clauses: usize,
     /// Number of hard clauses in the instance.
@@ -1209,6 +1214,8 @@ impl Localizer {
             stats.maxsat_calls += 1;
             let result = solver.solve_loaded(&mut sat, &base);
             let solver_stats = solver.stats();
+            stats.sat_calls += solver_stats.sat_calls;
+            stats.cores += solver_stats.cores;
             stats.reduce_dbs += solver_stats.reduce_dbs;
             stats.arena_bytes = stats.arena_bytes.max(solver_stats.arena_bytes);
             let solution = match result {

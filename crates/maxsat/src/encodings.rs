@@ -8,10 +8,7 @@
 use sat::{Lit, Solver};
 
 /// Largest input size still encoded pairwise by [`encode_at_most_one`];
-/// larger sets get the linear sequential (Sinz) ladder. Fu–Malik's core
-/// trimming keys off the same constant: cores at or below it would get the
-/// tiny pairwise encoding anyway, so a trimming re-solve has nothing to
-/// recoup there.
+/// larger sets get the linear sequential (Sinz) ladder.
 pub const PAIRWISE_AT_MOST_ONE_MAX: usize = 6;
 
 /// Adds clauses enforcing *at most one* of `lits` is true.
@@ -100,8 +97,7 @@ mod tests {
     #[test]
     fn at_most_one_encoding_switchover_is_pinned() {
         // At the threshold: still pairwise. (Retuning the constant is an
-        // intentional event — this test and the core-trimming heuristic in
-        // `solve.rs` both key off PAIRWISE_AT_MOST_ONE_MAX.)
+        // intentional event.)
         let mut solver = Solver::new();
         let xs = fresh(&mut solver, PAIRWISE_AT_MOST_ONE_MAX);
         let (vars_before, clauses_before) = (solver.num_vars(), solver.num_clauses());

@@ -3,24 +3,26 @@
 //! [`MaxSatSolver`] runs the algorithm of Fu & Malik in its weighted WPM1
 //! variant, which is what the MSUnCORE solver used by the BugAssist paper
 //! implements: repeatedly ask a SAT solver for an unsatisfiable core over the
-//! soft-clause selectors, relax each clause of the core with a fresh
+//! soft clauses' selectors, relax each clause of the core with a fresh
 //! relaxation variable, constrain the relaxation variables of the core to
-//! exactly one, and pay the minimum weight of the core.
+//! exactly one, and pay the minimum weight of the core. A unit soft clause
+//! is its own selector — its literal is assumed directly, as in RC2 — so a
+//! fresh selector appears only when a core relaxes a clause.
 //!
 //! The returned [`MaxSatSolution`] carries the **CoMSS** (the set of soft
 //! clauses falsified by the optimal model) that BugAssist interprets as a
-//! candidate error localization. Every optimum is refined to the
-//! **canonical** one — the equal-cost solution keeping the lowest
-//! [`SoftId`]s satisfied — so the reported CoMSS is a function of the
-//! instance's semantics, identical across different CNF representations of
-//! the same projection (hash-consed or not, preprocessed or not). The
-//! refinement is one SAT call on the warm solver: under the assumptions that
-//! fix the optimal cost, it decides every soft clause satisfied in
-//! [`SoftId`] order before any other decision, and its first model is the
-//! canonical optimum.
+//! candidate error localization. Every optimum is the **canonical** one —
+//! the equal-cost solution keeping the lowest [`SoftId`]s satisfied — so the
+//! reported CoMSS is a function of the instance's semantics, identical
+//! across different CNF representations of the same projection (hash-consed
+//! or not, preprocessed or not). No extra SAT call refines it: every call of
+//! the loop decides the soft clauses satisfied in [`SoftId`] order before any
+//! other decision, so the model of the loop's one satisfiable call is
+//! already the canonical optimum. A solve with `k` cores is `k + 1` SAT
+//! calls.
 
 use crate::budget::Budget;
-use crate::encodings::{encode_exactly_one, PAIRWISE_AT_MOST_ONE_MAX};
+use crate::encodings::encode_exactly_one;
 use crate::instance::{MaxSatInstance, SoftId};
 use sat::{Lit, SatResult, Solver, SolverStats};
 
@@ -108,12 +110,6 @@ pub struct MaxSatStats {
     pub sat_calls: u64,
     /// Number of unsatisfiable cores processed.
     pub cores: u64,
-    /// Cores the trimming re-solve actually shrank.
-    pub cores_trimmed: u64,
-    /// Total selectors dropped from cores by trimming — every one saved is a
-    /// relaxation variable not allocated and a smaller exactly-one
-    /// constraint.
-    pub core_lits_trimmed: u64,
     /// Number of SAT-solver variables at the end of the run.
     pub final_vars: usize,
     /// Number of SAT-solver conflicts this solve spent.
@@ -163,14 +159,11 @@ impl MaxSatStats {
 #[derive(Clone, Debug)]
 pub struct MaxSatSolver {
     stats: MaxSatStats,
-    /// Refine with the greedy per-soft walk instead of the one-call
-    /// refinement: the test oracle of [`MaxSatSolver::canonicalize`].
+    /// Refine the loop's model with the greedy per-soft walk instead of
+    /// deciding the pins inside the loop: the test oracle of the folded
+    /// refinement (see `greedy_oracle.rs`).
     #[cfg(test)]
     greedy_oracle: bool,
-    /// Trim each wide core with one re-solve before relaxing it (default
-    /// on); tests switch it off to compare against untrimmed cores.
-    #[cfg(test)]
-    core_trimming: bool,
     /// Resource limits applied to every solve (see
     /// [`MaxSatSolver::set_budget`]). Unlimited by default.
     budget: Budget,
@@ -192,8 +185,6 @@ impl MaxSatSolver {
             stats: MaxSatStats::default(),
             #[cfg(test)]
             greedy_oracle: false,
-            #[cfg(test)]
-            core_trimming: true,
             budget: Budget::UNLIMITED,
             start: SolverStats::default(),
         }
@@ -231,13 +222,14 @@ impl MaxSatSolver {
     /// `instance` must not grow after the first solve, since later
     /// variables belong to the solves.
     ///
-    /// Every clause a solve adds mentions variables created by that same
-    /// solve (selectors, relaxation variables, cardinality encodings,
-    /// refinement indicators), and some setting of those fresh variables
-    /// satisfies all of them. So what one solve leaves behind never
-    /// constrains a later one: every solve sees exactly the models of
-    /// `instance.hard()`. [`MaxSatSolver::stats`] and the budget's conflict
-    /// cap count from the start of this call.
+    /// A unit soft clause adds nothing to `solver` unless a core relaxes
+    /// it: its literal is the assumption. Every clause a solve does add
+    /// mentions variables created by that same solve (selectors of longer
+    /// soft clauses, relaxation variables, cardinality encodings), and some
+    /// setting of those fresh variables satisfies all of them. So what one
+    /// solve leaves behind never constrains a later one: every solve sees
+    /// exactly the models of `instance.hard()`. [`MaxSatSolver::stats`] and
+    /// the budget's conflict cap count from the start of this call.
     pub fn solve_loaded(&mut self, solver: &mut Solver, instance: &MaxSatInstance) -> MaxSatResult {
         debug_assert!(solver.num_vars() >= instance.num_vars());
         self.stats = MaxSatStats::default();
@@ -284,48 +276,22 @@ impl MaxSatSolver {
         solver.solve_assuming_budgeted(assumptions, decide_first, budget.deadline, remaining)
     }
 
-    /// Finds the **canonical** optimum: among the models of the hard clauses
-    /// under `assumptions`, the one that keeps the lowest-identified soft
-    /// clauses satisfied (pushing unavoidable blame onto the highest
-    /// [`SoftId`]s). Fu–Malik ends in a solver state whose models under its
-    /// final assumptions all carry exactly the optimal cost, so this is one
-    /// SAT call on that *warm* solver. The call keeps the final
-    /// assumptions, so the solver's kept trail spares their propagation,
-    /// and decides one pin per soft clause true, in `SoftId` order, before
-    /// any other decision. Its first model is the lexicographic optimum
-    /// over the pins: a pin left false is implied by the assumptions and the
-    /// earlier pins, so no model that agrees on those earlier pins can
-    /// satisfy its soft clause.
+    /// Runs Fu–Malik / WPM1. Returns `None` when the budget runs out.
+    ///
+    /// Each SAT call decides one pin per soft clause true, in `SoftId`
+    /// order, right after the assumptions (see [`pin`]). Those decisions
+    /// never enter an unsatisfiable call's core, which names assumptions
+    /// only. The satisfiable call ends the loop, and its model is the
+    /// **canonical** optimum: the loop's final assumptions admit only models
+    /// of the optimal cost (the WPM1 invariant), and under them the first
+    /// model is the lexicographic optimum over the pins — a pin left false
+    /// is implied by the assumptions and the earlier pins, so no model that
+    /// agrees on those earlier pins can satisfy its soft clause.
     ///
     /// The canonical optimum is a semantic object — a function of the
     /// instance, not of the search path — so different clause layouts and
     /// preprocessed/unpreprocessed encodings of the same instance all
-    /// converge to the same `falsified` set. Returns `None` only when the
-    /// budget runs out.
-    fn canonicalize(
-        &mut self,
-        solver: &mut Solver,
-        instance: &MaxSatInstance,
-        assumptions: &[Lit],
-        budget: Budget,
-    ) -> Option<Vec<bool>> {
-        #[cfg(test)]
-        if self.greedy_oracle {
-            return greedy_oracle::canonicalize(self, solver, instance, assumptions, budget);
-        }
-        let pins: Vec<Lit> = instance
-            .soft_clauses()
-            .iter()
-            .filter(|soft| !soft.clause.is_empty())
-            .map(|soft| pin(solver, &soft.clause))
-            .collect();
-        self.stats.sat_calls += 1;
-        let result = self.sat_call(solver, assumptions, &pins, budget)?;
-        assert!(result.is_sat(), "the optimum's assumptions have a model");
-        Some(truncate_model(solver, instance.num_vars()))
-    }
-
-    /// Runs Fu–Malik / WPM1. Returns `None` when the budget runs out.
+    /// converge to the same `falsified` set.
     fn solve_fu_malik(
         &mut self,
         solver: &mut Solver,
@@ -340,10 +306,10 @@ impl MaxSatSolver {
             selector: Lit,
         }
         let mut work: Vec<WorkSoft> = Vec::new();
-        // The assumption vector is `work`'s selector column, maintained
-        // incrementally (`assumptions[i] == work[i].selector`) instead of
-        // being rebuilt from scratch on every SAT call.
-        let mut assumptions: Vec<Lit> = Vec::new();
+        // One pin per non-empty soft clause, in `SoftId` order. A soft
+        // clause's pin is also its first selector: the literal of a unit,
+        // an indicator implying a longer clause.
+        let mut pins: Vec<Lit> = Vec::new();
         let mut base_cost = 0u64;
         for soft in instance.soft_clauses() {
             if soft.clause.is_empty() {
@@ -351,28 +317,42 @@ impl MaxSatSolver {
                 base_cost += soft.weight;
                 continue;
             }
-            let selector = solver.new_var().positive();
-            let mut lits: Vec<Lit> = soft.clause.lits().to_vec();
-            lits.push(!selector);
-            solver.add_clause(lits);
+            let selector = pin(solver, &soft.clause);
             work.push(WorkSoft {
                 lits: soft.clause.lits().to_vec(),
                 weight: soft.weight,
                 selector,
             });
-            assumptions.push(selector);
+            pins.push(selector);
         }
+        // The assumption vector is `work`'s selector column, maintained
+        // incrementally (`assumptions[i] == work[i].selector`) instead of
+        // being rebuilt from scratch on every SAT call.
+        let mut assumptions = pins.clone();
+        // The greedy oracle refines the loop's model itself, so the loop
+        // must not already hand it the canonical one.
+        #[cfg(test)]
+        let pins = if self.greedy_oracle { Vec::new() } else { pins };
 
         let mut cost = base_cost;
         loop {
             debug_assert_eq!(assumptions.len(), work.len());
             self.stats.sat_calls += 1;
-            match self.sat_call(solver, &assumptions, &[], budget)? {
+            match self.sat_call(solver, &assumptions, &pins, budget)? {
                 SatResult::Sat => {
-                    // The WPM1 invariant makes every model under the final
-                    // assumptions exactly optimal, so the canonical
-                    // refinement runs under them on the warm solver.
-                    let model = self.canonicalize(solver, instance, &assumptions, budget)?;
+                    let model = truncate_model(solver, instance.num_vars());
+                    #[cfg(test)]
+                    let model = match self.greedy_oracle {
+                        true => greedy_oracle::canonicalize(
+                            self,
+                            solver,
+                            instance,
+                            &assumptions,
+                            model,
+                            budget,
+                        )?,
+                        false => model,
+                    };
                     let falsified = falsified_soft(instance, &model);
                     return Some(MaxSatResult::Optimum(MaxSatSolution {
                         cost,
@@ -381,43 +361,15 @@ impl MaxSatSolver {
                     }));
                 }
                 SatResult::Unsat => {
-                    let mut core: Vec<Lit> = solver.unsat_core().to_vec();
+                    let core = solver.unsat_core();
                     if core.is_empty() {
                         return Some(MaxSatResult::HardUnsat);
                     }
                     self.stats.cores += 1;
-                    // Core trimming: one cheap re-solve with *only* the core
-                    // as assumptions. The solver still holds the learnt
-                    // clauses that produced the conflict, so this call is
-                    // inexpensive and frequently returns a strictly smaller
-                    // core — fewer relaxation variables and a smaller
-                    // exactly-one constraint below. Only worth it above the
-                    // pairwise at-most-one threshold: smaller cores get the
-                    // quadratic-but-tiny pairwise encoding anyway, so the
-                    // re-solve could only recoup a few binary clauses.
-                    let trim = core.len() > PAIRWISE_AT_MOST_ONE_MAX;
-                    #[cfg(test)]
-                    let trim = trim && self.core_trimming;
-                    if trim {
-                        self.stats.sat_calls += 1;
-                        match self.sat_call(solver, &core, &[], budget)? {
-                            SatResult::Unsat => {
-                                let trimmed = solver.unsat_core();
-                                if trimmed.len() < core.len() {
-                                    self.stats.cores_trimmed += 1;
-                                    self.stats.core_lits_trimmed +=
-                                        (core.len() - trimmed.len()) as u64;
-                                    core = trimmed.to_vec();
-                                }
-                            }
-                            // `core` conflicts with the formula by
-                            // construction; a SAT answer would contradict the
-                            // unsat-core contract. Keep the original core.
-                            SatResult::Sat => debug_assert!(false, "core was not a core"),
-                        }
-                    }
                     // Hash the core's selectors once: the scan over all work
-                    // clauses is then O(softs), not O(cores × softs).
+                    // clauses is then O(softs), not O(cores × softs). Two
+                    // unit softs on one literal share a selector and are
+                    // relaxed together, which is relaxing a larger core.
                     let core_set: std::collections::HashSet<Lit> = core.iter().copied().collect();
                     let core_indices: Vec<usize> = work
                         .iter()
@@ -644,12 +596,12 @@ mod tests {
     }
 
     #[test]
-    fn core_trimming_runs_on_wide_cores_and_answers_are_canonical() {
+    fn wide_cores_are_relaxed_and_answers_are_canonical() {
         // Eight soft units x1..x8 against one hard clause forbidding them
-        // all: the (unique, minimal) core is all eight selectors — above the
-        // pairwise threshold, so the trimming re-solve fires. The canonical
-        // refinement must then blame exactly the *highest* soft id (the
-        // canonical optimum keeps low ids satisfied).
+        // all: the (unique, minimal) core is all eight units — above the
+        // pairwise threshold, so its exactly-one is the sequential ladder.
+        // The folded refinement must then blame exactly the *highest* soft
+        // id (the canonical optimum keeps low ids satisfied).
         let mut inst = MaxSatInstance::new();
         inst.ensure_vars(8);
         inst.add_hard((1..=8).map(|v| lit(-v)).collect::<Vec<_>>());
@@ -660,19 +612,6 @@ mod tests {
         let sol = solver.solve(&inst).into_optimum().expect("satisfiable");
         assert_eq!(sol.cost, 1);
         assert_eq!(sol.falsified, vec![SoftId(7)], "canonical blame");
-        let stats = solver.stats();
-        assert!(stats.cores >= 1);
-        // The trimming call is counted: initial UNSAT + trim + final SAT.
-        assert!(stats.sat_calls >= 3, "{stats:?}");
-
-        // Without the trim the same canonical optimum comes back, one SAT
-        // call cheaper.
-        let mut untrimmed = MaxSatSolver {
-            core_trimming: false,
-            ..MaxSatSolver::default()
-        };
-        assert_eq!(untrimmed.solve(&inst).into_optimum(), Some(sol));
-        assert_eq!(untrimmed.stats().sat_calls + 1, stats.sat_calls);
     }
 
     #[test]
@@ -699,14 +638,14 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_and_untrimmed_agree_on_random_instances() {
+    fn every_optimum_costs_one_sat_call_per_core_plus_one() {
+        use crate::encodings::PAIRWISE_AT_MOST_ONE_MAX;
         use prng::SplitMix64;
         let mut rng = SplitMix64::seed_from_u64(0x7819);
-        let mut trim_calls = 0;
         for case in 0..50 {
             // The second half adds `wide` soft units that one hard clause
             // forbids all at once: a core above the pairwise threshold, so
-            // the trimming re-solve runs.
+            // its exactly-one is the sequential ladder.
             let wide = match case {
                 0..25 => 0,
                 _ => PAIRWISE_AT_MOST_ONE_MAX + 1 + (rng.next_u64() % 3) as usize,
@@ -730,26 +669,39 @@ mod tests {
                     .collect();
                 inst.add_soft(clause, 1 + rng.next_u64() % 3);
             }
-            let mut trimmed = MaxSatSolver::default();
-            let mut untrimmed = MaxSatSolver {
-                core_trimming: false,
-                ..MaxSatSolver::default()
-            };
-            let answers = [&mut trimmed, &mut untrimmed].map(|solver| {
-                let sol = solver
-                    .solve(&inst)
-                    .into_optimum()
-                    .expect("no hard conflict");
-                (sol.cost, sol.falsified)
-            });
-            assert_eq!(answers[0], answers[1], "case {case}: {inst:?}");
-            let (with, without) = (trimmed.stats(), untrimmed.stats());
-            // Every SAT call beyond one per core plus the final model and
-            // its refinement is a trimming re-solve.
-            trim_calls += with.sat_calls - with.cores - 2;
-            assert_eq!(without.sat_calls, without.cores + 2, "case {case}");
+            let mut solver = MaxSatSolver::default();
+            solver
+                .solve(&inst)
+                .into_optimum()
+                .expect("no hard conflict");
+            // One UNSAT call per core, then the one SAT call whose model is
+            // already canonical.
+            let stats = solver.stats();
+            assert!(wide == 0 || stats.cores >= 1, "case {case}");
+            assert_eq!(stats.sat_calls, stats.cores + 1, "case {case}: {inst:?}");
         }
-        assert!(trim_calls >= 25, "{trim_calls} trimming re-solves");
+    }
+
+    #[test]
+    fn core_free_solve_on_a_loaded_solver_is_one_call_and_no_variables() {
+        // Unit softs are their own assumptions: a solve that meets no core
+        // adds no selector, so the loaded solver keeps its variable and
+        // clause counts.
+        const N: i64 = 12;
+        let mut inst = MaxSatInstance::new();
+        inst.ensure_vars(N as usize + 1);
+        for v in 1..=N {
+            inst.add_hard(vec![lit(v), lit(N + 1)]);
+            inst.add_soft(vec![lit(-v)], 1);
+        }
+        let mut sat = Solver::from_formula(inst.hard());
+        let (vars, clauses) = (sat.num_vars(), sat.num_clauses());
+        let mut solver = MaxSatSolver::default();
+        let sol = solver.solve_loaded(&mut sat, &inst).into_optimum().unwrap();
+        assert_eq!(sol.cost, 0);
+        assert_eq!(solver.stats().sat_calls, 1);
+        assert_eq!(solver.stats().cores, 0);
+        assert_eq!((sat.num_vars(), sat.num_clauses()), (vars, clauses));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Randomized tests: the MAX-SAT solver must agree with the exhaustive
 //! brute-force optimum on random small instances, and its reported CoMSS
-//! must be a genuine minimum-weight correction set. Seeded PRNG keeps every
-//! run deterministic.
+//! must be a genuine minimum-weight correction set — also rank after rank
+//! on one warm solver, the way the localizer enumerates. Seeded PRNG keeps
+//! every run deterministic.
 
-use maxsat::{solve, MaxSatInstance};
+use maxsat::{solve, MaxSatInstance, MaxSatSolver};
 use prng::SplitMix64;
 use sat::reference::brute_force_max_sat;
 use sat::{Clause, CnfFormula, Lit, Var};
@@ -28,6 +29,30 @@ fn random_instance(rng: &mut SplitMix64, num_vars: usize) -> RandomInstance {
         .collect();
     let soft = (0..rng.gen_range(1usize..=6))
         .map(|_| (random_clause(rng, num_vars), rng.gen_range(1u64..=4)))
+        .collect();
+    RandomInstance {
+        hard,
+        soft,
+        num_vars,
+    }
+}
+
+/// A random instance whose soft clauses are mostly units over the first
+/// `unit_vars` variables, so one literal recurs (duplicate softs) and meets
+/// its complement (complementary softs) in many instances.
+fn unit_heavy_instance(rng: &mut SplitMix64, num_vars: usize, unit_vars: usize) -> RandomInstance {
+    let hard = (0..rng.gen_range(0usize..=4))
+        .map(|_| random_clause(rng, num_vars))
+        .collect();
+    let soft = (0..rng.gen_range(2usize..=10))
+        .map(|_| {
+            let clause = if rng.gen_bool(0.8) {
+                vec![(rng.gen_range(0..unit_vars), rng.gen_bool(0.5))]
+            } else {
+                random_clause(rng, num_vars)
+            };
+            (clause, rng.gen_range(1u64..=3))
+        })
         .collect();
     RandomInstance {
         hard,
@@ -155,4 +180,100 @@ fn falsified_set_is_the_brute_force_canonical_comss() {
         });
         assert_eq!(got, expected, "case {case}: {raw:?}");
     }
+}
+
+#[test]
+fn duplicate_and_complementary_unit_softs_match_brute_force_canonical() {
+    // A unit soft is its own assumption, so two softs on one literal share
+    // an assumption and `x`, `!x` softs are contradictory assumptions.
+    let mut rng = SplitMix64::seed_from_u64(0xD0B1);
+    let (mut duplicates, mut complements) = (0, 0);
+    for case in 0..128 {
+        let raw = unit_heavy_instance(&mut rng, 5, 2);
+        let units: Vec<(usize, bool)> = raw
+            .soft
+            .iter()
+            .filter(|(clause, _)| clause.len() == 1)
+            .map(|(clause, _)| clause[0])
+            .collect();
+        for (i, &(v, sign)) in units.iter().enumerate() {
+            duplicates += units[i + 1..].contains(&(v, sign)) as usize;
+            complements += units[i + 1..].contains(&(v, !sign)) as usize;
+        }
+        let (inst, hard, soft) = to_instance(&raw);
+        let expected = brute_force_canonical(&hard, &soft, raw.num_vars);
+        let got = solve(&inst)
+            .into_optimum()
+            .map(|sol| sol.falsified.iter().map(|id| id.index()).collect());
+        assert_eq!(got, expected, "case {case}: {raw:?}");
+    }
+    assert!(
+        duplicates > 100 && complements > 100,
+        "{duplicates} {complements}"
+    );
+}
+
+/// The localizer's enumeration on one loaded SAT solver, over `cases`
+/// random instances: solve, make a clause over the falsified softs hard
+/// (in the solver and in the instance), then re-add the remaining softs as
+/// the next rank's. Every rank's falsified set must be the brute-force
+/// canonical CoMSS of the instance with the earlier blocks as hard clauses.
+/// Returns how many ranks ran.
+fn warm_enumeration_sweep(seed: u64, cases: usize) -> usize {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut ranks = 0;
+    for case in 0..cases {
+        let raw = unit_heavy_instance(&mut rng, 7, 3);
+        let (mut inst, mut hard, soft) = to_instance(&raw);
+        let mut sat = sat::Solver::from_formula(inst.hard());
+        let mut solver = MaxSatSolver::default();
+        // Original indices of this rank's soft clauses, in `SoftId` order.
+        let mut active: Vec<usize> = (0..soft.len()).collect();
+        loop {
+            ranks += 1;
+            let rank_soft: Vec<(Clause, u64)> = active.iter().map(|&i| soft[i].clone()).collect();
+            let expected = brute_force_canonical(&hard, &rank_soft, raw.num_vars);
+            let got: Option<Vec<usize>> = solver
+                .solve_loaded(&mut sat, &inst)
+                .into_optimum()
+                .map(|sol| sol.falsified.iter().map(|id| id.index()).collect());
+            assert_eq!(got, expected, "case {case}, softs {active:?}: {raw:?}");
+            let falsified = match got {
+                Some(falsified) if !falsified.is_empty() => falsified,
+                _ => break,
+            };
+            let blocking: Vec<Lit> = falsified
+                .iter()
+                .flat_map(|&k| rank_soft[k].0.iter().copied())
+                .collect();
+            sat.add_clause(blocking.iter().copied());
+            inst.add_hard(blocking.clone());
+            hard.add_clause(blocking);
+            let blamed: Vec<usize> = falsified.iter().map(|&k| active[k]).collect();
+            active.retain(|i| !blamed.contains(i));
+            if active.is_empty() {
+                break;
+            }
+            inst.clear_soft();
+            for &i in &active {
+                inst.add_soft(soft[i].0.clone(), soft[i].1);
+            }
+        }
+    }
+    ranks
+}
+
+#[test]
+fn warm_enumeration_matches_brute_force_canonical_rank_by_rank() {
+    // More than one blocking clause per instance on average.
+    let ranks = warm_enumeration_sweep(0xE7A1, 96);
+    assert!(ranks > 2 * 96, "{ranks} ranks");
+}
+
+/// The same sweep over twenty times as many instances; run with
+/// `cargo test --release -p maxsat -- --ignored`.
+#[test]
+#[ignore]
+fn warm_enumeration_matches_brute_force_canonical_rank_by_rank_long() {
+    warm_enumeration_sweep(0xE7A1, 20 * 96);
 }

@@ -117,6 +117,8 @@ static ROWS: &[Row] = &[
     row("queue", "max_lane_depth", Gauge("bugassist_fair_queue_max_lane_depth"), Read(|v| v.queue.max_lane_depth() as u64)),
     row("queue", "fair_share", Gauge("bugassist_fair_queue_fair_share"), Read(|v| v.queue.fair_share() as u64)),
     row("robustness", "worker_panics", Counter("bugassist_worker_panics_total"), Owned(WorkerPanics)),
+    row("solver", "sat_calls", Counter("bugassist_solver_sat_calls_total"), Total(|s| s.sat_calls)),
+    row("solver", "cores", Counter("bugassist_solver_cores_total"), Total(|s| s.cores)),
     row("solver", "reduce_dbs", Counter("bugassist_solver_reduce_dbs_total"), Total(|s| s.reduce_dbs)),
     row("solver", "arena_bytes_peak", Gauge("bugassist_solver_arena_bytes_peak"), Peak(|s| s.arena_bytes)),
     row("formula", "vars_eliminated", Counter("bugassist_formula_vars_eliminated_total"), Total(|s| s.vars_eliminated)),

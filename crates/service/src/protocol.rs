@@ -29,16 +29,18 @@
 //!  "width":8,"unwind":8,"max_suspect_sets":16,"granularity":"line"}
 //! ```
 //!
-//! and a successful response like
+//! and a successful response like (`stats` abridged)
 //!
 //! ```json
-//! {"id":1,"ok":true,"op":"localize","cache":"miss","build_ms":3,
-//!  "key":12186356943810876601,
-//!  "report":{"suspects":[{"lines":[2],"unwindings":[null],"rank":0,"cost":1}],
-//!            "suspect_lines":[2],
-//!            "stats":{"maxsat_calls":2,"soft_clauses":2,"hard_clauses":133,
-//!                     "variables":74,"elapsed_ms":1,"prepare_ms":3,
-//!                     "reduce_dbs":0,"arena_bytes":9188}}}
+//! {"id":1,"ok":true,"op":"localize","cache":"miss","tier":"built","build_ms":0,
+//!  "key":1250637076531559860,
+//!  "report":{"suspects":[{"lines":[3],"unwindings":[null],"rank":0,"cost":1},
+//!                        {"lines":[2],"unwindings":[null],"rank":1,"cost":1}],
+//!            "suspect_lines":[2,3],
+//!            "stats":{"maxsat_calls":2,"sat_calls":4,"cores":2,"soft_clauses":2,
+//!                     "hard_clauses":20,"variables":46,"elapsed_ms":0,
+//!                     "prepare_ms":0,"reduce_dbs":0,"arena_bytes":336},
+//!            "complete":true}}
 //! ```
 //!
 //! A `revise` request is a `localize` request plus `"prev_key"` (the `key`
@@ -656,6 +658,8 @@ fn suspect_to_json(suspect: &Suspect) -> Json {
 pub(crate) fn stats_to_json(stats: &LocalizerStats) -> Json {
     Json::obj(vec![
         ("maxsat_calls", Json::from(stats.maxsat_calls)),
+        ("sat_calls", Json::from(stats.sat_calls)),
+        ("cores", Json::from(stats.cores)),
         ("soft_clauses", Json::from(stats.soft_clauses)),
         ("hard_clauses", Json::from(stats.hard_clauses)),
         ("variables", Json::from(stats.variables)),

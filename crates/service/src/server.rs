@@ -763,6 +763,8 @@ impl ServerState {
                         .map_or_else(LocalizerStats::default, |r| r.stats);
                     for report in ranked.per_test.iter().skip(1) {
                         merged.maxsat_calls += report.stats.maxsat_calls;
+                        merged.sat_calls += report.stats.sat_calls;
+                        merged.cores += report.stats.cores;
                         merged.reduce_dbs += report.stats.reduce_dbs;
                         merged.arena_bytes = merged.arena_bytes.max(report.stats.arena_bytes);
                         merged.elapsed_ms += report.stats.elapsed_ms;

@@ -1199,6 +1199,8 @@ fn stats_and_metrics_render_one_counter_set() {
             "queue.max_lane_depth",
             "queue.fair_share",
             "robustness.worker_panics",
+            "solver.sat_calls",
+            "solver.cores",
             "solver.reduce_dbs",
             "solver.arena_bytes_peak",
             "formula.vars_eliminated",
@@ -1256,6 +1258,8 @@ fn stats_and_metrics_render_one_counter_set() {
         ),
         ("queue.fair_share", "bugassist_fair_queue_fair_share"),
         ("robustness.worker_panics", "bugassist_worker_panics_total"),
+        ("solver.sat_calls", "bugassist_solver_sat_calls_total"),
+        ("solver.cores", "bugassist_solver_cores_total"),
         ("solver.reduce_dbs", "bugassist_solver_reduce_dbs_total"),
         (
             "solver.arena_bytes_peak",
@@ -1342,6 +1346,17 @@ fn stats_and_metrics_render_one_counter_set() {
     assert_eq!(count("requests.batch"), Some(1));
     assert_eq!(count("requests.errors"), Some(1));
     assert_eq!(count("analysis.analyze_requests"), Some(1));
+    // The last solve was the batch: its merged stats sum every test's SAT
+    // calls and cores, one SAT call per core plus one per MAX-SAT call.
+    let last_job = stats.get("last_job").expect("last_job");
+    assert_eq!(last_job.get("op").and_then(Json::as_str), Some("batch"));
+    let last = |key: &str| last_job.get(key).and_then(Json::as_u64);
+    assert!(last("cores") > Some(0), "{stats}");
+    assert_eq!(
+        last("sat_calls"),
+        Some(last("cores").unwrap() + last("maxsat_calls").unwrap())
+    );
+    assert!(count("solver.sat_calls") > last("sat_calls"));
     server.shutdown();
 }
 

@@ -218,7 +218,7 @@ fn counterexamples_decode_through_the_reconstruction_map() {
 }
 
 /// The motivating example still blames the paper's two fix points through
-/// the full diet (cache + preprocessing + core trimming), and the revise
+/// the full diet (cache + preprocessing), and the revise
 /// (relabel) path carries the diet counters over unchanged.
 #[test]
 fn motivating_example_survives_the_full_diet() {
