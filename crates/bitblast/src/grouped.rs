@@ -7,7 +7,6 @@
 //! clause; clauses with no group are "infrastructure" (constant definitions,
 //! input constraints, assertions) and will always be hard.
 
-use sat::bytes::{ByteReader, ByteWriter, DecodeError};
 use sat::{Clause, CnfFormula, Lit, Var};
 
 /// Identifier of a clause group (one group ≈ one program statement instance).
@@ -124,43 +123,14 @@ impl GroupedCnf {
         self.add_clause(vec![lit], None);
         lit
     }
+}
 
-    /// Appends this grouped formula to `w` for the persistent
-    /// prepared-formula store: the plain CNF followed by one group tag per
-    /// clause (`0` = no group, `1 + id` otherwise).
-    pub fn encode(&self, w: &mut ByteWriter) {
-        self.formula.encode(w);
-        w.write_usize(self.groups.len());
-        for group in &self.groups {
-            match group {
-                None => w.write_u64(0),
-                Some(g) => w.write_u64(1 + g.index() as u64),
-            }
-        }
-    }
-
-    /// Reads back a grouped formula written by [`GroupedCnf::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<GroupedCnf, DecodeError> {
-        let formula = CnfFormula::decode(r)?;
-        let len = r.read_len(8)?;
-        if len != formula.num_clauses() {
-            return Err(DecodeError::new(format!(
-                "group tag count {len} != clause count {}",
-                formula.num_clauses()
-            )));
-        }
-        let mut groups = Vec::with_capacity(len);
-        for _ in 0..len {
-            let tag = r.read_u64()?;
-            groups.push(if tag == 0 {
-                None
-            } else {
-                Some(GroupId(
-                    usize::try_from(tag - 1).map_err(|_| DecodeError::new("group id overflow"))?,
-                ))
-            });
-        }
-        Ok(GroupedCnf { formula, groups })
+/// Consumes the formula clause by clause, each with its group.
+impl IntoIterator for GroupedCnf {
+    type Item = (Clause, Option<GroupId>);
+    type IntoIter = std::iter::Zip<std::vec::IntoIter<Clause>, std::vec::IntoIter<Option<GroupId>>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.formula.into_iter().zip(self.groups)
     }
 }
 

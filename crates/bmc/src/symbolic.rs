@@ -207,10 +207,11 @@ impl SymbolicTrace {
     }
 
     /// Appends this trace to `w` for the persistent prepared-formula store
-    /// (see [`sat::bytes`]): grouped CNF, group provenance, inputs, return
-    /// value, property literal, width and encode statistics.
+    /// (see [`sat::bytes`]): group provenance, inputs, return value,
+    /// property literal, width and encode statistics. The grouped CNF is
+    /// not written: a stored trace belongs to a prepared localizer, which
+    /// consumed it while building its template.
     pub fn encode_bytes(&self, w: &mut sat::bytes::ByteWriter) {
-        self.cnf.encode(w);
         w.write_usize(self.groups.len());
         for group in &self.groups {
             w.write_usize(group.id.index());
@@ -248,12 +249,12 @@ impl SymbolicTrace {
         w.write_u64(s.bits_narrowed);
     }
 
-    /// Reads back a trace written by [`SymbolicTrace::encode_bytes`].
+    /// Reads back a trace written by [`SymbolicTrace::encode_bytes`], with
+    /// an empty grouped CNF.
     pub fn decode_bytes(
         r: &mut sat::bytes::ByteReader<'_>,
     ) -> Result<SymbolicTrace, sat::bytes::DecodeError> {
         use sat::bytes::DecodeError;
-        let cnf = GroupedCnf::decode(r)?;
         let num_groups = r.read_len(8)?;
         let mut groups = Vec::with_capacity(num_groups);
         for _ in 0..num_groups {
@@ -299,7 +300,7 @@ impl SymbolicTrace {
             bits_narrowed: r.read_u64()?,
         };
         Ok(SymbolicTrace {
-            cnf,
+            cnf: GroupedCnf::default(),
             groups,
             inputs,
             return_value,

@@ -58,8 +58,8 @@
 //! worker threads — each test is an independent MAX-SAT enumeration over the
 //! same symbolic trace — and merges the per-test CoMSS sets into one
 //! frequency-ranked [`RankedReport`] (the Sec. 4.3 ranking). The
-//! input-independent part of the extended trace formula is built once and
-//! shared by the whole batch.
+//! input-independent part of the extended trace formula is built once, in
+//! [`Localizer::new`], and shared by every call and thread.
 //!
 //! ```
 //! use bugassist::{Localizer, LocalizerConfig};
@@ -93,5 +93,5 @@ pub use localizer::{
 };
 pub use loops::{localize_faulty_iteration, LoopReport};
 pub use maxsat::Budget;
-pub use ranking::{rank_localizations, RankedLine, RankedReport};
+pub use ranking::{RankedLine, RankedReport};
 pub use repair::{suggest_repairs, Repair, RepairConfig, RepairKind};

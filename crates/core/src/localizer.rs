@@ -15,7 +15,7 @@
 //! then added and the enumeration continues until the MAX-SAT instance
 //! becomes unsatisfiable ("no more suspects").
 
-use bitblast::GroupId;
+use bitblast::GroupedCnf;
 use bmc::{encode_program, EncodeConfig, EncodeError, Spec, SymbolicTrace};
 use maxsat::{Budget, MaxSatInstance, MaxSatResult, MaxSatSolver};
 use minic::ast::Line;
@@ -24,7 +24,6 @@ use minic::Program;
 use sat::{Lit, Solver};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// At what granularity statements are blamed.
@@ -142,12 +141,6 @@ pub struct LocalizerStats {
     pub variables: usize,
     /// Wall-clock milliseconds spent localizing.
     pub elapsed_ms: u128,
-    /// Wall-clock milliseconds this call spent building (or waiting for) the
-    /// input-independent prepared formula. The formula is built once per
-    /// [`Localizer`] and cached, so the first `localize` pays the full cost
-    /// and later calls report (close to) zero — the observable difference
-    /// between a cold and a warm prepared-formula cache.
-    pub prepare_ms: u128,
     /// Learnt-clause database reductions the run's SAT solver performed,
     /// summed over the MAX-SAT calls (each call reports only its own).
     pub reduce_dbs: u64,
@@ -264,107 +257,228 @@ impl From<EncodeError> for LocalizeError {
     }
 }
 
-/// A selector variable and the statement instances it controls.
+/// One selector variable of a [`PreparedTemplate`] and the statement
+/// instances it switches off: the unit of blame at the configured
+/// [`Granularity`].
 #[derive(Clone, Debug)]
-struct Selector {
+struct BlameUnit {
     lit: Lit,
     lines: Vec<Line>,
+    /// The loop unwinding of each blamed instance, parallel to `lines`.
     unwindings: Vec<Option<usize>>,
     weight: u64,
-    trusted: bool,
-    /// Statically irrelevant: asserted hard like a trusted line, but
-    /// tracked separately so [`LocalizerStats::lines_pruned`] counts only
-    /// the analysis's contribution and the user's trusted set stays intact.
-    pruned: bool,
 }
 
-/// The input-independent part of the extended trace formula. Building it
-/// costs one pass over the whole grouped CNF (plus, by default, one CNF
-/// preprocessing run), so [`Localizer::localize_batch`] constructs it once
-/// and shares it across every failing test of the batch.
+/// How one selector enters a solve.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Role {
+    /// A soft unit: its statements may be blamed.
+    Soft,
+    /// On a trusted line: asserted hard.
+    Trusted,
+    /// Statically irrelevant and not trusted: asserted hard like a trusted
+    /// line, but counted in [`LocalizerStats::lines_pruned`] so the user's
+    /// trusted set stays apart from the analysis's contribution.
+    Pruned,
+}
+
+/// The input-independent part of the extended trace formula: the selectors,
+/// the selector-relaxed TF1 (simplified unless [`LocalizerConfig::simplify`]
+/// is off), the model reconstruction and the build's analysis results.
+/// [`Localizer::new`] builds it once; each `localize` call clones only its
+/// hard instance and adds that test's hard units on top.
+///
+/// It is also the snapshot the service's persistent store (`crates/store`)
+/// writes, so a restart rebuilds a localizer without encoding, simplifying
+/// or analyzing anything: [`Localizer::export_prepared`] clones it,
+/// [`Localizer::from_restored`] moves it back into a localizer, and
+/// [`PreparedTemplate::encode`] / [`PreparedTemplate::decode`] serialize
+/// it. It holds no trusted-line flags: every localizer derives them from its
+/// own configuration (as the relabel reuse path does), so a stale trusted
+/// set can never be resurrected from disk.
 #[derive(Clone, Debug)]
-struct PreparedFormula {
-    selectors: Vec<Selector>,
-    /// The selector-relaxed TF1, already simplified when
-    /// [`LocalizerConfig::simplify`] is on.
-    template: MaxSatInstance,
-    /// Hard-clause count of the template as originally built, before
-    /// preprocessing (equal to the template's count when simplification is
-    /// off).
+pub struct PreparedTemplate {
+    /// In template order; their variables follow the trace's.
+    units: Vec<BlameUnit>,
+    /// The selector-relaxed TF1 as hard clauses, with no soft clauses.
+    instance: MaxSatInstance,
+    /// Hard-clause count before preprocessing (equal to the instance's
+    /// when simplification is off).
     hard_clauses_pre_simplify: usize,
     /// What the preprocessor did (all zero when simplification is off).
     simplify_stats: sat::SimplifyStats,
-    /// Milliseconds the preprocessing run took, paid once per localizer.
+    /// Milliseconds the preprocessing run took.
     simplify_ms: u128,
     /// Extends models of the simplified template back to the full
     /// bit-blasted variable space, so counterexample values and repair
     /// witnesses decode even for eliminated auxiliary variables.
     reconstruction: sat::ModelReconstruction,
-}
-
-/// One selector row of a [`PreparedTemplate`]:
-/// `(lit, lines, unwindings, weight)`.
-type TemplateSelector = (Lit, Vec<Line>, Vec<Option<usize>>, u64);
-
-/// A portable snapshot of a warm localizer's prepared formula — the
-/// simplified selector-relaxed template, the selector map and the model
-/// reconstruction — detached from the in-process [`Localizer`] so the
-/// service's persistent store (`crates/store`) can write it to disk and
-/// rebuild a warm-from-birth localizer on restart.
-///
-/// The snapshot carries the build's analysis results, so a restore runs no
-/// analysis, but deliberately omits the trusted-line flags: they are
-/// recomputed from the restoring configuration (exactly like the relabel
-/// reuse path), so a stale trusted set can never be resurrected from disk.
-///
-/// Obtain one with [`Localizer::export_prepared`]; turn it back into a warm
-/// localizer with [`Localizer::from_restored`]; serialize it with
-/// [`PreparedTemplate::encode`] / [`PreparedTemplate::decode`].
-#[derive(Clone, Debug)]
-pub struct PreparedTemplate {
-    /// `(lit, lines, unwindings, weight)` per selector, in template order.
-    selectors: Vec<TemplateSelector>,
-    hard: sat::CnfFormula,
-    num_vars: usize,
-    hard_clauses_pre_simplify: usize,
-    simplify_stats: sat::SimplifyStats,
-    simplify_ms: u128,
-    reconstruction: sat::ModelReconstruction,
+    /// Statically-irrelevant statement lines, sorted (empty unless
+    /// [`LocalizerConfig::static_prune`] is on).
     pruned_lines: Vec<Line>,
+    /// Warning-severity lint diagnostics found in the program.
     lint_warnings: u64,
+    /// Milliseconds the static analyses took.
     prune_ms: u128,
 }
 
 impl PreparedTemplate {
+    /// Builds the template from a trace and the grouped CNF taken out of
+    /// it: one selector per blame unit, allocated right after the trace
+    /// variables (so literal numbering is a function of the trace alone),
+    /// each statement clause augmented with its selector's negation, then
+    /// the preprocessor.
+    fn build(
+        trace: &SymbolicTrace,
+        cnf: GroupedCnf,
+        config: &LocalizerConfig,
+        pruned_lines: Vec<Line>,
+        lint_warnings: u64,
+        prune_ms: u128,
+    ) -> PreparedTemplate {
+        let mut instance = MaxSatInstance::new();
+        instance.ensure_vars(cnf.num_vars());
+        let mut units: Vec<BlameUnit> = Vec::new();
+        // Group ids index `trace.groups`.
+        let mut unit_of_group = vec![0; trace.groups.len()];
+        match config.granularity {
+            Granularity::Line => {
+                // One selector per distinct line, in line order.
+                let mut unit_of_line: BTreeMap<Line, usize> =
+                    trace.groups.iter().map(|g| (g.line, 0)).collect();
+                for (&line, unit) in unit_of_line.iter_mut() {
+                    *unit = units.len();
+                    units.push(BlameUnit {
+                        lit: instance.new_var().positive(),
+                        lines: vec![line],
+                        unwindings: vec![None],
+                        weight: BASE_WEIGHT,
+                    });
+                }
+                for group in &trace.groups {
+                    unit_of_group[group.id.index()] = unit_of_line[&group.line];
+                }
+            }
+            Granularity::StatementInstance => {
+                let unwind = config.encode.unwind as u64;
+                for group in &trace.groups {
+                    let weight = match group.unwinding {
+                        // α + η − κ : earlier iterations weigh more.
+                        Some(k) if config.loop_weighting => {
+                            BASE_WEIGHT + unwind - (k as u64).min(unwind)
+                        }
+                        _ => BASE_WEIGHT,
+                    };
+                    unit_of_group[group.id.index()] = units.len();
+                    units.push(BlameUnit {
+                        lit: instance.new_var().positive(),
+                        lines: vec![group.line],
+                        unwindings: vec![group.unwinding],
+                        weight,
+                    });
+                }
+            }
+        }
+        // TF1: statement clauses augmented with ¬λ; infrastructure stays hard.
+        // The clauses move into the template rather than being copied.
+        for (clause, group) in cnf {
+            match group {
+                None => instance.add_hard(clause),
+                Some(gid) => {
+                    let mut lits: Vec<Lit> = clause.into_iter().collect();
+                    lits.push(!units[unit_of_group[gid.index()]].lit);
+                    instance.add_hard(lits);
+                }
+            }
+        }
+        let hard_clauses_pre_simplify = instance.num_hard();
+        let mut simplify_stats = sat::SimplifyStats::default();
+        let mut simplify_ms = 0u128;
+        let mut reconstruction = sat::ModelReconstruction::default();
+        if config.simplify {
+            // Freeze everything that is constrained or read after
+            // preparation: the selectors (soft units, trusted units, blocking
+            // clauses), the test-input bits ([[test]] hard units) and the
+            // property literal. Everything else is fair game.
+            let mut frozen: Vec<sat::Var> = units.iter().map(|u| u.lit.var()).collect();
+            for (_, bv) in &trace.inputs {
+                frozen.extend(bv.bits().iter().map(|b| b.var()));
+            }
+            frozen.push(trace.property.var());
+            let started = Instant::now();
+            let simplified =
+                sat::simplify(instance.hard(), &frozen, &sat::SimplifyConfig::default());
+            simplify_ms = started.elapsed().as_millis();
+            simplify_stats = simplified.stats;
+            reconstruction = simplified.reconstruction;
+            let mut shrunk = MaxSatInstance::from_hard(simplified.cnf);
+            shrunk.ensure_vars(instance.num_vars());
+            instance = shrunk;
+        }
+        PreparedTemplate {
+            units,
+            instance,
+            hard_clauses_pre_simplify,
+            simplify_stats,
+            simplify_ms,
+            reconstruction,
+            pruned_lines,
+            lint_warnings,
+            prune_ms,
+        }
+    }
+
+    /// How each selector enters a solve when `trusted` lines may not be
+    /// blamed. A unit on a trusted line is trusted even if it is also
+    /// pruned.
+    fn roles(&self, trusted: &[Line]) -> Vec<Role> {
+        self.units
+            .iter()
+            .map(|u| {
+                if u.lines.iter().any(|l| trusted.contains(l)) {
+                    Role::Trusted
+                } else if !u.lines.is_empty()
+                    && u.lines
+                        .iter()
+                        .all(|l| self.pruned_lines.binary_search(l).is_ok())
+                {
+                    Role::Pruned
+                } else {
+                    Role::Soft
+                }
+            })
+            .collect()
+    }
+
     /// The selector literals, in template order.
     pub fn selector_lits(&self) -> impl Iterator<Item = Lit> + '_ {
-        self.selectors.iter().map(|s| s.0)
+        self.units.iter().map(|u| u.lit)
     }
 
     /// The hard part of the template: the simplified selector-relaxed trace
     /// formula, or the raw one when the localizer was built with
     /// `simplify: false`.
     pub fn hard(&self) -> &sat::CnfFormula {
-        &self.hard
+        self.instance.hard()
     }
 
     /// Appends this template to `w` (see [`sat::bytes`]).
     pub fn encode(&self, w: &mut sat::bytes::ByteWriter) {
-        w.write_usize(self.selectors.len());
-        for (lit, lines, unwindings, weight) in &self.selectors {
-            w.write_usize(lit.code());
-            write_lines(w, lines);
-            w.write_usize(unwindings.len());
-            for unwinding in unwindings {
+        w.write_usize(self.units.len());
+        for unit in &self.units {
+            w.write_usize(unit.lit.code());
+            write_lines(w, &unit.lines);
+            w.write_usize(unit.unwindings.len());
+            for unwinding in &unit.unwindings {
                 match unwinding {
                     None => w.write_u64(0),
                     Some(u) => w.write_u64(1 + *u as u64),
                 }
             }
-            w.write_u64(*weight);
+            w.write_u64(unit.weight);
         }
-        self.hard.encode(w);
-        w.write_usize(self.num_vars);
+        self.instance.hard().encode(w);
+        w.write_usize(self.instance.num_vars());
         w.write_usize(self.hard_clauses_pre_simplify);
         self.simplify_stats.encode(w);
         w.write_u64(self.simplify_ms.min(u64::MAX as u128) as u64);
@@ -384,9 +498,9 @@ impl PreparedTemplate {
         r: &mut sat::bytes::ByteReader<'_>,
     ) -> Result<PreparedTemplate, sat::bytes::DecodeError> {
         use sat::bytes::DecodeError;
-        let num_selectors = r.read_len(8)?;
-        let mut selectors = Vec::with_capacity(num_selectors);
-        for _ in 0..num_selectors {
+        let num_units = r.read_len(8)?;
+        let mut units = Vec::with_capacity(num_units);
+        for _ in 0..num_units {
             let lit = Lit::from_code(r.read_usize()?);
             let lines = read_lines(r)?;
             let num_unwindings = r.read_len(8)?;
@@ -401,28 +515,34 @@ impl PreparedTemplate {
                 });
             }
             let weight = r.read_u64()?;
-            selectors.push((lit, lines, unwindings, weight));
+            units.push(BlameUnit {
+                lit,
+                lines,
+                unwindings,
+                weight,
+            });
         }
         let hard = sat::CnfFormula::decode(r)?;
         let num_vars = r.read_usize()?;
         if num_vars < hard.num_vars() {
             return Err(DecodeError::new("template var count below hard formula's"));
         }
+        let mut instance = MaxSatInstance::from_hard(hard);
+        instance.ensure_vars(num_vars);
         let hard_clauses_pre_simplify = r.read_usize()?;
         let simplify_stats = sat::SimplifyStats::decode(r)?;
         let simplify_ms = u128::from(r.read_u64()?);
         let reconstruction = sat::ModelReconstruction::decode(r)?;
         let pruned_lines = read_lines(r)?;
-        // The localizer binary-searches the pruned set.
+        // `roles` binary-searches the pruned set.
         if pruned_lines.windows(2).any(|w| w[0] >= w[1]) {
             return Err(DecodeError::new("pruned lines not strictly increasing"));
         }
         let lint_warnings = r.read_u64()?;
         let prune_ms = u128::from(r.read_u64()?);
         Ok(PreparedTemplate {
-            selectors,
-            hard,
-            num_vars,
+            units,
+            instance,
             hard_clauses_pre_simplify,
             simplify_stats,
             simplify_ms,
@@ -524,14 +644,15 @@ impl DeltaPrepare {
 /// // The faulty constant on line 6 is blamed.
 /// assert!(report.blames_line(Line(6)));
 /// ```
-/// `Localizer` is `Send + Sync` (it owns plain data and a [`OnceLock`]), so a
-/// single prepared instance behind an `Arc` can serve concurrent
-/// [`Localizer::localize`] calls from a server worker pool: the symbolic
-/// trace and the cached prepared formula are shared read-only, and each
-/// call clones only the template instance it extends with its test-specific
-/// hard units.
+/// `Localizer` is `Send + Sync` (it owns plain data), so a single instance
+/// behind an `Arc` can serve concurrent [`Localizer::localize`] calls from a
+/// server worker pool: the symbolic trace and the prepared template are
+/// shared read-only, and each call clones only the template instance it
+/// extends with its test-specific hard units.
 #[derive(Debug)]
 pub struct Localizer {
+    /// The symbolic trace, without its grouped CNF: [`Localizer::new`]
+    /// consumes that while preparing.
     trace: SymbolicTrace,
     config: LocalizerConfig,
     /// Entry function and specification the trace was encoded against —
@@ -540,16 +661,12 @@ pub struct Localizer {
     entry: String,
     spec: Spec,
     program_lines: usize,
-    /// Statically-irrelevant statement lines (sorted), computed in
-    /// [`Localizer::new`] when [`LocalizerConfig::static_prune`] is on.
-    pruned_lines: Vec<Line>,
-    /// Warning-severity lint diagnostics found in the program.
-    lint_warnings: u64,
-    /// Milliseconds the static analyses took.
-    prune_ms: u128,
-    /// The input-independent extended trace formula, built lazily on first
-    /// use and shared by every subsequent `localize` call (and thread).
-    prepared: OnceLock<PreparedFormula>,
+    /// The input-independent extended trace formula, shared by every
+    /// `localize` call (and thread).
+    prepared: PreparedTemplate,
+    /// How each of the template's selectors enters a solve under
+    /// `config.trusted_lines`.
+    roles: Vec<Role>,
 }
 
 /// The analysis criterion a [`Spec`] localizes against.
@@ -582,7 +699,11 @@ fn lint_gate(program: &Program, width: usize) -> Result<u64, LocalizeError> {
 }
 
 impl Localizer {
-    /// Checks, analyzes and encodes the program and prepares the localizer.
+    /// Checks, analyzes and encodes the program and builds its prepared
+    /// template (selector-relaxed and, by default, simplified), so the first
+    /// [`Localizer::localize`] call solves right away. The trace's grouped
+    /// CNF is consumed by that preparation: afterwards
+    /// [`Localizer::trace`] carries no clauses.
     ///
     /// # Errors
     ///
@@ -603,18 +724,34 @@ impl Localizer {
             Vec::new()
         };
         let prune_ms = started.elapsed().as_millis();
-        let trace = encode_program(program, entry, spec, &config.encode)?;
-        Ok(Localizer {
+        let mut trace = encode_program(program, entry, spec, &config.encode)?;
+        let cnf = std::mem::take(&mut trace.cnf);
+        let prepared =
+            PreparedTemplate::build(&trace, cnf, config, pruned_lines, lint_warnings, prune_ms);
+        Ok(Localizer::assemble(
+            trace, prepared, entry, spec, config, program,
+        ))
+    }
+
+    /// The one constructor behind every build route: derives the selector
+    /// roles from `config`'s trusted lines and the template's pruned ones.
+    fn assemble(
+        trace: SymbolicTrace,
+        prepared: PreparedTemplate,
+        entry: &str,
+        spec: &Spec,
+        config: &LocalizerConfig,
+        program: &Program,
+    ) -> Localizer {
+        Localizer {
+            roles: prepared.roles(&config.trusted_lines),
             trace,
             config: config.clone(),
             entry: entry.to_string(),
             spec: spec.clone(),
             program_lines: program.statement_lines().len(),
-            pruned_lines,
-            lint_warnings,
-            prune_ms,
-            prepared: OnceLock::new(),
-        })
+            prepared,
+        }
     }
 
     /// `true` when everything that shapes the prepared formula — encoding
@@ -714,7 +851,7 @@ impl Localizer {
                     // body still answers to the program check.
                     let lint_warnings = lint_gate(new_program, config.encode.width)?;
                     let mut relabeled = self.relabel(line_map, new_program, config);
-                    relabeled.lint_warnings = lint_warnings;
+                    relabeled.prepared.lint_warnings = lint_warnings;
                     Ok((relabeled, DeltaPrepare::DeadFunction))
                 }
             }
@@ -725,12 +862,12 @@ impl Localizer {
         }
     }
 
-    /// The reuse path: clone the trace with group lines remapped, and — if
-    /// this localizer is already warm — seed the clone's prepared formula
-    /// with relabeled selectors over the *same* template instance, so the
-    /// new localizer is warm from birth. The line map is strictly monotonic
-    /// (enforced by the classifier), so the per-line selector order, and
-    /// with it every literal in the template, is preserved exactly.
+    /// The reuse path: clone the trace and the prepared template with every
+    /// line label (group lines, selector blame lines, pruned lines) pushed
+    /// through the map, and derive the trusted flags from `config`. The line
+    /// map is strictly monotonic (enforced by the classifier), so the
+    /// per-line selector order, and with it every literal in the template,
+    /// is preserved exactly.
     fn relabel(&self, map: &LineMap, new_program: &Program, config: &LocalizerConfig) -> Localizer {
         let mut trace = self.trace.clone();
         for group in &mut trace.groups {
@@ -739,45 +876,19 @@ impl Localizer {
         // A pure line shift (or dead-function edit) leaves the analysis
         // result intact modulo line labels — relevance is structural — so
         // the pruned set is remapped like the blame lines, never recomputed.
-        let pruned_lines: Vec<Line> = self.pruned_lines.iter().map(|&l| map.remap(l)).collect();
-        let prepared = OnceLock::new();
-        if let Some(old) = self.prepared.get() {
-            let selectors = old
-                .selectors
-                .iter()
-                .map(|s| {
-                    let lines: Vec<Line> = s.lines.iter().map(|&l| map.remap(l)).collect();
-                    Selector {
-                        lit: s.lit,
-                        trusted: lines.iter().any(|l| config.trusted_lines.contains(l)),
-                        pruned: !lines.is_empty()
-                            && lines.iter().all(|l| pruned_lines.binary_search(l).is_ok()),
-                        lines,
-                        unwindings: s.unwindings.clone(),
-                        weight: s.weight,
-                    }
-                })
-                .collect();
-            let _ = prepared.set(PreparedFormula {
-                selectors,
-                template: old.template.clone(),
-                hard_clauses_pre_simplify: old.hard_clauses_pre_simplify,
-                simplify_stats: old.simplify_stats,
-                simplify_ms: old.simplify_ms,
-                reconstruction: old.reconstruction.clone(),
-            });
+        let mut prepared = self.prepared.clone();
+        let blame_lines = prepared.units.iter_mut().flat_map(|u| u.lines.iter_mut());
+        for line in blame_lines.chain(prepared.pruned_lines.iter_mut()) {
+            *line = map.remap(*line);
         }
-        Localizer {
+        Localizer::assemble(
             trace,
-            config: config.clone(),
-            entry: self.entry.clone(),
-            spec: self.spec.clone(),
-            program_lines: new_program.statement_lines().len(),
-            pruned_lines,
-            lint_warnings: self.lint_warnings,
-            prune_ms: self.prune_ms,
             prepared,
-        }
+            &self.entry,
+            &self.spec,
+            config,
+            new_program,
+        )
     }
 
     /// A report of the localizer this one was relabeled from, as this one
@@ -808,53 +919,33 @@ impl Localizer {
                 .collect(),
             suspect_lines: remap(&report.suspect_lines),
             stats: LocalizerStats {
-                lint_warnings: self.lint_warnings,
+                lint_warnings: self.prepared.lint_warnings,
                 ..report.stats
             },
             complete: report.complete,
         }
     }
 
-    /// Forces construction of the cached input-independent prepared formula
-    /// and returns the milliseconds it took (0 if it was already built). A
-    /// cache that stores localizers warms them on insert so that every later
-    /// request — even the very first for a given test input — skips the
-    /// preparation cost entirely.
+    /// A no-op that returns 0: [`Localizer::new`] already built the
+    /// prepared formula. It stays because the repository benchmark
+    /// (`perfbench/`) still calls it.
     pub fn warm(&self) -> u128 {
-        self.prepared_timed().1
+        0
     }
 
-    /// Snapshots the prepared formula for the persistent store, or `None`
-    /// when this localizer has never been warmed (there is nothing worth
-    /// persisting — the snapshot would have to pay the preparation cost it
-    /// exists to avoid).
+    /// Snapshots the prepared formula for the persistent store. Always
+    /// `Some`, since every localizer is born prepared; the `Option` stays
+    /// because the repository benchmark (`perfbench/`) unwraps it.
     pub fn export_prepared(&self) -> Option<PreparedTemplate> {
-        let prepared = self.prepared.get()?;
-        Some(PreparedTemplate {
-            selectors: prepared
-                .selectors
-                .iter()
-                .map(|s| (s.lit, s.lines.clone(), s.unwindings.clone(), s.weight))
-                .collect(),
-            hard: prepared.template.hard().clone(),
-            num_vars: prepared.template.num_vars(),
-            hard_clauses_pre_simplify: prepared.hard_clauses_pre_simplify,
-            simplify_stats: prepared.simplify_stats,
-            simplify_ms: prepared.simplify_ms,
-            reconstruction: prepared.reconstruction.clone(),
-            pruned_lines: self.pruned_lines.clone(),
-            lint_warnings: self.lint_warnings,
-            prune_ms: self.prune_ms,
-        })
+        Some(self.prepared.clone())
     }
 
-    /// Rebuilds a warm-from-birth localizer from a persisted snapshot: the
-    /// trace, template and static-analysis results are taken verbatim
-    /// (exactly what [`Localizer::new`] plus [`Localizer::warm`] would have
-    /// produced for the same program and options), so a restore runs no
-    /// analysis. Only the trusted-line flags are recomputed from `config`,
-    /// mirroring the relabel reuse path, so the persisted bytes never
-    /// override the caller's current trusted set.
+    /// Rebuilds a localizer from a persisted snapshot: the trace, template
+    /// and static-analysis results are taken verbatim (exactly what
+    /// [`Localizer::new`] produced for the same program and options), so a
+    /// restore runs no analysis. Only the trusted-line flags are derived
+    /// from `config`, as on the relabel reuse path, so the persisted bytes
+    /// never override the caller's current trusted set.
     ///
     /// The caller is responsible for only pairing a snapshot with the
     /// program, trace and options it was exported under; the service keys
@@ -867,56 +958,11 @@ impl Localizer {
         config: &LocalizerConfig,
         program: &Program,
     ) -> Localizer {
-        let pruned_lines = template.pruned_lines;
-        let selectors = template
-            .selectors
-            .into_iter()
-            .map(|(lit, lines, unwindings, weight)| Selector {
-                lit,
-                trusted: lines.iter().any(|l| config.trusted_lines.contains(l)),
-                pruned: !lines.is_empty()
-                    && lines.iter().all(|l| pruned_lines.binary_search(l).is_ok()),
-                lines,
-                unwindings,
-                weight,
-            })
-            .collect();
-        let mut instance = MaxSatInstance::from_hard(template.hard);
-        instance.ensure_vars(template.num_vars);
-        let prepared = OnceLock::new();
-        let _ = prepared.set(PreparedFormula {
-            selectors,
-            template: instance,
-            hard_clauses_pre_simplify: template.hard_clauses_pre_simplify,
-            simplify_stats: template.simplify_stats,
-            simplify_ms: template.simplify_ms,
-            reconstruction: template.reconstruction,
-        });
-        Localizer {
-            trace,
-            config: config.clone(),
-            entry: entry.to_string(),
-            spec: spec.clone(),
-            program_lines: program.statement_lines().len(),
-            pruned_lines,
-            lint_warnings: template.lint_warnings,
-            prune_ms: template.prune_ms,
-            prepared,
-        }
+        Localizer::assemble(trace, template, entry, spec, config, program)
     }
 
-    /// The cached prepared formula, plus the wall-clock milliseconds *this*
-    /// call spent building it (or waiting for a racing builder); 0 once warm.
-    fn prepared_timed(&self) -> (&PreparedFormula, u128) {
-        if let Some(prepared) = self.prepared.get() {
-            return (prepared, 0);
-        }
-        let start = Instant::now();
-        let prepared = self.prepared.get_or_init(|| self.prepare());
-        (prepared, start.elapsed().as_millis())
-    }
-
-    /// The symbolic trace underlying this localizer.
+    /// The symbolic trace underlying this localizer. Its grouped CNF is
+    /// empty: [`Localizer::new`] consumed it while preparing.
     pub fn trace(&self) -> &SymbolicTrace {
         &self.trace
     }
@@ -925,152 +971,6 @@ impl Localizer {
     /// [`LocalizationReport::size_reduction_percent`]).
     pub fn program_lines(&self) -> usize {
         self.program_lines
-    }
-
-    /// `true` when the static relevance analysis proved `line` cannot
-    /// influence the property.
-    fn line_pruned(&self, line: Line) -> bool {
-        self.pruned_lines.binary_search(&line).is_ok()
-    }
-
-    /// Builds the selector set according to the configured granularity.
-    fn build_selectors(&self, instance: &mut MaxSatInstance) -> Vec<Selector> {
-        let unwind = self.config.encode.unwind as u64;
-        let mut selectors: Vec<Selector> = Vec::new();
-        match self.config.granularity {
-            Granularity::Line => {
-                let mut by_line: BTreeMap<Line, Vec<&bmc::StmtGroup>> = BTreeMap::new();
-                for group in &self.trace.groups {
-                    by_line.entry(group.line).or_default().push(group);
-                }
-                for (line, groups) in by_line {
-                    let lit = instance.new_var().positive();
-                    selectors.push(Selector {
-                        lit,
-                        lines: vec![line],
-                        unwindings: vec![None],
-                        weight: BASE_WEIGHT,
-                        trusted: self.config.trusted_lines.contains(&line),
-                        pruned: self.line_pruned(line),
-                    });
-                    let _ = groups;
-                }
-            }
-            Granularity::StatementInstance => {
-                for group in &self.trace.groups {
-                    let lit = instance.new_var().positive();
-                    let weight = if self.config.loop_weighting {
-                        match group.unwinding {
-                            // α + η − κ : earlier iterations weigh more.
-                            Some(k) => BASE_WEIGHT + unwind - (k as u64).min(unwind),
-                            None => BASE_WEIGHT,
-                        }
-                    } else {
-                        BASE_WEIGHT
-                    };
-                    selectors.push(Selector {
-                        lit,
-                        lines: vec![group.line],
-                        unwindings: vec![group.unwinding],
-                        weight,
-                        trusted: self.config.trusted_lines.contains(&group.line),
-                        pruned: self.line_pruned(group.line),
-                    });
-                }
-            }
-        }
-        selectors
-    }
-
-    /// Maps each clause group to the selector that controls it.
-    fn selector_of_group(&self, selectors: &[Selector]) -> BTreeMap<GroupId, usize> {
-        let mut map = BTreeMap::new();
-        match self.config.granularity {
-            Granularity::Line => {
-                for group in &self.trace.groups {
-                    let idx = selectors
-                        .iter()
-                        .position(|s| s.lines[0] == group.line)
-                        .expect("every line has a selector");
-                    map.insert(group.id, idx);
-                }
-            }
-            Granularity::StatementInstance => {
-                for (idx, group) in self.trace.groups.iter().enumerate() {
-                    map.insert(group.id, idx);
-                }
-            }
-        }
-        map
-    }
-
-    /// Builds the input-independent part of the extended trace formula: the
-    /// selector set and the selector-relaxed TF1 clauses. One prepared
-    /// formula is shared by every test of a batch; the per-test hard units
-    /// ([[test]], property, trusted lines) are appended on top in
-    /// [`Localizer::localize_prepared`], preserving the exact clause order
-    /// the single-shot path has always used.
-    fn prepare(&self) -> PreparedFormula {
-        let selectors = {
-            // Allocate selector variables against a scratch instance first so
-            // that their indices are deterministic, then rebuild.
-            let mut scratch = MaxSatInstance::new();
-            scratch.ensure_vars(self.trace.cnf.num_vars());
-            self.build_selectors(&mut scratch)
-        };
-        let group_to_selector = self.selector_of_group(&selectors);
-        let mut template = MaxSatInstance::new();
-        template.ensure_vars(self.trace.cnf.num_vars());
-        // Re-create the selector variables in the same order so their literal
-        // values match (they were allocated right after the trace variables).
-        for selector in &selectors {
-            let v = template.new_var();
-            debug_assert_eq!(v.positive(), selector.lit);
-        }
-        // TF1: statement clauses augmented with ¬λ; infrastructure stays hard.
-        for (clause, group) in self.trace.cnf.iter() {
-            match group {
-                None => template.add_hard(clause.clone()),
-                Some(gid) => {
-                    let selector = &selectors[group_to_selector[&gid]];
-                    let mut lits = clause.lits().to_vec();
-                    lits.push(!selector.lit);
-                    template.add_hard(lits);
-                }
-            }
-        }
-        let hard_clauses_pre_simplify = template.num_hard();
-        let mut simplify_stats = sat::SimplifyStats::default();
-        let mut simplify_ms = 0u128;
-        let mut reconstruction = sat::ModelReconstruction::default();
-        if self.config.simplify {
-            // Freeze everything that is constrained or read *after*
-            // preparation: the selectors (soft units, trusted units, blocking
-            // clauses), the test-input bits ([[test]] hard units) and the
-            // property literal. Everything else is fair game.
-            let mut frozen: Vec<sat::Var> = selectors.iter().map(|s| s.lit.var()).collect();
-            for (_, bv) in &self.trace.inputs {
-                frozen.extend(bv.bits().iter().map(|b| b.var()));
-            }
-            frozen.push(self.trace.property.var());
-            let started = Instant::now();
-            let simplified =
-                sat::simplify(template.hard(), &frozen, &sat::SimplifyConfig::default());
-            simplify_ms = started.elapsed().as_millis();
-            simplify_stats = simplified.stats;
-            reconstruction = simplified.reconstruction;
-            let mut shrunk = MaxSatInstance::from_hard(simplified.cnf);
-            shrunk.ensure_vars(template.num_vars());
-            template = shrunk;
-        }
-        PreparedFormula {
-            selectors,
-            template,
-            hard_clauses_pre_simplify,
-            simplify_stats,
-            simplify_ms,
-            reconstruction,
-        }
     }
 
     /// Runs Algorithm 1 for one failing test input.
@@ -1083,15 +983,48 @@ impl Localizer {
         self.localize_budgeted(failing_input, Budget::UNLIMITED)
     }
 
+    /// Extends a model of the *prepared* (possibly simplified) formula back
+    /// to the full bit-blasted variable space, restoring the values of
+    /// auxiliary variables the preprocessor eliminated. Counterexample
+    /// decoding ([`SymbolicTrace::inputs_from_model`]) and flip-repair
+    /// witnesses read arbitrary trace variables, so they go through this
+    /// before interpreting a solver model. A no-op when simplification is
+    /// disabled or nothing was eliminated.
+    pub fn extend_model(&self, model: &mut Vec<bool>) {
+        self.prepared.reconstruction.extend(model);
+    }
+
+    /// The hard part of one failing test's MAX-SAT instance, with no soft
+    /// clauses yet: the prepared template, the failing input as hard units,
+    /// the property, and the hardened trusted and pruned selectors.
+    fn base_instance(&self, failing_input: &[i64]) -> MaxSatInstance {
+        // [[test]] : the failing input, as hard units on top of the template.
+        let mut base = self.prepared.instance.clone();
+        for lit in self.trace.input_assumption_lits(failing_input) {
+            base.add_hard(vec![lit]);
+        }
+        // p : the violated assertion must hold — hard.
+        base.add_hard(vec![self.trace.property]);
+        // Trusted statements can never be switched off — and neither can
+        // statically-pruned ones, which provably cannot influence the
+        // property, so hardening them only shrinks the soft set.
+        for (unit, &role) in self.prepared.units.iter().zip(&self.roles) {
+            if role != Role::Soft {
+                base.add_hard(vec![unit.lit]);
+            }
+        }
+        base
+    }
+
     /// [`Localizer::localize`] under a resource [`Budget`].
     ///
     /// The budget bounds the *whole* suspect enumeration, not each MAX-SAT
-    /// call: the deadline is checked between the prepare and solve phases and
-    /// before each rank, and travels into every solve so a rank in flight
-    /// gives up at the solver's next restart boundary. Expiry is never an
-    /// error — the report comes back with [`LocalizationReport::complete`]
-    /// `false` and the ranks proven before it: a prefix of the unbudgeted
-    /// report.
+    /// call: the deadline is checked before each rank, and travels into
+    /// every solve so a rank in flight gives up at the solver's next restart
+    /// boundary. The conflict cap, by contrast, bounds each MAX-SAT solve
+    /// (one rank) on its own. Expiry is never an error — the report comes
+    /// back with [`LocalizationReport::complete`] `false` and the ranks
+    /// proven before it: a prefix of the unbudgeted report.
     ///
     /// # Errors
     ///
@@ -1101,57 +1034,9 @@ impl Localizer {
         failing_input: &[i64],
         budget: Budget,
     ) -> Result<LocalizationReport, LocalizeError> {
-        // The input-independent template is built once per localizer (first
-        // call pays, every later call — from any thread — reuses it) and
-        // cloned into the per-test base instance.
-        let (prepared, prepare_ms) = self.prepared_timed();
-        self.localize_with(prepared, failing_input, prepare_ms, budget)
-    }
-
-    /// Extends a model of the *prepared* (possibly simplified) formula back
-    /// to the full bit-blasted variable space, restoring the values of
-    /// auxiliary variables the preprocessor eliminated. Counterexample
-    /// decoding ([`SymbolicTrace::inputs_from_model`]) and flip-repair
-    /// witnesses read arbitrary trace variables, so they go through this
-    /// before interpreting a solver model. A no-op when simplification is
-    /// disabled or nothing was eliminated.
-    pub fn extend_model(&self, model: &mut Vec<bool>) {
-        let (prepared, _) = self.prepared_timed();
-        prepared.reconstruction.extend(model);
-    }
-
-    /// The hard part of one failing test's MAX-SAT instance, with no soft
-    /// clauses yet: the prepared template, the failing input as hard units,
-    /// the property, and the hardened trusted and pruned selectors.
-    fn base_instance(&self, prepared: &PreparedFormula, failing_input: &[i64]) -> MaxSatInstance {
-        // [[test]] : the failing input, as hard units on top of the template.
-        let mut base = prepared.template.clone();
-        for lit in self.trace.input_assumption_lits(failing_input) {
-            base.add_hard(vec![lit]);
-        }
-        // p : the violated assertion must hold — hard.
-        base.add_hard(vec![self.trace.property]);
-        // Trusted statements can never be switched off — and neither can
-        // statically-pruned ones, which provably cannot influence the
-        // property, so hardening them only shrinks the soft set.
-        for selector in &prepared.selectors {
-            if selector.trusted || selector.pruned {
-                base.add_hard(vec![selector.lit]);
-            }
-        }
-        base
-    }
-
-    /// Runs Algorithm 1 for one failing test over the shared prepared
-    /// formula (the selector-relaxed, preprocessed TF1).
-    fn localize_with(
-        &self,
-        prepared: &PreparedFormula,
-        failing_input: &[i64],
-        prepare_ms: u128,
-        budget: Budget,
-    ) -> Result<LocalizationReport, LocalizeError> {
-        let selectors: &[Selector] = &prepared.selectors;
+        let prepared = &self.prepared;
+        let units: &[BlameUnit] = &prepared.units;
+        let roles: &[Role] = &self.roles;
         if failing_input.len() != self.trace.inputs.len() {
             return Err(LocalizeError::ArityMismatch {
                 expected: self.trace.inputs.len(),
@@ -1159,25 +1044,25 @@ impl Localizer {
             });
         }
         let start = Instant::now();
-        let mut base = self.base_instance(prepared, failing_input);
+        let mut base = self.base_instance(failing_input);
         // One SAT solver per call, loaded once: every rank solves on it, and
         // each rank's blocking clause is added to it and to `base` alike.
         let mut sat = Solver::from_formula(base.hard());
         let mut solver = MaxSatSolver::default();
         solver.set_budget(budget);
-        let pruned_lines: BTreeSet<Line> = selectors
+        let pruned_lines: BTreeSet<Line> = units
             .iter()
-            .filter(|s| s.pruned && !s.trusted)
-            .flat_map(|s| s.lines.iter().copied())
+            .zip(roles)
+            .filter(|&(_, &role)| role == Role::Pruned)
+            .flat_map(|(u, _)| u.lines.iter().copied())
             .collect();
         let mut stats = LocalizerStats {
-            soft_clauses: selectors.iter().filter(|s| !s.trusted && !s.pruned).count(),
+            soft_clauses: roles.iter().filter(|&&r| r == Role::Soft).count(),
             hard_clauses: base.num_hard(),
             lines_pruned: pruned_lines.len() as u64,
-            prune_ms: self.prune_ms,
-            lint_warnings: self.lint_warnings,
+            prune_ms: prepared.prune_ms,
+            lint_warnings: prepared.lint_warnings,
             variables: base.num_vars(),
-            prepare_ms,
             hard_clauses_pre_simplify: prepared.hard_clauses_pre_simplify,
             clauses_subsumed: prepared.simplify_stats.clauses_subsumed,
             vars_eliminated: prepared.simplify_stats.vars_eliminated,
@@ -1192,13 +1077,14 @@ impl Localizer {
         let mut suspects: Vec<Suspect> = Vec::new();
         let mut complete = true;
         // Selectors still allowed to be blamed.
-        let mut active: Vec<usize> = (0..selectors.len())
-            .filter(|&i| !selectors[i].trusted && !selectors[i].pruned)
+        let mut active: Vec<usize> = (0..units.len())
+            .filter(|&i| roles[i] == Role::Soft)
             .collect();
 
         for rank in 0..self.config.max_suspect_sets {
-            // The deadline may already be gone — because prepare ate it, or
-            // because the previous rank barely squeaked in. Skipping the solve
+            // The deadline may already be gone — because the caller queued
+            // the job too long, or because the previous rank barely squeaked
+            // in. Skipping the solve
             // outright (rather than letting it expire at the first restart)
             // keeps the worst-case overshoot at one SAT restart interval.
             if budget.deadline_expired() {
@@ -1209,7 +1095,7 @@ impl Localizer {
             // id `k` names selector `active[k]`.
             base.clear_soft();
             for &i in &active {
-                base.add_soft_unit(selectors[i].lit, selectors[i].weight);
+                base.add_soft_unit(units[i].lit, units[i].weight);
             }
             stats.maxsat_calls += 1;
             let result = solver.solve_loaded(&mut sat, &base);
@@ -1245,8 +1131,8 @@ impl Localizer {
             let mut lines = Vec::new();
             let mut unwindings = Vec::new();
             for &i in &blamed {
-                lines.extend(selectors[i].lines.iter().copied());
-                unwindings.extend(selectors[i].unwindings.iter().copied());
+                lines.extend(units[i].lines.iter().copied());
+                unwindings.extend(units[i].unwindings.iter().copied());
             }
             suspects.push(Suspect {
                 lines,
@@ -1256,7 +1142,7 @@ impl Localizer {
             });
             // Block this CoMSS: (λ₁ ∨ … ∨ λ_k) becomes hard, and those
             // selectors leave the soft set (Algorithm 1, lines 13–14).
-            let blocking: Vec<Lit> = blamed.iter().map(|&i| selectors[i].lit).collect();
+            let blocking: Vec<Lit> = blamed.iter().map(|&i| units[i].lit).collect();
             sat.add_clause(blocking.iter().copied());
             base.add_hard(blocking);
             active.retain(|i| !blamed.contains(i));
@@ -1285,10 +1171,11 @@ impl Localizer {
     ///
     /// Each failing input is an independent MAX-SAT enumeration over the same
     /// symbolic trace, so the batch fans out across `std::thread` workers (at
-    /// most one per available core) and the reports are aggregated exactly
-    /// like [`rank_localizations`](crate::rank_localizations) would — the
-    /// result is deterministic and identical to the sequential loop,
-    /// whatever the thread interleaving.
+    /// most one per available core) and the reports are merged with
+    /// [`RankedReport::from_reports`](crate::RankedReport::from_reports) in
+    /// input order — the result is deterministic and identical to a
+    /// sequential loop of [`Localizer::localize`] calls, whatever the thread
+    /// interleaving.
     ///
     /// # Errors
     ///
@@ -1326,7 +1213,8 @@ impl Localizer {
     ///
     /// The budget is *shared*: one wall-clock deadline bounds the whole
     /// batch (every per-test enumeration checks it), while the conflict cap
-    /// applies per test (each test owns its solvers). Tests that miss the
+    /// applies to each MAX-SAT solve, that is, to each rank of each test
+    /// (see [`Localizer::localize_budgeted`]). Tests that miss the
     /// deadline come back with [`LocalizationReport::complete`] `false` and
     /// are merged like any other report.
     ///
@@ -1348,10 +1236,6 @@ impl Localizer {
         if failing_inputs.is_empty() {
             return Ok(crate::ranking::RankedReport::from_reports(Vec::new()));
         }
-        // Even single-threaded, the batch amortizes the prepared formula
-        // (selector construction + selector-relaxed TF1) over all tests:
-        // warm the cache up front so no worker pays it mid-flight.
-        self.warm();
         if workers <= 1 {
             let mut per_test = Vec::with_capacity(failing_inputs.len());
             for input in failing_inputs {
@@ -1557,7 +1441,12 @@ mod tests {
             Localizer::new(&program, "main", &Spec::ReturnEquals(4), &config8()).unwrap();
         let inputs: Vec<Vec<i64>> = vec![vec![5], vec![6], vec![7], vec![9]];
         let batched = localizer.localize_batch(&inputs).unwrap();
-        let sequential = crate::ranking::rank_localizations(&localizer, &inputs).unwrap();
+        let sequential = crate::ranking::RankedReport::from_reports(
+            inputs
+                .iter()
+                .map(|i| localizer.localize(i).unwrap())
+                .collect(),
+        );
         assert_eq!(batched.per_test.len(), 4);
         assert_eq!(batched.max_count, sequential.max_count);
         let lines = |r: &crate::ranking::RankedReport| {
@@ -1597,7 +1486,7 @@ mod tests {
         // make that sound, so pin them at compile time.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Localizer>();
-        assert_send_sync::<PreparedFormula>();
+        assert_send_sync::<PreparedTemplate>();
         assert_send_sync::<LocalizationReport>();
         assert_send_sync::<LocalizerStats>();
         assert_send_sync::<crate::ranking::RankedReport>();
@@ -1615,28 +1504,33 @@ mod tests {
         // property *violated*, extend, then check against the original.
         let program = motivating_example();
         let localizer = Localizer::new(&program, "testme", &Spec::Assertions, &config8()).unwrap();
-        let (prepared, _) = localizer.prepared_timed();
+        let prepared = &localizer.prepared;
         assert!(
             prepared.simplify_stats.vars_eliminated > 0,
             "the test is vacuous unless something was eliminated"
         );
-        let mut solver = Solver::from_formula(prepared.template.hard());
+        let mut solver = Solver::from_formula(prepared.hard());
         let mut assumptions = localizer.trace.input_assumption_lits(&[1]);
         // Every selector on: the faithful program semantics.
-        for selector in &prepared.selectors {
-            assumptions.push(selector.lit);
-        }
+        assumptions.extend(prepared.selector_lits());
         assumptions.push(!localizer.trace.property);
         assert_eq!(solver.solve_assuming(&assumptions), SatResult::Sat);
         // Keep the selector assignments: the reconstruction's saved clauses
         // mention selector literals, and truncating them away would let the
         // replay pick arbitrary values for the eliminated variables.
         let mut model = solver.model();
-        model.resize(prepared.template.num_vars(), false);
+        model.resize(prepared.instance.num_vars(), false);
         localizer.extend_model(&mut model);
-        // After extension it does — augmented with the selector/property
-        // facts that also hold in the simplified solve.
-        for (clause, _) in localizer.trace.cnf.iter() {
+        // The localizer consumed its grouped CNF while preparing; the
+        // encoding is deterministic, so a fresh encode yields the original.
+        assert_eq!(localizer.trace().cnf.num_clauses(), 0);
+        let original = encode_program(&program, "testme", &Spec::Assertions, &config8().encode)
+            .unwrap()
+            .cnf;
+        // After extension the model satisfies every original clause —
+        // augmented with the selector/property facts that also hold in the
+        // simplified solve.
+        for (clause, _) in original.iter() {
             let augmented = clause.eval(&model);
             assert!(augmented, "unsatisfied original clause: {clause:?}");
         }
@@ -1648,13 +1542,12 @@ mod tests {
         let program = motivating_example();
         let localizer = Localizer::new(&program, "testme", &Spec::Assertions, &config8()).unwrap();
         let first = localizer.localize(&[1]).unwrap();
-        // Once warm, later calls must not rebuild the prepared formula.
+        // Every call solves over the one template `new` built, and the
+        // per-call blocking clauses never leak into it.
         let again = localizer.localize(&[1]).unwrap();
-        assert_eq!(again.stats.prepare_ms, 0);
         assert_eq!(first.suspects, again.suspects);
         assert_eq!(first.suspect_lines, again.suspect_lines);
-        // warm() on a warm localizer is free.
-        assert_eq!(localizer.warm(), 0);
+        assert_eq!(first.stats.hard_clauses, again.stats.hard_clauses);
     }
 
     #[test]
@@ -1674,7 +1567,6 @@ mod tests {
             let report = handle.join().expect("worker panicked");
             assert_eq!(report.suspects, expected.suspects);
             assert_eq!(report.suspect_lines, expected.suspect_lines);
-            assert_eq!(report.stats.prepare_ms, 0, "cache was already warm");
         }
     }
 
@@ -1701,9 +1593,6 @@ mod tests {
             .unwrap();
         assert_eq!(delta, DeltaPrepare::Relabeled);
         assert!(delta.reused());
-        // The old localizer was warm, so the relabeled one is born warm:
-        // no re-preparation (and no re-encoding) happened or will happen.
-        assert_eq!(revised.warm(), 0);
 
         let after = revised.localize(&[1]).unwrap();
         // Identical to a cold build of the edited program, field for field.
@@ -1725,7 +1614,6 @@ mod tests {
         let new_program = parse_program(new_src).unwrap();
         let config = config8();
         let old = Localizer::new(&old_program, "main", &Spec::ReturnEquals(4), &config).unwrap();
-        old.warm();
         let (revised, delta) = old
             .reprepare(
                 &old_program,
@@ -1737,7 +1625,6 @@ mod tests {
             .unwrap();
         assert_eq!(delta, DeltaPrepare::DeadFunction);
         assert!(delta.reused());
-        assert_eq!(revised.warm(), 0);
         let cold = Localizer::new(&new_program, "main", &Spec::ReturnEquals(4), &config).unwrap();
         assert_eq!(
             revised.localize(&[3]).unwrap().suspects,
@@ -1771,7 +1658,6 @@ mod tests {
         )
         .unwrap();
         let old = Localizer::new(&old_program, "main", &spec, &config).unwrap();
-        old.warm();
         let reprepare = |body: &str| {
             let src = format!("int unused(int a) {{\n{body}\n}}\nint main(int x) {{\nint y = x + 2;\nreturn y;\n}}");
             let new_program = parse_program(&src).unwrap();
@@ -1793,7 +1679,6 @@ mod tests {
         let new_program = parse_program(new_src).unwrap();
         let config = config8();
         let old = Localizer::new(&old_program, "main", &Spec::ReturnEquals(4), &config).unwrap();
-        old.warm();
         let (revised, delta) = old
             .reprepare(
                 &old_program,
@@ -1874,7 +1759,6 @@ mod tests {
         new_config.trusted_lines = vec![Line(3)];
         let old =
             Localizer::new(&old_program, "main", &Spec::ReturnEquals(4), &old_config).unwrap();
-        old.warm();
         let (revised, delta) = old
             .reprepare(
                 &old_program,
@@ -1965,7 +1849,6 @@ mod tests {
                 .unwrap();
         let config = config8();
         let old = Localizer::new(&old_program, "main", &Spec::ReturnEquals(4), &config).unwrap();
-        old.warm();
         let before = old.localize(&[3]).unwrap();
         assert!(before.stats.lines_pruned >= 1);
         let (revised, delta) = old
@@ -1978,7 +1861,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(delta, DeltaPrepare::Relabeled);
-        assert_eq!(revised.warm(), 0);
         let after = revised.localize(&[3]).unwrap();
         assert_eq!(after.stats.lines_pruned, before.stats.lines_pruned);
         let cold = Localizer::new(&new_program, "main", &Spec::ReturnEquals(4), &config).unwrap();

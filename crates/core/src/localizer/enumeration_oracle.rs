@@ -24,11 +24,10 @@ enum Exit {
 /// selectors as soft units) solved by [`MaxSatSolver::solve`] on a fresh SAT
 /// solver.
 fn localize_rebuilding(localizer: &Localizer, input: &[i64]) -> (Vec<Suspect>, Exit) {
-    let (prepared, _) = localizer.prepared_timed();
-    let selectors = &prepared.selectors;
-    let base = localizer.base_instance(prepared, input);
+    let selectors = &localizer.prepared.units;
+    let base = localizer.base_instance(input);
     let mut active: Vec<usize> = (0..selectors.len())
-        .filter(|&i| !selectors[i].trusted && !selectors[i].pruned)
+        .filter(|&i| localizer.roles[i] == Role::Soft)
         .collect();
     let mut blocking: Vec<Vec<Lit>> = Vec::new();
     let mut suspects = Vec::new();
@@ -142,19 +141,19 @@ fn a_per_rank_conflict_cap_above_every_rank_keeps_the_full_report() {
     let full = localizer.localize(&input).expect("localizes");
     assert!(full.complete);
     // Conflicts of every rank on the warm solver, replayed the way
-    // `localize_with` runs them.
-    let (prepared, _) = localizer.prepared_timed();
-    let mut base = localizer.base_instance(prepared, &input);
+    // `localize_budgeted` runs them.
+    let selectors = &localizer.prepared.units;
+    let mut base = localizer.base_instance(&input);
     let mut sat = Solver::from_formula(base.hard());
     let mut solver = MaxSatSolver::default();
-    let mut active: Vec<usize> = (0..prepared.selectors.len())
-        .filter(|&i| !prepared.selectors[i].trusted && !prepared.selectors[i].pruned)
+    let mut active: Vec<usize> = (0..selectors.len())
+        .filter(|&i| localizer.roles[i] == Role::Soft)
         .collect();
     let mut per_rank = Vec::new();
     for _ in &full.suspects {
         base.clear_soft();
         for &i in &active {
-            base.add_soft_unit(prepared.selectors[i].lit, prepared.selectors[i].weight);
+            base.add_soft_unit(selectors[i].lit, selectors[i].weight);
         }
         let solution = solver
             .solve_loaded(&mut sat, &base)
@@ -166,7 +165,7 @@ fn a_per_rank_conflict_cap_above_every_rank_keeps_the_full_report() {
             .iter()
             .map(|id| active[id.index()])
             .collect();
-        let blocking: Vec<Lit> = blamed.iter().map(|&i| prepared.selectors[i].lit).collect();
+        let blocking: Vec<Lit> = blamed.iter().map(|&i| selectors[i].lit).collect();
         sat.add_clause(blocking.iter().copied());
         base.add_hard(blocking);
         active.retain(|i| !blamed.contains(i));

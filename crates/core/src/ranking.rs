@@ -5,7 +5,7 @@
 //! often they are reported. This module aggregates [`LocalizationReport`]s
 //! into such a ranking.
 
-use crate::localizer::{LocalizationReport, LocalizeError, Localizer};
+use crate::localizer::LocalizationReport;
 use minic::ast::Line;
 use std::collections::BTreeMap;
 
@@ -80,8 +80,9 @@ impl RankedReport {
     }
 
     /// Aggregates per-test localization reports into the Sec. 4.3 frequency
-    /// ranking. This is the merge step shared by [`rank_localizations`]
-    /// (sequential) and [`Localizer::localize_batch`] (parallel).
+    /// ranking: the merge step of
+    /// [`Localizer::localize_batch`](crate::Localizer::localize_batch), and of any
+    /// caller that localizes its failing tests one by one.
     pub fn from_reports(per_test: Vec<LocalizationReport>) -> RankedReport {
         let mut counts: BTreeMap<Line, usize> = BTreeMap::new();
         for report in &per_test {
@@ -108,45 +109,10 @@ impl RankedReport {
     }
 }
 
-/// Localizes every failing input and ranks the blamed lines by frequency.
-///
-/// # Errors
-///
-/// Propagates the first [`LocalizeError`] encountered.
-///
-/// # Examples
-///
-/// ```
-/// use bugassist::{Localizer, LocalizerConfig, rank_localizations};
-/// use bmc::{EncodeConfig, Spec};
-/// use minic::{parse_program, ast::Line};
-///
-/// // The constant on line 2 should be 1; every failing test blames it.
-/// let program = parse_program("int main(int x) {\nint y = x + 2;\nreturn y;\n}").unwrap();
-/// let config = LocalizerConfig {
-///     encode: EncodeConfig { width: 8, ..EncodeConfig::default() },
-///     ..LocalizerConfig::default()
-/// };
-/// let localizer = Localizer::new(&program, "main", &Spec::ReturnEquals(4), &config).unwrap();
-/// let ranked = rank_localizations(&localizer, &[vec![5], vec![7], vec![9]]).unwrap();
-/// assert_eq!(ranked.ranking[0].count, 3);
-/// assert!(ranked.majority_lines().contains(&Line(2)));
-/// ```
-pub fn rank_localizations(
-    localizer: &Localizer,
-    failing_inputs: &[Vec<i64>],
-) -> Result<RankedReport, LocalizeError> {
-    let mut per_test = Vec::with_capacity(failing_inputs.len());
-    for input in failing_inputs {
-        per_test.push(localizer.localize(input)?);
-    }
-    Ok(RankedReport::from_reports(per_test))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::localizer::LocalizerConfig;
+    use crate::localizer::{Localizer, LocalizerConfig};
     use bmc::{EncodeConfig, Spec};
     use minic::parse_program;
 
@@ -194,7 +160,10 @@ mod tests {
         let localizer =
             Localizer::new(&program, "main", &Spec::ReturnEquals(4), &config8()).unwrap();
         // Only x = 3 should return 4; anything else is a failing test.
-        let ranked = rank_localizations(&localizer, &[vec![5], vec![6]]).unwrap();
+        let ranked = RankedReport::from_reports(vec![
+            localizer.localize(&[5]).unwrap(),
+            localizer.localize(&[6]).unwrap(),
+        ]);
         assert_eq!(ranked.per_test.len(), 2);
         assert!(ranked.max_count >= 1);
         assert!(!ranked.all_blamed_lines().is_empty());

@@ -249,6 +249,14 @@ impl CnfFormula {
     }
 }
 
+impl IntoIterator for CnfFormula {
+    type Item = Clause;
+    type IntoIter = std::vec::IntoIter<Clause>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.clauses.into_iter()
+    }
+}
+
 impl Extend<Clause> for CnfFormula {
     fn extend<T: IntoIterator<Item = Clause>>(&mut self, iter: T) {
         for c in iter {

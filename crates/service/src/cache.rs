@@ -5,7 +5,7 @@
 //! grouped CNF to build the selector-relaxed template formula. All of it is
 //! input-independent, so a long-lived daemon should pay it **once per
 //! distinct (program, options) pair**, not once per request. This cache
-//! stores fully *warmed* localizers behind `Arc`, keyed by the stable
+//! stores prepared localizers behind `Arc`, keyed by the stable
 //! content hash of [`crate::protocol::Job::cache_key`]: concurrent requests
 //! for the same program share one prepared instance and skip straight to
 //! MAX-SAT solving.
@@ -35,7 +35,7 @@
 //! Since the `revise` op landed, the cache stores **segment-level entries**
 //! ([`PreparedEntry`]) rather than bare localizers: each entry keeps the
 //! parsed AST and its per-function structural segments
-//! ([`minic::ProgramSegments`]) next to the warmed [`Localizer`], plus the
+//! ([`minic::ProgramSegments`]) next to the prepared [`Localizer`], plus the
 //! last report's per-rank costs. That is what makes an edited program's
 //! request cheap — the server diffs the new AST against the cached segments
 //! ([`minic::classify_edit`]) and reuses every segment the edit provably
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One cached preparation: the program's AST and diffable segments, the
-/// job parameters it was prepared under, the warmed localizer, and the
+/// job parameters it was prepared under, the localizer, and the
 /// reports served from it.
 #[derive(Debug)]
 pub struct PreparedEntry {
@@ -68,7 +68,7 @@ pub struct PreparedEntry {
     pub spec: JobSpec,
     /// Encoding/solver options the localizer was prepared with.
     pub options: JobOptions,
-    /// The warmed localizer itself.
+    /// The prepared localizer itself.
     pub localizer: Arc<Localizer>,
     /// Reports served from this entry, keyed by failing input. The solver
     /// is deterministic, so a repeat of (entry, input) reproduces the same
@@ -83,7 +83,7 @@ pub struct PreparedEntry {
 const REPORT_CACHE_CAP: usize = 32;
 
 impl PreparedEntry {
-    /// Packages a freshly built (and warmed) localizer with the job
+    /// Packages a freshly built localizer with the job
     /// parameters and the program's segmentation.
     pub fn new(program: Program, job: &Job, localizer: Arc<Localizer>) -> PreparedEntry {
         let segments = segment_program(&program);
@@ -164,7 +164,7 @@ struct Entry {
     slot: Slot,
 }
 
-/// A sharded least-recently-used cache of [`PreparedEntry`]s (warmed
+/// A sharded least-recently-used cache of [`PreparedEntry`]s (prepared
 /// localizers plus their diffable program segments) with single-flight
 /// builds.
 #[derive(Debug)]
@@ -511,7 +511,6 @@ mod tests {
         // it after the cache dropped its reference.
         let report = first.localizer.localize(&[7]).expect("still usable");
         assert!(!report.suspect_lines.is_empty());
-        assert_eq!(first.localizer.warm(), 0, "still warm");
         // Re-requesting the evicted key is a miss that builds a *fresh*
         // instance; the old Arc is not resurrected.
         let (rebuilt, hit) = cache.get_or_build(1, || build_localizer("x + 1"));

@@ -22,7 +22,7 @@
 //!   (or sheds) only that client, so overload turns into per-tenant TCP
 //!   backpressure instead of unbounded buffering;
 //! * [`cache`] — the sharded LRU [`cache::PreparedCache`] of
-//!   [`cache::PreparedEntry`]s (warmed [`bugassist::Localizer`]s plus the
+//!   [`cache::PreparedEntry`]s (prepared [`bugassist::Localizer`]s plus the
 //!   program's diffable AST segments and remembered reports) behind `Arc`,
 //!   shared lock-free by concurrent requests for the same program;
 //! * [`persist`] — the codec between [`cache::PreparedEntry`] and the

@@ -3,13 +3,13 @@
 //! `crates/store` moves opaque CRC-checked byte strings; this module owns
 //! what those bytes *mean* for the localization service: a complete
 //! [`PreparedEntry`] — the job's source text, entry, spec and options, the
-//! bit-blasted [`bmc::SymbolicTrace`] and the warm
-//! [`bugassist::PreparedTemplate`] (simplified CNF template, selector map,
-//! model reconstruction, analysis results). A decoded record rebuilds a
-//! warm-from-birth localizer without touching the encoder, the simplifier
-//! or the static analyses, which is the entire point: restore-on-boot pays
-//! the parse only (~100x cheaper than a cold build) and the first
-//! post-restart request solves immediately.
+//! [`bmc::SymbolicTrace`] without its grouped CNF (which the localizer
+//! consumed while preparing) and the [`bugassist::PreparedTemplate`]
+//! (simplified CNF template, selector map, model reconstruction, analysis
+//! results). A decoded record rebuilds a localizer without touching the
+//! encoder, the simplifier or the static analyses, which is the entire
+//! point: restore-on-boot pays the parse only (~100x cheaper than a cold
+//! build) and the first post-restart request solves immediately.
 //!
 //! Determinism note: [`encode_entry`] of a freshly built entry and of its
 //! own decoded image produce identical bytes (everything serialized is
@@ -38,11 +38,13 @@ use std::sync::Arc;
 /// version 6 dropped five option bytes: the base weight, the static prior,
 /// and the word-pass, simplify and static-prune switches; version 7 added
 /// the build's analysis results (pruned lines, lint-warning count, analysis
-/// milliseconds) to the template.
-pub const PAYLOAD_VERSION: u8 = 7;
+/// milliseconds) to the template; version 8 dropped the trace's grouped
+/// CNF, which only the template build reads.
+pub const PAYLOAD_VERSION: u8 = 8;
 
-/// Serializes a warm prepared entry into a store payload, or `None` when
-/// the entry's localizer was never warmed (nothing worth persisting).
+/// Serializes a prepared entry into a store payload. Always `Some`, since
+/// every localizer is born prepared; the `Option` stays because the
+/// repository benchmark (`perfbench/`) unwraps it.
 pub fn encode_entry(entry: &PreparedEntry) -> Option<Vec<u8>> {
     let template = entry.localizer.export_prepared()?;
     let mut w = ByteWriter::new();
@@ -96,7 +98,7 @@ fn decode_bool(r: &mut ByteReader<'_>, field: &str) -> Result<bool, DecodeError>
     }
 }
 
-/// Deserializes a store payload back into a warm prepared entry, returning
+/// Deserializes a store payload back into a prepared entry, returning
 /// it together with the cache key and options fingerprint re-derived from
 /// the decoded fields (for the caller to check against the record header).
 ///
@@ -185,31 +187,14 @@ mod tests {
         };
         let localizer =
             Localizer::new(&program, "main", &bmc_spec, &job.localizer_config()).unwrap();
-        localizer.warm();
         PreparedEntry::new(program, &job, Arc::new(localizer))
-    }
-
-    #[test]
-    fn cold_entry_has_nothing_to_encode() {
-        let source = "int main(int x) {\nint y = x + 2;\nreturn y;\n}";
-        let job = Job::new(source, "main", JobSpec::ReturnEquals(4), vec![vec![5]]);
-        let program = minic::parse_program(source).unwrap();
-        let localizer = Localizer::new(
-            &program,
-            "main",
-            &Spec::ReturnEquals(4),
-            &job.localizer_config(),
-        )
-        .unwrap();
-        let entry = PreparedEntry::new(program, &job, Arc::new(localizer));
-        assert!(encode_entry(&entry).is_none(), "never-warmed entry");
     }
 
     #[test]
     fn roundtrip_restores_a_warm_equivalent_entry() {
         let source = "int main(int x) {\nint y = x + 2;\nreturn y;\n}";
         let entry = warm_entry(source, JobSpec::ReturnEquals(4));
-        let payload = encode_entry(&entry).expect("warm entry encodes");
+        let payload = encode_entry(&entry).expect("every entry encodes");
         let (key, fingerprint, restored) = decode_entry(&payload).expect("decodes");
 
         // Key and fingerprint match what the original job would compute.
@@ -217,9 +202,7 @@ mod tests {
         assert_eq!(key, job.cache_key(&entry.program));
         assert_eq!(fingerprint, job.options_fingerprint());
 
-        // The restored localizer is warm (no preparation on first use) and
-        // produces a byte-identical canonical report.
-        assert_eq!(restored.localizer.warm(), 0, "restored warm-from-birth");
+        // The restored localizer produces a byte-identical canonical report.
         let fresh = entry.localizer.localize(&[5]).unwrap();
         let back = restored.localizer.localize(&[5]).unwrap();
         let canonical = |r: &bugassist::LocalizationReport| {
@@ -295,8 +278,8 @@ mod tests {
         let mut garbled = payload.clone();
         garbled[0] = 99; // unknown payload version
         assert!(decode_entry(&garbled).is_err());
-        // A record of the previous layout, which lacked the analysis
-        // results, is a miss rather than a misread.
+        // A record of the previous layout, which carried the trace's
+        // grouped CNF, is a miss rather than a misread.
         let mut previous = payload.clone();
         previous[0] = PAYLOAD_VERSION - 1;
         assert!(decode_entry(&previous).is_err());

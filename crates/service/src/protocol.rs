@@ -39,7 +39,7 @@
 //!            "suspect_lines":[2,3],
 //!            "stats":{"maxsat_calls":2,"sat_calls":4,"cores":2,"soft_clauses":2,
 //!                     "hard_clauses":20,"variables":46,"elapsed_ms":0,
-//!                     "prepare_ms":0,"reduce_dbs":0,"arena_bytes":336},
+//!                     "reduce_dbs":0,"arena_bytes":336},
 //!            "complete":true}}
 //! ```
 //!
@@ -77,6 +77,7 @@ use bugassist::{
 };
 use minic::{ast::Line, StableHasher};
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Default blame granularity / solver knobs for jobs that omit them.
 pub const DEFAULT_MAX_SUSPECT_SETS: usize = 16;
@@ -432,14 +433,29 @@ fn parse_usize(value: &Json, field: &str) -> Result<usize, ProtocolError> {
         .ok_or_else(|| bad(format!("{field} must be a non-negative integer")))
 }
 
+/// A non-negative integer in `range`, named by `field` in the error.
+fn parse_in(
+    value: &Json,
+    field: &str,
+    range: RangeInclusive<usize>,
+) -> Result<usize, ProtocolError> {
+    let v = parse_usize(value, field)?;
+    if !range.contains(&v) {
+        let (lo, hi) = range.into_inner();
+        return Err(bad(format!("{field} must be in {lo}..={hi}")));
+    }
+    Ok(v)
+}
+
 /// The encoding width both `localize`-style jobs and `analyze` accept.
 fn parse_width(value: &Json) -> Result<usize, ProtocolError> {
-    let width = parse_usize(value, "width")?;
-    if !(2..=64).contains(&width) {
-        return Err(bad("width must be in 2..=64"));
-    }
-    Ok(width)
+    parse_in(value, "width", 2..=64)
 }
+
+/// The largest `unwind` and `max_inline_depth` a job may ask for. The
+/// encoding grows with each (about linearly for one loop, multiplied by
+/// nesting), so the bound keeps one request from exhausting the host.
+const MAX_UNROLL: usize = 64;
 
 fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
     let program = value
@@ -475,10 +491,10 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
         options.width = parse_width(v)?;
     }
     if let Some(v) = value.get("unwind") {
-        options.unwind = parse_usize(v, "unwind")?;
+        options.unwind = parse_in(v, "unwind", 0..=MAX_UNROLL)?;
     }
     if let Some(v) = value.get("max_inline_depth") {
-        options.max_inline_depth = parse_usize(v, "max_inline_depth")?;
+        options.max_inline_depth = parse_in(v, "max_inline_depth", 0..=MAX_UNROLL)?;
     }
     if let Some(v) = value.get("granularity") {
         options.granularity = match v.as_str() {
@@ -664,7 +680,6 @@ pub(crate) fn stats_to_json(stats: &LocalizerStats) -> Json {
         ("hard_clauses", Json::from(stats.hard_clauses)),
         ("variables", Json::from(stats.variables)),
         ("elapsed_ms", Json::from(stats.elapsed_ms)),
-        ("prepare_ms", Json::from(stats.prepare_ms)),
         ("reduce_dbs", Json::from(stats.reduce_dbs)),
         ("arena_bytes", Json::from(stats.arena_bytes)),
         (
@@ -737,8 +752,8 @@ pub fn ranked_to_json(ranked: &RankedReport) -> Json {
 }
 
 /// Rewrites a report/ranked JSON tree with every timing field (`elapsed_ms`,
-/// `prepare_ms`, `simplify_ms`, `prune_ms`) zeroed, leaving all semantic
-/// content intact. Serializing
+/// `simplify_ms`, `prune_ms`) zeroed, leaving all semantic content intact.
+/// Serializing
 /// the result gives a *canonical* byte string: two runs of the same job —
 /// through the daemon or directly through [`bugassist::Localizer`] — must
 /// produce identical canonical bytes, which is exactly what the service
@@ -749,11 +764,7 @@ pub fn canonicalize(value: &Json) -> Json {
             pairs
                 .iter()
                 .map(|(k, v)| {
-                    if k == "elapsed_ms"
-                        || k == "prepare_ms"
-                        || k == "simplify_ms"
-                        || k == "prune_ms"
-                    {
+                    if k == "elapsed_ms" || k == "simplify_ms" || k == "prune_ms" {
                         (k.clone(), Json::Int(0))
                     } else {
                         (k.clone(), canonicalize(v))
@@ -860,9 +871,10 @@ mod tests {
         ] {
             assert!(parse_request(line).is_err(), "should reject: {line}");
         }
-        // A retired answer-changing knob at any other value, and a width
-        // the encoder cannot represent, are bad requests naming the valid
-        // value.
+        // A retired answer-changing knob at any other value, a width the
+        // encoder cannot represent, and an unrolling bound large enough
+        // for one request to exhaust the host are bad requests naming the
+        // valid values.
         for (field, message) in [
             (r#""strategy":"portfolio""#, "strategy must be fu_malik"),
             (
@@ -876,6 +888,16 @@ mod tests {
             (r#""width":0"#, "width must be in 2..=64"),
             (r#""width":1"#, "width must be in 2..=64"),
             (r#""width":65"#, "width must be in 2..=64"),
+            (r#""unwind":65"#, "unwind must be in 0..=64"),
+            (r#""unwind":8000"#, "unwind must be in 0..=64"),
+            (
+                r#""max_inline_depth":65"#,
+                "max_inline_depth must be in 0..=64",
+            ),
+            (
+                r#""max_inline_depth":-1"#,
+                "max_inline_depth must be a non-negative integer",
+            ),
         ] {
             let line = format!(
                 r#"{{"op":"localize","program":"p","entry":"main","spec":"assertions","inputs":[[1]],{field}}}"#
@@ -886,6 +908,12 @@ mod tests {
                 "{field}"
             );
         }
+        // The bounds themselves are accepted.
+        let line = r#"{"op":"localize","program":"p","entry":"main","spec":"assertions","inputs":[[1]],"unwind":64,"max_inline_depth":0}"#;
+        let Request::Localize(job) = parse_request(line).expect("bounds accepted").request else {
+            panic!("wrong op");
+        };
+        assert_eq!((job.options.unwind, job.options.max_inline_depth), (64, 0));
         // analyze checks its width the same way, so a width that localize
         // rejects cannot switch the truncation lint off.
         for width in [0, 1, 65] {
@@ -997,13 +1025,13 @@ mod tests {
     #[test]
     fn canonicalize_zeroes_only_timing() {
         let value = Json::parse(
-            r#"{"stats":{"elapsed_ms":12,"prepare_ms":3,"prune_ms":7,"maxsat_calls":2,"lines_pruned":4},"nested":[{"prepare_ms":9}]}"#,
+            r#"{"stats":{"elapsed_ms":12,"simplify_ms":3,"prune_ms":7,"maxsat_calls":2,"lines_pruned":4},"nested":[{"elapsed_ms":9}]}"#,
         )
         .unwrap();
         let canonical = canonicalize(&value);
         assert_eq!(
             canonical.to_string(),
-            r#"{"stats":{"elapsed_ms":0,"prepare_ms":0,"prune_ms":0,"maxsat_calls":2,"lines_pruned":4},"nested":[{"prepare_ms":0}]}"#
+            r#"{"stats":{"elapsed_ms":0,"simplify_ms":0,"prune_ms":0,"maxsat_calls":2,"lines_pruned":4},"nested":[{"elapsed_ms":0}]}"#
         );
     }
 

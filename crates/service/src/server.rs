@@ -8,7 +8,7 @@
 //!                               JobQueue (bounded, Mutex+Condvar)  ◀─ backpressure
 //!                                     ▼
 //!                               worker pool (N threads)
-//!                                     │ PreparedCache lookup / build+warm
+//!                                     │ PreparedCache lookup / build
 //!                                     │   (revise: diff vs cached segments,
 //!                                     │    relabel-reuse or rebuild)
 //!                                     │ Localizer::localize / localize_batch
@@ -439,7 +439,7 @@ impl ServerState {
         .to_string()
     }
 
-    /// The cold build: check and encode ([`Localizer::new`]), warm,
+    /// The cold build: check, encode and prepare ([`Localizer::new`]),
     /// package as a cache entry. The check belongs to the build, not the
     /// hot path: a cache hit means a structurally identical AST already
     /// checked clean.
@@ -454,9 +454,6 @@ impl ServerState {
             &job.localizer_config(),
         )
         .map_err(Self::build_error)?;
-        // Pay bit-blast *and* formula preparation before publishing, so
-        // cached instances are warm for every future input.
-        localizer.warm();
         Ok(PreparedEntry::new(
             program.clone(),
             job,
@@ -630,10 +627,6 @@ impl ServerState {
                             if reused {
                                 remapped = Self::remap_candidate(prev, job, &class, &localizer);
                             }
-                            // Relabeled localizers are born warm; rebuilt
-                            // ones pay preparation here, exactly like the
-                            // cold path.
-                            localizer.warm();
                             Ok(PreparedEntry::with_segments(
                                 program.clone(),
                                 new_segments,
@@ -768,7 +761,6 @@ impl ServerState {
                         merged.reduce_dbs += report.stats.reduce_dbs;
                         merged.arena_bytes = merged.arena_bytes.max(report.stats.arena_bytes);
                         merged.elapsed_ms += report.stats.elapsed_ms;
-                        merged.prepare_ms += report.stats.prepare_ms;
                     }
                     self.counters.add(Own::BatchRequests, 1);
                     ("ranked", ranked_to_json(&ranked), merged)

@@ -79,14 +79,13 @@ fn random_prepared_templates_roundtrip_byte_identically() {
         let localizer =
             bugassist::Localizer::new(&program, "main", &job.bmc_spec(), &job.localizer_config())
                 .expect("generated program encodes");
-        localizer.warm();
         let entry = PreparedEntry::new(program, &job, Arc::new(localizer));
 
         let context = format!(
             "case {case}: width={width} granularity={granularity:?} \
              loop_weighting={loop_weighting}\n{source}"
         );
-        let payload = encode_entry(&entry).expect("warm entry encodes");
+        let payload = encode_entry(&entry).expect("every entry encodes");
         let (key, fingerprint, restored) =
             decode_entry(&payload).unwrap_or_else(|e| panic!("{context}\ndecode: {e}"));
         assert_eq!(key, job.cache_key(&entry.program), "{context}");
@@ -96,7 +95,6 @@ fn random_prepared_templates_roundtrip_byte_identically() {
             payload,
             "re-encode must be byte-identical: {context}"
         );
-        assert_eq!(restored.localizer.warm(), 0, "restored warm-from-birth");
 
         let fresh = entry.localizer.localize(&[input]).expect("fresh localize");
         let back = restored

@@ -129,6 +129,57 @@ fn restart_recovers_warm_entries_byte_identically() {
 }
 
 #[test]
+fn revise_against_a_restored_entry_relabels_it() {
+    let dir = TempDir::new("revise-restored");
+    let base = minic_job(2);
+
+    // First lifetime: build the base program and write it through.
+    let server = Server::start(store_config(&dir)).expect("first daemon");
+    let key = {
+        let mut client = Client::connect(server.local_addr()).expect("connects");
+        let out = client.localize(base.clone()).expect("localizes");
+        assert_eq!(out.tier, "built");
+        wait_for_writes(&mut client, 1);
+        out.key
+    };
+    server.shutdown();
+
+    // Second lifetime: the base entry comes back from the store, with no
+    // trace CNF and no remembered report. A blank line inside main is a
+    // pure line shift, so the revise relabels the restored template and
+    // solves it.
+    let mut shifted = base.clone();
+    shifted.program = base
+        .program
+        .replace("int main(int x) {\n", "int main(int x) {\n\n");
+    let server = Server::start(store_config(&dir)).expect("second daemon");
+    let revised = {
+        let mut client = Client::connect(server.local_addr()).expect("reconnects");
+        let stats = client.stats().expect("stats");
+        assert_eq!(store_stat(&stats, "restored_entries"), 1, "{stats}");
+        client.revise(shifted.clone(), key).expect("revises")
+    };
+    server.shutdown();
+    assert_eq!(revised.delta, "line_shift");
+    assert!(revised.reused, "a line shift reuses the restored entry");
+    assert!(revised.solved, "a restored entry remembers no report");
+
+    // Byte-identical to a cold build of the edited program.
+    let cold_server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("cold daemon");
+    let cold = Client::connect(cold_server.local_addr())
+        .expect("connects")
+        .localize(shifted)
+        .expect("cold localize");
+    cold_server.shutdown();
+    assert_eq!(cold.tier, "built");
+    assert_eq!(canonical(&revised.outcome.body), canonical(&cold.body));
+}
+
+#[test]
 fn evicted_entry_is_served_from_the_store_tier() {
     let dir = TempDir::new("evict");
     let config = ServiceConfig {
@@ -253,8 +304,8 @@ fn corrupt_records_degrade_to_clean_boot_misses() {
     server.shutdown();
 }
 
-/// A record of an older payload layout (version 6 lacked the analysis
-/// results) is counted and rebuilt, never misread.
+/// A record of an older payload layout (version 7 carried the trace's
+/// grouped CNF) is counted and rebuilt, never misread.
 #[test]
 fn previous_payload_version_is_a_counted_miss() {
     let dir = TempDir::new("payload-version");
@@ -271,7 +322,7 @@ fn previous_payload_version_is_a_counted_miss() {
     let raw = store::Store::open(dir.path()).expect("store opens");
     let mut payload = raw.load(key, fingerprint).expect("record written");
     assert_eq!(payload[0], service::persist::PAYLOAD_VERSION);
-    payload[0] = 6;
+    payload[0] = service::persist::PAYLOAD_VERSION - 1;
     raw.save(key, fingerprint, &payload).expect("saves");
     drop(raw);
 

@@ -562,7 +562,6 @@ fn health_stats_and_error_paths() {
     for field in [
         "reduce_dbs",
         "arena_bytes",
-        "prepare_ms",
         "elapsed_ms",
         "vars_eliminated",
         "clauses_subsumed",
@@ -573,6 +572,7 @@ fn health_stats_and_error_paths() {
             "last_job must carry {field}"
         );
     }
+    assert!(last_job.get("prepare_ms").is_none(), "{last_job}");
     let solver = stats.get("solver").expect("solver totals");
     assert!(
         solver

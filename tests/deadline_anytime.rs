@@ -58,9 +58,8 @@ fn tcas_mid_solve_deadline_yields_a_proven_prefix_or_exact() {
     )
     .expect("TCAS encodes");
 
-    // Prepare the formula up front so both runs below are solve-only and
-    // the deadline lands inside the enumeration, not the bit-blast.
-    localizer.warm();
+    // `new` prepared the formula, so both runs below are solve-only and the
+    // deadline lands inside the enumeration, not the bit-blast.
     let started = Instant::now();
     let exact = localizer.localize(&input).expect("exact run");
     let exact_wall = started.elapsed();

@@ -85,9 +85,14 @@ fn tcas_reports_identical_with_and_without_simplification() {
 fn tcas_encode_folds_gates_under_both_specs() {
     let (faulty, _, golden) = tcas_failing_case();
     for spec in [Spec::ReturnEquals(golden), Spec::Assertions] {
-        let localizer = Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &tcas_config(true))
-            .expect("TCAS encodes");
-        let trace = localizer.trace();
+        // Encoded directly: a localizer consumes its trace's grouped CNF.
+        let trace = bmc::encode_program(
+            &faulty,
+            siemens::TCAS_ENTRY,
+            &spec,
+            &tcas_config(true).encode,
+        )
+        .expect("TCAS encodes");
         assert!(
             trace.stats.gates_folded > 0,
             "encoder folded no gates on TCAS under {spec:?}"
@@ -286,7 +291,6 @@ fn pinned_simplify(
         },
     )
     .expect("encodes");
-    raw.warm();
     let template = raw.export_prepared().expect("warm");
     let mut frozen: Vec<sat::Var> = template.selector_lits().map(|l| l.var()).collect();
     for (_, bits) in &raw.trace().inputs {
