@@ -810,11 +810,21 @@ impl Localizer {
     ) -> Result<(Localizer, DeltaPrepare), LocalizeError> {
         let class = classify_edit(&segment_program(old_program), &segment_program(new_program));
         self.reprepare_classified(&class, new_program, entry, spec, config)
+            .map(|(localizer, delta, _)| (localizer, delta))
     }
 
     /// [`Localizer::reprepare`] with a pre-computed edit classification
     /// (callers that cache [`minic::delta::ProgramSegments`] — the service
     /// does — skip re-segmenting the old program).
+    ///
+    /// The third element says whether a report of this localizer may be
+    /// replayed for the new one instead of solving again: on the relabel
+    /// paths, exactly when every selector keeps its role (soft, trusted or
+    /// pruned). The MAX-SAT instance is then identical and only the line
+    /// labels differ, so the answer is the line map to replay through
+    /// ([`Localizer::remap_report`]). A trusted line that now lands on a
+    /// statement (or leaves one) changes a role, and so does a trusted line
+    /// that lands on a pruned statement: that one changes `lines_pruned`.
     pub fn reprepare_classified(
         &self,
         class: &EditClass,
@@ -822,44 +832,39 @@ impl Localizer {
         entry: &str,
         spec: &Spec,
         config: &LocalizerConfig,
-    ) -> Result<(Localizer, DeltaPrepare), LocalizeError> {
+    ) -> Result<(Localizer, DeltaPrepare, Option<LineMap>), LocalizeError> {
+        let cold = || Localizer::new(new_program, entry, spec, config);
         if !self.options_reusable(entry, spec, config) {
-            let rebuilt = Localizer::new(new_program, entry, spec, config)?;
-            return Ok((rebuilt, DeltaPrepare::RebuiltConfig));
+            return Ok((cold()?, DeltaPrepare::RebuiltConfig, None));
         }
-        match class {
-            // Same structure as this localizer's checked program: the
-            // check's verdict and warning count carry over.
-            EditClass::Identical => Ok((
-                self.relabel(&LineMap::default(), new_program, config),
-                DeltaPrepare::Relabeled,
-            )),
-            EditClass::LineShift(map) => Ok((
-                self.relabel(map, new_program, config),
-                DeltaPrepare::Relabeled,
-            )),
+        let identity = LineMap::default();
+        // Same structure as this localizer's checked program: the check's
+        // verdict and warning count carry over, except for a dead function,
+        // whose body still answers to the program check.
+        let (map, delta, lint_warnings) = match class {
+            EditClass::Identical => (&identity, DeltaPrepare::Relabeled, None),
+            EditClass::LineShift(map) => (map, DeltaPrepare::Relabeled, None),
             EditClass::LocalToFunction {
                 function, line_map, ..
             } => {
                 if reachable_functions(new_program, entry).contains(function) {
-                    let rebuilt = Localizer::new(new_program, entry, spec, config)?;
-                    Ok((rebuilt, DeltaPrepare::RebuiltFunction(function.clone())))
-                } else {
-                    // The changed function contributes no clause to a trace
-                    // rooted at `entry`; every group line belongs to an
-                    // unchanged function and is covered by the map. Its
-                    // body still answers to the program check.
-                    let lint_warnings = lint_gate(new_program, config.encode.width)?;
-                    let mut relabeled = self.relabel(line_map, new_program, config);
-                    relabeled.prepared.lint_warnings = lint_warnings;
-                    Ok((relabeled, DeltaPrepare::DeadFunction))
+                    let delta = DeltaPrepare::RebuiltFunction(function.clone());
+                    return Ok((cold()?, delta, None));
                 }
+                // The changed function contributes no clause to a trace
+                // rooted at `entry`; every group line belongs to an
+                // unchanged function and is covered by the map.
+                let warnings = lint_gate(new_program, config.encode.width)?;
+                (line_map, DeltaPrepare::DeadFunction, Some(warnings))
             }
-            EditClass::Global => {
-                let rebuilt = Localizer::new(new_program, entry, spec, config)?;
-                Ok((rebuilt, DeltaPrepare::RebuiltGlobal))
-            }
+            EditClass::Global => return Ok((cold()?, DeltaPrepare::RebuiltGlobal, None)),
+        };
+        let mut relabeled = self.relabel(map, new_program, config);
+        if let Some(warnings) = lint_warnings {
+            relabeled.prepared.lint_warnings = warnings;
         }
+        let replay = (relabeled.roles == self.roles).then(|| map.clone());
+        Ok((relabeled, delta, replay))
     }
 
     /// The reuse path: clone the trace and the prepared template with every
@@ -896,16 +901,16 @@ impl Localizer {
     /// monotonic) line map, this program's lint-warning count, all other
     /// content verbatim.
     ///
-    /// This is the solve-skipping half of delta localization: when an edit
-    /// is a pure line shift (or is confined to dead code), the post-edit
-    /// MAX-SAT instance is *identical* to the pre-edit one — only the blame
-    /// labels differ — and the solver is deterministic, so re-running it
-    /// must reproduce the report with shifted lines. Remapping the old
-    /// report is therefore byte-equivalent to a full re-localization of the
-    /// edited program (the timing stats are carried over; consumers that
-    /// compare reports canonicalize timings anyway). Monotonicity keeps
-    /// `suspect_lines` sorted and injectivity keeps it deduplicated, so
-    /// every invariant of a freshly built report holds.
+    /// This is the solve-skipping half of delta localization: when
+    /// [`Localizer::reprepare_classified`] answers with a replay map, the
+    /// post-edit MAX-SAT instance is *identical* to the pre-edit one — only
+    /// the blame labels differ — and the solver is deterministic, so
+    /// remapping the old report through that map is byte-equivalent to a
+    /// full re-localization of the edited program (the timing stats are
+    /// carried over; consumers that compare reports canonicalize timings
+    /// anyway). Monotonicity keeps `suspect_lines` sorted and injectivity
+    /// keeps it deduplicated, so every invariant of a freshly built report
+    /// holds.
     pub fn remap_report(&self, report: &LocalizationReport, map: &LineMap) -> LocalizationReport {
         let remap = |lines: &[Line]| lines.iter().map(|&l| map.remap(l)).collect();
         LocalizationReport {
@@ -1867,6 +1872,107 @@ mod tests {
         let expected = cold.localize(&[3]).unwrap();
         assert_eq!(after.suspects, expected.suspects);
         assert_eq!(after.stats.lines_pruned, expected.stats.lines_pruned);
+    }
+
+    /// A line-shift revision of `old` (built from `old_src`, trusting
+    /// `old_trusted`) to `new_src` trusting `new_trusted`: the relabeled
+    /// localizer and the core's replay answer, plus `old`'s report.
+    fn line_shift_replay(
+        old_src: &str,
+        old_trusted: &[u32],
+        new_src: &str,
+        new_trusted: &[u32],
+    ) -> (LocalizationReport, Localizer, Option<LineMap>) {
+        let spec = Spec::ReturnEquals(4);
+        let trusting = |lines: &[u32]| LocalizerConfig {
+            trusted_lines: lines.iter().map(|&l| Line(l)).collect(),
+            ..config8()
+        };
+        let (old_program, new_program) = (
+            parse_program(old_src).unwrap(),
+            parse_program(new_src).unwrap(),
+        );
+        let old = Localizer::new(&old_program, "main", &spec, &trusting(old_trusted)).unwrap();
+        let class = classify_edit(
+            &segment_program(&old_program),
+            &segment_program(&new_program),
+        );
+        let (revised, delta, replay) = old
+            .reprepare_classified(&class, &new_program, "main", &spec, &trusting(new_trusted))
+            .unwrap();
+        assert_eq!(delta, DeltaPrepare::Relabeled);
+        (old.localize(&[3]).unwrap(), revised, replay)
+    }
+
+    /// A report with its wall-clock fields zeroed.
+    fn untimed(report: LocalizationReport) -> LocalizationReport {
+        LocalizationReport {
+            stats: LocalizerStats {
+                elapsed_ms: 0,
+                simplify_ms: 0,
+                prune_ms: 0,
+                ..report.stats
+            },
+            ..report
+        }
+    }
+
+    #[test]
+    fn consistently_remapped_trusted_lines_replay_the_pre_edit_report() {
+        // A blank line on top shifts every statement down by one; the
+        // trusted line moves with its statement.
+        let new_src = "\nint main(int x) {\nint y = x + 2;\nint z = y + 0;\nreturn z;\n}";
+        let (before, revised, replay) = line_shift_replay(
+            "int main(int x) {\nint y = x + 2;\nint z = y + 0;\nreturn z;\n}",
+            &[3],
+            new_src,
+            &[4],
+        );
+        let map = replay.expect("every selector keeps its role");
+        let replayed = revised.remap_report(&before, &map);
+        assert!(!replayed.blames_line(Line(4)), "{replayed:?}");
+        let config = LocalizerConfig {
+            trusted_lines: vec![Line(4)],
+            ..config8()
+        };
+        let cold = Localizer::new(
+            &parse_program(new_src).unwrap(),
+            "main",
+            &Spec::ReturnEquals(4),
+            &config,
+        )
+        .unwrap();
+        assert_eq!(untimed(replayed), untimed(cold.localize(&[3]).unwrap()));
+    }
+
+    #[test]
+    fn a_trusted_line_landing_on_a_shifted_statement_refuses_replay() {
+        // Trusted line 3 is blank pre-edit; deleting the blank moves the
+        // statement from line 4 onto it, hardening a soft selector.
+        let (before, revised, replay) = line_shift_replay(
+            "int main(int x) {\nint y = x + 2;\n\nint z = y + 0;\nreturn z;\n}",
+            &[3],
+            "int main(int x) {\nint y = x + 2;\nint z = y + 0;\nreturn z;\n}",
+            &[3],
+        );
+        assert!(replay.is_none());
+        assert!(before.blames_line(Line(4)), "{before:?}");
+        assert!(!revised.localize(&[3]).unwrap().blames_line(Line(3)));
+    }
+
+    #[test]
+    fn a_trusted_line_landing_on_a_pruned_statement_refuses_replay() {
+        // The junk statement is pruned pre-edit; deleting the blank moves it
+        // onto trusted line 3, so it counts as trusted, not pruned.
+        let (before, revised, replay) = line_shift_replay(
+            "int main(int x) {\nint y = x + 2;\n\nint junk = x * 3;\nreturn y;\n}",
+            &[3],
+            "int main(int x) {\nint y = x + 2;\nint junk = x * 3;\nreturn y;\n}",
+            &[3],
+        );
+        assert!(replay.is_none());
+        let after = revised.localize(&[3]).unwrap();
+        assert_eq!(after.stats.lines_pruned + 1, before.stats.lines_pruned);
     }
 
     #[test]

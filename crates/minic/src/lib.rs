@@ -65,6 +65,6 @@ pub use mutate::{
     apply_mutation, constant_sites, lines_with_constants, operator_sites, ConstantSite, Mutation,
     MutationError, OperatorSite,
 };
-pub use parser::{parse_expr, parse_program, ParseError};
+pub use parser::{parse_expr, parse_program, ParseError, MAX_NESTING};
 pub use pretty::{pretty_expr, pretty_function, pretty_program, pretty_stmt};
 pub use typecheck::{check_program, TypeError};

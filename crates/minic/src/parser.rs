@@ -21,6 +21,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting [`parse_program`] and [`parse_expr`] accept,
+/// counting parentheses, operands, unary operators, ternary branches and
+/// the statements of `if`/`while` bodies. The parser recurses once per
+/// level and so do the passes downstream (type check, lint, encoding), so
+/// deeper input is a parse error instead of a stack overflow. A program at
+/// the limit still localizes on a thread with the default 2 MiB stack.
+pub const MAX_NESTING: usize = 64;
+
 impl From<LexError> for ParseError {
     fn from(err: LexError) -> ParseError {
         ParseError {
@@ -52,7 +60,11 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse_program(source: &str) -> Result<Program, ParseError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     parser.program()
 }
 
@@ -63,7 +75,11 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
 /// Returns [`ParseError`] if the text is not a single valid expression.
 pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let expr = parser.expr()?;
     parser.expect_eof()?;
     Ok(expr)
@@ -72,6 +88,8 @@ pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at `pos` (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -138,6 +156,21 @@ impl Parser {
         } else {
             self.error(format!("expected end of input, found {:?}", self.peek()))
         }
+    }
+
+    /// Runs `parse` one nesting level down, refusing to nest deeper than
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.error(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
     }
 
     fn eat_symbol(&mut self, symbol: Symbol) -> bool {
@@ -260,11 +293,13 @@ impl Parser {
     }
 
     fn block_or_single(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        if self.peek() == &TokenKind::Symbol(Symbol::LBrace) {
-            self.block()
-        } else {
-            Ok(vec![self.statement()?])
-        }
+        self.nested(|p| {
+            if p.peek() == &TokenKind::Symbol(Symbol::LBrace) {
+                p.block()
+            } else {
+                Ok(vec![p.statement()?])
+            }
+        })
     }
 
     fn statement(&mut self) -> Result<Stmt, ParseError> {
@@ -379,7 +414,7 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
+        self.nested(Parser::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
@@ -387,7 +422,7 @@ impl Parser {
         if self.eat_symbol(Symbol::Question) {
             let then_val = self.expr()?;
             self.expect_symbol(Symbol::Colon)?;
-            let else_val = self.ternary()?;
+            let else_val = self.nested(Parser::ternary)?;
             Ok(Expr::Cond(
                 Box::new(cond),
                 Box::new(then_val),
@@ -404,6 +439,8 @@ impl Parser {
         next: fn(&mut Parser) -> Result<Expr, ParseError>,
     ) -> Result<Expr, ParseError> {
         let mut lhs = next(self)?;
+        // Each operator puts the chain's first operand one level deeper.
+        let depth = self.depth;
         loop {
             let mut matched = None;
             for &(sym, op) in ops {
@@ -415,10 +452,14 @@ impl Parser {
             }
             match matched {
                 Some(op) => {
-                    let rhs = next(self)?;
+                    let rhs = self.nested(next)?;
                     lhs = Expr::binary(op, lhs, rhs);
+                    self.depth += 1;
                 }
-                None => return Ok(lhs),
+                None => {
+                    self.depth = depth;
+                    return Ok(lhs);
+                }
             }
         }
     }
@@ -489,11 +530,11 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat_symbol(Symbol::Minus) {
-            Ok(Expr::unary(UnOp::Neg, self.unary()?))
+            Ok(Expr::unary(UnOp::Neg, self.nested(Parser::unary)?))
         } else if self.eat_symbol(Symbol::Not) {
-            Ok(Expr::unary(UnOp::Not, self.unary()?))
+            Ok(Expr::unary(UnOp::Not, self.nested(Parser::unary)?))
         } else if self.eat_symbol(Symbol::Tilde) {
-            Ok(Expr::unary(UnOp::BitNot, self.unary()?))
+            Ok(Expr::unary(UnOp::BitNot, self.nested(Parser::unary)?))
         } else {
             self.primary()
         }
@@ -695,6 +736,38 @@ mod tests {
         assert!(parse_program("int main( { }").is_err());
         assert!(parse_expr("1 +").is_err());
         assert!(parse_expr("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_nesting() {
+        // Each shape nests `depth` levels below the one `parse_expr` opens.
+        let shapes: [fn(usize) -> String; 5] = [
+            |depth| "(".repeat(depth) + "x" + &")".repeat(depth),
+            |depth| "f(".repeat(depth) + "x" + &")".repeat(depth),
+            |depth| "-".repeat(depth) + "x",
+            |depth| "x".to_string() + &" + x".repeat(depth),
+            |depth| "x ? x : ".repeat(depth) + "x",
+        ];
+        for shape in shapes {
+            let at_limit = shape(MAX_NESTING - 1);
+            assert!(parse_expr(&at_limit).is_ok(), "{at_limit}");
+            for depth in [MAX_NESTING, 1_000, 20_000] {
+                let err = parse_expr(&shape(depth)).unwrap_err();
+                assert!(err.message.contains("nesting deeper than 64"), "{err}");
+            }
+        }
+        // Statement bodies nest too: the body of the k-th `if` and the
+        // operands of its condition sit k levels down.
+        let ifs = |depth: usize| {
+            format!(
+                "int main(int x) {{\n{}x = 1;\n{}return x;\n}}",
+                "if (x > 0) {\n".repeat(depth),
+                "}\n".repeat(depth)
+            )
+        };
+        assert!(parse_program(&ifs(MAX_NESTING - 1)).is_ok());
+        let err = parse_program(&ifs(MAX_NESTING)).unwrap_err();
+        assert_eq!(err.line, Line(MAX_NESTING as u32 + 1), "the last `if`");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The sharded LRU cache of prepared localizers — the heart of the service.
 //!
 //! Building a [`Localizer`] is the expensive part of serving a request:
-//! parse → typecheck → unroll/inline → bit-blast, then one pass over the
-//! grouped CNF to build the selector-relaxed template formula. All of it is
-//! input-independent, so a long-lived daemon should pay it **once per
+//! lint (which includes the type check), encode (unroll/inline, word IR,
+//! bit-blast) and simplify the selector-relaxed template formula. All of it
+//! is input-independent, so a long-lived daemon should pay it **once per
 //! distinct (program, options) pair**, not once per request. This cache
 //! stores prepared localizers behind `Arc`, keyed by the stable
 //! content hash of [`crate::protocol::Job::cache_key`]: concurrent requests
@@ -28,18 +28,20 @@
 //!   bit-blast, and the shard lock is **not** held while building, so other
 //!   keys in the shard stay unaffected.
 //!
-//! Failed builds (parse/type/encode errors) are *not* negatively cached:
-//! the pending slot is removed so the error doesn't occupy capacity, and
-//! every waiter receives a clone of the error.
+//! Failed builds (type/lint/encode errors, or a panic) are *not*
+//! negatively cached: the pending slot is removed so the error doesn't
+//! occupy capacity, and every waiter receives a clone of the typed
+//! [`BuildError`].
 //!
 //! Since the `revise` op landed, the cache stores **segment-level entries**
 //! ([`PreparedEntry`]) rather than bare localizers: each entry keeps the
 //! parsed AST and its per-function structural segments
-//! ([`minic::ProgramSegments`]) next to the prepared [`Localizer`], plus the
-//! last report's per-rank costs. That is what makes an edited program's
-//! request cheap — the server diffs the new AST against the cached segments
-//! ([`minic::classify_edit`]) and reuses every segment the edit provably
-//! left alone, instead of treating the entry as an all-or-nothing blob.
+//! ([`minic::ProgramSegments`]) next to the prepared [`Localizer`], plus up
+//! to 32 remembered reports, keyed by failing input. That is what makes an
+//! edited program's request cheap — the server diffs the new AST against
+//! the cached segments ([`minic::classify_edit`]) and reuses every segment
+//! the edit provably left alone, instead of treating the entry as an
+//! all-or-nothing blob.
 
 use crate::protocol::{Job, JobOptions, JobSpec};
 use bugassist::{LocalizationReport, Localizer};
@@ -154,8 +156,17 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+/// A failed build, as the wire answers it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BuildError {
+    /// The machine-readable error kind, e.g. `type_error`.
+    pub kind: &'static str,
+    /// The human-readable message.
+    pub message: String,
+}
+
 /// A slot holding a build that is either in flight or finished.
-type Slot = Arc<OnceLock<Result<Arc<PreparedEntry>, String>>>;
+type Slot = Arc<OnceLock<Result<Arc<PreparedEntry>, BuildError>>>;
 
 #[derive(Debug)]
 struct Entry {
@@ -251,8 +262,8 @@ impl PreparedCache {
     pub fn get_or_build(
         &self,
         key: u64,
-        build: impl FnOnce() -> Result<PreparedEntry, String>,
-    ) -> (Result<Arc<PreparedEntry>, String>, bool) {
+        build: impl FnOnce() -> Result<PreparedEntry, BuildError>,
+    ) -> (Result<Arc<PreparedEntry>, BuildError>, bool) {
         // Phase 1 (shard locked, O(shard size)): find or insert the slot.
         let (slot, hit) = {
             let tick = self.next_tick();
@@ -303,7 +314,10 @@ impl PreparedCache {
         }))
         .unwrap_or_else(|_| {
             self.poisoned.fetch_add(1, Ordering::Relaxed);
-            Err("internal error: prepared-formula build panicked".to_string())
+            Err(BuildError {
+                kind: "internal_error",
+                message: "internal error: prepared-formula build panicked".to_string(),
+            })
         });
 
         // A failed build must not squat in the cache: drop the slot (only
@@ -388,9 +402,17 @@ mod tests {
     use bugassist::LocalizerConfig;
     use std::sync::atomic::AtomicUsize;
 
-    fn build_localizer(expr: &str) -> Result<PreparedEntry, String> {
+    /// A failed build with this message.
+    fn failure(message: &str) -> BuildError {
+        BuildError {
+            kind: "encode_error",
+            message: message.to_string(),
+        }
+    }
+
+    fn build_localizer(expr: &str) -> Result<PreparedEntry, BuildError> {
         let source = format!("int main(int x) {{\nint y = {expr};\nreturn y;\n}}");
-        let program = minic::parse_program(&source).map_err(|e| e.to_string())?;
+        let program = minic::parse_program(&source).expect("parses");
         let config = LocalizerConfig {
             encode: bmc::EncodeConfig {
                 width: 8,
@@ -398,8 +420,8 @@ mod tests {
             },
             ..LocalizerConfig::default()
         };
-        let localizer = Localizer::new(&program, "main", &Spec::ReturnEquals(4), &config)
-            .map_err(|e| e.to_string())?;
+        let localizer =
+            Localizer::new(&program, "main", &Spec::ReturnEquals(4), &config).expect("builds");
         let job = Job::new(source, "main", JobSpec::ReturnEquals(4), vec![vec![3]]);
         Ok(PreparedEntry::new(program, &job, Arc::new(localizer)))
     }
@@ -536,7 +558,7 @@ mod tests {
                         // Widen the window so the herd really waits on the
                         // pending slot rather than racing past it.
                         std::thread::sleep(std::time::Duration::from_millis(30));
-                        Err("kaboom".to_string())
+                        Err(failure("kaboom"))
                     });
                     result
                 })
@@ -544,7 +566,11 @@ mod tests {
             .collect();
         for handle in handles {
             let result = handle.join().expect("waiter panicked");
-            assert_eq!(result.unwrap_err(), "kaboom", "every waiter sees the error");
+            assert_eq!(
+                result.unwrap_err(),
+                failure("kaboom"),
+                "every waiter sees the error"
+            );
         }
         assert_eq!(
             attempts.load(Ordering::Relaxed),
@@ -608,7 +634,9 @@ mod tests {
             .collect();
         for handle in handles {
             let result = handle.join().expect("caller must survive the panic");
-            assert!(result.unwrap_err().contains("panicked"));
+            let error = result.unwrap_err();
+            assert_eq!(error.kind, "internal_error");
+            assert!(error.message.contains("panicked"));
         }
         assert_eq!(cache.stats().entries, 0, "poisoned slot was evicted");
         assert!(cache.stats().poisoned >= 1);
@@ -622,9 +650,9 @@ mod tests {
     #[test]
     fn failed_builds_are_not_cached() {
         let cache = PreparedCache::new(4, 1);
-        let (result, hit) = cache.get_or_build(1, || Err("boom".to_string()));
+        let (result, hit) = cache.get_or_build(1, || Err(failure("boom")));
         assert!(!hit);
-        assert_eq!(result.unwrap_err(), "boom");
+        assert_eq!(result.unwrap_err(), failure("boom"));
         assert_eq!(cache.stats().entries, 0, "error slot was removed");
         // The key is buildable again afterwards.
         let (result, hit) = cache.get_or_build(1, || build_localizer("x + 1"));
@@ -669,7 +697,7 @@ mod tests {
             .get_or_build(1, || build_localizer("x + 1"))
             .0
             .unwrap();
-        let _ = cache.get_or_build(3, || Err("boom".to_string()));
+        let _ = cache.get_or_build(3, || Err(failure("boom")));
         let snapshot = cache.entries();
         let keys: Vec<u64> = snapshot.iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, vec![1, 2], "sorted, failures excluded");

@@ -201,6 +201,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -212,9 +213,17 @@ impl Json {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so a deeper document (a few kilobytes
+/// of `[`) is an error instead of a stack overflow. Protocol messages nest
+/// a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -255,8 +264,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -264,6 +273,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    /// Parses a container one level down, refusing to nest deeper than
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Parser<'a>) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -650,6 +674,21 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         let err = Json::parse("   x").unwrap_err();
         assert_eq!(err.offset, 3);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deepest = Json::parse(&nest(MAX_DEPTH)).expect("parses at the limit");
+        assert_eq!(deepest.to_string(), nest(MAX_DEPTH));
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // A bomb far past the limit is refused the same way, on the
+        // caller's own stack.
+        assert!(Json::parse(&"[".repeat(20_000)).is_err());
     }
 
     #[test]

@@ -173,6 +173,25 @@ pub fn decode_entry(payload: &[u8]) -> Result<(u64, u64, PreparedEntry), DecodeE
     Ok((key, fingerprint, entry))
 }
 
+/// The one check a store record passes before it serves: the payload
+/// decodes, and the decoded entry's key and options fingerprint match the
+/// record's header. A record that fails is counted (and deleted) as
+/// corrupt: a miss, never an error and never stale data.
+pub(crate) fn decode_record(
+    store: &store::Store,
+    key: u64,
+    fingerprint: u64,
+    payload: &[u8],
+) -> Option<PreparedEntry> {
+    match decode_entry(payload) {
+        Ok((k, f, entry)) if k == key && f == fingerprint => Some(entry),
+        _ => {
+            store.note_corrupt(key);
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

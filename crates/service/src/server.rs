@@ -3,16 +3,18 @@
 //!
 //! ```text
 //!  clients ──TCP──▶ acceptor ──▶ connection threads (1/conn, read lines)
-//!                                     │ health/stats/shutdown: answered inline
+//!                                     │ health/stats/metrics/analyze/shutdown:
+//!                                     │   answered inline
 //!                                     ▼ localize/batch/revise
 //!                               JobQueue (bounded, Mutex+Condvar)  ◀─ backpressure
 //!                                     ▼
 //!                               worker pool (N threads)
-//!                                     │ PreparedCache lookup / build
-//!                                     │   (revise: diff vs cached segments,
-//!                                     │    relabel-reuse or rebuild)
+//!                                     │ prepare: memory ─miss─▶ revise with its
+//!                                     │   pre-edit entry in memory: derive
+//!                                     │   (relabel-reuse or rebuild); else
+//!                                     │   store ─miss─▶ cold build
 //!                                     │ Localizer::localize / localize_batch
-//!                                     │   (or remap the pre-edit report)
+//!                                     │   (or replay a remembered report)
 //!                                     ▼
 //!                               reply channel ──▶ connection thread ──▶ client
 //! ```
@@ -28,7 +30,7 @@
 //!   shut down to unblock readers, and every thread is joined — no accepted
 //!   request is ever dropped without a response.
 
-use crate::cache::{PreparedCache, PreparedEntry};
+use crate::cache::{BuildError, PreparedCache, PreparedEntry};
 use crate::counters::{Counters, Exposition, Own, View};
 use crate::faults::FaultPlan;
 use crate::json::Json;
@@ -38,8 +40,7 @@ use crate::protocol::{
 };
 use crate::queue::{JobQueue, TryPushError};
 use bugassist::{Budget, LocalizationReport, LocalizeError, Localizer, LocalizerStats};
-use minic::ast::Line;
-use minic::{EditClass, LineMap};
+use minic::Program;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -133,6 +134,48 @@ struct LastJob {
     delta: &'static str,
     build_ms: u128,
     stats: LocalizerStats,
+}
+
+/// How [`ServerState::prepare`] obtained a job's prepared entry.
+struct Prepared {
+    entry: Arc<PreparedEntry>,
+    /// Found in memory, or built by a concurrent request for the same key.
+    hit: bool,
+    /// The tier that produced the entry: `"memory"`, `"store"` or `"built"`.
+    tier: &'static str,
+    /// Milliseconds this request spent building or deriving the entry.
+    build_ms: u128,
+    /// The revise delta label (`"-"` for localize and batch).
+    delta: &'static str,
+    /// Whether a revise reused the pre-edit bit-blasted preparation.
+    reused: bool,
+    /// A revise's report to serve without solving: the pre-edit report
+    /// replayed through the edit's line map, or the entry's own remembered
+    /// report (a revise back to a version already served).
+    replay: Option<LocalizationReport>,
+}
+
+/// The machine-readable `kind` of a localizer error: a rejected program is
+/// a type or lint error by its diagnostic's kind.
+fn localize_error_kind(error: &LocalizeError) -> &'static str {
+    match error {
+        LocalizeError::Rejected(d) if d.kind == analysis::DiagnosticKind::Type => "type_error",
+        LocalizeError::Rejected(_) => "lint_error",
+        LocalizeError::Encode(_) => "encode_error",
+        LocalizeError::ArityMismatch { .. } => "arity_mismatch",
+    }
+}
+
+impl From<LocalizeError> for BuildError {
+    /// A failed localizer build: its kind, and the message after the kind
+    /// in words (`type error: …`).
+    fn from(error: LocalizeError) -> BuildError {
+        let kind = localize_error_kind(&error);
+        BuildError {
+            kind,
+            message: format!("{}: {error}", kind.replace('_', " ")),
+        }
+    }
 }
 
 /// Which queued operation a job performs.
@@ -255,38 +298,6 @@ impl ServerState {
             ("error", Json::str(message.to_string())),
         ])
         .to_string()
-    }
-
-    /// The machine-readable `kind` of a prepared-cache build error. Builds
-    /// run behind a single-flight slot and can only report a `String`, so
-    /// every build error is prefixed with its kind in words (`type error:
-    /// …`, `lint error: …`, `encode error: …`, `internal error: …`) and
-    /// classified here.
-    fn build_error_kind(message: &str) -> &'static str {
-        ["type_error", "lint_error", "encode_error", "internal_error"]
-            .into_iter()
-            .find(|kind| message.starts_with(&kind.replace('_', " ")))
-            .unwrap_or("error")
-    }
-
-    fn localize_error_kind(error: &LocalizeError) -> &'static str {
-        match error {
-            LocalizeError::Rejected(d) if d.kind == analysis::DiagnosticKind::Type => "type_error",
-            LocalizeError::Rejected(_) => "lint_error",
-            LocalizeError::Encode(_) => "encode_error",
-            LocalizeError::ArityMismatch { .. } => "arity_mismatch",
-        }
-    }
-
-    /// A failed localizer build as a prefixed build-error message: a
-    /// rejected program is a type or lint error by its diagnostic's kind,
-    /// anything else an encode error.
-    fn build_error(error: LocalizeError) -> String {
-        match Self::localize_error_kind(&error) {
-            "type_error" => format!("type error: {error}"),
-            "lint_error" => format!("lint error: {error}"),
-            _ => format!("encode error: {error}"),
-        }
     }
 
     /// The live state the registry's read rows sample.
@@ -439,208 +450,102 @@ impl ServerState {
         .to_string()
     }
 
-    /// The cold build: check, encode and prepare ([`Localizer::new`]),
-    /// package as a cache entry. The check belongs to the build, not the
-    /// hot path: a cache hit means a structurally identical AST already
-    /// checked clean.
-    fn build_entry(&self, job: &Job, program: &minic::Program) -> Result<PreparedEntry, String> {
-        if let Some(faults) = &self.faults {
-            faults.build_start();
-        }
-        let localizer = Localizer::new(
-            program,
-            &job.entry,
-            &job.bmc_spec(),
-            &job.localizer_config(),
-        )
-        .map_err(Self::build_error)?;
-        Ok(PreparedEntry::new(
-            program.clone(),
-            job,
-            Arc::new(localizer),
-        ))
-    }
-
-    /// Fetches the prepared entry for a job: the in-memory cache first,
-    /// then (on a miss) the persistent store, and only then a cold build.
-    /// Returns the entry, whether it was an in-memory hit, the build
-    /// wall-clock milliseconds (0 unless a cold build ran), and the tier
-    /// that produced the entry (`"memory"`, `"store"` or `"built"`).
-    fn prepared_entry(
+    /// Fetches the prepared entry for a job, along the one route every job
+    /// takes. Memory first. On a miss, a revise whose pre-edit entry
+    /// (`prev_key`) is in memory derives from it
+    /// ([`Localizer::reprepare_classified`]), reusing the preparation
+    /// whenever the edit provably cannot change it. Every other miss tries
+    /// the persistent store, then a cold build ([`Localizer::new`], which
+    /// checks the program: a hit means a structurally identical AST already
+    /// checked clean). The answer is identical on every route; only the cost
+    /// differs.
+    fn prepare(
         &self,
         job: &Job,
-        program: &minic::Program,
+        program: &Program,
         key: u64,
-    ) -> Result<(Arc<PreparedEntry>, bool, u128, &'static str), String> {
-        let mut build_ms = 0u128;
-        let mut tier: &'static str = "built";
+        prev_key: Option<u64>,
+    ) -> Result<Prepared, BuildError> {
+        let revise = prev_key.is_some();
+        let prev = prev_key.and_then(|prev_key| self.cache.lookup(prev_key));
+        // The defaults describe a hit: nothing was built, and a revise
+        // reused everything.
+        let mut tier = "built";
+        let mut build_ms = 0;
+        let (mut delta, mut reused) = if revise {
+            ("cache_hit", true)
+        } else {
+            ("-", false)
+        };
+        let mut replay = None;
         let (result, hit) = self.cache.get_or_build(key, || {
-            // Tier 2: a record written through by an earlier build —
-            // possibly of a previous daemon process. Any payload that fails
-            // to decode (or decodes to the wrong key/fingerprint) is a
-            // corrupt record: count it, delete it, fall through to the cold
-            // build. Never an error, never stale data.
+            if let Some(prev) = &prev {
+                let started = Instant::now();
+                let segments = minic::segment_program(program);
+                let class = minic::classify_edit(&prev.segments, &segments);
+                // The core re-checks every edit that changes structure, so
+                // a revise fails exactly like a cold build would.
+                let (localizer, how, map) = prev.localizer.reprepare_classified(
+                    &class,
+                    program,
+                    &job.entry,
+                    &job.bmc_spec(),
+                    &job.localizer_config(),
+                )?;
+                (delta, reused) = (how.label(), how.reused());
+                replay = map.and_then(|map| {
+                    let report = prev.cached_report(&job.inputs[0])?;
+                    Some(localizer.remap_report(&report, &map))
+                });
+                let localizer = Arc::new(localizer);
+                let entry = PreparedEntry::with_segments(program.clone(), segments, job, localizer);
+                build_ms = started.elapsed().as_millis();
+                return Ok(entry);
+            }
+            if revise {
+                // The pre-edit entry is gone (evicted, never built, or a
+                // bogus key): a revision of nothing is a plain miss.
+                (delta, reused) = ("prev_missing", false);
+            }
+            // A record written through by an earlier build, possibly of a
+            // previous daemon process.
             if let Some(store) = &self.store {
                 let fingerprint = job.options_fingerprint();
-                if let Some(payload) = store.load(key, fingerprint) {
-                    match persist::decode_entry(&payload) {
-                        Ok((k, f, entry)) if k == key && f == fingerprint => {
-                            tier = "store";
-                            return Ok(entry);
-                        }
-                        _ => store.note_corrupt(key),
-                    }
+                let restored = store
+                    .load(key, fingerprint)
+                    .and_then(|payload| persist::decode_record(store, key, fingerprint, &payload));
+                if let Some(entry) = restored {
+                    tier = "store";
+                    return Ok(entry);
                 }
             }
             let started = Instant::now();
-            let built = self.build_entry(job, program);
+            if let Some(faults) = &self.faults {
+                faults.build_start();
+            }
+            let localizer = Localizer::new(
+                program,
+                &job.entry,
+                &job.bmc_spec(),
+                &job.localizer_config(),
+            )?;
+            let entry = PreparedEntry::new(program.clone(), job, Arc::new(localizer));
             build_ms = started.elapsed().as_millis();
-            built
+            Ok(entry)
         });
-        let tier = if hit { "memory" } else { tier };
-        result.map(|entry| (entry, hit, build_ms, tier))
-    }
-
-    /// A pre-edit report that can be served for this revision *without
-    /// re-solving*: available only for relabel-class edits whose
-    /// **effective** trusted-selector set is unchanged. Under those
-    /// conditions the post-edit MAX-SAT instance is identical to the
-    /// pre-edit one and the solver is deterministic, so remapping the
-    /// remembered report reproduces exactly what a fresh solve would
-    /// return.
-    ///
-    /// "Effective" is the load-bearing word: a trusted line only hardens a
-    /// selector when a blamable statement sits on it. Comparing raw trusted
-    /// line numbers would be unsound — a trusted line that pointed at a
-    /// blank pre-edit can land on a *shifted statement* post-edit (and vice
-    /// versa), silently changing which selectors are hard while the number
-    /// sets still match. So the comparison intersects with the trace's
-    /// blamable lines on both sides of the map.
-    fn remap_candidate(
-        prev: &PreparedEntry,
-        job: &Job,
-        class: &EditClass,
-        localizer: &Localizer,
-    ) -> Option<LocalizationReport> {
-        let identity = LineMap::default();
-        let map = match class {
-            EditClass::Identical => &identity,
-            EditClass::LineShift(map) => map,
-            EditClass::LocalToFunction { line_map, .. } => line_map,
-            EditClass::Global => return None,
-        };
-        // The selector lines, pre- and post-edit. For every relabel class
-        // the post-edit trace's blamable lines are exactly the pre-edit
-        // ones pushed through the map.
-        let old_blamable = prev.localizer.trace().blamable_lines();
-        let canon = |lines: &mut Vec<u32>| {
-            lines.sort_unstable();
-            lines.dedup();
-        };
-        let mut old_effective: Vec<u32> = prev
-            .options
-            .trusted_lines
-            .iter()
-            .filter(|&&l| old_blamable.binary_search(&Line(l)).is_ok())
-            .map(|&l| map.remap(Line(l)).0)
-            .collect();
-        canon(&mut old_effective);
-        let new_blamable: std::collections::BTreeSet<u32> =
-            old_blamable.iter().map(|&l| map.remap(l).0).collect();
-        let mut new_effective: Vec<u32> = job
-            .options
-            .trusted_lines
-            .iter()
-            .copied()
-            .filter(|l| new_blamable.contains(l))
-            .collect();
-        canon(&mut new_effective);
-        if old_effective != new_effective {
-            return None;
+        let entry = result?;
+        if revise && replay.is_none() {
+            replay = entry.cached_report(&job.inputs[0]);
         }
-        prev.cached_report(&job.inputs[0])
-            .map(|report| localizer.remap_report(&report, map))
-    }
-
-    /// Fetches (or delta-builds) the prepared entry for a *revision*: an
-    /// edited program whose pre-edit preparation may still be cached under
-    /// `prev_key`. On a miss for the revision's own key, the new AST is
-    /// diffed against the cached pre-edit segments and the preparation is
-    /// reused whenever the edit provably cannot change it
-    /// ([`Localizer::reprepare_classified`]); otherwise this falls back to
-    /// the same cold build a plain `localize` would run — the answer is
-    /// identical either way, only the cost differs. Returns the entry, the
-    /// hit flag, the build milliseconds, the delta label, whether the
-    /// bit-blasted preparation was reused, and — for relabel-class edits
-    /// with a remembered pre-edit report — the report to serve without
-    /// solving.
-    #[allow(clippy::type_complexity)]
-    fn revised_entry(
-        &self,
-        job: &Job,
-        program: &minic::Program,
-        key: u64,
-        prev: Option<&Arc<PreparedEntry>>,
-    ) -> Result<
-        (
-            Arc<PreparedEntry>,
-            bool,
-            u128,
-            &'static str,
-            bool,
-            Option<LocalizationReport>,
-        ),
-        String,
-    > {
-        let mut build_ms = 0u128;
-        // Defaults cover the path where the entry already exists (or a
-        // concurrent builder made it): everything was reused.
-        let mut delta: &'static str = "cache_hit";
-        let mut reused = true;
-        let mut remapped: Option<LocalizationReport> = None;
-        let (result, hit) = self.cache.get_or_build(key, || {
-            let started = Instant::now();
-            let built = match prev {
-                None => {
-                    // The pre-edit entry is gone (evicted, never built, or a
-                    // bogus key): a revision of nothing is a cold build.
-                    delta = "prev_missing";
-                    reused = false;
-                    self.build_entry(job, program)
-                }
-                Some(prev) => {
-                    let new_segments = minic::segment_program(program);
-                    let class = minic::classify_edit(&prev.segments, &new_segments);
-                    // The core re-checks every edit that changes structure,
-                    // so a revise fails exactly like a cold build would.
-                    match prev.localizer.reprepare_classified(
-                        &class,
-                        program,
-                        &job.entry,
-                        &job.bmc_spec(),
-                        &job.localizer_config(),
-                    ) {
-                        Err(e) => Err(Self::build_error(e)),
-                        Ok((localizer, dp)) => {
-                            delta = dp.label();
-                            reused = dp.reused();
-                            if reused {
-                                remapped = Self::remap_candidate(prev, job, &class, &localizer);
-                            }
-                            Ok(PreparedEntry::with_segments(
-                                program.clone(),
-                                new_segments,
-                                job,
-                                Arc::new(localizer),
-                            ))
-                        }
-                    }
-                }
-            };
-            build_ms = started.elapsed().as_millis();
-            built
-        });
-        result.map(|entry| (entry, hit, build_ms, delta, reused, remapped))
+        Ok(Prepared {
+            tier: if hit { "memory" } else { tier },
+            entry,
+            hit,
+            build_ms,
+            delta,
+            reused,
+            replay,
+        })
     }
 
     /// Executes one queued job and returns its response line.
@@ -686,36 +591,21 @@ impl ServerState {
             }
         }
         let key = queued.job.cache_key(&program);
-        // The pre-edit entry, for revisions: the delta source.
-        let prev = match queued.kind {
-            JobKind::Revise { prev_key } => self.cache.lookup(prev_key),
+        let prev_key = match queued.kind {
+            JobKind::Revise { prev_key } => Some(prev_key),
             _ => None,
         };
-        let (entry, hit, build_ms, delta, reused, mut remapped, tier) = match queued.kind {
-            JobKind::Revise { .. } => {
-                // The revise path deliberately skips the store consult: its
-                // delta machinery wants the *pre-edit* in-memory entry, and
-                // a cold fallback build answers identically anyway.
-                match self.revised_entry(&queued.job, &program, key, prev.as_ref()) {
-                    Ok((entry, hit, build_ms, delta, reused, remapped)) => {
-                        let tier = if hit { "memory" } else { "built" };
-                        (entry, hit, build_ms, delta, reused, remapped, tier)
-                    }
-                    Err(message) => {
-                        return self.error_line(
-                            queued.id,
-                            Self::build_error_kind(&message),
-                            message,
-                        )
-                    }
-                }
-            }
-            _ => match self.prepared_entry(&queued.job, &program, key) {
-                Ok((entry, hit, build_ms, tier)) => (entry, hit, build_ms, "-", false, None, tier),
-                Err(message) => {
-                    return self.error_line(queued.id, Self::build_error_kind(&message), message)
-                }
-            },
+        let Prepared {
+            entry,
+            hit,
+            tier,
+            build_ms,
+            delta,
+            reused,
+            replay,
+        } = match self.prepare(&queued.job, &program, key, prev_key) {
+            Ok(prepared) => prepared,
+            Err(e) => return self.error_line(queued.id, e.kind, e.message),
         };
         // Asynchronous write-through: a freshly built entry (never one that
         // was served from memory or from the store itself) goes to the
@@ -728,9 +618,9 @@ impl ServerState {
             }
         }
         let cache: &'static str = if hit { "hit" } else { "miss" };
-        // `false` when a revise served a remembered (possibly remapped)
-        // report instead of running the MAX-SAT enumeration.
-        let mut solved = true;
+        // `false` when a revise served a replayed report instead of running
+        // the MAX-SAT enumeration.
+        let solved = replay.is_none();
         // The job's remaining budget: whatever is left of its wall-clock
         // deadline (build time already counted — the deadline is absolute)
         // plus the server-wide conflict cap.
@@ -744,7 +634,7 @@ impl ServerState {
                 .localizer
                 .localize_batch_budgeted(&queued.job.inputs, budget)
             {
-                Err(e) => return self.error_line(queued.id, Self::localize_error_kind(&e), e),
+                Err(e) => return self.error_line(queued.id, localize_error_kind(&e), e),
                 Ok(ranked) => {
                     // Every report of the batch carries the same
                     // per-localizer constants (formula, word-level and
@@ -768,23 +658,10 @@ impl ServerState {
             },
             JobKind::Localize | JobKind::Revise { .. } => {
                 let input = &queued.job.inputs[0];
-                // Serve a revision without solving when a byte-equivalent
-                // report is already known: the relabel paths remap the
-                // pre-edit report, and a revise back to an already-served
-                // version (an editor undo) replays that version's report.
-                let served = remapped.take().or_else(|| match queued.kind {
-                    JobKind::Revise { .. } => entry.cached_report(input),
-                    _ => None,
-                });
-                let report = match served {
-                    Some(report) => {
-                        solved = false;
-                        report
-                    }
+                let report = match replay {
+                    Some(report) => report,
                     None => match entry.localizer.localize_budgeted(input, budget) {
-                        Err(e) => {
-                            return self.error_line(queued.id, Self::localize_error_kind(&e), e)
-                        }
+                        Err(e) => return self.error_line(queued.id, localize_error_kind(&e), e),
                         Ok(report) => report,
                     },
                 };
@@ -1157,12 +1034,9 @@ impl Server {
             let restore_started = Instant::now();
             let mut restored = 0u64;
             for (key, fingerprint, payload) in store.scan() {
-                match persist::decode_entry(&payload) {
-                    Ok((k, f, entry)) if k == key && f == fingerprint => {
-                        state.cache.insert(key, Arc::new(entry));
-                        restored += 1;
-                    }
-                    _ => store.note_corrupt(key),
+                if let Some(entry) = persist::decode_record(store, key, fingerprint, &payload) {
+                    state.cache.insert(key, Arc::new(entry));
+                    restored += 1;
                 }
             }
             store.note_restore(restore_started.elapsed().as_millis() as u64, restored);

@@ -212,6 +212,57 @@ fn evicted_entry_is_served_from_the_store_tier() {
 }
 
 #[test]
+fn revise_with_an_evicted_pre_edit_entry_is_served_from_the_store() {
+    let dir = TempDir::new("revise-evicted");
+    let config = ServiceConfig {
+        workers: 1,
+        cache_capacity: 1,
+        cache_shards: 1,
+        ..store_config(&dir)
+    };
+    let server = Server::start(config).expect("daemon");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+
+    // The edited program is built and written through first.
+    let edited = minic_job(2);
+    assert_eq!(
+        client.localize(edited.clone()).expect("builds").tier,
+        "built"
+    );
+    wait_for_writes(&mut client, 1);
+    // The pre-edit program evicts it, and is evicted in turn.
+    let pre_edit = client.localize(minic_job(5)).expect("pre-edit build");
+    client.localize(minic_job(7)).expect("evicting build");
+
+    let revised = client
+        .revise(edited.clone(), pre_edit.key)
+        .expect("revises");
+    server.shutdown();
+    assert!(!revised.outcome.cache_hit, "the memory tier evicted it");
+    assert_eq!(revised.outcome.tier, "store");
+    assert_eq!(
+        revised.outcome.build_ms, 0,
+        "store-served entries never rebuild"
+    );
+    assert_eq!(revised.delta, "prev_missing");
+    assert!(!revised.reused);
+    assert!(revised.solved, "a restored entry remembers no report");
+
+    let cold_server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("cold daemon");
+    let cold = Client::connect(cold_server.local_addr())
+        .expect("connects")
+        .localize(edited)
+        .expect("cold localize");
+    cold_server.shutdown();
+    assert_eq!(cold.tier, "built");
+    assert_eq!(canonical(&revised.outcome.body), canonical(&cold.body));
+}
+
+#[test]
 fn failed_builds_are_never_written_through() {
     let dir = TempDir::new("failed");
     let server = Server::start(store_config(&dir)).expect("daemon");

@@ -762,6 +762,90 @@ fn budgeted_job_returns_anytime_or_exact_and_never_pollutes_the_replay_cache() {
     server.shutdown();
 }
 
+/// `main` returning `x` inside `depth` parentheses: the statement opens one
+/// nesting level and each parenthesis one more.
+fn parenthesized_return(depth: usize) -> String {
+    format!(
+        "int main(int x) {{\nint y = {}x{};\nreturn y;\n}}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    )
+}
+
+#[test]
+fn nesting_bombs_are_parse_errors_and_the_daemon_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+
+    // A JSON bomb: 20 KB of `[`, far under the request-size cap.
+    let stream = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    writer
+        .write_all(format!("{}\n", "[".repeat(20_000)).as_bytes())
+        .expect("writes");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reads");
+    let response = Json::parse(line.trim_end()).expect("response parses");
+    assert_eq!(
+        response.get("kind").and_then(Json::as_str),
+        Some("parse_error"),
+        "{response}"
+    );
+
+    // MinC bombs: parsed by a worker (localize) and by the connection
+    // thread itself (analyze).
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    for depth in [minic::MAX_NESTING, 1_000] {
+        let bomb = parenthesized_return(depth);
+        let job = Job::new(
+            bomb.clone(),
+            "main",
+            JobSpec::ReturnEquals(4),
+            vec![vec![3]],
+        );
+        let err = client.localize(job).expect_err("too deep to localize");
+        assert_eq!(err.kind(), Some("parse_error"), "{err:?}");
+        let err = client.analyze(bomb, 8).expect_err("too deep to analyze");
+        assert_eq!(err.kind(), Some("parse_error"), "{err:?}");
+    }
+    client.health().expect("the daemon still answers");
+    server.shutdown();
+}
+
+#[test]
+fn a_program_at_the_nesting_limit_localizes_on_a_worker() {
+    let program = parenthesized_return(minic::MAX_NESTING - 1);
+    let job = Job::new(
+        program.clone(),
+        "main",
+        JobSpec::ReturnEquals(4),
+        vec![vec![3]],
+    );
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    client.analyze(program, 8).expect("lints at the limit");
+    let out = client
+        .localize(job.clone())
+        .expect("localizes at the limit");
+    server.shutdown();
+    assert_eq!(canonical(&out.body), expected_canonical(&job));
+    let lines = out
+        .body
+        .get("suspect_lines")
+        .and_then(Json::as_arr)
+        .unwrap();
+    assert!(lines.contains(&Json::Int(2)), "{lines:?}");
+}
+
 #[test]
 fn oversized_request_line_is_rejected_with_a_structured_error() {
     use std::io::{BufRead, BufReader, Read, Write};
