@@ -285,8 +285,10 @@ enum Role {
 /// The input-independent part of the extended trace formula: the selectors,
 /// the selector-relaxed TF1 (simplified unless [`LocalizerConfig::simplify`]
 /// is off), the model reconstruction and the build's analysis results.
-/// [`Localizer::new`] builds it once; each `localize` call clones only its
-/// hard instance and adds that test's hard units on top.
+/// [`Localizer::new`] builds it once. Each `localize` call reads it in place:
+/// it loads that test's hard units into a fresh SAT solver first and the
+/// template's hard clauses after them, so the clauses the units satisfy are
+/// never attached. Nothing is cloned.
 ///
 /// It is also the snapshot the service's persistent store (`crates/store`)
 /// writes, so a restart rebuilds a localizer without encoding, simplifying
@@ -647,8 +649,7 @@ impl DeltaPrepare {
 /// `Localizer` is `Send + Sync` (it owns plain data), so a single instance
 /// behind an `Arc` can serve concurrent [`Localizer::localize`] calls from a
 /// server worker pool: the symbolic trace and the prepared template are
-/// shared read-only, and each call clones only the template instance it
-/// extends with its test-specific hard units.
+/// shared read-only, and each call loads its own SAT solver from them.
 #[derive(Debug)]
 pub struct Localizer {
     /// The symbolic trace, without its grouped CNF: [`Localizer::new`]
@@ -999,26 +1000,55 @@ impl Localizer {
         self.prepared.reconstruction.extend(model);
     }
 
-    /// The hard part of one failing test's MAX-SAT instance, with no soft
-    /// clauses yet: the prepared template, the failing input as hard units,
-    /// the property, and the hardened trusted and pruned selectors.
-    fn base_instance(&self, failing_input: &[i64]) -> MaxSatInstance {
-        // [[test]] : the failing input, as hard units on top of the template.
-        let mut base = self.prepared.instance.clone();
-        for lit in self.trace.input_assumption_lits(failing_input) {
-            base.add_hard(vec![lit]);
-        }
+    /// The test-specific hard units of one failing test, in load order: the
+    /// failing input's bits ([[test]]), the property, then the hardened
+    /// trusted and pruned selectors.
+    fn test_units(&self, failing_input: &[i64]) -> Vec<Lit> {
+        // [[test]] : the failing input, as hard units.
+        let mut units = self.trace.input_assumption_lits(failing_input);
         // p : the violated assertion must hold — hard.
-        base.add_hard(vec![self.trace.property]);
+        units.push(self.trace.property);
         // Trusted statements can never be switched off — and neither can
         // statically-pruned ones, which provably cannot influence the
         // property, so hardening them only shrinks the soft set.
-        for (unit, &role) in self.prepared.units.iter().zip(&self.roles) {
-            if role != Role::Soft {
-                base.add_hard(vec![unit.lit]);
-            }
+        units.extend(
+            self.prepared
+                .units
+                .iter()
+                .zip(&self.roles)
+                .filter(|&(_, &role)| role != Role::Soft)
+                .map(|(unit, _)| unit.lit),
+        );
+        units
+    }
+
+    /// The hard part of one failing test's MAX-SAT instance, with no soft
+    /// clauses: the prepared template, then the test's units. Only the
+    /// rebuild-every-rank test oracle materializes it; `localize` loads the
+    /// same clauses straight into its SAT solver.
+    #[cfg(test)]
+    fn base_instance(&self, failing_input: &[i64]) -> MaxSatInstance {
+        let mut base = self.prepared.instance.clone();
+        for lit in self.test_units(failing_input) {
+            base.add_hard(vec![lit]);
         }
         base
+    }
+
+    /// `true` iff `model` satisfies a rank's whole hard part: the template,
+    /// the test's units and the earlier ranks' blocking clauses. The debug
+    /// check of every answering model, which the MAX-SAT layer cannot make
+    /// since its instance carries only the soft clauses.
+    fn satisfies_hard_part(
+        &self,
+        model: &[bool],
+        test_units: &[Lit],
+        blocked: &[Vec<Lit>],
+    ) -> bool {
+        let holds = |lit: &Lit| model[lit.var().index()] == lit.is_positive();
+        self.prepared.hard().eval(model)
+            && test_units.iter().all(holds)
+            && blocked.iter().all(|clause| clause.iter().any(holds))
     }
 
     /// [`Localizer::localize`] under a resource [`Budget`].
@@ -1049,10 +1079,22 @@ impl Localizer {
             });
         }
         let start = Instant::now();
-        let mut base = self.base_instance(failing_input);
-        // One SAT solver per call, loaded once: every rank solves on it, and
-        // each rank's blocking clause is added to it and to `base` alike.
-        let mut sat = Solver::from_formula(base.hard());
+        let num_vars = prepared.instance.num_vars();
+        let test_units = self.test_units(failing_input);
+        // One SAT solver per call, loaded once, holding the whole hard part:
+        // every rank solves on it, and each rank's blocking clause is added
+        // to it alone. The test's units go in first, so the template clauses
+        // they satisfy at level 0 are dropped instead of attached.
+        let mut sat = Solver::new();
+        sat.ensure_vars(num_vars);
+        for &lit in &test_units {
+            sat.add_clause([lit]);
+        }
+        sat.add_formula(prepared.hard());
+        // The rank's MAX-SAT instance: the soft clauses and the variable
+        // count only.
+        let mut base = MaxSatInstance::new();
+        base.ensure_vars(num_vars);
         let mut solver = MaxSatSolver::default();
         solver.set_budget(budget);
         let pruned_lines: BTreeSet<Line> = units
@@ -1063,11 +1105,11 @@ impl Localizer {
             .collect();
         let mut stats = LocalizerStats {
             soft_clauses: roles.iter().filter(|&&r| r == Role::Soft).count(),
-            hard_clauses: base.num_hard(),
+            hard_clauses: prepared.instance.num_hard() + test_units.len(),
             lines_pruned: pruned_lines.len() as u64,
             prune_ms: prepared.prune_ms,
             lint_warnings: prepared.lint_warnings,
-            variables: base.num_vars(),
+            variables: num_vars,
             hard_clauses_pre_simplify: prepared.hard_clauses_pre_simplify,
             clauses_subsumed: prepared.simplify_stats.clauses_subsumed,
             vars_eliminated: prepared.simplify_stats.vars_eliminated,
@@ -1080,6 +1122,8 @@ impl Localizer {
         };
 
         let mut suspects: Vec<Suspect> = Vec::new();
+        // The blocking clauses added so far, read by the debug check.
+        let mut blocked: Vec<Vec<Lit>> = Vec::new();
         let mut complete = true;
         // Selectors still allowed to be blamed.
         let mut active: Vec<usize> = (0..units.len())
@@ -1119,6 +1163,10 @@ impl Localizer {
                     break; // Hard part unsatisfiable: no more suspects.
                 }
             };
+            debug_assert!(
+                self.satisfies_hard_part(&solution.model, &test_units, &blocked),
+                "rank {rank}: the model violates the hard part"
+            );
             if solution.falsified.is_empty() {
                 break; // Everything satisfiable: nothing (left) to blame.
             }
@@ -1149,7 +1197,7 @@ impl Localizer {
             // selectors leave the soft set (Algorithm 1, lines 13–14).
             let blocking: Vec<Lit> = blamed.iter().map(|&i| units[i].lit).collect();
             sat.add_clause(blocking.iter().copied());
-            base.add_hard(blocking);
+            blocked.push(blocking);
             active.retain(|i| !blamed.contains(i));
             if active.is_empty() {
                 break;

@@ -213,13 +213,16 @@ impl MaxSatSolver {
         self.solve_loaded(&mut solver, instance)
     }
 
-    /// Solves the instance on a SAT solver that already holds
-    /// `instance.hard()`, so a caller solving a sequence of instances that
-    /// share one growing hard part (the localizer's suspect enumeration)
-    /// loads it once and keeps the learnt clauses across solves. Between
-    /// solves the caller may add hard clauses to both `solver` and
-    /// `instance` and replace the soft clauses; the variable pool of
-    /// `instance` must not grow after the first solve, since later
+    /// Solves the instance on a SAT solver that already holds its hard
+    /// part, so a caller solving a sequence of instances that share one
+    /// growing hard part (the localizer's suspect enumeration) loads it once
+    /// and keeps the learnt clauses across solves. `solver` holds the hard
+    /// part; `instance` carries the soft clauses and the variable count.
+    /// Hard clauses in `instance` are optional and never loaded: when
+    /// present they must also be in `solver`, and debug builds check the
+    /// optimum's model against them. Between solves the caller may add hard
+    /// clauses to `solver` and replace the soft clauses; the variable pool
+    /// of `instance` must not grow after the first solve, since later
     /// variables belong to the solves.
     ///
     /// A unit soft clause adds nothing to `solver` unless a core relaxes
@@ -228,7 +231,7 @@ impl MaxSatSolver {
     /// soft clauses, relaxation variables, cardinality encodings), and some
     /// setting of those fresh variables satisfies all of them. So what one
     /// solve leaves behind never constrains a later one: every solve sees
-    /// exactly the models of `instance.hard()`. [`MaxSatSolver::stats`] and
+    /// exactly the models of the hard part. [`MaxSatSolver::stats`] and
     /// the budget's conflict cap count from the start of this call.
     pub fn solve_loaded(&mut self, solver: &mut Solver, instance: &MaxSatInstance) -> MaxSatResult {
         debug_assert!(solver.num_vars() >= instance.num_vars());

@@ -146,6 +146,8 @@ pub struct Solver {
     vardata: Vec<VarData>,
     activity: Vec<f64>,
     order_heap: VarOrderHeap,
+    /// Whether VSIDS may decide each variable: set once a problem clause
+    /// mentions it. Only decision variables enter `order_heap`.
     decision: Vec<bool>,
 
     trail: Vec<Lit>,
@@ -173,6 +175,8 @@ pub struct Solver {
 
     seen: Vec<bool>,
     analyze_toclear: Vec<Lit>,
+    /// Scratch buffer of `add_clause`.
+    add_buf: Vec<Lit>,
     /// Per-decision-level stamps for LBD computation.
     lbd_seen: Vec<u64>,
     lbd_stamp: u64,
@@ -216,25 +220,18 @@ impl Solver {
             conflict: Vec::new(),
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
+            add_buf: Vec::new(),
             lbd_seen: Vec::new(),
             lbd_stamp: 0,
             stats: SolverStats::default(),
         }
     }
 
-    /// Creates a solver pre-loaded with the clauses of a [`CnfFormula`].
-    ///
-    /// The clause arena is pre-sized for the whole formula, so loading does a
-    /// single allocation instead of one per clause.
+    /// Creates a solver pre-loaded with the clauses of a [`CnfFormula`] by
+    /// [`Solver::add_formula`].
     pub fn from_formula(formula: &CnfFormula) -> Solver {
         let mut solver = Solver::new();
-        solver.ensure_vars(formula.num_vars());
-        solver
-            .arena
-            .reserve(formula.num_literals() + formula.num_clauses());
-        for clause in formula.iter() {
-            solver.add_clause(clause.lits().iter().copied());
-        }
+        solver.add_formula(formula);
         solver
     }
 
@@ -256,27 +253,39 @@ impl Solver {
     }
 
     /// Allocates a fresh variable.
+    ///
+    /// The variable is not a decision variable until a problem clause
+    /// mentions it (see [`Solver::add_clause`]): a variable in no clause is
+    /// never decided and reads `false` in the model, unless an assumption or
+    /// a `decide_first` literal sets it.
     pub fn new_var(&mut self) -> Var {
         let index = self.assigns.len();
-        self.assigns.push(LBool::Undef);
-        self.polarity.push(false);
-        self.vardata.push(VarData::default());
-        self.activity.push(0.0);
-        self.decision.push(true);
-        self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        let var = Var::from_index(index);
-        self.order_heap.grow_to(index + 1);
-        self.order_heap.insert(var, &self.activity);
-        var
+        self.ensure_vars(index + 1);
+        Var::from_index(index)
     }
 
-    /// Ensures that variables with indices `< n` exist.
-    pub fn ensure_vars(&mut self, n: usize) {
-        while self.assigns.len() < n {
-            self.new_var();
+    /// Makes `var` a decision variable and puts it in the order heap.
+    fn set_decision_var(&mut self, var: Var) {
+        if !self.decision[var.index()] {
+            self.decision[var.index()] = true;
+            self.order_heap.insert(var, &self.activity);
         }
+    }
+
+    /// Ensures that variables with indices `< n` exist. Like
+    /// [`Solver::new_var`], it creates non-decision variables.
+    pub fn ensure_vars(&mut self, n: usize) {
+        if n <= self.assigns.len() {
+            return;
+        }
+        self.assigns.resize(n, LBool::Undef);
+        self.polarity.resize(n, false);
+        self.vardata.resize(n, VarData::default());
+        self.activity.resize(n, 0.0);
+        self.decision.resize(n, false);
+        self.seen.resize(n, false);
+        self.watches.resize_with(2 * n, Vec::new);
+        self.order_heap.grow_to(n);
     }
 
     /// Number of variables known to the solver.
@@ -310,9 +319,11 @@ impl Solver {
     /// be unsatisfiable at the top level (e.g. an empty clause was added or a
     /// top-level conflict followed).
     ///
-    /// Tautological clauses are silently dropped; literals already falsified
-    /// at the top level are removed. The trail a previous call kept is
-    /// dropped first, so the next call starts from level 0.
+    /// Tautological clauses and clauses already satisfied at the top level
+    /// are silently dropped; literals already falsified at the top level are
+    /// removed. The variables of a clause that is kept become decision
+    /// variables. The trail a previous call kept is dropped first, so the
+    /// next call starts from level 0.
     pub fn add_clause<I>(&mut self, lits: I) -> bool
     where
         I: IntoIterator<Item = Lit>,
@@ -321,16 +332,26 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut clause: Vec<Lit> = lits.into_iter().collect();
-        for &lit in &clause {
-            self.ensure_vars(lit.var().index() + 1);
+        // The literals are sorted and simplified in a buffer the solver
+        // keeps, so adding a clause allocates nothing but its arena slot.
+        let mut clause = std::mem::take(&mut self.add_buf);
+        clause.clear();
+        clause.extend(lits);
+        let ok = self.add_clause_from_buffer(&mut clause);
+        self.add_buf = clause;
+        ok
+    }
+
+    /// [`Solver::add_clause`] on a buffer of literals, at level 0.
+    fn add_clause_from_buffer(&mut self, clause: &mut Vec<Lit>) -> bool {
+        if let Some(max) = clause.iter().map(|l| l.var().index()).max() {
+            self.ensure_vars(max + 1);
         }
         clause.sort_unstable();
         clause.dedup();
         // Drop tautologies and literals satisfied/falsified at level 0.
-        let mut simplified = Vec::with_capacity(clause.len());
-        let mut i = 0;
-        while i < clause.len() {
+        let mut kept = 0;
+        for i in 0..clause.len() {
             let lit = clause[i];
             if i + 1 < clause.len() && clause[i + 1] == !lit {
                 return true; // tautology
@@ -338,23 +359,26 @@ impl Solver {
             match self.value(lit) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
-                LBool::Undef => simplified.push(lit),
+                LBool::Undef => {
+                    clause[kept] = lit;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
+        clause.truncate(kept);
         self.stats.original_clauses += 1;
-        match simplified.len() {
+        match clause.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], None);
+                self.unchecked_enqueue(clause[0], None);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                self.attach_new_clause(&simplified, false);
+                self.attach_new_clause(clause, false);
                 true
             }
         }
@@ -362,6 +386,9 @@ impl Solver {
 
     /// Adds every clause of a [`CnfFormula`]. Returns `false` if the database
     /// became unsatisfiable.
+    ///
+    /// The clause arena is pre-sized for the whole formula, so loading does a
+    /// single allocation instead of one per clause.
     pub fn add_formula(&mut self, formula: &CnfFormula) -> bool {
         self.ensure_vars(formula.num_vars());
         self.arena
@@ -374,8 +401,16 @@ impl Solver {
         self.ok
     }
 
+    /// Attaches a clause of at least two literals. A problem clause makes
+    /// its variables decision variables; a learnt clause only mentions
+    /// variables that problem clauses already made so.
     fn attach_new_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
+        if !learnt {
+            for &lit in lits {
+                self.set_decision_var(lit.var());
+            }
+        }
         let cref = self.arena.alloc(lits, learnt);
         self.watches[(!lits[0]).code()].push(Watcher {
             cref,
@@ -775,8 +810,8 @@ impl Solver {
         self.arena = to;
     }
 
-    /// Backtracks to the given decision level, undoing assignments and saving
-    /// phases.
+    /// Backtracks to the given decision level, undoing assignments, saving
+    /// phases and putting decision variables back in the order heap.
     fn cancel_until(&mut self, level: usize) {
         if self.decision_level() <= level {
             return;
@@ -787,7 +822,7 @@ impl Solver {
             let v = lit.var();
             self.assigns[v.index()] = LBool::Undef;
             self.polarity[v.index()] = lit.is_positive();
-            if !self.order_heap.contains(v) {
+            if self.decision[v.index()] && !self.order_heap.contains(v) {
                 self.order_heap.insert(v, &self.activity);
             }
         }
@@ -1001,7 +1036,15 @@ impl Solver {
 
         Some(match status {
             LBool::True => {
-                self.model = self.assigns.clone();
+                // Only variables no attached clause mentions can still be
+                // unassigned; they read `false`.
+                self.model.extend(self.assigns.iter().map(|&v| {
+                    if v.is_undef() {
+                        LBool::False
+                    } else {
+                        v
+                    }
+                }));
                 SatResult::Sat
             }
             LBool::False => SatResult::Unsat,
@@ -1020,10 +1063,7 @@ impl Solver {
     /// Returns the most recent model as one Boolean per variable (variables
     /// not constrained by any clause default to `false`).
     pub fn model(&self) -> Vec<bool> {
-        self.model
-            .iter()
-            .map(|v| v.to_option().unwrap_or(false))
-            .collect()
+        self.model.iter().map(|v| v.is_true()).collect()
     }
 
     /// Returns the subset of the last `solve_assuming` call's assumptions that
@@ -1364,6 +1404,54 @@ mod tests {
                 "dropping selector {drop} must restore satisfiability"
             );
         }
+    }
+
+    /// Variables that no clause mentions are never decided: a solve over
+    /// three live variables and a hundred padded ones makes at most three
+    /// decisions, and every padded variable reads `false`, also after an
+    /// earlier call assumed it true.
+    #[test]
+    fn variables_in_no_clause_stay_undecided_and_read_false() {
+        let (mut solver, vars) = make_solver(103);
+        let [a, b, c] = [vars[7], vars[50], vars[99]].map(|v| v.positive());
+        solver.add_clause([a, b]);
+        solver.add_clause([!a, c]);
+        solver.add_clause([!b, !c]);
+        let padded = vars[0].positive();
+        assert_eq!(solver.solve_assuming(&[padded]), SatResult::Sat);
+        assert_eq!(solver.model_value(padded), Some(true));
+        assert_eq!(solver.solve(), SatResult::Sat);
+        assert!(solver.stats().decisions <= 3, "{:?}", solver.stats());
+        let model = solver.model();
+        assert_eq!(model.len(), 103);
+        for (i, &value) in model.iter().enumerate() {
+            if ![7, 50, 99].contains(&i) {
+                assert!(!value, "padded x{i} reads true");
+                assert_eq!(solver.model_value(vars[i].positive()), Some(false));
+            }
+        }
+        let holds = |l: Lit| model[l.var().index()] == l.is_positive();
+        assert!((holds(a) || holds(b)) && (!holds(a) || holds(c)) && (!holds(b) || !holds(c)));
+    }
+
+    /// A variable first mentioned by a clause added after a solve becomes a
+    /// decision variable: the next model must satisfy that clause, which no
+    /// unit propagation alone can do here.
+    #[test]
+    fn a_variable_first_mentioned_after_a_solve_gets_decided() {
+        let (mut solver, vars) = make_solver(4);
+        let [x, y, z, w] = [0, 1, 2, 3].map(|i| vars[i].positive());
+        solver.add_clause([x, y]);
+        assert_eq!(solver.solve(), SatResult::Sat);
+        let before = solver.stats().decisions;
+        assert_eq!(solver.model_value(z), Some(false));
+        // Both polarities of `z` and `w` are open; the saved phase `false`
+        // of every variable satisfies neither clause by itself.
+        solver.add_clause([z, w]);
+        solver.add_clause([z, !w]);
+        assert_eq!(solver.solve(), SatResult::Sat);
+        assert!(solver.stats().decisions > before);
+        assert_eq!(solver.model_value(z), Some(true));
     }
 
     /// A backjump can unassign `decide_first` literals that were already

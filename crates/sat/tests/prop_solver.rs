@@ -150,11 +150,19 @@ fn check_answer(
 /// Sequences of calls on one solver whose assumption lists share, extend,
 /// shorten and change the previous call's prefix, with clauses and
 /// variables added between calls: every answer must match brute force.
-#[test]
-fn incremental_calls_match_brute_force() {
-    let mut rng = SplitMix64::seed_from_u64(0x5EC5);
-    for case in 0..96 {
+///
+/// With `padding > 0` the initial formula's seven variables are scattered
+/// over `7 + padding` indices, so `padding` variables start in no clause.
+/// Assumptions and later clauses draw from every index, so a padded
+/// variable may be assumed, or first mentioned after a solve. In every
+/// model, a variable that no clause and no assumption mentions is `false`.
+fn incremental_sweep(seed: u64, cases: usize, padding: usize) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    for case in 0..cases {
         let mut cnf = random_cnf(&mut rng, 7, 18);
+        if padding > 0 {
+            cnf = scatter(&cnf, 7 + padding, &mut rng);
+        }
         let mut solver = Solver::from_formula(&cnf);
         solver.ensure_vars(cnf.num_vars());
         let mut assumptions: Vec<Lit> = Vec::new();
@@ -204,15 +212,63 @@ fn incremental_calls_match_brute_force() {
                 }
             }
             let result = solver.solve_assuming(&assumptions);
-            check_answer(
-                &solver,
-                &cnf,
-                &assumptions,
-                result,
-                &format!("case {case}, step {step}"),
-            );
+            let at = format!("case {case}, step {step}");
+            check_answer(&solver, &cnf, &assumptions, result, &at);
+            if result == SatResult::Sat {
+                let model = solver.model();
+                let mut mentioned = vec![false; cnf.num_vars()];
+                for lit in cnf
+                    .clauses()
+                    .iter()
+                    .flat_map(|c| c.iter())
+                    .chain(&assumptions)
+                {
+                    mentioned[lit.var().index()] = true;
+                }
+                for (v, _) in mentioned.iter().enumerate().filter(|(_, &m)| !m) {
+                    assert!(!model[v], "{at}: x{v} is in no clause yet reads true");
+                }
+            }
         }
     }
+}
+
+/// `cnf` with its variables moved to distinct random indices below `total`.
+fn scatter(cnf: &CnfFormula, total: usize, rng: &mut SplitMix64) -> CnfFormula {
+    let mut slots: Vec<usize> = (0..total).collect();
+    for i in (1..total).rev() {
+        slots.swap(i, rng.gen_range(0..=i));
+    }
+    let mut scattered = CnfFormula::with_vars(total);
+    for clause in cnf.clauses() {
+        scattered.add_clause(
+            clause
+                .iter()
+                .map(|l| Var::from_index(slots[l.var().index()]).lit(l.is_positive()))
+                .collect::<Vec<Lit>>(),
+        );
+    }
+    scattered
+}
+
+#[test]
+fn incremental_calls_match_brute_force() {
+    incremental_sweep(0x5EC5, 96, 0);
+}
+
+/// The incremental sweep with variables that no clause mentions: the solver
+/// never decides them, yet answers, models and cores must not change.
+#[test]
+fn incremental_calls_with_padded_variables_match_brute_force() {
+    incremental_sweep(0x9AD5, 96, 3);
+}
+
+/// The padded sweep over twenty times as many cases; run with
+/// `cargo test --release -p sat -- --ignored`.
+#[test]
+#[ignore]
+fn incremental_calls_with_padded_variables_match_brute_force_long() {
+    incremental_sweep(0x9AD5, 20 * 96, 3);
 }
 
 /// With ordered decisions the model is the lexicographically best one over

@@ -39,7 +39,7 @@ fn render(report: &LocalizationReport) -> String {
 }
 
 /// Localizes the first failing vector of `version` in the Table 1 pool.
-fn localize_first_failing(version: &str) -> String {
+fn localize_first_failing(version: &str) -> LocalizationReport {
     let version = siemens::tcas_versions()
         .into_iter()
         .find(|v| v.name == version)
@@ -57,17 +57,39 @@ fn localize_first_failing(version: &str) -> String {
     let spec = Spec::ReturnEquals(siemens::tcas_golden_output(&failing));
     let localizer = Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &table1_config())
         .expect("TCAS encodes");
-    render(&localizer.localize(&failing).expect("localization succeeds"))
+    localizer.localize(&failing).expect("localization succeeds")
 }
 
 fn check(version: &str, expected: &str) {
-    let got = localize_first_failing(version);
+    let got = render(&localize_first_failing(version));
     assert_eq!(got, expected, "{version}:\n{got}");
 }
 
 #[test]
 fn tcas_v1_report_is_pinned() {
     check("v1", V1);
+}
+
+/// The solver-independent counters of the v1 report: how many SAT calls
+/// and cores the enumeration took, and the size of the hard part it solved.
+/// A change to how a `localize` call loads or searches its solver must
+/// leave them, like the suspects, exactly as they are.
+#[test]
+fn tcas_v1_report_counters_are_pinned() {
+    let report = localize_first_failing("v1");
+    assert_eq!(render(&report), V1);
+    let stats = report.stats;
+    assert_eq!(
+        (
+            stats.maxsat_calls,
+            stats.sat_calls,
+            stats.cores,
+            stats.hard_clauses,
+            stats.variables
+        ),
+        (24, 49, 25, 2356, 2946),
+        "{stats:?}"
+    );
 }
 
 #[test]
