@@ -11,10 +11,10 @@
 //! * `baseline_compare` — BugAssist vs. backward slice vs. spectrum-based
 //!   localization (the comparison sketched in Sec. 2).
 //!
-//! The crate's one other binary, `loadgen`, drives the localization
-//! service end to end (cold/warm cache, edit stream, chaos, restart and
-//! fleet scenarios) and writes `BENCH_service.json`. Pipeline speed is
-//! measured by the separate `perfbench/` package, not here.
+//! Pipeline and service speed are measured by the separate `perfbench/`
+//! package, not here; the service's behaviour under load (warm vs cold,
+//! edit stream, overload, chaos, restart) is asserted by the `service`
+//! crate's own tests.
 
 #![warn(missing_docs)]
 

@@ -81,11 +81,6 @@ impl ClauseArena {
         }
     }
 
-    /// Reserves room for at least `words` additional `u32`s.
-    pub fn reserve(&mut self, words: usize) {
-        self.data.reserve(words);
-    }
-
     /// Appends a clause and returns its reference.
     ///
     /// # Panics

@@ -386,13 +386,8 @@ impl Solver {
 
     /// Adds every clause of a [`CnfFormula`]. Returns `false` if the database
     /// became unsatisfiable.
-    ///
-    /// The clause arena is pre-sized for the whole formula, so loading does a
-    /// single allocation instead of one per clause.
     pub fn add_formula(&mut self, formula: &CnfFormula) -> bool {
         self.ensure_vars(formula.num_vars());
-        self.arena
-            .reserve(formula.num_literals() + formula.num_clauses());
         for clause in formula.iter() {
             if !self.add_clause(clause.lits().iter().copied()) {
                 return false;

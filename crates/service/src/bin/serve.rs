@@ -12,15 +12,14 @@
 //! Binds (default `127.0.0.1:7911`), prints the bound address on stdout and
 //! serves until a client sends `{"op":"shutdown"}`, then drains every
 //! accepted job and exits. See the `service` crate docs and the README's
-//! "Running the localization service", "Operating under overload" and
-//! "Running a fleet" sections for the wire protocol and the
-//! budget/robustness knobs.
+//! "Running the localization service" and "Operating under overload"
+//! sections for the wire protocol and the budget/robustness knobs.
 //!
 //! `--no-restore` skips the eager restore-on-boot scan of `--store-dir`:
 //! the disk tier is consulted lazily per request instead (first repeat
 //! request answers with `tier:"store"`), trading first-hit latency for an
-//! instant boot. Each replica of a fleet needs its **own** `--store-dir`;
-//! a directory already owned by a live daemon is refused at startup.
+//! instant boot. Each daemon needs its **own** `--store-dir`; a directory
+//! already owned by a live daemon is refused at startup.
 
 use service::{Server, ServiceConfig};
 

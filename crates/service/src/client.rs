@@ -461,9 +461,9 @@ impl Client {
     }
 
     /// The full `health` response object: liveness plus the load signals a
-    /// fleet router reads to avoid struggling replicas — `queue_depth`,
-    /// `queue_capacity`, `active_lanes`, `shed`, `expired`, `shed_rate`
-    /// and the `store` restore/write status.
+    /// load balancer or operator reads to spot a struggling daemon —
+    /// `queue_depth`, `queue_capacity`, `active_lanes`, `shed`, `expired`,
+    /// `shed_rate` and the `store` restore/write status.
     ///
     /// # Errors
     ///

@@ -1,12 +1,12 @@
 //! Deterministic, seeded fault injection for robustness testing.
 //!
-//! The chaos scenario of the `loadgen` benchmark (and the service's own
-//! robustness tests) need the daemon to misbehave *on demand* and
-//! *reproducibly*: a worker that panics mid-job, a queue pickup that
-//! stalls, a solve that suddenly takes much longer, a prepared-formula
-//! build that blows up inside the single-flight cache slot. A
-//! [`FaultPlan`] injects exactly those faults at seed-determined points,
-//! so a failing chaos run can be replayed bit-for-bit.
+//! The service's robustness tests (the chaos scenario among them) need
+//! the daemon to misbehave *on demand* and *reproducibly*: a worker that
+//! panics mid-job, a queue pickup that stalls, a solve that suddenly takes
+//! much longer, a prepared-formula build that blows up inside the
+//! single-flight cache slot. A [`FaultPlan`] injects exactly those faults
+//! at seed-determined points, so a failing chaos run can be replayed
+//! bit-for-bit.
 //!
 //! The server calls a hook only when [`crate::ServiceConfig::fault_plan`]
 //! is set, which the `serve` binary never does: a daemon without a plan
@@ -43,13 +43,6 @@ pub struct FaultConfig {
     /// the cache's single-flight slot (exercises poisoned-slot eviction).
     /// 0 disables.
     pub build_panic_period: u64,
-    /// Replica-crash fault: once this many job executions have completed,
-    /// the whole replica "dies" — every open connection is severed abruptly
-    /// and no graceful snapshot runs (see `Server`'s crash path). Unlike
-    /// the periodic faults this fires exactly **once**; a fleet chaos run
-    /// uses it to kill one replica mid-stream at a deterministic point.
-    /// 0 disables.
-    pub crash_after_executes: u64,
 }
 
 impl Default for FaultConfig {
@@ -62,7 +55,6 @@ impl Default for FaultConfig {
             delay_period: 0,
             delay_ms: 50,
             build_panic_period: 0,
-            crash_after_executes: 0,
         }
     }
 }
@@ -82,7 +74,6 @@ pub struct FaultPlan {
     injected_panics: AtomicU64,
     injected_delays: AtomicU64,
     injected_build_panics: AtomicU64,
-    injected_crashes: AtomicU64,
 }
 
 impl FaultPlan {
@@ -112,7 +103,6 @@ impl FaultPlan {
             injected_panics: AtomicU64::new(0),
             injected_delays: AtomicU64::new(0),
             injected_build_panics: AtomicU64::new(0),
-            injected_crashes: AtomicU64::new(0),
         }
     }
 
@@ -154,26 +144,6 @@ impl FaultPlan {
         }
     }
 
-    /// Hook: a worker finished a job. Returns `true` exactly once, when
-    /// the configured execution count has been reached — the caller (the
-    /// server's worker loop) then crashes the replica abruptly. One-shot
-    /// by a compare-and-swap: with several workers racing past the
-    /// threshold, only one gets to pull the trigger.
-    pub fn crash_check(&self) -> bool {
-        let threshold = self.config.crash_after_executes;
-        if threshold == 0 || self.executes.load(Ordering::Relaxed) < threshold {
-            return false;
-        }
-        self.injected_crashes
-            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
-    /// Total replica crashes injected so far (0 or 1).
-    pub fn injected_crashes(&self) -> u64 {
-        self.injected_crashes.load(Ordering::Relaxed)
-    }
-
     /// Total faults injected so far, by kind:
     /// `(stalls, panics, delays, build_panics)`.
     pub fn injected(&self) -> (u64, u64, u64, u64) {
@@ -185,10 +155,10 @@ impl FaultPlan {
         )
     }
 
-    /// Total faults injected so far, summed over kinds (crashes included).
+    /// Total faults injected so far, summed over kinds.
     pub fn injected_total(&self) -> u64 {
         let (a, b, c, d) = self.injected();
-        a + b + c + d + self.injected_crashes()
+        a + b + c + d
     }
 }
 
@@ -229,23 +199,6 @@ mod tests {
         assert_eq!(first.0, 6, "24 pickups / period 4");
         assert_eq!(first.2, 8, "24 executes / period 3");
         assert_eq!(first, run(), "same seed, same faults");
-    }
-
-    #[test]
-    fn crash_fires_exactly_once_after_the_threshold() {
-        let plan = FaultPlan::new(FaultConfig {
-            crash_after_executes: 3,
-            ..FaultConfig::default()
-        });
-        assert!(!plan.crash_check(), "no executes yet");
-        for _ in 0..3 {
-            plan.execute_start();
-            // Not yet: the check races only after the count is reached.
-        }
-        assert!(plan.crash_check(), "threshold reached: fires");
-        assert!(!plan.crash_check(), "one-shot: never fires twice");
-        assert_eq!(plan.injected_crashes(), 1);
-        assert_eq!(plan.injected_total(), 1);
     }
 
     #[test]

@@ -147,51 +147,6 @@ impl Json {
         }
     }
 
-    /// Serializes with two-space indentation — for humans (the checked-in
-    /// `BENCH_service.json`); the wire always uses the compact `Display`.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.pretty_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn pretty_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.pretty_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&Json::Str(key.clone()).to_string());
-                    out.push_str(": ");
-                    value.pretty_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-            other => out.push_str(&other.to_string()),
-        }
-    }
-
     /// Parses one JSON document; trailing non-whitespace is an error.
     ///
     /// # Errors
@@ -655,14 +610,6 @@ mod tests {
         // in program source must therefore be escaped, never literal.
         let value = Json::obj(vec![("program", Json::str("int main() {\nreturn 0;\n}"))]);
         assert!(!value.to_string().contains('\n'));
-    }
-
-    #[test]
-    fn pretty_output_reparses_identically() {
-        let value = Json::parse(r#"{"a":[1,2,{"b":null}],"c":{},"d":[],"e":1.5}"#).unwrap();
-        let pretty = value.pretty();
-        assert!(pretty.contains("\n  \"a\": ["));
-        assert_eq!(Json::parse(&pretty).unwrap(), value);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # service — localization as a service
 //!
-//! BugAssist-style error localization is *repeated* work: a CI fleet or an
+//! BugAssist-style error localization is *repeated* work: a CI pipeline or an
 //! IDE plugin localizes the same program over and over with different
 //! failing tests, and almost the entire cost of each request — parse,
 //! typecheck, unroll/inline, bit-blast, selector-template construction — is
@@ -33,10 +33,7 @@
 //! * [`server`] — `TcpListener` + fixed worker-thread pool + graceful
 //!   drain-then-exit shutdown (with store snapshot);
 //! * [`client`] — the blocking client library used by the tests and the
-//!   `loadgen` benchmark;
-//! * [`fleet`] — rendezvous-hash routing of jobs across N replicas with
-//!   health probing and transparent failover, so the service survives a
-//!   replica dying mid-stream with byte-identical answers.
+//!   `perfbench` benchmark.
 //!
 //! The `revise` op is what turns the daemon into an **interactive-loop
 //! backend**: a client that edits its program re-submits with the previous
@@ -84,7 +81,6 @@ pub mod cache;
 pub mod client;
 mod counters;
 pub mod faults;
-pub mod fleet;
 pub mod json;
 pub mod persist;
 pub mod protocol;
@@ -94,7 +90,6 @@ pub mod server;
 pub use cache::{CacheStats, PreparedCache, PreparedEntry};
 pub use client::{Client, ClientConfig, ClientError, Outcome, ReviseOutcome};
 pub use faults::{FaultConfig, FaultPlan};
-pub use fleet::{FleetClient, FleetConfig, FleetStats};
 pub use json::{Json, JsonError};
 pub use protocol::{Envelope, Job, JobOptions, JobSpec, ProtocolError, Request};
 pub use queue::{JobQueue, PushError, TryPushError};

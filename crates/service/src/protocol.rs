@@ -949,7 +949,7 @@ mod tests {
         assert_eq!(budgeted.cache_key(&program), base);
 
         // Nor the client identity: who asked has no bearing on the answer,
-        // so every tenant (and every fleet replica) shares one entry.
+        // so every tenant shares one entry.
         let mut identified = job.clone();
         identified.client_id = Some("tenant-a".to_string());
         assert_eq!(identified.cache_key(&program), base);

@@ -95,9 +95,9 @@ pub struct ServiceConfig {
     pub store_dir: Option<String>,
     /// Whether boot eagerly restores every store record into the in-memory
     /// cache (the default). With `false` the disk tier is consulted lazily,
-    /// per request — a restarted replica's first hit for a previously-seen
-    /// program then answers with `tier:"store"`, which is what the fleet
-    /// chaos scenario pins; large stores also boot faster this way.
+    /// per request — a restarted daemon's first hit for a previously-seen
+    /// program then answers with `tier:"store"` (the `serve --no-restore`
+    /// setting); large stores also boot faster this way.
     pub restore_on_boot: bool,
 }
 
@@ -237,10 +237,6 @@ struct ServerState {
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
-    /// Set by [`ServerState::crash_abrupt`]: an injected replica crash.
-    /// A crashed daemon must not snapshot its cache on [`Server::wait`] —
-    /// a real crash gets no goodbye write.
-    crashed: AtomicBool,
     /// Every counter `stats`, `metrics` and `health` expose.
     counters: Counters,
     last_job: Mutex<Option<LastJob>>,
@@ -260,32 +256,6 @@ impl ServerState {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue.close();
-        let _ = TcpStream::connect(self.local_addr);
-    }
-
-    /// An injected replica crash: like [`ServerState::begin_shutdown`] but
-    /// *abrupt* — every open connection is severed immediately (clients see
-    /// a reset mid-request, exactly what a killed process looks like from
-    /// the wire) and no graceful snapshot will follow. The store's lock
-    /// file is released explicitly because in-process chaos tests restart
-    /// the "crashed" replica under the same PID: a real crash leaves a
-    /// stale lock that the restart breaks via its dead PID, which a
-    /// same-process test cannot simulate.
-    fn crash_abrupt(&self) {
-        self.crashed.store(true, Ordering::SeqCst);
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
-        // Hang up the write-through channel without the cache snapshot.
-        self.store_writer
-            .lock()
-            .expect("store_writer poisoned")
-            .take();
-        for (_, stream) in self.streams.lock().expect("streams poisoned").iter() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        if let Some(store) = &self.store {
-            store.unlock();
-        }
         let _ = TcpStream::connect(self.local_addr);
     }
 
@@ -313,11 +283,12 @@ impl ServerState {
     }
 
     /// The `health` wire response. Beyond liveness it carries the load
-    /// signals a fleet router needs to avoid a struggling replica — queue
-    /// depth/capacity, active fair-queue lanes, shed/expired totals and the
-    /// shed *rate* (sheds per admission attempt) — plus the store tier's
-    /// status so a restarted replica can be seen coming back warm. The
-    /// shape is pinned by `health_reports_queue_shed_and_store_status`.
+    /// signals a load balancer or operator reads to spot a struggling
+    /// daemon — queue depth/capacity, active fair-queue lanes, shed/expired
+    /// totals and the shed *rate* (sheds per admission attempt) — plus the
+    /// store tier's status so a restarted daemon can be seen coming back
+    /// warm. The shape is pinned by
+    /// `health_reports_queue_shed_and_store_status`.
     fn health_line(&self, id: u64) -> String {
         let view = self.view();
         let shed = self.counters.get(Own::JobsShed);
@@ -1015,7 +986,6 @@ impl Server {
             read_timeout: config.read_timeout_ms.map(Duration::from_millis),
             write_timeout: config.write_timeout_ms.map(Duration::from_millis),
             faults: config.fault_plan.clone(),
-            crashed: AtomicBool::new(false),
             counters: Counters::new(),
             last_job: Mutex::new(None),
             connections: Mutex::new(0),
@@ -1129,16 +1099,6 @@ impl Server {
                             };
                             // A disconnected client is not an error.
                             let _ = job.reply.send(response);
-                            // Injected replica crash: once the configured
-                            // execution count is reached, this replica
-                            // "dies" abruptly — connections severed, no
-                            // snapshot. Exactly one worker pulls the
-                            // trigger (one-shot CAS inside the hook).
-                            if let Some(faults) = &state.faults {
-                                if faults.crash_check() {
-                                    state.crash_abrupt();
-                                }
-                            }
                         }
                     })
                     .expect("spawn worker")
@@ -1237,13 +1197,9 @@ impl Server {
             .lock()
             .expect("store_writer poisoned")
             .take();
-        // A crashed replica gets no goodbye snapshot (crash_abrupt already
-        // dropped the sender); only a graceful shutdown writes one.
         if let Some(tx) = writer_tx {
-            if !self.state.crashed.load(Ordering::SeqCst) {
-                for (key, entry) in self.state.cache.entries() {
-                    let _ = tx.send((key, entry));
-                }
+            for (key, entry) in self.state.cache.entries() {
+                let _ = tx.send((key, entry));
             }
         }
         if let Some(writer) = self.store_writer.take() {
@@ -1273,20 +1229,6 @@ impl Server {
     /// Graceful shutdown: [`Server::trigger_shutdown`] + [`Server::wait`].
     pub fn shutdown(self) {
         self.trigger_shutdown();
-        self.wait();
-    }
-
-    /// Kills the replica the way a crashed process would look from the
-    /// wire: every open connection is severed immediately (in-flight
-    /// requests see a reset, not a response) and **no** cache snapshot is
-    /// written — only what the asynchronous write-through already persisted
-    /// survives, which is exactly the durability a real crash leaves
-    /// behind. The threads are then joined so the harness can restart a
-    /// replica on the same store directory. Chaos harnesses use this (or
-    /// the `crash_after_executes` fault) to kill one fleet replica
-    /// mid-stream.
-    pub fn crash(self) {
-        self.state.crash_abrupt();
         self.wait();
     }
 }

@@ -44,6 +44,24 @@ fn minic_job(delta: i64) -> Job {
     Job::new(source, "main", JobSpec::ReturnEquals(0), vec![vec![3]])
 }
 
+/// A build-heavy job: a long straight-line body whose encoding dwarfs its
+/// MAX-SAT solve, so a restored entry saves a whole build.
+fn wide_minic_job(lines: usize) -> Job {
+    let mut source = String::from("int main(int x) {\nint y = x + 2;\n");
+    for _ in 0..lines {
+        source.push_str("y = y + 1;\n");
+    }
+    source.push_str("return y;\n}");
+    let mut job = Job::new(
+        source,
+        "main",
+        JobSpec::ReturnEquals(1 + lines as i64),
+        vec![vec![0]],
+    );
+    job.options.max_suspect_sets = 2;
+    job
+}
+
 fn canonical(body: &Json) -> String {
     service::protocol::canonicalize(body).to_string()
 }
@@ -73,25 +91,34 @@ fn wait_for_writes(client: &mut Client, writes: u64) {
     }
 }
 
+/// First daemon lifetime on `dir`: builds every job cold, waits for the
+/// write-through to persist them all, and shuts down. Returns each job's
+/// canonical report and the summed request milliseconds.
+fn build_and_persist(dir: &TempDir, jobs: &[Job]) -> (Vec<String>, f64) {
+    let server = Server::start(store_config(dir)).expect("first daemon");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let mut expected = Vec::with_capacity(jobs.len());
+    let mut cold_ms = 0.0;
+    for job in jobs {
+        let started = Instant::now();
+        let out = client.localize(job.clone()).expect("localizes");
+        cold_ms += started.elapsed().as_secs_f64() * 1e3;
+        assert!(!out.cache_hit);
+        assert_eq!(out.tier, "built");
+        expected.push(canonical(&out.body));
+    }
+    wait_for_writes(&mut client, jobs.len() as u64);
+    server.shutdown();
+    (expected, cold_ms)
+}
+
 #[test]
 fn restart_recovers_warm_entries_byte_identically() {
     let dir = TempDir::new("restart");
-    let jobs = [minic_job(2), minic_job(5)];
+    let jobs = [wide_minic_job(80), minic_job(2), minic_job(5)];
 
     // First daemon lifetime: cold builds, asynchronous write-through.
-    let server = Server::start(store_config(&dir)).expect("first daemon");
-    let mut expected = Vec::new();
-    {
-        let mut client = Client::connect(server.local_addr()).expect("connects");
-        for job in &jobs {
-            let out = client.localize(job.clone()).expect("localizes");
-            assert!(!out.cache_hit);
-            assert_eq!(out.tier, "built");
-            expected.push(canonical(&out.body));
-        }
-        wait_for_writes(&mut client, jobs.len() as u64);
-    }
-    server.shutdown();
+    let (expected, cold_total) = build_and_persist(&dir, &jobs);
 
     // Second daemon lifetime, same directory: restore-on-boot preloads the
     // cache, so the first request per program is already warm — no
@@ -116,13 +143,52 @@ fn restart_recovers_warm_entries_byte_identically() {
         Some(env!("CARGO_PKG_VERSION")),
         "stats reports the build version: {stats}"
     );
+    let mut disk_warm_total = 0.0;
+    for (job, expected) in jobs.iter().zip(&expected) {
+        let started = Instant::now();
+        let out = client
+            .localize(job.clone())
+            .expect("localizes post-restart");
+        disk_warm_total += started.elapsed().as_secs_f64() * 1e3;
+        assert!(out.cache_hit, "restored entry serves as a plain cache hit");
+        assert_eq!(out.tier, "memory");
+        assert_eq!(out.build_ms, 0, "no rebuild after restart");
+        assert_eq!(&canonical(&out.body), expected, "byte-identical report");
+    }
+    server.shutdown();
+    assert!(
+        cold_total > 1.5 * disk_warm_total,
+        "disk-warm restart (total {disk_warm_total:.3}ms) must beat the cold \
+         builds (total {cold_total:.3}ms) by more than 1.5x"
+    );
+}
+
+/// `serve --no-restore`: a restart that skips the boot scan serves each
+/// program's first request from the disk tier (`tier:"store"`), without a
+/// rebuild and byte-identically to the first lifetime.
+#[test]
+fn restart_without_restore_on_boot_answers_first_requests_from_the_store() {
+    let dir = TempDir::new("lazy-restart");
+    let jobs = [minic_job(2), minic_job(5)];
+    let (expected, _) = build_and_persist(&dir, &jobs);
+
+    let server = Server::start(ServiceConfig {
+        restore_on_boot: false,
+        ..store_config(&dir)
+    })
+    .expect("second daemon");
+    let mut client = Client::connect(server.local_addr()).expect("reconnects");
+    assert_eq!(
+        store_stat(&client.stats().expect("stats"), "restored_entries"),
+        0
+    );
     for (job, expected) in jobs.iter().zip(&expected) {
         let out = client
             .localize(job.clone())
             .expect("localizes post-restart");
-        assert!(out.cache_hit, "restored entry serves as a plain cache hit");
-        assert_eq!(out.tier, "memory");
-        assert_eq!(out.build_ms, 0, "no rebuild after restart");
+        assert!(!out.cache_hit, "nothing was restored into memory");
+        assert_eq!(out.tier, "store");
+        assert_eq!(out.build_ms, 0, "store-served entries never rebuild");
         assert_eq!(&canonical(&out.body), expected, "byte-identical report");
     }
     server.shutdown();
@@ -477,35 +543,25 @@ fn metrics_exposition_is_valid_prometheus_text() {
     server.shutdown();
 }
 
-/// The fleet client's own exposition goes through the same structural
-/// validator: a chaos harness scrapes it next to the per-replica text.
+/// Two daemons pointed at the same `--store-dir` is an operator error the
+/// second must refuse at startup with a structured message, and a graceful
+/// shutdown releases the directory.
 #[test]
-fn fleet_metrics_exposition_is_valid_prometheus_text() {
-    let dir = TempDir::new("fleet-metrics");
-    let server = Server::start(store_config(&dir)).expect("daemon");
-    let addr = server.local_addr().to_string();
-    let mut fleet = service::FleetClient::new(service::FleetConfig {
-        replicas: vec![addr],
-        ..service::FleetConfig::default()
-    });
-    fleet.localize(minic_job(3)).expect("fleet serves");
-    fleet.probe();
-    let text = fleet.metrics_text();
-    assert_valid_prometheus(&text);
+fn a_second_replica_on_the_same_store_dir_is_refused_at_startup() {
+    let dir = TempDir::new("shared-store");
 
-    for family in [
-        "bugassist_fleet_replicas 1",
-        "bugassist_fleet_replicas_up 1",
-        "bugassist_fleet_requests_total 1",
-        "bugassist_fleet_delivered_total 1",
-        "bugassist_fleet_failovers_total 0",
-        "bugassist_fleet_down_marks_total 0",
-        "bugassist_fleet_served_total{replica=",
-    ] {
-        assert!(
-            text.contains(family),
-            "fleet metrics lack {family:?}:\n{text}"
-        );
-    }
-    server.shutdown();
+    let first = Server::start(store_config(&dir)).expect("first replica owns the dir");
+    let err = Server::start(store_config(&dir))
+        .expect_err("second replica on the same store dir must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+    let message = err.to_string();
+    assert!(
+        message.contains("locked by live process") && message.contains("--store-dir"),
+        "startup error must name the hazard and the fix: {message}"
+    );
+
+    // Graceful shutdown releases the lock; the directory is reusable.
+    first.shutdown();
+    let second = Server::start(store_config(&dir)).expect("dir reusable after shutdown");
+    second.shutdown();
 }

@@ -906,6 +906,28 @@ fn saturated_queue_sheds_budgeted_jobs_instead_of_blocking() {
             })
         })
         .collect();
+    // The retrying client starts only once the racers have saturated the
+    // worker and the slot (two sheds), or have all been answered: started
+    // with them, its first request could take the slot and shed every
+    // racer.
+    let mut probe = Client::connect(addr).expect("connects");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let stats = probe.stats().expect("stats");
+        let racers_shed = stats
+            .get("queue")
+            .and_then(|q| q.get("shed"))
+            .and_then(Json::as_u64)
+            .expect("queue.shed");
+        if racers_shed >= 2 || handles.iter().all(|h| h.is_finished()) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "racers neither shed nor finished: {stats}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     // A fifth client retries with backoff: the shed is transient, so it
     // must eventually get the real answer.
     let retrying = {
@@ -946,8 +968,7 @@ fn saturated_queue_sheds_budgeted_jobs_instead_of_blocking() {
         .expect("retries ride out the overload");
     assert_eq!(canonical(&out.body), expected);
 
-    let mut client = Client::connect(addr).expect("connects");
-    let stats = client.stats().expect("stats");
+    let stats = probe.stats().expect("stats");
     let stats_shed = stats
         .get("queue")
         .and_then(|q| q.get("shed"))
@@ -1129,7 +1150,7 @@ fn static_prune_counters_surface_in_stats() {
     }
 }
 
-/// The `health` wire shape is a contract: fleet routers and operators
+/// The `health` wire shape is a contract: load balancers and operators
 /// parse it, so the exact key set (and the `store` sub-object's) is
 /// pinned here. Adding a field is an API change that must edit this test.
 #[test]
@@ -1167,7 +1188,7 @@ fn health_reports_queue_shed_and_store_status() {
             "shed_rate",
             "store",
         ],
-        "health key set changed — update the fleet/router consumers first"
+        "health key set changed — update the health consumers first"
     );
     let store_keys: Vec<&str> = report
         .get("store")
