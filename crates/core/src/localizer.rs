@@ -284,7 +284,9 @@ enum Role {
 
 /// The input-independent part of the extended trace formula: the selectors,
 /// the selector-relaxed TF1 (simplified unless [`LocalizerConfig::simplify`]
-/// is off), the model reconstruction and the build's analysis results.
+/// is off) and the build's analysis results. It keeps only what a solve
+/// reads: the simplifier's model-reconstruction map is dropped, because every
+/// answer is read off the selectors, which the simplifier freezes.
 /// [`Localizer::new`] builds it once. Each `localize` call reads it in place:
 /// it loads that test's hard units into a fresh SAT solver first and the
 /// template's hard clauses after them, so the clauses the units satisfy are
@@ -311,10 +313,6 @@ pub struct PreparedTemplate {
     simplify_stats: sat::SimplifyStats,
     /// Milliseconds the preprocessing run took.
     simplify_ms: u128,
-    /// Extends models of the simplified template back to the full
-    /// bit-blasted variable space, so counterexample values and repair
-    /// witnesses decode even for eliminated auxiliary variables.
-    reconstruction: sat::ModelReconstruction,
     /// Statically-irrelevant statement lines, sorted (empty unless
     /// [`LocalizerConfig::static_prune`] is on).
     pruned_lines: Vec<Line>,
@@ -396,7 +394,6 @@ impl PreparedTemplate {
         let hard_clauses_pre_simplify = instance.num_hard();
         let mut simplify_stats = sat::SimplifyStats::default();
         let mut simplify_ms = 0u128;
-        let mut reconstruction = sat::ModelReconstruction::default();
         if config.simplify {
             // Freeze everything that is constrained or read after
             // preparation: the selectors (soft units, trusted units, blocking
@@ -412,7 +409,8 @@ impl PreparedTemplate {
                 sat::simplify(instance.hard(), &frozen, &sat::SimplifyConfig::default());
             simplify_ms = started.elapsed().as_millis();
             simplify_stats = simplified.stats;
-            reconstruction = simplified.reconstruction;
+            // The reconstruction map is dropped here: no report reads an
+            // eliminated variable.
             let mut shrunk = MaxSatInstance::from_hard(simplified.cnf);
             shrunk.ensure_vars(instance.num_vars());
             instance = shrunk;
@@ -423,7 +421,6 @@ impl PreparedTemplate {
             hard_clauses_pre_simplify,
             simplify_stats,
             simplify_ms,
-            reconstruction,
             pruned_lines,
             lint_warnings,
             prune_ms,
@@ -484,7 +481,6 @@ impl PreparedTemplate {
         w.write_usize(self.hard_clauses_pre_simplify);
         self.simplify_stats.encode(w);
         w.write_u64(self.simplify_ms.min(u64::MAX as u128) as u64);
-        self.reconstruction.encode(w);
         write_lines(w, &self.pruned_lines);
         w.write_u64(self.lint_warnings);
         w.write_u64(self.prune_ms.min(u64::MAX as u128) as u64);
@@ -534,7 +530,6 @@ impl PreparedTemplate {
         let hard_clauses_pre_simplify = r.read_usize()?;
         let simplify_stats = sat::SimplifyStats::decode(r)?;
         let simplify_ms = u128::from(r.read_u64()?);
-        let reconstruction = sat::ModelReconstruction::decode(r)?;
         let pruned_lines = read_lines(r)?;
         // `roles` binary-searches the pruned set.
         if pruned_lines.windows(2).any(|w| w[0] >= w[1]) {
@@ -548,7 +543,6 @@ impl PreparedTemplate {
             hard_clauses_pre_simplify,
             simplify_stats,
             simplify_ms,
-            reconstruction,
             pruned_lines,
             lint_warnings,
             prune_ms,
@@ -987,17 +981,6 @@ impl Localizer {
     /// wrong.
     pub fn localize(&self, failing_input: &[i64]) -> Result<LocalizationReport, LocalizeError> {
         self.localize_budgeted(failing_input, Budget::UNLIMITED)
-    }
-
-    /// Extends a model of the *prepared* (possibly simplified) formula back
-    /// to the full bit-blasted variable space, restoring the values of
-    /// auxiliary variables the preprocessor eliminated. Counterexample
-    /// decoding ([`SymbolicTrace::inputs_from_model`]) and flip-repair
-    /// witnesses read arbitrary trace variables, so they go through this
-    /// before interpreting a solver model. A no-op when simplification is
-    /// disabled or nothing was eliminated.
-    pub fn extend_model(&self, model: &mut Vec<bool>) {
-        self.prepared.reconstruction.extend(model);
     }
 
     /// The test-specific hard units of one failing test, in load order: the
@@ -1543,51 +1526,6 @@ mod tests {
         assert_send_sync::<LocalizationReport>();
         assert_send_sync::<LocalizerStats>();
         assert_send_sync::<crate::ranking::RankedReport>();
-    }
-
-    #[test]
-    fn extend_model_restores_eliminated_variables() {
-        use sat::{SatResult, Solver};
-        // With simplification on, a model of the *prepared* (simplified)
-        // hard clauses assigns nothing meaningful to eliminated auxiliary
-        // variables; `extend_model` must restore them so the full
-        // bit-blasted formula is satisfied and the counterexample inputs
-        // decode. Drive it exactly the way a witness consumer would: solve
-        // the prepared template under a concrete failing input with the
-        // property *violated*, extend, then check against the original.
-        let program = motivating_example();
-        let localizer = Localizer::new(&program, "testme", &Spec::Assertions, &config8()).unwrap();
-        let prepared = &localizer.prepared;
-        assert!(
-            prepared.simplify_stats.vars_eliminated > 0,
-            "the test is vacuous unless something was eliminated"
-        );
-        let mut solver = Solver::from_formula(prepared.hard());
-        let mut assumptions = localizer.trace.input_assumption_lits(&[1]);
-        // Every selector on: the faithful program semantics.
-        assumptions.extend(prepared.selector_lits());
-        assumptions.push(!localizer.trace.property);
-        assert_eq!(solver.solve_assuming(&assumptions), SatResult::Sat);
-        // Keep the selector assignments: the reconstruction's saved clauses
-        // mention selector literals, and truncating them away would let the
-        // replay pick arbitrary values for the eliminated variables.
-        let mut model = solver.model();
-        model.resize(prepared.instance.num_vars(), false);
-        localizer.extend_model(&mut model);
-        // The localizer consumed its grouped CNF while preparing; the
-        // encoding is deterministic, so a fresh encode yields the original.
-        assert_eq!(localizer.trace().cnf.num_clauses(), 0);
-        let original = encode_program(&program, "testme", &Spec::Assertions, &config8().encode)
-            .unwrap()
-            .cnf;
-        // After extension the model satisfies every original clause —
-        // augmented with the selector/property facts that also hold in the
-        // simplified solve.
-        for (clause, _) in original.iter() {
-            let augmented = clause.eval(&model);
-            assert!(augmented, "unsatisfied original clause: {clause:?}");
-        }
-        assert_eq!(localizer.trace.inputs_from_model(&model), vec![1]);
     }
 
     #[test]

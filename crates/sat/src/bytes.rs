@@ -3,7 +3,9 @@
 //! The persistent prepared-formula store (`crates/store` + the service's
 //! cache tier) needs a compact, versioned, deterministic byte encoding for
 //! the artifacts produced by this workspace — CNF formulas, simplifier
-//! reconstruction maps, grouped clauses, symbolic traces. The workspace is
+//! counters, symbolic traces, prepared templates. (The simplifier's
+//! reconstruction map has an encoder only, as a pinned fingerprint; no
+//! record carries it.) The workspace is
 //! std-only, so rather than pulling in a serde framework each crate exposes
 //! hand-rolled `encode`/`decode` pairs built on the two cursor types here:
 //!

@@ -25,8 +25,10 @@
 //!    Soft structure is the unit of blame and survives verbatim.
 //! 2. A **model-reconstruction map** ([`ModelReconstruction`]) is returned
 //!    so any model of the simplified formula extends to a model of the
-//!    original one — counterexample decoding and flip-repair witnesses keep
-//!    working even for eliminated auxiliary variables.
+//!    original one, eliminated auxiliary variables included. The localizer
+//!    drops it, since it reads every answer off the frozen selectors; a
+//!    reader of full models re-derives it by rerunning the simplifier,
+//!    whose output is deterministic.
 //!
 //! Everything is deterministic: no hash-map iteration orders leak into the
 //! output, so the same input always produces byte-identical results.
@@ -248,8 +250,9 @@ impl ModelReconstruction {
         }
     }
 
-    /// Appends this reconstruction map to `w` for the persistent
-    /// prepared-formula store (see [`crate::bytes`]).
+    /// Appends this reconstruction map to `w` (see [`crate::bytes`]): a
+    /// stable byte fingerprint of what the simplifier recorded. Nothing
+    /// decodes it; a prepared localizer does not keep the map.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.write_usize(self.steps.len());
         for step in &self.steps {
@@ -272,42 +275,6 @@ impl ModelReconstruction {
                 }
             }
         }
-    }
-
-    /// Reads back a map written by [`ModelReconstruction::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<ModelReconstruction, DecodeError> {
-        let len = r.read_len(2)?;
-        let mut rec = ModelReconstruction {
-            steps: Vec::with_capacity(len),
-            ..ModelReconstruction::default()
-        };
-        for _ in 0..len {
-            let tag = r.read_u8()?;
-            let var = Var::from_index(r.read_usize()?);
-            match tag {
-                0 => {
-                    let value = match r.read_u8()? {
-                        0 => false,
-                        1 => true,
-                        b => return Err(DecodeError::new(format!("bad bool byte {b}"))),
-                    };
-                    rec.steps.push(RecStep::Fixed { var, value });
-                }
-                1 => {
-                    let first = rec.ends.len();
-                    for _ in 0..r.read_len(8)? {
-                        for _ in 0..r.read_len(8)? {
-                            rec.lits.push(Lit::from_code(r.read_usize()?));
-                        }
-                        rec.ends.push(rec.lits.len());
-                    }
-                    let clauses = first..rec.ends.len();
-                    rec.steps.push(RecStep::Eliminated { var, clauses });
-                }
-                t => return Err(DecodeError::new(format!("bad reconstruction tag {t}"))),
-            }
-        }
-        Ok(rec)
     }
 }
 

@@ -133,6 +133,7 @@ static ROWS: &[Row] = &[
     row("store", "hits", Counter("bugassist_store_hits_total"), Read(|v| v.store.hits)),
     row("store", "misses", Counter("bugassist_store_misses_total"), Read(|v| v.store.misses)),
     row("store", "writes", Counter("bugassist_store_writes_total"), Read(|v| v.store.writes)),
+    row("store", "bytes_written", Counter("bugassist_store_bytes_written_total"), Read(|v| v.store.bytes_written)),
     row("store", "write_errors", Counter("bugassist_store_write_errors_total"), Read(|v| v.store.write_errors)),
     row("store", "corrupt_records", Counter("bugassist_store_corrupt_records_total"), Read(|v| v.store.corrupt_records)),
     row("store", "restore_ms", Gauge("bugassist_store_restore_milliseconds"), Read(|v| v.store.restore_ms)),

@@ -5,8 +5,10 @@
 //! [`PreparedEntry`] — the job's source text, entry, spec and options, the
 //! [`bmc::SymbolicTrace`] without its grouped CNF (which the localizer
 //! consumed while preparing) and the [`bugassist::PreparedTemplate`]
-//! (simplified CNF template, selector map, model reconstruction, analysis
-//! results). A decoded record rebuilds a localizer without touching the
+//! (simplified CNF template, selector map, analysis results). The
+//! simplifier's model-reconstruction map is not part of it: the localizer
+//! drops it after simplifying, since every report is read off the frozen
+//! selectors. A decoded record rebuilds a localizer without touching the
 //! encoder, the simplifier or the static analyses, which is the entire
 //! point: restore-on-boot pays the parse only (~100x cheaper than a cold
 //! build) and the first post-restart request solves immediately.
@@ -39,8 +41,9 @@ use std::sync::Arc;
 /// and the word-pass, simplify and static-prune switches; version 7 added
 /// the build's analysis results (pruned lines, lint-warning count, analysis
 /// milliseconds) to the template; version 8 dropped the trace's grouped
-/// CNF, which only the template build reads.
-pub const PAYLOAD_VERSION: u8 = 8;
+/// CNF, which only the template build reads; version 9 dropped the
+/// template's model-reconstruction map, which no solve reads.
+pub const PAYLOAD_VERSION: u8 = 9;
 
 /// Serializes a prepared entry into a store payload. Always `Some`, since
 /// every localizer is born prepared; the `Option` stays because the
@@ -195,18 +198,58 @@ pub(crate) fn decode_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmc::Spec;
 
     fn warm_entry(source: &str, spec: JobSpec) -> PreparedEntry {
-        let job = Job::new(source, "main", spec, vec![vec![5]]);
-        let program = minic::parse_program(source).unwrap();
-        let bmc_spec = match spec {
-            JobSpec::Assertions => Spec::Assertions,
-            JobSpec::ReturnEquals(v) => Spec::ReturnEquals(v),
-        };
-        let localizer =
-            Localizer::new(&program, "main", &bmc_spec, &job.localizer_config()).unwrap();
-        PreparedEntry::new(program, &job, Arc::new(localizer))
+        prepare(&Job::new(source, "main", spec, vec![vec![5]]))
+    }
+
+    fn prepare(job: &Job) -> PreparedEntry {
+        let program = minic::parse_program(&job.program).unwrap();
+        let localizer = Localizer::new(
+            &program,
+            &job.entry,
+            &job.bmc_spec(),
+            &job.localizer_config(),
+        )
+        .unwrap();
+        PreparedEntry::new(program, job, Arc::new(localizer))
+    }
+
+    /// A TCAS v1 record at the Table 1 options (16-bit words, 6
+    /// unwindings, inline depth 8, 24 suspect sets, trusted input copies)
+    /// holds what a solve reads and nothing more: the simplifier's
+    /// model-reconstruction map alone would add over 500 KB.
+    #[test]
+    fn a_tcas_record_stays_within_128_kib() {
+        let version = siemens::tcas_versions().into_iter().next().unwrap();
+        let faulty = version.build(siemens::TCAS_SOURCE);
+        let failing = siemens::tcas_test_vectors(300, 2011)
+            .into_iter()
+            .find(|input| {
+                let outcome = bmc::run_program(
+                    &faulty,
+                    siemens::TCAS_ENTRY,
+                    input,
+                    &[],
+                    siemens::tcas_interp_config(),
+                );
+                !outcome.is_ok() || outcome.result != Some(siemens::tcas_golden_output(input))
+            })
+            .expect("v1 has a failing vector");
+        let golden = siemens::tcas_golden_output(&failing);
+        let mut job = Job::new(
+            minic::pretty_program(&faulty),
+            siemens::TCAS_ENTRY,
+            JobSpec::ReturnEquals(golden),
+            vec![failing],
+        );
+        job.options.width = 16;
+        job.options.unwind = 6;
+        job.options.max_inline_depth = 8;
+        job.options.max_suspect_sets = 24;
+        job.options.trusted_lines = siemens::tcas_trusted_lines().iter().map(|l| l.0).collect();
+        let payload = encode_entry(&prepare(&job)).unwrap();
+        assert!(payload.len() <= 128 * 1024, "{} bytes", payload.len());
     }
 
     #[test]
@@ -297,8 +340,8 @@ mod tests {
         let mut garbled = payload.clone();
         garbled[0] = 99; // unknown payload version
         assert!(decode_entry(&garbled).is_err());
-        // A record of the previous layout, which carried the trace's
-        // grouped CNF, is a miss rather than a misread.
+        // A record of the previous layout, which carried the template's
+        // model-reconstruction map, is a miss rather than a misread.
         let mut previous = payload.clone();
         previous[0] = PAYLOAD_VERSION - 1;
         assert!(decode_entry(&previous).is_err());

@@ -328,6 +328,32 @@ fn revise_with_an_evicted_pre_edit_entry_is_served_from_the_store() {
     assert_eq!(canonical(&revised.outcome.body), canonical(&cold.body));
 }
 
+/// `store.bytes_written` counts whole records, so it equals the size of the
+/// record files on disk when every key was written once, and divided by
+/// `store.writes` it is the mean record size.
+#[test]
+fn bytes_written_equals_the_record_files_on_disk() {
+    let dir = TempDir::new("bytes");
+    let server = Server::start(store_config(&dir)).expect("daemon");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let jobs = [wide_minic_job(20), minic_job(2), minic_job(5)];
+    for job in &jobs {
+        client.localize(job.clone()).expect("localizes");
+    }
+    wait_for_writes(&mut client, jobs.len() as u64);
+    let stats = client.stats().expect("stats");
+    server.shutdown();
+    assert_eq!(store_stat(&stats, "writes"), jobs.len() as u64, "{stats}");
+    let on_disk: u64 = std::fs::read_dir(&dir.0)
+        .expect("store dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "rec"))
+        .map(|p| std::fs::metadata(p).expect("record metadata").len())
+        .sum();
+    assert!(on_disk > 0);
+    assert_eq!(store_stat(&stats, "bytes_written"), on_disk, "{stats}");
+}
+
 #[test]
 fn failed_builds_are_never_written_through() {
     let dir = TempDir::new("failed");
@@ -536,6 +562,7 @@ fn metrics_exposition_is_valid_prometheus_text() {
         "bugassist_analysis_lines_pruned_total",
         "bugassist_analysis_lint_warnings_total",
         "bugassist_store_writes_total",
+        "bugassist_store_bytes_written_total",
         "bugassist_build_info{version=",
     ] {
         assert!(text.contains(family), "metrics lack {family:?}:\n{text}");

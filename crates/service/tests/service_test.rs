@@ -1320,6 +1320,7 @@ fn stats_and_metrics_render_one_counter_set() {
             "store.hits",
             "store.misses",
             "store.writes",
+            "store.bytes_written",
             "store.write_errors",
             "store.corrupt_records",
             "store.restore_ms",
@@ -1405,6 +1406,7 @@ fn stats_and_metrics_render_one_counter_set() {
         ("store.hits", "bugassist_store_hits_total"),
         ("store.misses", "bugassist_store_misses_total"),
         ("store.writes", "bugassist_store_writes_total"),
+        ("store.bytes_written", "bugassist_store_bytes_written_total"),
         ("store.write_errors", "bugassist_store_write_errors_total"),
         (
             "store.corrupt_records",

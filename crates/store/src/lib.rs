@@ -10,7 +10,7 @@
 //!
 //! The store is payload-agnostic: it moves opaque byte strings. The service
 //! layer owns the codec that turns a prepared entry (simplified CNF
-//! template, selector map, model reconstruction, symbolic trace) into those
+//! template, selector map, symbolic trace) into those
 //! bytes — see `service`'s codec module and `bugassist::PreparedTemplate`.
 //!
 //! # Record format
@@ -130,6 +130,9 @@ pub struct StoreStats {
     pub misses: u64,
     /// Records successfully written.
     pub writes: u64,
+    /// Bytes of those records, framing included: `bytes_written / writes`
+    /// is the mean record size.
+    pub bytes_written: u64,
     /// Write attempts that failed (disk full, permissions, rename races).
     pub write_errors: u64,
     /// Records rejected by validation: bad magic, wrong format version,
@@ -154,6 +157,7 @@ pub struct Store {
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
+    bytes_written: AtomicU64,
     write_errors: AtomicU64,
     corrupt_records: AtomicU64,
     restore_ms: AtomicU64,
@@ -190,6 +194,7 @@ impl Store {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
             corrupt_records: AtomicU64::new(0),
             restore_ms: AtomicU64::new(0),
@@ -350,19 +355,21 @@ impl Store {
     /// Returns the underlying I/O error; `write_errors` is already
     /// incremented, so best-effort callers may simply drop it.
     pub fn save(&self, key: u64, fingerprint: u64, payload: &[u8]) -> io::Result<()> {
-        let result = self.try_save(key, fingerprint, payload);
-        match result {
-            Ok(()) => {
+        match self.try_save(key, fingerprint, payload) {
+            Ok(bytes) => {
                 self.writes.fetch_add(1, Ordering::Relaxed);
+                self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+                Ok(())
             }
-            Err(_) => {
+            Err(e) => {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
+                Err(e)
             }
         }
-        result
     }
 
-    fn try_save(&self, key: u64, fingerprint: u64, payload: &[u8]) -> io::Result<()> {
+    /// Writes one record and returns its size in bytes.
+    fn try_save(&self, key: u64, fingerprint: u64, payload: &[u8]) -> io::Result<u64> {
         let bytes = Store::encode_record(key, fingerprint, payload);
         // Dot-prefixed temp name: scan() skips it, and the pid+key suffix
         // keeps concurrent writers of different keys from colliding.
@@ -375,7 +382,7 @@ impl Store {
             file.sync_all()?;
         }
         match fs::rename(&tmp, self.record_path(key)) {
-            Ok(()) => Ok(()),
+            Ok(()) => Ok(bytes.len() as u64),
             Err(e) => {
                 let _ = fs::remove_file(&tmp);
                 Err(e)
@@ -451,6 +458,7 @@ impl Store {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
+            bytes_written: self.bytes_written.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
             corrupt_records: self.corrupt_records.load(Ordering::Relaxed),
             restore_ms: self.restore_ms.load(Ordering::Relaxed),
@@ -505,6 +513,10 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.writes, stats.hits, stats.misses), (1, 1, 0));
         assert_eq!(stats.corrupt_records, 0);
+        // The byte counter counts the whole record: header, payload, CRC.
+        let on_disk = fs::metadata(store.record_path(0xabc)).unwrap().len();
+        assert_eq!(stats.bytes_written, (HEADER_LEN + 11 + 4) as u64);
+        assert_eq!(stats.bytes_written, on_disk);
     }
 
     #[test]
