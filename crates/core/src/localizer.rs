@@ -839,9 +839,7 @@ impl Localizer {
         let (map, delta, lint_warnings) = match class {
             EditClass::Identical => (&identity, DeltaPrepare::Relabeled, None),
             EditClass::LineShift(map) => (map, DeltaPrepare::Relabeled, None),
-            EditClass::LocalToFunction {
-                function, line_map, ..
-            } => {
+            EditClass::LocalToFunction { function, line_map } => {
                 if reachable_functions(new_program, entry).contains(function) {
                     let delta = DeltaPrepare::RebuiltFunction(function.clone());
                     return Ok((cold()?, delta, None));

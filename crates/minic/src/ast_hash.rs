@@ -92,8 +92,7 @@ impl StableHasher {
     }
 
     /// Finishes the hash with a SplitMix64-style avalanche so that small
-    /// structural differences diffuse into all 64 bits (the service shards
-    /// its cache by the low bits).
+    /// structural differences diffuse into all 64 bits.
     pub fn finish(&self) -> u64 {
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -9,9 +9,8 @@
 //! layers tell *how much* actually changed:
 //!
 //! * [`segment_program`] splits a program into per-function **segments**,
-//!   each carrying a *line-insensitive* structural fingerprint, per
-//!   top-level-statement **region** fingerprints, and a separate **line
-//!   trace** (the pre-order statement line numbers). Fingerprint = what the
+//!   each carrying a *line-insensitive* structural fingerprint and a
+//!   separate **line trace** (the pre-order statement line numbers). Fingerprint = what the
 //!   code does; line trace = where it sits. Keeping them apart is the whole
 //!   trick: a pure line shift changes only the trace.
 //! * [`classify_edit`] compares two segmentations and classifies the edit:
@@ -38,7 +37,7 @@
 //! a wrong "rebuild" answer only costs time.
 
 use crate::ast::{Expr, Function, Line, Program, Stmt};
-use crate::ast_hash::{hash_function, hash_global, hash_stmt, Lines, StableHasher};
+use crate::ast_hash::{hash_function, hash_global, Lines, StableHasher};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One per-function segment: structural identity separated from line
@@ -50,10 +49,6 @@ pub struct FunctionSegment {
     /// Line-insensitive structural fingerprint of the whole function
     /// (signature + body, every line number skipped).
     pub fingerprint: u64,
-    /// Line-insensitive fingerprint of each *top-level* body statement — the
-    /// statement regions. Lets a consumer see how much of a changed function
-    /// actually moved.
-    pub regions: Vec<u64>,
     /// Pre-order trace of every statement's line, nested statements
     /// included. Parallel traces of two structurally equal functions pair up
     /// position by position — that pairing *is* the line map.
@@ -142,10 +137,6 @@ pub enum EditClass {
     LocalToFunction {
         /// Name of the (single) structurally changed function.
         function: String,
-        /// Number of top-level statement regions of that function whose
-        /// fingerprints differ (0 when the region lists have different
-        /// lengths or only the signature changed).
-        changed_regions: usize,
         /// Line map covering the *unchanged* functions.
         line_map: LineMap,
     },
@@ -169,18 +160,6 @@ fn function_fingerprint(function: &Function) -> u64 {
     let mut h = StableHasher::new();
     hash_function(&mut h, function, Lines::Ignore);
     h.finish()
-}
-
-fn region_fingerprints(function: &Function) -> Vec<u64> {
-    function
-        .body
-        .iter()
-        .map(|stmt| {
-            let mut h = StableHasher::new();
-            hash_stmt(&mut h, stmt, Lines::Ignore);
-            h.finish()
-        })
-        .collect()
 }
 
 fn line_trace(function: &Function) -> Vec<Line> {
@@ -210,7 +189,6 @@ pub fn segment_program(program: &Program) -> ProgramSegments {
             .map(|f| FunctionSegment {
                 name: f.name.clone(),
                 fingerprint: function_fingerprint(f),
-                regions: region_fingerprints(f),
                 lines: line_trace(f),
             })
             .collect(),
@@ -278,20 +256,8 @@ pub fn classify_edit(old: &ProgramSegments, new: &ProgramSegments) -> EditClass 
             if !map.is_strictly_monotonic() {
                 return EditClass::Global;
             }
-            let (old_f, new_f) = (&old.functions[*index], &new.functions[*index]);
-            let changed_regions = if old_f.regions.len() == new_f.regions.len() {
-                old_f
-                    .regions
-                    .iter()
-                    .zip(&new_f.regions)
-                    .filter(|(a, b)| a != b)
-                    .count()
-            } else {
-                0
-            };
             EditClass::LocalToFunction {
-                function: new_f.name.clone(),
-                changed_regions,
+                function: new.functions[*index].name.clone(),
                 line_map: map,
             }
         }
@@ -395,16 +361,10 @@ mod tests {
         // helper's constant changes; main only shifts (a comment line above it).
         let edited = "int helper(int a) {\nreturn a * 3;\n}\n\nint main(int x) {\nint y = helper(x);\nreturn y + 1;\n}";
         let class = classify_edit(&segments(BASE), &segments(edited));
-        let EditClass::LocalToFunction {
-            function,
-            changed_regions,
-            line_map,
-        } = class
-        else {
+        let EditClass::LocalToFunction { function, line_map } = class else {
             panic!("expected LocalToFunction, got {class:?}");
         };
         assert_eq!(function, "helper");
-        assert_eq!(changed_regions, 1);
         // main's statements shifted down by one; helper's lines are unmapped.
         assert_eq!(line_map.remap(Line(5)), Line(6));
         assert_eq!(line_map.remap(Line(6)), Line(7));
@@ -492,6 +452,5 @@ mod tests {
         assert_eq!(a.functions[0].fingerprint, b.functions[0].fingerprint);
         assert_ne!(a.functions[0].lines, b.functions[0].lines);
         assert_ne!(a.functions[0].fingerprint, c.functions[0].fingerprint);
-        assert_eq!(a.functions[0].regions.len(), 1);
     }
 }

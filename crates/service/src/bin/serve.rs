@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! Usage: serve [--addr HOST:PORT] [--workers N] [--cache-capacity N]
-//!              [--cache-shards N] [--queue-capacity N]
-//!              [--default-deadline-ms MS] [--max-deadline-ms MS]
-//!              [--conflict-cap N] [--max-request-bytes N]
-//!              [--read-timeout-ms MS] [--write-timeout-ms MS]
-//!              [--store-dir DIR] [--no-restore]
+//!              [--queue-capacity N] [--default-deadline-ms MS]
+//!              [--max-deadline-ms MS] [--conflict-cap N]
+//!              [--max-request-bytes N] [--read-timeout-ms MS]
+//!              [--write-timeout-ms MS] [--store-dir DIR] [--no-restore]
 //! ```
 //!
 //! Binds (default `127.0.0.1:7911`), prints the bound address on stdout and
@@ -26,10 +25,9 @@ use service::{Server, ServiceConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--cache-capacity N] \
-         [--cache-shards N] [--queue-capacity N] [--default-deadline-ms MS] \
-         [--max-deadline-ms MS] [--conflict-cap N] [--max-request-bytes N] \
-         [--read-timeout-ms MS] [--write-timeout-ms MS] [--store-dir DIR] \
-         [--no-restore]"
+         [--queue-capacity N] [--default-deadline-ms MS] [--max-deadline-ms MS] \
+         [--conflict-cap N] [--max-request-bytes N] [--read-timeout-ms MS] \
+         [--write-timeout-ms MS] [--store-dir DIR] [--no-restore]"
     );
     std::process::exit(2);
 }
@@ -76,7 +74,6 @@ fn main() {
             "--cache-capacity" => {
                 config.cache_capacity = parse_count(args.next(), "--cache-capacity");
             }
-            "--cache-shards" => config.cache_shards = parse_count(args.next(), "--cache-shards"),
             "--queue-capacity" => {
                 config.queue_capacity = parse_count(args.next(), "--queue-capacity");
             }

@@ -1,4 +1,4 @@
-//! The sharded LRU cache of prepared localizers — the heart of the service.
+//! The LRU cache of prepared localizers — the heart of the service.
 //!
 //! Building a [`Localizer`] is the expensive part of serving a request:
 //! lint (which includes the type check), encode (unroll/inline, word IR,
@@ -12,21 +12,17 @@
 //!
 //! Two properties matter under real load:
 //!
-//! * **Sharding** — the cache is split into independently locked shards
-//!   (key → shard by the avalanche-mixed hash) so the worker pool doesn't
-//!   serialize on one mutex. Each shard holds at most
-//!   `floor(capacity / shards)` entries and evicts its least-recently-used
-//!   entry when full; recency is a global atomic tick, so LRU order is
-//!   consistent across threads at the cost of one `fetch_add`. Eviction
-//!   only drops the shard's reference — requests still holding the evicted
-//!   `Arc` finish undisturbed.
+//! * **One least-recently-used order** — the cache holds at most
+//!   `capacity` entries behind one lock and evicts the entry used longest
+//!   ago when full. The lock is held only to scan the entries, never while
+//!   a build runs. Eviction only drops the cache's reference — requests
+//!   still holding the evicted `Arc` finish undisturbed.
 //! * **Single-flight builds** — a cache slot is inserted *before* the
 //!   expensive build runs, holding a [`OnceLock`] that the first caller
 //!   fills while later callers for the same key block on it. A burst of
 //!   first requests for one program (the thundering herd that killed the
 //!   LocFaults-style per-test rebuild approach) does exactly one parse +
-//!   bit-blast, and the shard lock is **not** held while building, so other
-//!   keys in the shard stay unaffected.
+//!   bit-blast, and other keys stay servable while it runs.
 //!
 //! Failed builds (type/lint/encode errors, or a panic) are *not*
 //! negatively cached: the pending slot is removed so the error doesn't
@@ -43,33 +39,27 @@
 //! the edit provably left alone, instead of treating the entry as an
 //! all-or-nothing blob.
 
-use crate::protocol::{Job, JobOptions, JobSpec};
+use crate::protocol::Job;
 use bugassist::{LocalizationReport, Localizer};
 use minic::{segment_program, Program, ProgramSegments};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One cached preparation: the program's AST and diffable segments, the
-/// job parameters it was prepared under, the localizer, and the
-/// reports served from it.
+/// job it was prepared for, the localizer, and the reports served from it.
 #[derive(Debug)]
 pub struct PreparedEntry {
-    /// The MinC source text the entry's job carried — kept verbatim so the
+    /// The job the localizer was prepared for, with its inputs, deadline
+    /// and client id cleared: the source text (kept verbatim so the
     /// persistent store can serialize the entry without a pretty-printer
-    /// (the AST has none) and re-parse it on restore.
-    pub source: String,
+    /// and re-parse it on restore), entry, spec and options.
+    pub job: Job,
     /// The parsed program this entry was built from.
     pub program: Program,
     /// Per-function fingerprints + line traces of [`PreparedEntry::program`],
     /// precomputed so a `revise` diff costs no re-segmentation of the old
     /// side.
     pub segments: ProgramSegments,
-    /// Entry function the localizer was prepared for.
-    pub entry: String,
-    /// Specification the localizer was prepared for.
-    pub spec: JobSpec,
-    /// Encoding/solver options the localizer was prepared with.
-    pub options: JobOptions,
     /// The prepared localizer itself.
     pub localizer: Arc<Localizer>,
     /// Reports served from this entry, keyed by failing input. The solver
@@ -102,12 +92,17 @@ impl PreparedEntry {
         localizer: Arc<Localizer>,
     ) -> PreparedEntry {
         PreparedEntry {
-            source: job.program.clone(),
+            job: Job {
+                program: job.program.clone(),
+                entry: job.entry.clone(),
+                spec: job.spec,
+                inputs: Vec::new(),
+                options: job.options.clone(),
+                deadline_ms: None,
+                client_id: None,
+            },
             segments,
             program,
-            entry: job.entry.clone(),
-            spec: job.spec,
-            options: job.options.clone(),
             localizer,
             reports: Mutex::new(Vec::new()),
         }
@@ -175,13 +170,12 @@ struct Entry {
     slot: Slot,
 }
 
-/// A sharded least-recently-used cache of [`PreparedEntry`]s (prepared
-/// localizers plus their diffable program segments) with single-flight
-/// builds.
+/// A least-recently-used cache of [`PreparedEntry`]s (prepared localizers
+/// plus their diffable program segments) with single-flight builds.
 #[derive(Debug)]
 pub struct PreparedCache {
-    shards: Vec<Mutex<Vec<Entry>>>,
-    per_shard_capacity: usize,
+    entries: Mutex<Vec<Entry>>,
+    capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -190,19 +184,13 @@ pub struct PreparedCache {
 }
 
 impl PreparedCache {
-    /// Creates a cache of at most `capacity` entries spread over `shards`
-    /// independently locked shards (both clamped to at least 1; shard count
-    /// never exceeds capacity). `capacity` is an upper bound on resident
-    /// prepared localizers — a memory promise — so the per-shard share
-    /// rounds *down*; a capacity not divisible by the shard count wastes
-    /// the remainder rather than overshooting (check [`PreparedCache::capacity`]
-    /// for the effective total).
-    pub fn new(capacity: usize, shards: usize) -> PreparedCache {
-        let shards = shards.clamp(1, capacity.max(1));
-        let per_shard_capacity = (capacity.max(1) / shards).max(1);
+    /// Creates a cache of at most `capacity` entries (clamped to at least
+    /// 1). The capacity bounds the resident prepared localizers — a memory
+    /// promise.
+    pub fn new(capacity: usize) -> PreparedCache {
         PreparedCache {
-            shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-            per_shard_capacity,
+            entries: Mutex::new(Vec::new()),
+            capacity: capacity.max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -211,24 +199,37 @@ impl PreparedCache {
         }
     }
 
-    /// Number of shards (for the stats endpoint).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total entry capacity across all shards.
+    /// Total entry capacity.
     pub fn capacity(&self) -> usize {
-        self.per_shard_capacity * self.shards.len()
+        self.capacity
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Vec<Entry>> {
-        // The key went through an avalanche finalizer, so the low bits are
-        // uniformly distributed over the shards.
-        &self.shards[(key % self.shards.len() as u64) as usize]
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
+        self.entries.lock().expect("cache poisoned")
     }
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Adds a slot for `key` (known absent), first evicting the
+    /// least-recently-used entry when the cache is full.
+    fn push_evicting(&self, entries: &mut Vec<Entry>, key: u64, tick: u64, slot: Slot) {
+        if entries.len() >= self.capacity {
+            let lru = entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(i, _)| i)
+                .expect("full cache is non-empty");
+            entries.swap_remove(lru);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        entries.push(Entry {
+            key,
+            last_used: tick,
+            slot,
+        });
     }
 
     /// Peeks at a *completed* entry without building anything: the `revise`
@@ -240,7 +241,7 @@ impl PreparedCache {
     /// back to a cold build rather than blocking on an unrelated builder).
     pub fn lookup(&self, key: u64) -> Option<Arc<PreparedEntry>> {
         let tick = self.next_tick();
-        let mut entries = self.shard(key).lock().expect("cache shard poisoned");
+        let mut entries = self.lock();
         let entry = entries.iter_mut().find(|e| e.key == key)?;
         entry.last_used = tick;
         entry
@@ -264,30 +265,16 @@ impl PreparedCache {
         key: u64,
         build: impl FnOnce() -> Result<PreparedEntry, BuildError>,
     ) -> (Result<Arc<PreparedEntry>, BuildError>, bool) {
-        // Phase 1 (shard locked, O(shard size)): find or insert the slot.
+        // Phase 1 (locked, O(capacity)): find or insert the slot.
         let (slot, hit) = {
             let tick = self.next_tick();
-            let mut entries = self.shard(key).lock().expect("cache shard poisoned");
+            let mut entries = self.lock();
             if let Some(entry) = entries.iter_mut().find(|e| e.key == key) {
                 entry.last_used = tick;
                 (Arc::clone(&entry.slot), true)
             } else {
-                if entries.len() >= self.per_shard_capacity {
-                    let lru = entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(i, _)| i)
-                        .expect("full shard is non-empty");
-                    entries.swap_remove(lru);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
                 let slot: Slot = Arc::new(OnceLock::new());
-                entries.push(Entry {
-                    key,
-                    last_used: tick,
-                    slot: Arc::clone(&slot),
-                });
+                self.push_evicting(&mut entries, key, tick, Arc::clone(&slot));
                 (slot, false)
             }
         };
@@ -297,7 +284,7 @@ impl PreparedCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
 
-        // Phase 2 (shard unlocked): build, or block on the builder. Only
+        // Phase 2 (unlocked): build, or block on the builder. Only
         // the thread that inserted the slot can be first into get_or_init
         // with actual work — but any waiter may run the closure if it wins
         // the OnceLock race, so pass the same builder through for safety:
@@ -323,8 +310,8 @@ impl PreparedCache {
         // A failed build must not squat in the cache: drop the slot (only
         // if it is still ours — a later rebuild may have replaced it).
         if result.is_err() {
-            let mut entries = self.shard(key).lock().expect("cache shard poisoned");
-            entries.retain(|e| e.key != key || !Arc::ptr_eq(&e.slot, &slot));
+            self.lock()
+                .retain(|e| e.key != key || !Arc::ptr_eq(&e.slot, &slot));
         }
         (result, hit)
     }
@@ -332,51 +319,18 @@ impl PreparedCache {
     /// Inserts an already-built entry under `key` — the restore-on-boot
     /// path, which decodes warm entries from the persistent store before any
     /// request arrives. Counts neither a hit nor a miss (no request asked),
-    /// but does evict LRU entries when the shard is full, exactly like a
+    /// but does evict the LRU entry when the cache is full, exactly like a
     /// built insert. A key that is already resident is left untouched: a
     /// live entry (possibly serving requests) always beats a restored one.
     pub fn insert(&self, key: u64, entry: Arc<PreparedEntry>) {
         let tick = self.next_tick();
-        let mut entries = self.shard(key).lock().expect("cache shard poisoned");
+        let mut entries = self.lock();
         if entries.iter().any(|e| e.key == key) {
             return;
         }
-        if entries.len() >= self.per_shard_capacity {
-            let lru = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("full shard is non-empty");
-            entries.swap_remove(lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
         let slot: Slot = Arc::new(OnceLock::new());
         let _ = slot.set(Ok(entry));
-        entries.push(Entry {
-            key,
-            last_used: tick,
-            slot,
-        });
-    }
-
-    /// Snapshots every *completed, successful* entry — the
-    /// snapshot-on-shutdown path. Pending builds and failed slots are
-    /// skipped (an in-flight build at shutdown has no one left to wait for
-    /// it; errors are never persisted). Sorted by key so snapshot order is
-    /// deterministic.
-    pub fn entries(&self) -> Vec<(u64, Arc<PreparedEntry>)> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            let entries = shard.lock().expect("cache shard poisoned");
-            for entry in entries.iter() {
-                if let Some(Ok(prepared)) = entry.slot.get() {
-                    all.push((entry.key, Arc::clone(prepared)));
-                }
-            }
-        }
-        all.sort_by_key(|&(key, _)| key);
-        all
+        self.push_evicting(&mut entries, key, tick, slot);
     }
 
     /// Hit/miss/eviction/occupancy counters since startup.
@@ -386,11 +340,7 @@ impl PreparedCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             poisoned: self.poisoned.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("cache shard poisoned").len())
-                .sum(),
+            entries: self.lock().len(),
         }
     }
 }
@@ -398,6 +348,7 @@ impl PreparedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::JobSpec;
     use bmc::Spec;
     use bugassist::LocalizerConfig;
     use std::sync::atomic::AtomicUsize;
@@ -428,7 +379,7 @@ mod tests {
 
     #[test]
     fn second_request_hits_and_shares_the_instance() {
-        let cache = PreparedCache::new(4, 2);
+        let cache = PreparedCache::new(4);
         let builds = AtomicUsize::new(0);
         let build = || {
             builds.fetch_add(1, Ordering::Relaxed);
@@ -446,7 +397,7 @@ mod tests {
 
     #[test]
     fn capacity_one_evicts_lru() {
-        let cache = PreparedCache::new(1, 1);
+        let cache = PreparedCache::new(1);
         assert_eq!(cache.capacity(), 1);
         cache
             .get_or_build(1, || build_localizer("x + 1"))
@@ -465,8 +416,8 @@ mod tests {
 
     #[test]
     fn recency_protects_the_hot_entry() {
-        // Shard count 1 so all three keys compete for the same two slots.
-        let cache = PreparedCache::new(2, 1);
+        // All three keys compete for the same two slots.
+        let cache = PreparedCache::new(2);
         cache
             .get_or_build(1, || build_localizer("x + 1"))
             .0
@@ -488,7 +439,7 @@ mod tests {
 
     #[test]
     fn concurrent_first_requests_build_exactly_once() {
-        let cache = Arc::new(PreparedCache::new(4, 2));
+        let cache = Arc::new(PreparedCache::new(4));
         let builds = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -519,7 +470,7 @@ mod tests {
 
     #[test]
     fn eviction_while_in_use_keeps_the_instance_alive_and_rebuilds_later() {
-        let cache = PreparedCache::new(1, 1);
+        let cache = PreparedCache::new(1);
         let (first, _) = cache.get_or_build(1, || build_localizer("x + 1"));
         let first = first.unwrap();
         // Key 2 evicts key 1 (capacity 1) while we still hold the Arc.
@@ -546,7 +497,7 @@ mod tests {
         // still hold (one build attempt), every waiter must receive the
         // error, and the slot must be neither poisoned nor negatively
         // cached — the next request for the key builds again and succeeds.
-        let cache = Arc::new(PreparedCache::new(4, 1));
+        let cache = Arc::new(PreparedCache::new(4));
         let attempts = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -587,7 +538,7 @@ mod tests {
 
     #[test]
     fn lookup_peeks_without_building_and_touches_recency() {
-        let cache = PreparedCache::new(2, 1);
+        let cache = PreparedCache::new(2);
         assert!(cache.lookup(1).is_none(), "empty cache has nothing to peek");
         cache
             .get_or_build(1, || build_localizer("x + 1"))
@@ -598,7 +549,7 @@ mod tests {
             .0
             .unwrap();
         let peeked = cache.lookup(1).expect("present");
-        assert_eq!(peeked.entry, "main");
+        assert_eq!(peeked.job.entry, "main");
         // The peek was a use: key 2 is now the LRU victim when 3 arrives.
         cache
             .get_or_build(3, || build_localizer("x + 3"))
@@ -619,7 +570,7 @@ mod tests {
         // the hard case: the waiters block on the slot whose builder
         // panics, so std's Once poisoning unwinds them too — all of them
         // must come back with errors, not aborts.
-        let cache = Arc::new(PreparedCache::new(4, 1));
+        let cache = Arc::new(PreparedCache::new(4));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
@@ -649,7 +600,7 @@ mod tests {
 
     #[test]
     fn failed_builds_are_not_cached() {
-        let cache = PreparedCache::new(4, 1);
+        let cache = PreparedCache::new(4);
         let (result, hit) = cache.get_or_build(1, || Err(failure("boom")));
         assert!(!hit);
         assert_eq!(result.unwrap_err(), failure("boom"));
@@ -663,7 +614,7 @@ mod tests {
 
     #[test]
     fn insert_preloads_and_the_first_request_hits() {
-        let cache = PreparedCache::new(4, 2);
+        let cache = PreparedCache::new(4);
         let entry = Arc::new(build_localizer("x + 1").unwrap());
         cache.insert(5, Arc::clone(&entry));
         // Preloading is invisible in hit/miss counters…
@@ -677,7 +628,7 @@ mod tests {
 
     #[test]
     fn insert_never_replaces_a_live_entry() {
-        let cache = PreparedCache::new(4, 1);
+        let cache = PreparedCache::new(4);
         let (live, _) = cache.get_or_build(5, || build_localizer("x + 1"));
         let live = live.unwrap();
         cache.insert(5, Arc::new(build_localizer("x + 2").unwrap()));
@@ -687,27 +638,34 @@ mod tests {
     }
 
     #[test]
-    fn entries_snapshots_only_successful_completions() {
-        let cache = PreparedCache::new(4, 2);
-        cache
-            .get_or_build(2, || build_localizer("x + 2"))
-            .0
-            .unwrap();
-        cache
-            .get_or_build(1, || build_localizer("x + 1"))
-            .0
-            .unwrap();
-        let _ = cache.get_or_build(3, || Err(failure("boom")));
-        let snapshot = cache.entries();
-        let keys: Vec<u64> = snapshot.iter().map(|&(k, _)| k).collect();
-        assert_eq!(keys, vec![1, 2], "sorted, failures excluded");
+    fn keys_sharing_a_residue_fill_the_whole_capacity() {
+        // Sixteen keys that are all 0 mod 8: one LRU order over the whole
+        // capacity holds every one of them without an eviction.
+        let cache = PreparedCache::new(16);
+        let keys: Vec<u64> = (0..16).map(|i| i * 8).collect();
+        for &key in &keys {
+            cache
+                .get_or_build(key, || build_localizer("x + 1"))
+                .0
+                .unwrap();
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (16, 0));
+        assert!(keys.iter().all(|&key| cache.lookup(key).is_some()));
     }
 
     #[test]
-    fn shards_do_not_exceed_capacity() {
-        let cache = PreparedCache::new(4, 8);
-        // More shards than capacity: clamped so capacity still holds.
-        assert!(cache.shard_count() <= 4);
-        assert_eq!(cache.capacity(), cache.shard_count());
+    fn capacity_ten_holds_ten_entries() {
+        let cache = PreparedCache::new(10);
+        assert_eq!(cache.capacity(), 10);
+        let entry = Arc::new(build_localizer("x + 1").unwrap());
+        for key in 0..10 {
+            cache.insert(key, Arc::clone(&entry));
+        }
+        assert_eq!((cache.stats().entries, cache.stats().evictions), (10, 0));
+        // The eleventh entry evicts the least recently used one, key 0.
+        cache.insert(10, entry);
+        assert_eq!((cache.stats().entries, cache.stats().evictions), (10, 1));
+        assert!(cache.lookup(0).is_none());
     }
 }

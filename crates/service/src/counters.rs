@@ -46,13 +46,12 @@ impl Own {
 }
 
 /// How a row renders: a Prometheus counter or gauge with its sample name
-/// (labels inline), or a `stats`-only number or flag (a 0/1 value shown as
-/// a JSON bool).
+/// (labels inline), or a `stats`-only flag (a 0/1 value shown as a JSON
+/// bool).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Kind {
     Counter(&'static str),
     Gauge(&'static str),
-    Plain,
     Flag,
 }
 
@@ -86,7 +85,7 @@ const fn row(section: &'static str, key: &'static str, kind: Kind, source: Sourc
     }
 }
 
-use Kind::{Counter, Flag, Gauge, Plain};
+use Kind::{Counter, Flag, Gauge};
 use Own::*;
 use Source::{Owned, Peak, Read, Total};
 
@@ -106,7 +105,6 @@ static ROWS: &[Row] = &[
     row("cache", "poisoned", Counter("bugassist_cache_poisoned_total"), Read(|v| v.cache.poisoned)),
     row("cache", "entries", Gauge("bugassist_cache_entries"), Read(|v| v.cache.entries as u64)),
     row("cache", "capacity", Gauge("bugassist_cache_capacity"), Read(|v| v.cache_capacity as u64)),
-    row("cache", "shards", Plain, Read(|v| v.cache_shards as u64)),
     row("queue", "capacity", Gauge("bugassist_queue_capacity"), Read(|v| v.queue.capacity() as u64)),
     row("queue", "depth", Gauge("bugassist_queue_depth"), Read(|v| v.queue.depth() as u64)),
     row("queue", "enqueued", Counter("bugassist_queue_enqueued_total"), Read(|v| v.queue.enqueued())),
@@ -145,7 +143,6 @@ static ROWS: &[Row] = &[
 pub(crate) struct View<'a> {
     pub(crate) cache: CacheStats,
     pub(crate) cache_capacity: usize,
-    pub(crate) cache_shards: usize,
     pub(crate) store_enabled: bool,
     pub(crate) store: StoreStats,
     pub(crate) queue: &'a JobQueue<QueuedJob>,
@@ -227,7 +224,7 @@ impl Counters {
             match row.kind {
                 Counter(name) => out.sample(name, "counter", value),
                 Gauge(name) => out.sample(name, "gauge", value),
-                Plain | Flag => {}
+                Flag => {}
             }
         }
     }

@@ -18,20 +18,20 @@
 //!   stable job [cache key](protocol::Job::cache_key) built on
 //!   [`minic::ast_hash()`](minic::ast_hash());
 //! * [`queue`] — a bounded `Mutex` + `Condvar` MPMC job queue with
-//!   per-client deficit-round-robin lanes; a lane at its fair share blocks
+//!   per-client round-robin lanes; a lane at its fair share blocks
 //!   (or sheds) only that client, so overload turns into per-tenant TCP
 //!   backpressure instead of unbounded buffering;
-//! * [`cache`] — the sharded LRU [`cache::PreparedCache`] of
+//! * [`cache`] — the LRU [`cache::PreparedCache`] of
 //!   [`cache::PreparedEntry`]s (prepared [`bugassist::Localizer`]s plus the
 //!   program's diffable AST segments and remembered reports) behind `Arc`,
 //!   shared lock-free by concurrent requests for the same program;
 //! * [`persist`] — the codec between [`cache::PreparedEntry`] and the
 //!   opaque CRC-checked records of the `store` crate, giving the cache a
 //!   disk-backed second tier that survives daemon restarts (write-through
-//!   is asynchronous, restore-on-boot is best-effort, corruption degrades
-//!   to a miss);
+//!   is asynchronous and the store's only writer, restore-on-boot is
+//!   best-effort, corruption degrades to a miss);
 //! * [`server`] — `TcpListener` + fixed worker-thread pool + graceful
-//!   drain-then-exit shutdown (with store snapshot);
+//!   drain-then-exit shutdown;
 //! * [`client`] — the blocking client library used by the tests and the
 //!   `perfbench` benchmark.
 //!

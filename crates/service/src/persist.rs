@@ -52,16 +52,17 @@ pub fn encode_entry(entry: &PreparedEntry) -> Option<Vec<u8>> {
     let template = entry.localizer.export_prepared()?;
     let mut w = ByteWriter::new();
     w.write_u8(PAYLOAD_VERSION);
-    w.write_str(&entry.source);
-    w.write_str(&entry.entry);
-    match entry.spec {
+    let job = &entry.job;
+    w.write_str(&job.program);
+    w.write_str(&job.entry);
+    match job.spec {
         JobSpec::Assertions => w.write_u8(1),
         JobSpec::ReturnEquals(v) => {
             w.write_u8(2);
             w.write_u64(v as u64);
         }
     }
-    let o = &entry.options;
+    let o = &job.options;
     w.write_usize(o.width);
     w.write_usize(o.unwind);
     w.write_usize(o.max_inline_depth);
@@ -81,16 +82,9 @@ pub fn encode_entry(entry: &PreparedEntry) -> Option<Vec<u8>> {
 }
 
 /// The options fingerprint a store record for this entry must carry:
-/// [`Job::options_fingerprint`] recomputed from the entry's own job fields.
+/// [`Job::options_fingerprint`] of the entry's own job.
 pub fn entry_fingerprint(entry: &PreparedEntry) -> u64 {
-    let mut job = Job::new(
-        entry.source.clone(),
-        entry.entry.clone(),
-        entry.spec,
-        Vec::new(),
-    );
-    job.options = entry.options.clone();
-    job.options_fingerprint()
+    entry.job.options_fingerprint()
 }
 
 fn decode_bool(r: &mut ByteReader<'_>, field: &str) -> Result<bool, DecodeError> {

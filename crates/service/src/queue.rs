@@ -1,32 +1,25 @@
 //! A bounded blocking MPMC queue with per-client fair-queuing lanes.
 //!
 //! The daemon's connection threads are the producers (one push per
-//! localize/batch request) and the fixed worker pool is the consumer side.
-//! The queue is **bounded**: when a lane is at its fair share (or the queue
-//! is at total capacity), [`JobQueue::push`] blocks the connection thread,
-//! which in turn stops reading from its socket — backpressure propagates to
-//! the client through TCP instead of letting an aggressive load spike
-//! buffer unbounded work in memory.
+//! localize/batch/revise request) and the fixed worker pool is the consumer
+//! side. The queue is **bounded**: when a lane is at its fair share (or the
+//! queue is at total capacity), [`JobQueue::push`] blocks the connection
+//! thread, which in turn stops reading from its socket — backpressure
+//! propagates to the client through TCP instead of letting an aggressive
+//! load spike buffer unbounded work in memory.
 //!
 //! # Fair queuing
 //!
 //! Items are tagged with a *lane* (the requesting `client_id`; unidentified
-//! traffic shares the [`DEFAULT_LANE`]). Consumers drain lanes with
-//! **deficit round-robin**: a cursor walks the active lanes, each visit
-//! credits the lane one quantum of deficit and dequeues while the deficit
-//! covers the per-item cost. All jobs cost one unit here, so the schedule
-//! degenerates to strict round-robin across lanes — one job per lane per
-//! pass — but the deficit bookkeeping is kept so weighted lanes or sized
-//! jobs are a constant away. A lane that drains empty is removed (and its
-//! deficit forfeited, the classic DRR rule that stops an idle lane from
-//! banking priority).
+//! traffic shares the lane named `""`). Consumers drain lanes **round-robin**:
+//! a cursor walks the active lanes and takes one item per lane per pass. A
+//! lane that drains empty leaves the schedule.
 //!
 //! Admission is fair-share bounded: with `n` active lanes each lane may
 //! hold at most `max(1, capacity / n)` items. A single greedy client
 //! therefore saturates only *its own* lane — its excess traffic blocks or
 //! sheds — while polite clients' lanes stay shallow and keep their latency.
-//! With one lane (the pre-fair-queuing regime) the share equals the whole
-//! capacity, so single-tenant behavior is unchanged.
+//! With one lane the share equals the whole capacity.
 //!
 //! Shutdown is cooperative: [`JobQueue::close`] wakes every blocked thread;
 //! producers get [`PushError`], consumers drain the remaining items across
@@ -34,13 +27,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// Lane shared by all requests that carry no `client_id`.
-pub const DEFAULT_LANE: &str = "";
-
-/// DRR quantum credited per lane visit. Every item costs one unit, so one
-/// quantum buys exactly one dequeue per pass.
-const QUANTUM: u64 = 1;
 
 /// Error returned by [`JobQueue::push`] once the queue is closed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +55,6 @@ pub enum TryPushError<T> {
 struct Lane<T> {
     id: String,
     items: VecDeque<T>,
-    deficit: u64,
 }
 
 #[derive(Debug)]
@@ -78,7 +63,7 @@ struct QueueState<T> {
     /// in this vector holds at least one item — a lane that drains is
     /// removed on the spot, so `lanes.len()` *is* the active-lane count.
     lanes: Vec<Lane<T>>,
-    /// DRR cursor: index of the lane the next pop visits.
+    /// Round-robin cursor: index of the lane the next pop visits.
     cursor: usize,
     /// Total items across all lanes.
     total: usize,
@@ -115,7 +100,6 @@ impl<T> QueueState<T> {
             None => self.lanes.push(Lane {
                 id: lane.to_string(),
                 items: VecDeque::from([item]),
-                deficit: 0,
             }),
         }
         self.total += 1;
@@ -124,7 +108,7 @@ impl<T> QueueState<T> {
 }
 
 /// A bounded blocking multi-producer multi-consumer queue with per-lane
-/// deficit-round-robin scheduling (see the module docs).
+/// round-robin scheduling (see the module docs).
 #[derive(Debug)]
 pub struct JobQueue<T> {
     state: Mutex<QueueState<T>>,
@@ -189,17 +173,6 @@ impl<T> JobQueue<T> {
         self.state.lock().expect("queue poisoned").enqueued
     }
 
-    /// Enqueues an item on the [`DEFAULT_LANE`], blocking while that lane
-    /// is at its fair share (backpressure).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PushError`] (with the item lost) if the queue was closed
-    /// before space became available.
-    pub fn push(&self, item: T) -> Result<(), PushError> {
-        self.push_lane(DEFAULT_LANE, item)
-    }
-
     /// Enqueues an item on `lane`, blocking while the lane is at its fair
     /// share or the queue at total capacity (backpressure).
     ///
@@ -207,7 +180,7 @@ impl<T> JobQueue<T> {
     ///
     /// Returns [`PushError`] (with the item lost) if the queue was closed
     /// before space became available.
-    pub fn push_lane(&self, lane: &str, item: T) -> Result<(), PushError> {
+    pub fn push(&self, lane: &str, item: T) -> Result<(), PushError> {
         let mut state = self.state.lock().expect("queue poisoned");
         while state.lane_full(lane, self.capacity) && !state.closed {
             state = self.not_full.wait(state).expect("queue poisoned");
@@ -221,29 +194,19 @@ impl<T> JobQueue<T> {
         Ok(())
     }
 
-    /// Enqueues on the [`DEFAULT_LANE`] **without blocking**: a full lane
-    /// is an immediate [`TryPushError::Full`] instead of backpressure.
+    /// Enqueues on `lane` **without blocking**: a full lane is an
+    /// immediate [`TryPushError::Full`] instead of backpressure.
     /// Deadline-carrying jobs go through this path — blocking a connection
     /// thread on a saturated queue could hold the job past its own
     /// deadline, so the daemon sheds it (an `overloaded` error) and lets
-    /// the client retry.
+    /// the client retry. Fair-share shedding is what isolates tenants: the
+    /// reject fires when *this lane* is over its share, so a greedy client
+    /// is shed while polite lanes keep accepting.
     ///
     /// # Errors
     ///
     /// Returns the item back inside [`TryPushError`].
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        self.try_push_lane(DEFAULT_LANE, item)
-    }
-
-    /// Enqueues on `lane` **without blocking**; see [`JobQueue::try_push`].
-    /// Fair-share shedding is what isolates tenants: the reject fires when
-    /// *this lane* is over its share, so a greedy client is shed while
-    /// polite lanes keep accepting.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back inside [`TryPushError`].
-    pub fn try_push_lane(&self, lane: &str, item: T) -> Result<(), TryPushError<T>> {
+    pub fn try_push(&self, lane: &str, item: T) -> Result<(), TryPushError<T>> {
         let mut state = self.state.lock().expect("queue poisoned");
         if state.closed {
             return Err(TryPushError::Closed(item));
@@ -257,7 +220,7 @@ impl<T> JobQueue<T> {
         Ok(())
     }
 
-    /// Dequeues the next item in deficit-round-robin order, blocking while
+    /// Dequeues the next item in round-robin order, blocking while
     /// the queue is empty. Returns `None` only once the queue is closed
     /// **and** fully drained (across every lane), so no accepted job is
     /// ever dropped during a graceful shutdown.
@@ -266,16 +229,13 @@ impl<T> JobQueue<T> {
         loop {
             if state.total > 0 {
                 // Every lane in the vector is non-empty, so the cursor's
-                // lane is always servable: credit a quantum, take one item.
+                // lane is always servable: take one item.
                 let i = state.cursor % state.lanes.len();
                 let lane = &mut state.lanes[i];
-                lane.deficit += QUANTUM;
                 let item = lane.items.pop_front().expect("active lane non-empty");
-                lane.deficit -= 1; // unit cost per job
                 if lane.items.is_empty() {
-                    // DRR empty-lane rule: the lane leaves the schedule and
-                    // forfeits its residual deficit. The cursor stays put —
-                    // the removal shifts the next lane into this slot.
+                    // The drained lane leaves the schedule. The cursor stays
+                    // put — the removal shifts the next lane into this slot.
                     state.lanes.remove(i);
                     if state.lanes.is_empty() {
                         state.cursor = 0;
@@ -335,7 +295,7 @@ mod tests {
     fn fifo_within_capacity() {
         let queue = JobQueue::new(4);
         for i in 0..4 {
-            queue.push(i).unwrap();
+            queue.push("", i).unwrap();
         }
         assert_eq!(queue.depth(), 4);
         assert_eq!(queue.enqueued(), 4);
@@ -347,10 +307,10 @@ mod tests {
     #[test]
     fn push_blocks_until_a_slot_frees() {
         let queue = Arc::new(JobQueue::new(1));
-        queue.push(0u64).unwrap();
+        queue.push("", 0u64).unwrap();
         let producer = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(1).unwrap())
+            std::thread::spawn(move || queue.push("", 1).unwrap())
         };
         // The producer is blocked on the full queue; popping unblocks it.
         std::thread::sleep(Duration::from_millis(20));
@@ -363,15 +323,15 @@ mod tests {
     #[test]
     fn close_wakes_producers_and_drains_consumers() {
         let queue = Arc::new(JobQueue::new(1));
-        queue.push(7u64).unwrap();
+        queue.push("", 7u64).unwrap();
         let blocked_producer = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(8))
+            std::thread::spawn(move || queue.push("", 8))
         };
         std::thread::sleep(Duration::from_millis(20));
         queue.close();
         assert_eq!(blocked_producer.join().unwrap(), Err(PushError));
-        assert_eq!(queue.push(9), Err(PushError));
+        assert_eq!(queue.push("", 9), Err(PushError));
         // The item accepted before the close is still delivered.
         assert_eq!(queue.pop(), Some(7));
         assert_eq!(queue.pop(), None);
@@ -400,12 +360,12 @@ mod tests {
         // before the close must still drain.
         const PUSHERS: u64 = 8;
         let queue = Arc::new(JobQueue::new(2));
-        queue.push(0u64).unwrap();
-        queue.push(1u64).unwrap(); // saturated
+        queue.push("", 0u64).unwrap();
+        queue.push("", 1u64).unwrap(); // saturated
         let pushers: Vec<_> = (0..PUSHERS)
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                std::thread::spawn(move || queue.push(100 + i))
+                std::thread::spawn(move || queue.push("", 100 + i))
             })
             .collect();
         // Give the crowd time to actually block on the full queue.
@@ -428,14 +388,14 @@ mod tests {
     #[test]
     fn try_push_never_blocks() {
         let queue = JobQueue::new(1);
-        assert_eq!(queue.try_push(1u64), Ok(()));
+        assert_eq!(queue.try_push("", 1u64), Ok(()));
         // Saturated: the reject returns the item, and nothing was enqueued.
-        assert_eq!(queue.try_push(2), Err(TryPushError::Full(2)));
+        assert_eq!(queue.try_push("", 2), Err(TryPushError::Full(2)));
         assert_eq!(queue.enqueued(), 1);
         assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.try_push(3), Ok(()));
+        assert_eq!(queue.try_push("", 3), Ok(()));
         queue.close();
-        assert_eq!(queue.try_push(4), Err(TryPushError::Closed(4)));
+        assert_eq!(queue.try_push("", 4), Err(TryPushError::Closed(4)));
         // The item accepted before the close still drains.
         assert_eq!(queue.pop(), Some(3));
         assert_eq!(queue.pop(), None);
@@ -466,7 +426,7 @@ mod tests {
                 let queue = Arc::clone(&queue);
                 std::thread::spawn(move || {
                     for i in 0..PER_PRODUCER {
-                        queue.push(p * PER_PRODUCER + i).unwrap();
+                        queue.push("", p * PER_PRODUCER + i).unwrap();
                     }
                 })
             })
@@ -489,10 +449,10 @@ mod tests {
         let queue = JobQueue::new(16);
         // Lane "a" floods first; "b" and "c" each queue one job later.
         for i in 0..3 {
-            queue.try_push_lane("a", ("a", i)).unwrap();
+            queue.try_push("a", ("a", i)).unwrap();
         }
-        queue.try_push_lane("b", ("b", 0)).unwrap();
-        queue.try_push_lane("c", ("c", 0)).unwrap();
+        queue.try_push("b", ("b", 0)).unwrap();
+        queue.try_push("c", ("c", 0)).unwrap();
         assert_eq!(queue.active_lanes(), 3);
         assert_eq!(queue.max_lane_depth(), 3);
         // Round-robin: the late-arriving polite lanes are served after one
@@ -510,66 +470,63 @@ mod tests {
         let queue = JobQueue::new(8);
         // Four active lanes => fair share is 8 / 4 = 2 per lane.
         for lane in ["greedy", "p1", "p2", "p3"] {
-            queue.try_push_lane(lane, lane).unwrap();
+            queue.try_push(lane, lane).unwrap();
         }
         assert_eq!(queue.fair_share(), 2);
-        assert_eq!(queue.try_push_lane("greedy", "greedy"), Ok(()));
+        assert_eq!(queue.try_push("greedy", "greedy"), Ok(()));
         // The greedy lane is now at its share: its next push sheds...
         assert_eq!(
-            queue.try_push_lane("greedy", "greedy"),
+            queue.try_push("greedy", "greedy"),
             Err(TryPushError::Full("greedy"))
         );
         // ...while the polite lanes still have room.
-        assert_eq!(queue.try_push_lane("p1", "p1"), Ok(()));
+        assert_eq!(queue.try_push("p1", "p1"), Ok(()));
         assert_eq!(queue.lane_depth("greedy"), 2);
         assert_eq!(queue.lane_depth("p1"), 2);
     }
 
     #[test]
     fn a_single_lane_keeps_the_whole_capacity() {
-        // Single-tenant regression: with only the default lane active, the
-        // fair share equals the full capacity — fair queuing must not
-        // shrink the pre-lane queue's admission.
+        // Single-tenant regression: with only one lane active, the fair
+        // share equals the full capacity — fair queuing must not shrink
+        // the admission of a single client.
         let queue = JobQueue::new(4);
         for i in 0..4 {
-            assert_eq!(queue.try_push(i), Ok(()));
+            assert_eq!(queue.try_push("", i), Ok(()));
         }
         assert_eq!(queue.fair_share(), 4);
-        assert_eq!(queue.try_push(9), Err(TryPushError::Full(9)));
+        assert_eq!(queue.try_push("", 9), Err(TryPushError::Full(9)));
     }
 
     #[test]
     fn draining_a_lane_raises_the_other_lanes_shares() {
         let queue = JobQueue::new(4);
-        queue.try_push_lane("a", "a0").unwrap();
-        queue.try_push_lane("b", "b0").unwrap();
+        queue.try_push("a", "a0").unwrap();
+        queue.try_push("b", "b0").unwrap();
         // Two lanes: share 2, so "a" can hold one more but not three.
-        queue.try_push_lane("a", "a1").unwrap();
-        assert_eq!(
-            queue.try_push_lane("a", "a2"),
-            Err(TryPushError::Full("a2"))
-        );
+        queue.try_push("a", "a1").unwrap();
+        assert_eq!(queue.try_push("a", "a2"), Err(TryPushError::Full("a2")));
         // Drain "b" entirely; "a" becomes the only lane and its share
         // grows back to the whole capacity.
         assert_eq!(queue.pop(), Some("a0"));
         assert_eq!(queue.pop(), Some("b0"));
         assert_eq!(queue.active_lanes(), 1);
-        assert_eq!(queue.try_push_lane("a", "a2"), Ok(()));
-        assert_eq!(queue.try_push_lane("a", "a3"), Ok(()));
-        assert_eq!(queue.try_push_lane("a", "a4"), Ok(()));
+        assert_eq!(queue.try_push("a", "a2"), Ok(()));
+        assert_eq!(queue.try_push("a", "a3"), Ok(()));
+        assert_eq!(queue.try_push("a", "a4"), Ok(()));
         assert_eq!(queue.lane_depth("a"), 4);
     }
 
     #[test]
     fn close_drains_every_lane_then_returns_none() {
         // Satellite regression: a shutdown with multiple populated lanes
-        // must deliver every accepted job across all lanes (still in DRR
-        // order) before consumers see None, and blocked pushers on any
+        // must deliver every accepted job across all lanes (still in
+        // round-robin order) before consumers see None, and blocked pushers on any
         // lane must wake with PushError.
         let queue = Arc::new(JobQueue::new(6));
         for lane in ["a", "b", "c"] {
-            queue.try_push_lane(lane, format!("{lane}0")).unwrap();
-            queue.try_push_lane(lane, format!("{lane}1")).unwrap();
+            queue.try_push(lane, format!("{lane}0")).unwrap();
+            queue.try_push(lane, format!("{lane}1")).unwrap();
         }
         // All three lanes are at their fair share (6 / 3 = 2): a pusher on
         // each lane blocks, and close must unblock every one of them.
@@ -577,7 +534,7 @@ mod tests {
             .into_iter()
             .map(|lane| {
                 let queue = Arc::clone(&queue);
-                std::thread::spawn(move || queue.push_lane(lane, format!("{lane}X")))
+                std::thread::spawn(move || queue.push(lane, format!("{lane}X")))
             })
             .collect();
         std::thread::sleep(Duration::from_millis(30));

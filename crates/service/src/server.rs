@@ -22,9 +22,10 @@
 //! * **One response line per request line**, written by the connection's own
 //!   thread — responses to one connection are never interleaved, whatever
 //!   the worker pool is doing.
-//! * **Backpressure**: when `queue_capacity` jobs are in flight the
-//!   connection thread blocks in [`JobQueue::push`] and stops reading its
-//!   socket; the kernel's TCP window does the rest.
+//! * **Backpressure**: when a client's queue lane holds its fair share of
+//!   `queue_capacity` jobs, the connection thread blocks in
+//!   [`JobQueue::push`] and stops reading its socket; the kernel's TCP
+//!   window does the rest.
 //! * **Graceful shutdown** (the `shutdown` op or [`Server::shutdown`]):
 //!   the queue closes, workers drain every accepted job, open sockets are
 //!   shut down to unblock readers, and every thread is joined — no accepted
@@ -56,10 +57,8 @@ pub struct ServiceConfig {
     pub addr: String,
     /// Worker threads executing localization jobs.
     pub workers: usize,
-    /// Total capacity of the prepared-localizer cache, in entries.
+    /// Capacity of the prepared-localizer cache, in entries.
     pub cache_capacity: usize,
-    /// Number of independently locked cache shards.
-    pub cache_shards: usize,
     /// Bound of the job queue; pushes beyond it block (backpressure).
     pub queue_capacity: usize,
     /// Deadline applied to jobs that don't carry their own `deadline_ms`.
@@ -89,9 +88,8 @@ pub struct ServiceConfig {
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Directory of the persistent prepared-formula store (`crates/store`).
     /// `None` (the default) disables the disk tier entirely. When set, the
-    /// daemon restores every valid record into the in-memory cache on boot,
-    /// writes fresh builds through asynchronously, and snapshots the cache
-    /// back to the store on graceful shutdown.
+    /// daemon restores every valid record into the in-memory cache on boot
+    /// and writes every fresh build through asynchronously.
     pub store_dir: Option<String>,
     /// Whether boot eagerly restores every store record into the in-memory
     /// cache (the default). With `false` the disk tier is consulted lazily,
@@ -110,7 +108,6 @@ impl Default for ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
             workers,
             cache_capacity: 64,
-            cache_shards: 8,
             queue_capacity: 2 * workers,
             default_deadline_ms: None,
             max_deadline_ms: None,
@@ -219,8 +216,8 @@ struct ServerState {
     /// configured.
     store: Option<Arc<store::Store>>,
     /// Feeds freshly built entries to the asynchronous write-through
-    /// thread. Shutdown `take()`s (and drops) the sender so the writer
-    /// drains its backlog and exits.
+    /// thread. Shutdown drops the sender so the writer drains its backlog
+    /// and exits.
     store_writer: Mutex<Option<mpsc::Sender<StoreWrite>>>,
     queue: JobQueue<QueuedJob>,
     started: Instant,
@@ -275,7 +272,6 @@ impl ServerState {
         View {
             cache: self.cache.stats(),
             cache_capacity: self.cache.capacity(),
-            cache_shards: self.cache.shard_count(),
             store_enabled: self.store.is_some(),
             store: self.store.as_ref().map(|s| s.stats()).unwrap_or_default(),
             queue: &self.queue,
@@ -578,9 +574,10 @@ impl ServerState {
             Ok(prepared) => prepared,
             Err(e) => return self.error_line(queued.id, e.kind, e.message),
         };
-        // Asynchronous write-through: a freshly built entry (never one that
-        // was served from memory or from the store itself) goes to the
-        // writer thread; the request path never touches the disk. Failed or
+        // Asynchronous write-through, the store's only writer: a freshly
+        // built entry (cold, or derived by a revise; never one that was
+        // served from memory or from the store itself) goes to the writer
+        // thread; the request path never touches the disk. Failed or
         // panicked builds return above, so only successful entries can ever
         // be persisted.
         if tier == "built" {
@@ -753,10 +750,10 @@ fn enqueue_and_wait(state: &ServerState, id: u64, kind: JobKind, job: Job) -> St
     let pushed = match deadline_ms {
         None => state
             .queue
-            .push_lane(&lane, queued)
+            .push(&lane, queued)
             .map_err(|_| state.error_line(id, "shutting_down", "server is shutting down")),
         Some(budget_ms) => {
-            // Under DRR every active lane is served once per pass, so a job
+            // Round-robin serves every active lane once per pass, so a job
             // joining a lane with `d` waiting jobs sits behind roughly
             // `d × active_lanes` pops — never more than the whole queue.
             // With one lane this degrades to the plain depth estimate.
@@ -777,22 +774,19 @@ fn enqueue_and_wait(state: &ServerState, id: u64, kind: JobKind, job: Job) -> St
                     ),
                 ))
             } else {
-                state
-                    .queue
-                    .try_push_lane(&lane, queued)
-                    .map_err(|e| match e {
-                        TryPushError::Full(_) => {
-                            state.counters.add(Own::JobsShed, 1);
-                            state.error_line(
-                                id,
-                                "overloaded",
-                                "job queue is full; shedding instead of queueing past the deadline",
-                            )
-                        }
-                        TryPushError::Closed(_) => {
-                            state.error_line(id, "shutting_down", "server is shutting down")
-                        }
-                    })
+                state.queue.try_push(&lane, queued).map_err(|e| match e {
+                    TryPushError::Full(_) => {
+                        state.counters.add(Own::JobsShed, 1);
+                        state.error_line(
+                            id,
+                            "overloaded",
+                            "job queue is full; shedding instead of queueing past the deadline",
+                        )
+                    }
+                    TryPushError::Closed(_) => {
+                        state.error_line(id, "shutting_down", "server is shutting down")
+                    }
+                })
             }
         }
     };
@@ -971,7 +965,7 @@ impl Server {
             Some(dir) => Some(Arc::new(store::Store::open(dir)?)),
         };
         let state = Arc::new(ServerState {
-            cache: PreparedCache::new(config.cache_capacity, config.cache_shards),
+            cache: PreparedCache::new(config.cache_capacity),
             store: store.clone(),
             store_writer: Mutex::new(None),
             queue: JobQueue::new(config.queue_capacity),
@@ -1186,22 +1180,15 @@ impl Server {
         for worker in self.workers.drain(..) {
             worker.join().expect("worker panicked");
         }
-        // Snapshot-on-shutdown: the workers are drained, so the cache is
-        // quiescent. Push every completed entry through the writer (saves
-        // are idempotent — an entry written through earlier is rewritten
-        // byte-identically), then hang up the channel so the writer drains
-        // its backlog and exits.
-        let writer_tx = self
+        // The workers are drained, so nothing sends any more: hang up the
+        // channel so the writer drains its backlog and exits. Every entry
+        // the cache holds is on disk by then — built ones were written
+        // through, the rest came from the store.
+        *self
             .state
             .store_writer
             .lock()
-            .expect("store_writer poisoned")
-            .take();
-        if let Some(tx) = writer_tx {
-            for (key, entry) in self.state.cache.entries() {
-                let _ = tx.send((key, entry));
-            }
-        }
+            .expect("store_writer poisoned") = None;
         if let Some(writer) = self.store_writer.take() {
             writer.join().expect("store writer panicked");
         }

@@ -245,13 +245,49 @@ fn revise_against_a_restored_entry_relabels_it() {
     assert_eq!(canonical(&revised.outcome.body), canonical(&cold.body));
 }
 
+/// A revise-derived entry reaches the disk through write-through alone, so
+/// it survives a restart like a cold build does.
+#[test]
+fn a_revise_derived_entry_survives_a_restart() {
+    let dir = TempDir::new("revise-restart");
+    let base = minic_job(2);
+    let mut shifted = base.clone();
+    shifted.program = base
+        .program
+        .replace("int main(int x) {\n", "int main(int x) {\n\n");
+
+    // First lifetime: build the base program, then derive the shifted one
+    // from it without a build, and shut down.
+    let server = Server::start(store_config(&dir)).expect("first daemon");
+    let revised = {
+        let mut client = Client::connect(server.local_addr()).expect("connects");
+        let cold = client.localize(base).expect("localizes");
+        assert_eq!(cold.tier, "built");
+        client.revise(shifted.clone(), cold.key).expect("revises")
+    };
+    server.shutdown();
+    assert_eq!(revised.delta, "line_shift");
+    assert!(revised.reused && !revised.solved, "{revised:?}");
+    assert_eq!(revised.outcome.tier, "built");
+
+    // Second lifetime: the derived entry comes back on boot.
+    let server = Server::start(store_config(&dir)).expect("second daemon");
+    let mut client = Client::connect(server.local_addr()).expect("reconnects");
+    let stats = client.stats().expect("stats");
+    assert_eq!(store_stat(&stats, "restored_entries"), 2, "{stats}");
+    let out = client.localize(shifted).expect("localizes post-restart");
+    server.shutdown();
+    assert_eq!(out.tier, "memory");
+    assert_eq!(out.build_ms, 0, "no rebuild after restart");
+    assert_eq!(canonical(&out.body), canonical(&revised.outcome.body));
+}
+
 #[test]
 fn evicted_entry_is_served_from_the_store_tier() {
     let dir = TempDir::new("evict");
     let config = ServiceConfig {
         workers: 1,
         cache_capacity: 1,
-        cache_shards: 1,
         ..store_config(&dir)
     };
     let server = Server::start(config).expect("daemon");
@@ -283,7 +319,6 @@ fn revise_with_an_evicted_pre_edit_entry_is_served_from_the_store() {
     let config = ServiceConfig {
         workers: 1,
         cache_capacity: 1,
-        cache_shards: 1,
         ..store_config(&dir)
     };
     let server = Server::start(config).expect("daemon");

@@ -1,5 +1,6 @@
 //! Runs the `serve` binary itself: its flags parse, it prints the address
-//! it bound, answers over the wire, and exits 0 after `shutdown`.
+//! it bound, answers over the wire, and exits 0 after `shutdown`; a retired
+//! flag makes it exit 2 with the usage line.
 
 use service::{Client, Job, JobSpec};
 use std::io::{BufRead, BufReader};
@@ -61,4 +62,19 @@ fn serve_binary_answers_and_exits_cleanly() {
     let status = daemon.0.take().expect("running").wait().expect("exits");
     let _ = std::fs::remove_dir_all(&store_dir);
     assert!(status.success(), "serve exited with {status}");
+}
+
+/// A retired flag is refused at startup with the usage line, so a script
+/// that still passes it fails loudly instead of running a different daemon.
+#[test]
+fn serve_refuses_the_retired_cache_shards_flag() {
+    let output = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--addr", "127.0.0.1:0", "--cache-shards", "8"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("serve runs");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert!(output.stdout.is_empty(), "it never started: {output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.starts_with("usage: serve "), "{stderr}");
 }

@@ -114,12 +114,11 @@ fn concurrent_mixed_workload_matches_direct_localizer() {
     let expected: Arc<Vec<String>> = Arc::new(jobs.iter().map(expected_canonical).collect());
     let jobs = Arc::new(jobs);
 
-    // One shard: all four programs fit without collision evictions, so the
-    // hit/miss arithmetic below is exact.
+    // All four programs fit without evictions, so the hit/miss arithmetic
+    // below is exact.
     let server = Server::start(ServiceConfig {
         workers: 4,
         cache_capacity: 8,
-        cache_shards: 1,
         queue_capacity: 4,
         ..ServiceConfig::default()
     })
@@ -219,7 +218,6 @@ fn forced_eviction_with_capacity_one_stays_correct() {
     let server = Server::start(ServiceConfig {
         workers: 2,
         cache_capacity: 1,
-        cache_shards: 1,
         queue_capacity: 2,
         ..ServiceConfig::default()
     })
@@ -1293,7 +1291,6 @@ fn stats_and_metrics_render_one_counter_set() {
             "cache.poisoned",
             "cache.entries",
             "cache.capacity",
-            "cache.shards",
             "queue.capacity",
             "queue.depth",
             "queue.enqueued",
