@@ -213,28 +213,28 @@ impl Encoder {
         BitVec { bits }
     }
 
-    fn emit(&mut self, lits: Vec<Lit>) {
+    fn emit<const N: usize>(&mut self, lits: [Lit; N]) {
         self.cnf.add_clause(lits, self.group);
     }
 
     /// Asserts that a literal holds (unit clause in the current group).
     pub fn assert_true(&mut self, lit: Lit) {
-        self.emit(vec![lit]);
+        self.emit([lit]);
     }
 
     /// Asserts that two bit-vectors are equal, bit by bit.
     pub fn assert_equal(&mut self, a: &BitVec, b: &BitVec) {
         for (&x, &y) in a.bits.iter().zip(&b.bits) {
-            self.emit(vec![!x, y]);
-            self.emit(vec![x, !y]);
+            self.emit([!x, y]);
+            self.emit([x, !y]);
         }
     }
 
     /// Asserts that two literals are equal (two binary clauses in the
     /// current group).
     pub fn assert_bit_equal(&mut self, a: Lit, b: Lit) {
-        self.emit(vec![!a, b]);
-        self.emit(vec![a, !b]);
+        self.emit([!a, b]);
+        self.emit([a, !b]);
     }
 
     // ----- single-bit gates (Tseitin) -------------------------------------
@@ -262,9 +262,9 @@ impl Encoder {
             return self.false_lit();
         }
         let c = self.fresh_bit();
-        self.emit(vec![!c, a]);
-        self.emit(vec![!c, b]);
-        self.emit(vec![c, !a, !b]);
+        self.emit([!c, a]);
+        self.emit([!c, b]);
+        self.emit([c, !a, !b]);
         self.stats.gates_emitted += 1;
         c
     }
@@ -301,10 +301,10 @@ impl Encoder {
             return self.true_lit;
         }
         let c = self.fresh_bit();
-        self.emit(vec![!c, a, b]);
-        self.emit(vec![!c, !a, !b]);
-        self.emit(vec![c, !a, b]);
-        self.emit(vec![c, a, !b]);
+        self.emit([!c, a, b]);
+        self.emit([!c, !a, !b]);
+        self.emit([c, !a, b]);
+        self.emit([c, a, !b]);
         self.stats.gates_emitted += 1;
         c
     }
@@ -354,13 +354,13 @@ impl Encoder {
             return self.and(cond, then_bit);
         }
         let r = self.fresh_bit();
-        self.emit(vec![!cond, !then_bit, r]);
-        self.emit(vec![!cond, then_bit, !r]);
-        self.emit(vec![cond, !else_bit, r]);
-        self.emit(vec![cond, else_bit, !r]);
+        self.emit([!cond, !then_bit, r]);
+        self.emit([!cond, then_bit, !r]);
+        self.emit([cond, !else_bit, r]);
+        self.emit([cond, else_bit, !r]);
         // Redundant but propagation-friendly clauses.
-        self.emit(vec![!then_bit, !else_bit, r]);
-        self.emit(vec![then_bit, else_bit, !r]);
+        self.emit([!then_bit, !else_bit, r]);
+        self.emit([then_bit, else_bit, !r]);
         self.stats.gates_emitted += 1;
         r
     }

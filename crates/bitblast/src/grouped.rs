@@ -5,9 +5,11 @@
 //! statement are enabled and disabled together through one selector variable.
 //! [`GroupedCnf`] is a plain CNF paired with an optional [`GroupId`] per
 //! clause; clauses with no group are "infrastructure" (constant definitions,
-//! input constraints, assertions) and will always be hard.
+//! input constraints, assertions) and will always be hard. The literals live
+//! in the formula's one flat buffer and the groups in a column beside it, so
+//! emitting a clause copies its literals and allocates nothing of its own.
 
-use sat::{Clause, CnfFormula, Lit, Var};
+use sat::{ClauseView, CnfFormula, Lit, Var};
 
 /// Identifier of a clause group (one group ≈ one program statement instance).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -67,8 +69,8 @@ impl GroupedCnf {
     }
 
     /// Adds a clause belonging to `group` (or to no group).
-    pub fn add_clause<C: Into<Clause>>(&mut self, clause: C, group: Option<GroupId>) {
-        self.formula.add_clause(clause);
+    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I, group: Option<GroupId>) {
+        self.formula.add_clause(lits);
         self.groups.push(group);
     }
 
@@ -87,16 +89,8 @@ impl GroupedCnf {
     }
 
     /// Iterates over `(clause, group)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Clause, Option<GroupId>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (ClauseView<'_>, Option<GroupId>)> {
         self.formula.iter().zip(self.groups.iter().copied())
-    }
-
-    /// All distinct groups that occur, in ascending order.
-    pub fn groups(&self) -> Vec<GroupId> {
-        let mut gs: Vec<GroupId> = self.groups.iter().flatten().copied().collect();
-        gs.sort();
-        gs.dedup();
-        gs
     }
 
     /// Number of clauses belonging to the given group.
@@ -109,28 +103,12 @@ impl GroupedCnf {
         self.formula.eval(assignment)
     }
 
-    /// Evaluates only the clauses of the given group.
-    pub fn eval_group(&self, group: GroupId, assignment: &[bool]) -> bool {
-        self.iter()
-            .filter(|(_, g)| *g == Some(group))
-            .all(|(c, _)| c.eval(assignment))
-    }
-
     /// Adds a literal that is constrained (group-less) to be true, useful for
     /// encoding constants.
     pub fn add_true_lit(&mut self) -> Lit {
         let lit = self.new_var().positive();
-        self.add_clause(vec![lit], None);
+        self.add_clause([lit], None);
         lit
-    }
-}
-
-/// Consumes the formula clause by clause, each with its group.
-impl IntoIterator for GroupedCnf {
-    type Item = (Clause, Option<GroupId>);
-    type IntoIter = std::iter::Zip<std::vec::IntoIter<Clause>, std::vec::IntoIter<Option<GroupId>>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.formula.into_iter().zip(self.groups)
     }
 }
 
@@ -147,23 +125,9 @@ mod tests {
         cnf.add_clause(vec![!a], Some(GroupId(3)));
         cnf.add_clause(vec![b], Some(GroupId(5)));
         cnf.add_clause(vec![a, !b], None);
-        assert_eq!(cnf.groups(), vec![GroupId(3), GroupId(5)]);
         assert_eq!(cnf.clauses_in_group(GroupId(3)), 2);
         assert_eq!(cnf.clauses_in_group(GroupId(5)), 1);
         assert_eq!(cnf.iter().filter(|(_, g)| g.is_none()).count(), 1);
-    }
-
-    #[test]
-    fn eval_group_checks_only_that_group() {
-        let mut cnf = GroupedCnf::new();
-        let a = cnf.new_var().positive();
-        let b = cnf.new_var().positive();
-        cnf.add_clause(vec![a], Some(GroupId(0)));
-        cnf.add_clause(vec![b], Some(GroupId(1)));
-        // a true, b false: group 0 holds, group 1 does not, whole formula fails.
-        assert!(cnf.eval_group(GroupId(0), &[true, false]));
-        assert!(!cnf.eval_group(GroupId(1), &[true, false]));
-        assert!(!cnf.eval(&[true, false]));
     }
 
     #[test]

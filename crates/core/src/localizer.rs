@@ -336,8 +336,15 @@ impl PreparedTemplate {
         lint_warnings: u64,
         prune_ms: u128,
     ) -> PreparedTemplate {
-        let mut instance = MaxSatInstance::new();
-        instance.ensure_vars(cnf.num_vars());
+        // Room for every clause plus one selector literal per statement
+        // clause, so TF1 is written in place without regrowing.
+        let grouped = cnf.iter().filter(|(_, group)| group.is_some()).count();
+        let formula = cnf.formula();
+        let mut instance = MaxSatInstance::from_hard(sat::CnfFormula::with_capacity(
+            formula.num_vars(),
+            formula.num_clauses(),
+            formula.num_literals() + grouped,
+        ));
         let mut units: Vec<BlameUnit> = Vec::new();
         // Group ids index `trace.groups`.
         let mut unit_of_group = vec![0; trace.groups.len()];
@@ -380,17 +387,13 @@ impl PreparedTemplate {
             }
         }
         // TF1: statement clauses augmented with ¬λ; infrastructure stays hard.
-        // The clauses move into the template rather than being copied.
-        for (clause, group) in cnf {
-            match group {
-                None => instance.add_hard(clause),
-                Some(gid) => {
-                    let mut lits: Vec<Lit> = clause.into_iter().collect();
-                    lits.push(!units[unit_of_group[gid.index()]].lit);
-                    instance.add_hard(lits);
-                }
-            }
+        for (clause, group) in cnf.iter() {
+            let selector = group.map(|gid| !units[unit_of_group[gid.index()]].lit);
+            instance.add_hard(clause.iter().copied().chain(selector));
         }
+        // The encoder's formula is not needed past this point; free it
+        // before the preprocessor builds its own copy.
+        drop(cnf);
         let hard_clauses_pre_simplify = instance.num_hard();
         let mut simplify_stats = sat::SimplifyStats::default();
         let mut simplify_ms = 0u128;

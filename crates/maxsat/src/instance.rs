@@ -79,9 +79,10 @@ impl MaxSatInstance {
         self.hard.num_vars()
     }
 
-    /// Adds a hard clause.
-    pub fn add_hard<C: Into<Clause>>(&mut self, clause: C) {
-        self.hard.add_clause(clause);
+    /// Adds a hard clause, copying its literals into the hard formula's
+    /// literal buffer.
+    pub fn add_hard<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
+        self.hard.add_clause(lits);
     }
 
     /// Adds a soft clause with the given weight and returns its identifier.
@@ -149,7 +150,7 @@ impl MaxSatInstance {
     /// Evaluates the cost (total weight of falsified soft clauses) of a total
     /// assignment, or `None` if the assignment violates a hard clause.
     pub fn cost_of(&self, assignment: &[bool]) -> Option<u64> {
-        if !self.hard.clauses().iter().all(|c| c.eval(assignment)) {
+        if !self.hard.iter().all(|c| c.eval(assignment)) {
             return None;
         }
         Some(

@@ -217,10 +217,9 @@ impl CnfFormula {
     pub fn encode(&self, w: &mut ByteWriter) {
         w.write_usize(self.num_vars());
         w.write_usize(self.num_clauses());
-        for clause in self.clauses() {
-            let lits = clause.lits();
-            w.write_usize(lits.len());
-            for lit in lits {
+        for clause in self.iter() {
+            w.write_usize(clause.len());
+            for lit in clause {
                 w.write_usize(lit.code());
             }
         }
@@ -228,24 +227,36 @@ impl CnfFormula {
 
     /// Reads back a formula written by [`CnfFormula::encode`], validating
     /// that every literal refers to a declared variable.
+    ///
+    /// A first pass over the clause lengths sizes the formula's two buffers
+    /// exactly, so decoding allocates the same twice whatever the formula's
+    /// size.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<CnfFormula, DecodeError> {
         let num_vars = r.read_usize()?;
         let num_clauses = r.read_len(8)?;
-        let mut cnf = CnfFormula::with_vars(num_vars);
-        let mut lits = Vec::new();
+        let mut scan = ByteReader {
+            buf: r.buf,
+            pos: r.pos,
+        };
+        let mut num_literals = 0usize;
+        for _ in 0..num_clauses {
+            let len = scan.read_len(8)?;
+            scan.take(8 * len)?;
+            num_literals += len;
+        }
+        let mut cnf = CnfFormula::with_capacity(num_vars, num_clauses, num_literals);
         for _ in 0..num_clauses {
             let len = r.read_len(8)?;
-            lits.clear();
-            for _ in 0..len {
-                let code = r.read_usize()?;
-                if code / 2 >= num_vars {
-                    return Err(DecodeError::new(format!(
-                        "literal code {code} out of range for {num_vars} vars"
-                    )));
-                }
-                lits.push(Lit::from_code(code));
+            let codes = r
+                .take(8 * len)?
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("chunks of 8 bytes")));
+            if let Some(code) = codes.clone().find(|&code| code / 2 >= num_vars as u64) {
+                return Err(DecodeError::new(format!(
+                    "literal code {code} out of range for {num_vars} vars"
+                )));
             }
-            cnf.add_clause(lits.as_slice());
+            cnf.add_clause(codes.map(|code| Lit::from_code(code as usize)));
         }
         Ok(cnf)
     }
@@ -307,9 +318,34 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(back.num_vars(), cnf.num_vars());
         assert_eq!(back.num_clauses(), cnf.num_clauses());
-        for (a, b) in back.clauses().iter().zip(cnf.clauses()) {
-            assert_eq!(a.lits(), b.lits());
-        }
+        assert!(back.iter().eq(cnf.iter()));
+    }
+
+    /// The store's record format: the flat in-memory layout must not leak
+    /// into the bytes a `PAYLOAD_VERSION` 9 record holds.
+    #[test]
+    fn cnf_encoding_is_pinned() {
+        let mut cnf = CnfFormula::with_vars(3);
+        cnf.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(-3)]);
+        cnf.add_unit(Lit::from_dimacs(2));
+        cnf.add_clause(Vec::new());
+        let mut w = ByteWriter::new();
+        cnf.encode(&mut w);
+        let words: Vec<u64> = w
+            .as_bytes()
+            .chunks(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        // num_vars, num_clauses, then (len, codes...) per clause; a literal's
+        // code is 2 * var + (1 if negative).
+        assert_eq!(words, [3, 3, 2, 0, 5, 1, 2, 0]);
+        assert_eq!(w.len(), 8 * words.len());
+        assert_eq!(
+            &w.as_bytes()[..24],
+            &[3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+        );
+        let back = CnfFormula::decode(&mut ByteReader::new(w.as_bytes())).unwrap();
+        assert_eq!(back, cnf);
     }
 
     #[test]

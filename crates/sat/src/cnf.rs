@@ -1,16 +1,29 @@
 //! Plain CNF formula container, independent of any solver state.
 //!
 //! [`CnfFormula`] is the interchange type of the workspace: the bit-blaster
-//! produces one, the MAX-SAT engine consumes one, and the [`crate::Solver`]
-//! can be loaded from one.
+//! produces one, the simplifier rewrites one, a prepared localizer keeps
+//! one as its selector-relaxed trace formula, the store persists one and
+//! the [`crate::Solver`] is loaded from one.
+//!
+//! A formula is laid out flat: every clause's literals sit back to back in
+//! one `Vec<Lit>`, and a second vector records where each clause ends. A
+//! formula of any size is therefore two heap allocations, not one per
+//! clause, and [`CnfFormula::iter`] hands out borrowed [`ClauseView`]s into
+//! that buffer. The byte encoding ([`CnfFormula::encode`]) writes clause by
+//! clause and does not depend on this layout.
+//!
+//! An owned [`Clause`] remains for clauses built one at a time, such as the
+//! soft clauses of a MAX-SAT instance.
 
 use crate::types::{Lit, Var};
 use std::fmt;
 
-/// A clause: a disjunction of literals.
+/// An owned clause: a disjunction of literals.
 ///
-/// This is a thin newtype over `Vec<Lit>` used by [`CnfFormula`]; the solver
-/// keeps its own packed clause representation internally.
+/// A [`CnfFormula`] does not store `Clause`s; it keeps all its literals in
+/// one buffer and lends out [`ClauseView`]s. `Clause` is for clauses that
+/// live on their own, such as soft clauses. The solver keeps its own packed
+/// clause representation internally.
 ///
 /// # Examples
 ///
@@ -53,21 +66,9 @@ impl Clause {
         self.lits.contains(&lit)
     }
 
-    /// Returns `true` if the clause contains both a literal and its negation.
-    pub fn is_tautology(&self) -> bool {
-        let mut sorted = self.lits.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted
-            .windows(2)
-            .any(|w| w[0].var() == w[1].var() && w[0] != w[1])
-    }
-
     /// Evaluates the clause under a total assignment indexed by variable.
     pub fn eval(&self, assignment: &[bool]) -> bool {
-        self.lits
-            .iter()
-            .any(|l| assignment[l.var().index()] == l.is_positive())
+        eval(&self.lits, assignment)
     }
 
     /// Iterates over the literals.
@@ -79,12 +80,6 @@ impl Clause {
 impl From<Vec<Lit>> for Clause {
     fn from(lits: Vec<Lit>) -> Clause {
         Clause::new(lits)
-    }
-}
-
-impl From<&[Lit]> for Clause {
-    fn from(lits: &[Lit]) -> Clause {
-        Clause::new(lits.to_vec())
     }
 }
 
@@ -104,22 +99,9 @@ impl IntoIterator for Clause {
     }
 }
 
-impl FromIterator<Lit> for Clause {
-    fn from_iter<T: IntoIterator<Item = Lit>>(iter: T) -> Clause {
-        Clause::new(iter.into_iter().collect())
-    }
-}
-
 impl fmt::Debug for Clause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, l) in self.lits.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∨ ")?;
-            }
-            write!(f, "{l:?}")?;
-        }
-        write!(f, ")")
+        debug_lits(&self.lits, f)
     }
 }
 
@@ -135,8 +117,84 @@ impl fmt::Display for Clause {
     }
 }
 
-/// A formula in conjunctive normal form: a variable pool plus a set of
-/// clauses.
+/// A clause of a [`CnfFormula`], borrowed from the formula's literal
+/// buffer.
+///
+/// # Examples
+///
+/// ```
+/// use sat::{CnfFormula, Lit};
+/// let mut cnf = CnfFormula::new();
+/// let a = cnf.new_var().positive();
+/// cnf.add_clause([a, !a]);
+/// let clause = cnf.iter().next().unwrap();
+/// assert_eq!(clause.lits(), &[a, !a]);
+/// assert!(clause.eval(&[false]));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ClauseView<'a> {
+    lits: &'a [Lit],
+}
+
+impl<'a> ClauseView<'a> {
+    /// Returns the literals of this clause.
+    pub fn lits(self) -> &'a [Lit] {
+        self.lits
+    }
+
+    /// Number of literals.
+    pub fn len(self) -> usize {
+        self.lits.len()
+    }
+
+    /// Returns `true` if the clause is empty (i.e. unsatisfiable).
+    pub fn is_empty(self) -> bool {
+        self.lits.is_empty()
+    }
+
+    /// Evaluates the clause under a total assignment indexed by variable.
+    pub fn eval(self, assignment: &[bool]) -> bool {
+        eval(self.lits, assignment)
+    }
+
+    /// Iterates over the literals.
+    pub fn iter(self) -> std::slice::Iter<'a, Lit> {
+        self.lits.iter()
+    }
+}
+
+impl<'a> IntoIterator for ClauseView<'a> {
+    type Item = &'a Lit;
+    type IntoIter = std::slice::Iter<'a, Lit>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.lits.iter()
+    }
+}
+
+impl fmt::Debug for ClauseView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        debug_lits(self.lits, f)
+    }
+}
+
+fn eval(lits: &[Lit], assignment: &[bool]) -> bool {
+    lits.iter()
+        .any(|l| assignment[l.var().index()] == l.is_positive())
+}
+
+fn debug_lits(lits: &[Lit], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "(")?;
+    for (i, l) in lits.iter().enumerate() {
+        if i > 0 {
+            write!(f, " ∨ ")?;
+        }
+        write!(f, "{l:?}")?;
+    }
+    write!(f, ")")
+}
+
+/// A formula in conjunctive normal form: a variable pool plus a sequence of
+/// clauses, stored flat (see the module docs).
 ///
 /// # Examples
 ///
@@ -146,14 +204,18 @@ impl fmt::Display for Clause {
 /// let a = cnf.new_var().positive();
 /// let b = cnf.new_var().positive();
 /// cnf.add_clause(vec![a, b]);
-/// cnf.add_clause(vec![!a]);
+/// cnf.add_clause([!a]);
 /// assert_eq!(cnf.num_vars(), 2);
 /// assert_eq!(cnf.num_clauses(), 2);
+/// assert_eq!(cnf.num_literals(), 3);
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct CnfFormula {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    /// Every clause's literals, back to back, in clause order.
+    lits: Vec<Lit>,
+    /// `ends[i]` is the offset in `lits` one past clause `i`'s last literal.
+    ends: Vec<u32>,
 }
 
 impl CnfFormula {
@@ -166,7 +228,18 @@ impl CnfFormula {
     pub fn with_vars(num_vars: usize) -> CnfFormula {
         CnfFormula {
             num_vars,
-            clauses: Vec::new(),
+            ..CnfFormula::default()
+        }
+    }
+
+    /// Creates a formula with `num_vars` variables and room for
+    /// `num_clauses` clauses of `num_literals` literals in total, so a
+    /// producer that knows its output size fills it without regrowing.
+    pub fn with_capacity(num_vars: usize, num_clauses: usize, num_literals: usize) -> CnfFormula {
+        CnfFormula {
+            num_vars,
+            lits: Vec::with_capacity(num_literals),
+            ends: Vec::with_capacity(num_clauses),
         }
     }
 
@@ -189,45 +262,49 @@ impl CnfFormula {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Returns `true` if the formula has no clauses.
     pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Total number of literal occurrences across all clauses — the size
-    /// estimate [`crate::Solver::from_formula`] uses to pre-allocate its
-    /// clause arena in one shot.
+    /// Total number of literal occurrences across all clauses.
     pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(|c| c.len()).sum()
+        self.lits.len()
     }
 
-    /// Adds a clause given as anything convertible to a [`Clause`].
+    /// Appends a clause, copying its literals onto the end of the buffer.
     ///
     /// Variables mentioned by the clause are added to the pool if needed.
-    pub fn add_clause<C: Into<Clause>>(&mut self, clause: C) {
-        let clause = clause.into();
-        for lit in clause.iter() {
-            self.ensure_vars(lit.var().index() + 1);
+    ///
+    /// # Panics
+    ///
+    /// Panics if the formula would hold more than `u32::MAX` literals.
+    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        if let Some(max) = self.lits[start..].iter().map(|l| l.var().index()).max() {
+            self.ensure_vars(max + 1);
         }
-        self.clauses.push(clause);
+        let end = u32::try_from(self.lits.len()).expect("CNF exceeds u32 literal offsets");
+        self.ends.push(end);
     }
 
     /// Adds a unit clause.
     pub fn add_unit(&mut self, lit: Lit) {
-        self.add_clause(vec![lit]);
+        self.add_clause([lit]);
     }
 
-    /// Returns the clauses of the formula.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
-    }
-
-    /// Iterates over the clauses.
-    pub fn iter(&self) -> std::slice::Iter<'_, Clause> {
-        self.clauses.iter()
+    /// Iterates over the clauses in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ClauseView<'_>> + '_ {
+        (0..self.ends.len()).map(move |i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+            ClauseView {
+                lits: &self.lits[start..self.ends[i] as usize],
+            }
+        })
     }
 
     /// Evaluates the whole formula under a total assignment indexed by
@@ -238,38 +315,7 @@ impl CnfFormula {
     /// Panics if `assignment.len() < self.num_vars()`.
     pub fn eval(&self, assignment: &[bool]) -> bool {
         assert!(assignment.len() >= self.num_vars);
-        self.clauses.iter().all(|c| c.eval(assignment))
-    }
-
-    /// Appends all clauses of `other`, keeping variable indices as they are
-    /// (the caller is responsible for making the pools compatible).
-    pub fn extend_from(&mut self, other: &CnfFormula) {
-        self.ensure_vars(other.num_vars);
-        self.clauses.extend(other.clauses.iter().cloned());
-    }
-}
-
-impl IntoIterator for CnfFormula {
-    type Item = Clause;
-    type IntoIter = std::vec::IntoIter<Clause>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.clauses.into_iter()
-    }
-}
-
-impl Extend<Clause> for CnfFormula {
-    fn extend<T: IntoIterator<Item = Clause>>(&mut self, iter: T) {
-        for c in iter {
-            self.add_clause(c);
-        }
-    }
-}
-
-impl FromIterator<Clause> for CnfFormula {
-    fn from_iter<T: IntoIterator<Item = Clause>>(iter: T) -> CnfFormula {
-        let mut cnf = CnfFormula::new();
-        cnf.extend(iter);
-        cnf
+        self.iter().all(|c| c.eval(assignment))
     }
 }
 
@@ -277,7 +323,7 @@ impl fmt::Debug for CnfFormula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CnfFormula")
             .field("num_vars", &self.num_vars)
-            .field("clauses", &self.clauses)
+            .field("clauses", &self.iter().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -309,13 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn tautology_detection() {
-        assert!(Clause::new(vec![lit(1), lit(-1)]).is_tautology());
-        assert!(!Clause::new(vec![lit(1), lit(2)]).is_tautology());
-        assert!(!Clause::new(vec![]).is_tautology());
-    }
-
-    #[test]
     fn formula_var_tracking() {
         let mut cnf = CnfFormula::new();
         cnf.add_clause(vec![lit(5)]);
@@ -336,15 +375,21 @@ mod tests {
     }
 
     #[test]
-    fn formula_extend_and_collect() {
-        let clauses = vec![Clause::new(vec![lit(1)]), Clause::new(vec![lit(2), lit(3)])];
-        let cnf: CnfFormula = clauses.into_iter().collect();
-        assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.num_vars(), 3);
-
-        let mut other = CnfFormula::new();
-        other.extend_from(&cnf);
-        assert_eq!(other.num_clauses(), 2);
-        assert_eq!(other.num_vars(), 3);
+    fn flat_clauses_come_back_in_order() {
+        let mut cnf = CnfFormula::with_capacity(0, 4, 5);
+        cnf.add_clause([lit(1)]);
+        cnf.add_clause(Vec::new());
+        cnf.add_clause([lit(2), lit(-3)].into_iter().chain([lit(4)]));
+        cnf.add_unit(lit(-1));
+        let clauses: Vec<&[Lit]> = cnf.iter().map(ClauseView::lits).collect();
+        assert_eq!(
+            clauses,
+            [&[lit(1)][..], &[], &[lit(2), lit(-3), lit(4)], &[lit(-1)]]
+        );
+        assert_eq!(cnf.iter().len(), 4);
+        assert_eq!(
+            (cnf.num_vars(), cnf.num_clauses(), cnf.num_literals()),
+            (4, 4, 5)
+        );
     }
 }

@@ -15,7 +15,8 @@
 //!   primitive the core-guided MAX-SAT engine in the `maxsat` crate is built
 //!   on;
 //! * a plain [`CnfFormula`] container used as the interchange format between
-//!   the bit-blaster, the MAX-SAT engine and the solver;
+//!   the bit-blaster, the MAX-SAT engine and the solver, holding all its
+//!   literals in one flat buffer and lending out [`ClauseView`]s;
 //! * a deterministic, **selector-aware CNF preprocessor** ([`simplify`]):
 //!   root-level unit propagation, tautology/duplicate-literal removal,
 //!   subsumption, self-subsuming resolution and bounded variable elimination
@@ -51,7 +52,7 @@ mod solver;
 mod types;
 
 pub use arena::{ClauseArena, ClauseRef};
-pub use cnf::{Clause, CnfFormula};
+pub use cnf::{Clause, ClauseView, CnfFormula};
 pub use simplify::{simplify, ModelReconstruction, Simplified, SimplifyConfig, SimplifyStats};
 pub use solver::{SatResult, Solver, SolverStats};
 pub use types::{LBool, Lit, Var};

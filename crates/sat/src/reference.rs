@@ -89,7 +89,7 @@ pub fn brute_force_max_sat(
     let mut best: Option<(u64, Vec<bool>)> = None;
     for bits in 0u64..(1u64 << n) {
         let assignment: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-        if !hard.clauses().iter().all(|c| c.eval(&assignment)) {
+        if !hard.iter().all(|c| c.eval(&assignment)) {
             continue;
         }
         let weight: u64 = soft

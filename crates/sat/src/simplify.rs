@@ -440,27 +440,38 @@ pub fn simplify(formula: &CnfFormula, frozen: &[Var], config: &SimplifyConfig) -
     };
     let unsat = !simp.run(formula);
 
-    let mut cnf = CnfFormula::with_vars(num_vars);
-    if unsat {
-        cnf.add_clause(Vec::<Lit>::new());
+    let cnf = if unsat {
+        let mut cnf = CnfFormula::with_vars(num_vars);
+        cnf.add_clause([]);
+        cnf
     } else {
         // Frozen root-level units survive as unit clauses (their variables
         // stay externally meaningful); free fixed variables live only in the
         // reconstruction map.
-        for (index, value) in simp.assign.iter().enumerate() {
-            if simp.frozen[index] {
-                if let Some(value) = value.to_option() {
-                    cnf.add_clause(vec![Var::from_index(index).lit(value)]);
-                }
-            }
+        let units: Vec<Lit> = (0..num_vars)
+            .filter(|&index| simp.frozen[index])
+            .filter_map(|index| {
+                let value = simp.assign[index].to_option()?;
+                Some(Var::from_index(index).lit(value))
+            })
+            .collect();
+        let live = simp.headers.iter().filter(|h| h.len > 0);
+        let mut cnf = CnfFormula::with_capacity(
+            num_vars,
+            units.len() + live.clone().count(),
+            units.len() + live.map(|h| h.len as usize).sum::<usize>(),
+        );
+        for unit in units {
+            cnf.add_unit(unit);
         }
         for id in 0..simp.headers.len() {
             let clause = simp.clause(id as ClauseId);
             if !clause.is_empty() {
-                cnf.add_clause(clause);
+                cnf.add_clause(clause.iter().copied());
             }
         }
-    }
+        cnf
+    };
     simp.stats.clauses_after = cnf.num_clauses();
     simp.stats.literals_after = cnf.num_literals();
     Simplified {
@@ -1096,7 +1107,7 @@ mod tests {
         assert_eq!(simplified.stats.tautologies_removed, 1);
         assert_eq!(simplified.stats.duplicate_lits_removed, 1);
         assert_eq!(simplified.cnf.num_clauses(), 1);
-        assert_eq!(simplified.cnf.clauses()[0].len(), 2);
+        assert_eq!(simplified.cnf.num_literals(), 2);
     }
 
     #[test]
@@ -1134,7 +1145,7 @@ mod tests {
         let simplified = simplify(&cnf, &[var(1), var(3)], &SimplifyConfig::default());
         assert_eq!(simplified.stats.vars_eliminated, 1);
         assert_eq!(simplified.cnf.num_clauses(), 1);
-        assert_eq!(simplified.cnf.clauses()[0].lits(), [lit(1), lit(3)]);
+        assert!(simplified.cnf.iter().all(|c| c.lits() == [lit(1), lit(3)]));
         // Frozen everything: nothing may be eliminated.
         let frozen: Vec<Var> = (1..=3).map(var).collect();
         let untouched = simplify(&cnf, &frozen, &SimplifyConfig::default());
@@ -1188,7 +1199,7 @@ mod tests {
         let simplified = simplify(&cnf, &frozen, &config);
         assert_eq!(simplified.stats.vars_eliminated, 2);
         assert_eq!(simplified.cnf.num_clauses(), 1);
-        assert_eq!(simplified.cnf.clauses()[0].lits(), [lit(3), lit(4)]);
+        assert!(simplified.cnf.iter().all(|c| c.lits() == [lit(3), lit(4)]));
         let mut model = vec![false; cnf.num_vars()];
         model[var(3).index()] = true;
         simplified.reconstruction.extend(&mut model);
@@ -1203,7 +1214,7 @@ mod tests {
         let simplified = simplify(&cnf, &[], &SimplifyConfig::default());
         assert!(simplified.unsat);
         assert_eq!(simplified.cnf.num_clauses(), 1);
-        assert!(simplified.cnf.clauses()[0].is_empty());
+        assert!(simplified.cnf.iter().all(|c| c.is_empty()));
     }
 
     #[test]

@@ -384,8 +384,9 @@ impl Solver {
         }
     }
 
-    /// Adds every clause of a [`CnfFormula`]. Returns `false` if the database
-    /// became unsatisfiable.
+    /// Adds every clause of a [`CnfFormula`], reading each clause's
+    /// literals in place from the formula's flat buffer. Returns `false` if
+    /// the database became unsatisfiable.
     pub fn add_formula(&mut self, formula: &CnfFormula) -> bool {
         self.ensure_vars(formula.num_vars());
         for clause in formula.iter() {

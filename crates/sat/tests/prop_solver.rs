@@ -217,12 +217,7 @@ fn incremental_sweep(seed: u64, cases: usize, padding: usize) {
             if result == SatResult::Sat {
                 let model = solver.model();
                 let mut mentioned = vec![false; cnf.num_vars()];
-                for lit in cnf
-                    .clauses()
-                    .iter()
-                    .flat_map(|c| c.iter())
-                    .chain(&assumptions)
-                {
+                for lit in cnf.iter().flat_map(|c| c.iter()).chain(&assumptions) {
                     mentioned[lit.var().index()] = true;
                 }
                 for (v, _) in mentioned.iter().enumerate().filter(|(_, &m)| !m) {
@@ -240,12 +235,11 @@ fn scatter(cnf: &CnfFormula, total: usize, rng: &mut SplitMix64) -> CnfFormula {
         slots.swap(i, rng.gen_range(0..=i));
     }
     let mut scattered = CnfFormula::with_vars(total);
-    for clause in cnf.clauses() {
+    for clause in cnf.iter() {
         scattered.add_clause(
             clause
                 .iter()
-                .map(|l| Var::from_index(slots[l.var().index()]).lit(l.is_positive()))
-                .collect::<Vec<Lit>>(),
+                .map(|l| Var::from_index(slots[l.var().index()]).lit(l.is_positive())),
         );
     }
     scattered
