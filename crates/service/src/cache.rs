@@ -33,7 +33,8 @@
 //! ([`PreparedEntry`]) rather than bare localizers: each entry keeps the
 //! parsed AST and its per-function structural segments
 //! ([`minic::ProgramSegments`]) next to the prepared [`Localizer`], plus up
-//! to 32 remembered reports, keyed by failing input. That is what makes an
+//! to 32 recorded complete reports, keyed by failing input, that answer
+//! exact repeats without a solve. The segments are what make an
 //! edited program's request cheap — the server diffs the new AST against
 //! the cached segments ([`minic::classify_edit`]) and reuses every segment
 //! the edit provably left alone, instead of treating the entry as an
@@ -62,16 +63,16 @@ pub struct PreparedEntry {
     pub segments: ProgramSegments,
     /// The prepared localizer itself.
     pub localizer: Arc<Localizer>,
-    /// Reports served from this entry, keyed by failing input. The solver
-    /// is deterministic, so a repeat of (entry, input) reproduces the same
-    /// report — which lets the `revise` op serve relabel-class edits (and
-    /// reverts to an already-seen version) by *remapping* a cached report
-    /// instead of re-solving. Bounded FIFO.
+    /// Complete reports solved on this entry, keyed by failing input,
+    /// least recently served first. A complete report is a function of the
+    /// entry and the input alone, so every job answers a recorded input
+    /// from here without solving, and a `revise` remaps the pre-edit
+    /// entry's report through relabel-class edits. Bounded LRU.
     reports: Mutex<Vec<(Vec<i64>, LocalizationReport)>>,
 }
 
-/// Reports remembered per entry; edit loops revisit few distinct inputs,
-/// so a small bound suffices and caps memory.
+/// Reports remembered per entry; clients revisit few distinct inputs of
+/// one program, so a small bound suffices and caps memory.
 const REPORT_CACHE_CAP: usize = 32;
 
 impl PreparedEntry {
@@ -108,29 +109,33 @@ impl PreparedEntry {
         }
     }
 
-    /// Records a single-input report served from this entry, remembering it
-    /// for solve-skipping reuse.
+    /// Records a report newly solved on this entry, evicting the least
+    /// recently served input when the list is full. An anytime report
+    /// (`complete: false`) is dropped: replayed for a later unbudgeted
+    /// request it would silently serve a truncated answer.
     pub fn record_report(&self, input: &[i64], report: &LocalizationReport) {
-        let mut reports = self.reports.lock().expect("reports poisoned");
-        if let Some(slot) = reports.iter_mut().find(|(i, _)| i == input) {
-            slot.1 = report.clone();
+        if !report.complete {
             return;
         }
+        let mut reports = self.reports.lock().expect("reports poisoned");
+        // A concurrent job may have solved the same input first.
+        reports.retain(|(i, _)| i != input);
         if reports.len() >= REPORT_CACHE_CAP {
             reports.remove(0);
         }
         reports.push((input.to_vec(), report.clone()));
     }
 
-    /// The report previously served from this entry for exactly this
-    /// failing input, if remembered.
+    /// The report recorded on this entry for exactly this failing input,
+    /// if any. Serving it moves the input to the back of the eviction
+    /// order.
     pub fn cached_report(&self, input: &[i64]) -> Option<LocalizationReport> {
-        self.reports
-            .lock()
-            .expect("reports poisoned")
-            .iter()
-            .find(|(i, _)| i == input)
-            .map(|(_, report)| report.clone())
+        let mut reports = self.reports.lock().expect("reports poisoned");
+        let at = reports.iter().position(|(i, _)| i == input)?;
+        let slot = reports.remove(at);
+        let report = slot.1.clone();
+        reports.push(slot);
+        Some(report)
     }
 }
 
@@ -375,6 +380,35 @@ mod tests {
             Localizer::new(&program, "main", &Spec::ReturnEquals(4), &config).expect("builds");
         let job = Job::new(source, "main", JobSpec::ReturnEquals(4), vec![vec![3]]);
         Ok(PreparedEntry::new(program, &job, Arc::new(localizer)))
+    }
+
+    /// A report with no suspects, complete or cut.
+    fn report(complete: bool) -> LocalizationReport {
+        LocalizationReport {
+            suspects: Vec::new(),
+            suspect_lines: Vec::new(),
+            stats: bugassist::LocalizerStats::default(),
+            complete,
+        }
+    }
+
+    #[test]
+    fn reports_evict_the_least_recently_served_input_and_never_a_cut_one() {
+        let entry = build_localizer("x + 1").unwrap();
+        entry.record_report(&[-1], &report(false));
+        assert!(
+            entry.cached_report(&[-1]).is_none(),
+            "cut reports are dropped"
+        );
+        for input in 0..REPORT_CACHE_CAP as i64 {
+            entry.record_report(&[input], &report(true));
+        }
+        // Serving input 0 makes input 1 the least recently served.
+        assert!(entry.cached_report(&[0]).is_some());
+        entry.record_report(&[99], &report(true));
+        assert!(entry.cached_report(&[0]).is_some(), "served input stays");
+        assert!(entry.cached_report(&[1]).is_none(), "LRU input is evicted");
+        assert!(entry.cached_report(&[99]).is_some());
     }
 
     #[test]

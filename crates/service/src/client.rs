@@ -141,6 +141,12 @@ pub struct Outcome {
     /// Cache key of the prepared entry that served this request — pass it
     /// as `prev_key` to [`Client::revise`] after editing the program.
     pub key: u64,
+    /// For a single-input report: `Some(false)` when the daemon answered
+    /// from the report recorded for this program, options and input
+    /// without running the MAX-SAT enumeration (its `stats.elapsed_ms` is
+    /// then the original solve's), `Some(true)` when it solved. `None` for
+    /// a batch.
+    pub solved: Option<bool>,
     /// The `report` (localize) or `ranked` (batch) payload.
     pub body: Json,
 }
@@ -159,8 +165,9 @@ pub struct ReviseOutcome {
     /// `true` when the pre-edit bit-blasted preparation was reused (no
     /// function re-encoded).
     pub reused: bool,
-    /// `false` when the daemon answered by remapping/replaying a
-    /// remembered report — no MAX-SAT enumeration ran at all.
+    /// `false` when the daemon answered by remapping the pre-edit report or
+    /// replaying a recorded one — no MAX-SAT enumeration ran at all
+    /// ([`Outcome::solved`], unwrapped).
     pub solved: bool,
 }
 
@@ -355,6 +362,7 @@ impl Client {
             .get("key")
             .and_then(Json::as_u64)
             .ok_or_else(|| ClientError::Protocol(format!("response has no key field: {value}")))?;
+        let solved = value.get("solved").and_then(Json::as_bool);
         let body = value
             .get(payload_key)
             .cloned()
@@ -364,6 +372,7 @@ impl Client {
             tier,
             build_ms,
             key,
+            solved,
             body,
         })
     }
@@ -410,11 +419,10 @@ impl Client {
             .get("reused")
             .and_then(Json::as_bool)
             .ok_or_else(|| ClientError::Protocol(format!("revise without reused: {value}")))?;
-        let solved = value
-            .get("solved")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ClientError::Protocol(format!("revise without solved: {value}")))?;
         let outcome = Self::outcome(value, "report")?;
+        let solved = outcome.solved.ok_or_else(|| {
+            ClientError::Protocol(format!("revise without solved: {:?}", outcome.body))
+        })?;
         Ok(ReviseOutcome {
             outcome,
             delta,

@@ -25,9 +25,11 @@ pub(crate) enum Own {
     ReviseRequests,
     /// Revise requests whose delta-prepare reused the pre-edit bit-blast.
     ReviseReuses,
-    /// Revise requests answered from a remembered report, without solving.
+    /// Revise requests answered from a recorded report, without solving.
     ReviseSolveSkips,
     BatchRequests,
+    /// Inputs of any op answered from a recorded report, without solving.
+    ReportReplays,
     ErrorResponses,
     /// Deadline jobs rejected at admission.
     JobsShed,
@@ -98,6 +100,7 @@ static ROWS: &[Row] = &[
     row("requests", "revise_reuses", Counter("bugassist_revise_reuses_total"), Owned(ReviseReuses)),
     row("requests", "revise_solve_skips", Counter("bugassist_revise_solve_skips_total"), Owned(ReviseSolveSkips)),
     row("requests", "batch", Counter(r#"bugassist_requests_total{op="batch"}"#), Owned(BatchRequests)),
+    row("requests", "report_replays", Counter("bugassist_report_replays_total"), Owned(ReportReplays)),
     row("requests", "errors", Counter("bugassist_error_responses_total"), Owned(ErrorResponses)),
     row("cache", "hits", Counter("bugassist_cache_hits_total"), Read(|v| v.cache.hits)),
     row("cache", "misses", Counter("bugassist_cache_misses_total"), Read(|v| v.cache.misses)),

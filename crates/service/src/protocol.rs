@@ -5,8 +5,8 @@
 //!
 //! | `op`        | payload                                  | response payload      |
 //! |-------------|------------------------------------------|-----------------------|
-//! | `localize`  | a [`Job`] with exactly one failing input | `report`, `key`       |
-//! | `revise`    | a [`Job`] + `prev_key` of the pre-edit cache entry | `report`, `key`, `delta`, `reused` |
+//! | `localize`  | a [`Job`] with exactly one failing input | `report`, `key`, `solved` |
+//! | `revise`    | a [`Job`] + `prev_key` of the pre-edit cache entry | `report`, `key`, `delta`, `reused`, `solved` |
 //! | `batch`     | a [`Job`] with any number of inputs      | `ranked`, `key`       |
 //! | `analyze`   | `program` (+ optional `width`)           | `diagnostics`: the static lint findings |
 //! | `health`    | —                                        | `status`, `uptime_ms` |
@@ -33,7 +33,7 @@
 //!
 //! ```json
 //! {"id":1,"ok":true,"op":"localize","cache":"miss","tier":"built","build_ms":0,
-//!  "key":1250637076531559860,
+//!  "key":1250637076531559860,"solved":true,
 //!  "report":{"suspects":[{"lines":[3],"unwindings":[null],"rank":0,"cost":1},
 //!                        {"lines":[2],"unwindings":[null],"rank":1,"cost":1}],
 //!            "suspect_lines":[2,3],
@@ -43,11 +43,18 @@
 //!            "complete":true}}
 //! ```
 //!
+//! `"solved"` is `false` when the daemon answered from the complete report
+//! it recorded for the same program, options and input, without running
+//! MAX-SAT: the report is the same, but its `stats` (`elapsed_ms`
+//! included) are the original solve's. A retried or repeated `localize` is
+//! answered this way. A `batch` replays its recorded inputs the same way
+//! and solves only the rest; its response carries no `"solved"`.
+//!
 //! A `revise` request is a `localize` request plus `"prev_key"` (the `key`
 //! of the pre-edit response); its response additionally carries `"delta"`
-//! (the edit classification), `"reused"` (pre-edit bit-blast carried over)
-//! and `"solved"` (`false` when the answer was served by remapping the
-//! remembered pre-edit report instead of re-running MAX-SAT).
+//! (the edit classification) and `"reused"` (pre-edit bit-blast carried
+//! over), and its `"solved"` is also `false` when the answer was served by
+//! remapping the recorded pre-edit report through a line-relabelling edit.
 //!
 //! Failures are `{"id":…,"ok":false,"kind":"…","error":"…"}` — `kind` is a
 //! small machine-readable vocabulary (`parse_error`, `type_error`,

@@ -13,8 +13,9 @@
 //!                                     │   pre-edit entry in memory: derive
 //!                                     │   (relabel-reuse or rebuild); else
 //!                                     │   store ─miss─▶ cold build
-//!                                     │ Localizer::localize / localize_batch
-//!                                     │   (or replay a remembered report)
+//!                                     │ replay: inputs with a report recorded
+//!                                     │   on the entry answer from it; the
+//!                                     │   rest go to Localizer::localize_batch
 //!                                     ▼
 //!                               reply channel ──▶ connection thread ──▶ client
 //! ```
@@ -40,7 +41,9 @@ use crate::protocol::{
     parse_request, ranked_to_json, report_to_json, stats_to_json, Envelope, Job, Request,
 };
 use crate::queue::{JobQueue, TryPushError};
-use bugassist::{Budget, LocalizationReport, LocalizeError, Localizer, LocalizerStats};
+use bugassist::{
+    Budget, LocalizationReport, LocalizeError, Localizer, LocalizerStats, RankedReport,
+};
 use minic::Program;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -146,10 +149,27 @@ struct Prepared {
     delta: &'static str,
     /// Whether a revise reused the pre-edit bit-blasted preparation.
     reused: bool,
-    /// A revise's report to serve without solving: the pre-edit report
-    /// replayed through the edit's line map, or the entry's own remembered
-    /// report (a revise back to a version already served).
-    replay: Option<LocalizationReport>,
+}
+
+/// One job's solver stats: the per-localizer constants (formula,
+/// word-level and static-analysis counters) of its first solved report plus
+/// the per-call counters of every solved report. Replayed reports did no
+/// solver work and are left out, so a job that solved nothing folds to
+/// zeros.
+fn solved_stats(solved: &[LocalizationReport]) -> LocalizerStats {
+    let Some((first, rest)) = solved.split_first() else {
+        return LocalizerStats::default();
+    };
+    let mut merged = first.stats;
+    for report in rest {
+        merged.maxsat_calls += report.stats.maxsat_calls;
+        merged.sat_calls += report.stats.sat_calls;
+        merged.cores += report.stats.cores;
+        merged.reduce_dbs += report.stats.reduce_dbs;
+        merged.arena_bytes = merged.arena_bytes.max(report.stats.arena_bytes);
+        merged.elapsed_ms += report.stats.elapsed_ms;
+    }
+    merged
 }
 
 /// The machine-readable `kind` of a localizer error: a rejected program is
@@ -424,8 +444,9 @@ impl ServerState {
     /// whenever the edit provably cannot change it. Every other miss tries
     /// the persistent store, then a cold build ([`Localizer::new`], which
     /// checks the program: a hit means a structurally identical AST already
-    /// checked clean). The answer is identical on every route; only the cost
-    /// differs.
+    /// checked clean). A derive whose edit only relabels lines records the
+    /// pre-edit report, remapped, on the new entry, for the replay step to
+    /// serve. The answer is identical on every route; only the cost differs.
     fn prepare(
         &self,
         job: &Job,
@@ -444,7 +465,6 @@ impl ServerState {
         } else {
             ("-", false)
         };
-        let mut replay = None;
         let (result, hit) = self.cache.get_or_build(key, || {
             if let Some(prev) = &prev {
                 let started = Instant::now();
@@ -460,12 +480,16 @@ impl ServerState {
                     &job.localizer_config(),
                 )?;
                 (delta, reused) = (how.label(), how.reused());
-                replay = map.and_then(|map| {
-                    let report = prev.cached_report(&job.inputs[0])?;
+                let input = &job.inputs[0];
+                let remapped = map.and_then(|map| {
+                    let report = prev.cached_report(input)?;
                     Some(localizer.remap_report(&report, &map))
                 });
                 let localizer = Arc::new(localizer);
                 let entry = PreparedEntry::with_segments(program.clone(), segments, job, localizer);
+                if let Some(report) = remapped {
+                    entry.record_report(input, &report);
+                }
                 build_ms = started.elapsed().as_millis();
                 return Ok(entry);
             }
@@ -500,18 +524,13 @@ impl ServerState {
             build_ms = started.elapsed().as_millis();
             Ok(entry)
         });
-        let entry = result?;
-        if revise && replay.is_none() {
-            replay = entry.cached_report(&job.inputs[0]);
-        }
         Ok(Prepared {
             tier: if hit { "memory" } else { tier },
-            entry,
+            entry: result?,
             hit,
             build_ms,
             delta,
             reused,
-            replay,
         })
     }
 
@@ -569,7 +588,6 @@ impl ServerState {
             build_ms,
             delta,
             reused,
-            replay,
         } = match self.prepare(&queued.job, &program, key, prev_key) {
             Ok(prepared) => prepared,
             Err(e) => return self.error_line(queued.id, e.kind, e.message),
@@ -586,9 +604,6 @@ impl ServerState {
             }
         }
         let cache: &'static str = if hit { "hit" } else { "miss" };
-        // `false` when a revise served a replayed report instead of running
-        // the MAX-SAT enumeration.
-        let solved = replay.is_none();
         // The job's remaining budget: whatever is left of its wall-clock
         // deadline (build time already counted — the deadline is absolute)
         // plus the server-wide conflict cap.
@@ -597,69 +612,65 @@ impl ServerState {
             conflict_cap: self.conflict_cap,
         };
 
-        let (payload_key, payload, stats) = match queued.kind {
-            JobKind::Batch => match entry
-                .localizer
-                .localize_batch_budgeted(&queued.job.inputs, budget)
-            {
-                Err(e) => return self.error_line(queued.id, localize_error_kind(&e), e),
-                Ok(ranked) => {
-                    // Every report of the batch carries the same
-                    // per-localizer constants (formula, word-level and
-                    // static-analysis counters): start from the first and
-                    // fold in only the per-call counters of the rest.
-                    let mut merged = ranked
-                        .per_test
-                        .first()
-                        .map_or_else(LocalizerStats::default, |r| r.stats);
-                    for report in ranked.per_test.iter().skip(1) {
-                        merged.maxsat_calls += report.stats.maxsat_calls;
-                        merged.sat_calls += report.stats.sat_calls;
-                        merged.cores += report.stats.cores;
-                        merged.reduce_dbs += report.stats.reduce_dbs;
-                        merged.arena_bytes = merged.arena_bytes.max(report.stats.arena_bytes);
-                        merged.elapsed_ms += report.stats.elapsed_ms;
-                    }
-                    self.counters.add(Own::BatchRequests, 1);
-                    ("ranked", ranked_to_json(&ranked), merged)
-                }
-            },
-            JobKind::Localize | JobKind::Revise { .. } => {
-                let input = &queued.job.inputs[0];
-                let report = match replay {
-                    Some(report) => report,
-                    None => match entry.localizer.localize_budgeted(input, budget) {
-                        Err(e) => return self.error_line(queued.id, localize_error_kind(&e), e),
-                        Ok(report) => report,
-                    },
-                };
-                // Never remember an anytime report: the report cache feeds
-                // solve-skipping replays and revise remaps, which must only
-                // ever reproduce *proven* enumerations. An incomplete
-                // report cached here could be replayed verbatim for a later
-                // unbudgeted request of the same input — silently serving a
-                // truncated answer with no deadline in sight.
-                if report.complete {
-                    entry.record_report(input, &report);
-                }
-                let stats = report.stats;
-                match queued.kind {
-                    JobKind::Revise { .. } => {
-                        self.counters.add(Own::ReviseRequests, 1);
-                        self.counters.add(Own::ReviseReuses, u64::from(reused));
-                        self.counters.add(Own::ReviseSolveSkips, u64::from(!solved));
-                    }
-                    _ => self.counters.add(Own::LocalizeRequests, 1),
-                }
-                ("report", report_to_json(&report), stats)
+        // The replay step, whichever tier served the entry: an input with a
+        // report recorded on it is answered from that report, which is
+        // complete and so satisfies any budget. Only the rest are solved,
+        // and their complete reports are recorded.
+        let inputs = &queued.job.inputs;
+        let recorded: Vec<Option<LocalizationReport>> = inputs
+            .iter()
+            .map(|input| entry.cached_report(input))
+            .collect();
+        let unrecorded: Vec<Vec<i64>> = inputs
+            .iter()
+            .zip(&recorded)
+            .filter(|(_, report)| report.is_none())
+            .map(|(input, _)| input.clone())
+            .collect();
+        let replays = (inputs.len() - unrecorded.len()) as u64;
+        let localizer = &entry.localizer;
+        let solved = match unrecorded.as_slice() {
+            [] => Ok(Vec::new()),
+            [input] => localizer.localize_budgeted(input, budget).map(|r| vec![r]),
+            many => localizer
+                .localize_batch_budgeted(many, budget)
+                .map(|ranked| ranked.per_test),
+        };
+        let solved = match solved {
+            Err(e) => return self.error_line(queued.id, localize_error_kind(&e), e),
+            Ok(solved) => solved,
+        };
+        for (input, report) in unrecorded.iter().zip(&solved) {
+            entry.record_report(input, report);
+        }
+        let stats = solved_stats(&solved);
+        let mut solved = solved.into_iter();
+        let reports: Vec<LocalizationReport> = recorded
+            .into_iter()
+            .map(|report| {
+                report.unwrap_or_else(|| solved.next().expect("one report per unrecorded input"))
+            })
+            .collect();
+
+        let (payload_key, payload) = match queued.kind {
+            JobKind::Batch => {
+                self.counters.add(Own::BatchRequests, 1);
+                let ranked = RankedReport::from_reports(reports);
+                ("ranked", ranked_to_json(&ranked))
+            }
+            JobKind::Revise { .. } => {
+                self.counters.add(Own::ReviseRequests, 1);
+                self.counters.add(Own::ReviseReuses, u64::from(reused));
+                self.counters.add(Own::ReviseSolveSkips, replays);
+                ("report", report_to_json(&reports[0]))
+            }
+            JobKind::Localize => {
+                self.counters.add(Own::LocalizeRequests, 1);
+                ("report", report_to_json(&reports[0]))
             }
         };
-
-        // Replayed reports did no new solver work; only actual solves feed
-        // the activity totals.
-        if solved {
-            self.counters.add_stats(&stats);
-        }
+        self.counters.add(Own::ReportReplays, replays);
+        self.counters.add_stats(&stats);
         *self.last_job.lock().expect("last_job poisoned") = Some(LastJob {
             op,
             cache,
@@ -684,7 +695,11 @@ impl ServerState {
         if let JobKind::Revise { .. } = queued.kind {
             pairs.push(("delta", Json::str(delta)));
             pairs.push(("reused", Json::Bool(reused)));
-            pairs.push(("solved", Json::Bool(solved)));
+        }
+        // `false` when the single-input report was replayed rather than
+        // enumerated, so its `stats` are the original solve's.
+        if !matches!(queued.kind, JobKind::Batch) {
+            pairs.push(("solved", Json::Bool(replays == 0)));
         }
         pairs.push((payload_key, payload));
         Json::obj(pairs).to_string()

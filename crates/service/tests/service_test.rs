@@ -760,6 +760,154 @@ fn budgeted_job_returns_anytime_or_exact_and_never_pollutes_the_replay_cache() {
     server.shutdown();
 }
 
+/// A solver counter or request counter from a `stats` answer.
+fn stat(stats: &Json, section: &str, key: &str) -> u64 {
+    stats
+        .get(section)
+        .and_then(|s| s.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("stats has no {section}.{key}: {stats}"))
+}
+
+#[test]
+fn a_repeated_localize_is_answered_from_the_recorded_report() {
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let job = mutated_minic_job(1);
+
+    let first = client.localize(job.clone()).expect("first localize");
+    assert_eq!(first.solved, Some(true));
+    assert_eq!(canonical(&first.body), expected_canonical(&job));
+    let before = client.stats().expect("stats");
+
+    let second = client.localize(job).expect("repeated localize");
+    assert_eq!(second.solved, Some(false));
+    assert!(second.cache_hit);
+    assert_eq!(second.tier, "memory");
+    // The recorded report itself, down to the original solve's timings.
+    assert_eq!(second.body.to_string(), first.body.to_string());
+
+    let after = client.stats().expect("stats");
+    assert_eq!(
+        stat(&after, "solver", "sat_calls"),
+        stat(&before, "solver", "sat_calls"),
+        "a replay runs no solver"
+    );
+    assert_eq!(stat(&after, "requests", "report_replays"), 1);
+    assert_eq!(stat(&after, "requests", "localize"), 2);
+    server.shutdown();
+}
+
+#[test]
+fn a_partly_replayed_batch_solves_only_its_unrecorded_inputs() {
+    let job = Job {
+        inputs: vec![vec![3], vec![5]],
+        ..mutated_minic_job(1)
+    };
+    let (a, b) = (job.inputs[0].clone(), job.inputs[1].clone());
+    // What `b`'s solve alone costs: the solver is deterministic.
+    let program = minic::parse_program(&job.program).expect("parses");
+    let b_sat_calls = Localizer::new(
+        &program,
+        &job.entry,
+        &job.bmc_spec(),
+        &job.localizer_config(),
+    )
+    .expect("encodes")
+    .localize(&b)
+    .expect("localizes")
+    .stats
+    .sat_calls;
+
+    let cold_server = Server::start(ServiceConfig::default()).expect("cold daemon");
+    let cold = Client::connect(cold_server.local_addr())
+        .expect("connects")
+        .batch(job.clone())
+        .expect("cold batch");
+    cold_server.shutdown();
+
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let single = client
+        .localize(Job {
+            inputs: vec![a],
+            ..job.clone()
+        })
+        .expect("localize a");
+    assert_eq!(single.solved, Some(true));
+    let before = client.stats().expect("stats");
+    let batch = client.batch(job.clone()).expect("batch [a, b]");
+    let after = client.stats().expect("stats");
+
+    assert_eq!(batch.solved, None, "a batch carries no solved flag");
+    assert_eq!(canonical(&batch.body), canonical(&cold.body));
+    assert_eq!(canonical(&batch.body), expected_canonical(&job));
+    assert_eq!(
+        stat(&after, "solver", "sat_calls") - stat(&before, "solver", "sat_calls"),
+        b_sat_calls,
+        "only b was solved"
+    );
+    assert_eq!(stat(&after, "requests", "report_replays"), 1);
+    // last_job folds only the solved test: one SAT call per core plus one
+    // per MAX-SAT call, as for any solve.
+    let last_job = after.get("last_job").expect("last_job");
+    let last = |key: &str| last_job.get(key).and_then(Json::as_u64).expect(key);
+    assert_eq!(last("sat_calls"), b_sat_calls);
+    assert_eq!(last("sat_calls"), last("cores") + last("maxsat_calls"));
+    server.shutdown();
+}
+
+#[test]
+fn an_entry_served_from_the_store_tier_solves_once_then_replays() {
+    let dir = std::env::temp_dir().join(format!(
+        "bugassist-service-test-store-replay-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig {
+        workers: 1,
+        store_dir: Some(dir.to_string_lossy().into_owned()),
+        restore_on_boot: false,
+        ..ServiceConfig::default()
+    };
+    let job = mutated_minic_job(1);
+
+    // First lifetime: a cold build, written through before shutdown ends.
+    let server = Server::start(config.clone()).expect("first daemon");
+    let built = Client::connect(server.local_addr())
+        .expect("connects")
+        .localize(job.clone())
+        .expect("cold localize");
+    server.shutdown();
+    assert_eq!(built.tier, "built");
+
+    // Second lifetime: store records hold no reports, so the first request
+    // solves on the restored entry and the second replays.
+    let server = Server::start(config).expect("second daemon");
+    let mut client = Client::connect(server.local_addr()).expect("reconnects");
+    let restored = client.localize(job.clone()).expect("store-tier localize");
+    let repeated = client.localize(job).expect("repeated localize");
+    let stats = client.stats().expect("stats");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(restored.tier, "store");
+    assert_eq!(restored.solved, Some(true));
+    assert_eq!(repeated.tier, "memory");
+    assert_eq!(repeated.solved, Some(false));
+    assert_eq!(repeated.body.to_string(), restored.body.to_string());
+    assert_eq!(canonical(&restored.body), canonical(&built.body));
+    assert_eq!(stat(&stats, "requests", "report_replays"), 1);
+}
+
 /// `main` returning `x` inside `depth` parentheses: the statement opens one
 /// nesting level and each parenthesis one more.
 fn parenthesized_return(depth: usize) -> String {
@@ -1284,6 +1432,7 @@ fn stats_and_metrics_render_one_counter_set() {
             "requests.revise_reuses",
             "requests.revise_solve_skips",
             "requests.batch",
+            "requests.report_replays",
             "requests.errors",
             "cache.hits",
             "cache.misses",
@@ -1336,6 +1485,7 @@ fn stats_and_metrics_render_one_counter_set() {
             r#"bugassist_requests_total{op="revise"}"#,
         ),
         ("requests.batch", r#"bugassist_requests_total{op="batch"}"#),
+        ("requests.report_replays", "bugassist_report_replays_total"),
         ("requests.revise_reuses", "bugassist_revise_reuses_total"),
         (
             "requests.revise_solve_skips",
@@ -1448,6 +1598,8 @@ fn stats_and_metrics_render_one_counter_set() {
     assert_eq!(count("requests.revise"), Some(1));
     assert_eq!(count("requests.revise_solve_skips"), Some(1));
     assert_eq!(count("requests.batch"), Some(1));
+    // The warm localize and the revise's remap answered without a solve.
+    assert_eq!(count("requests.report_replays"), Some(2));
     assert_eq!(count("requests.errors"), Some(1));
     assert_eq!(count("analysis.analyze_requests"), Some(1));
     // The last solve was the batch: its merged stats sum every test's SAT
